@@ -13,16 +13,13 @@ from .algebra import (
     Poly,
     PolyParseError,
     Word,
-    add,
     commutator,
     evaluate_perm,
     expand_unity,
     format_poly,
     gen,
     monomial,
-    multiply,
     parse_poly,
-    scale,
     star,
     u,
     word,
@@ -47,7 +44,6 @@ from .certificate import (
     MalformedCertificate,
     ProofStep,
     RelationApplication,
-    StarOfStep,
     Substitution,
     certificate_from_dict,
     certificate_to_dict,

@@ -169,18 +169,6 @@ def monomial(pairs, coeff: Coeff = 1) -> Poly:
     return Poly._from_dict({word(*pairs): coeff})
 
 
-def add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def scale(c: Coeff, p: Poly) -> Poly:
-    return c * p
-
-
-def multiply(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
 def star(p: Poly) -> Poly:
     """Antilinear involution: reverse each word.
 

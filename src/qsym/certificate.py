@@ -19,7 +19,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Union
 
-from .algebra import COL, ROW, Poly, PolyParseError, format_poly, parse_poly, u
+from .algebra import COL, ROW, Poly, format_poly, parse_poly, u
 from .graphs import Graph, format_graph_text
 from .relations import (
     ColOrth,
@@ -34,7 +34,7 @@ from .relations import (
     VanishB,
 )
 
-CERT_VERSION = 1
+CERT_VERSION = 2
 
 COMMUTES = "commutes"
 ZERO_PRODUCT = "zero_product"
@@ -67,18 +67,15 @@ class RelationApplication:
 
 
 @dataclass(frozen=True, slots=True)
-class StarOfStep:
-    """The claim is the star of an earlier step's claim."""
-
-    step: int
-
-
-@dataclass(frozen=True, slots=True)
 class Substitution:
-    """lhs - rhs is a rational combination of two earlier claim differences."""
+    """lhs - rhs equals base's difference plus sign times using's difference.
+
+    ``sign`` is 1 or -1, so the check is one exact polynomial equality.
+    """
 
     base: int
     using: int
+    sign: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,9 +85,7 @@ class LemmaCom:
     step: int
 
 
-Justification = Union[
-    LocalReduce, ExpandUnity, RelationApplication, StarOfStep, Substitution, LemmaCom
-]
+Justification = Union[LocalReduce, ExpandUnity, RelationApplication, Substitution, LemmaCom]
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,7 +147,7 @@ def graph_digest(g: Graph) -> str:
 
 def justification_refs(just: Justification) -> tuple[int, ...]:
     """Earlier step ids a justification depends on, certification included."""
-    if isinstance(just, (StarOfStep, LemmaCom)):
+    if isinstance(just, LemmaCom):
         return (just.step,)
     if isinstance(just, Substitution):
         return (just.base, just.using)
@@ -244,10 +239,8 @@ def _justification_to_dict(just: Justification) -> dict:
             "relation": _relation_to_dict(just.relation),
             "position": just.position,
         }
-    if isinstance(just, StarOfStep):
-        return {"rule": "star_of", "step": just.step}
     if isinstance(just, Substitution):
-        return {"rule": "substitution", "base": just.base, "using": just.using}
+        return {"rule": "substitution", "base": just.base, "using": just.using, "sign": just.sign}
     if isinstance(just, LemmaCom):
         return {"rule": "lemma_com", "step": just.step}
     raise MalformedCertificate(f"unknown justification {just!r}")
@@ -276,14 +269,15 @@ def _justification_from_dict(d) -> Justification:
             relation=_relation_from_dict(d["relation"]),
             position=_require_int(d["position"], "position"),
         )
-    if rule == "star_of":
-        _require_keys(d, {"rule", "step"}, "star_of justification")
-        return StarOfStep(step=_require_int(d["step"], "step"))
     if rule == "substitution":
-        _require_keys(d, {"rule", "base", "using"}, "substitution justification")
+        _require_keys(d, {"rule", "base", "using", "sign"}, "substitution justification")
+        sign = _require_int(d["sign"], "sign")
+        if sign not in (1, -1):
+            raise MalformedCertificate(f"sign must be 1 or -1, got {sign!r}")
         return Substitution(
             base=_require_int(d["base"], "base"),
             using=_require_int(d["using"], "using"),
+            sign=sign,
         )
     if rule == "lemma_com":
         _require_keys(d, {"rule", "step"}, "lemma_com justification")
@@ -296,7 +290,7 @@ def _parse_poly_field(text, what: str) -> Poly:
         raise MalformedCertificate(f"{what} must be a string")
     try:
         return parse_poly(text)
-    except PolyParseError as exc:
+    except ValueError as exc:  # PolyParseError, or an integer over Python's digit limit
         raise MalformedCertificate(f"{what}: {exc}") from None
 
 
@@ -385,7 +379,10 @@ def dumps_certificate(cert: Certificate) -> str:
 def loads_certificate(text: str) -> Certificate:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers over Python's
+        # digit limit; RecursionError covers arrays or objects nested
+        # past the interpreter's recursion limit.
         raise MalformedCertificate(f"not valid JSON: {exc}") from None
     return certificate_from_dict(data)
 

@@ -35,7 +35,6 @@ from .certificate import (
     LocalReduce,
     ProofStep,
     RelationApplication,
-    StarOfStep,
     Substitution,
     graph_digest,
 )
@@ -88,10 +87,10 @@ class ProofBuilder:
     def lemma_com(self, sid: int) -> int:
         """From a step claiming u[i,j]u[k,l] = u[i,j]u[k,l]u[i,j], derive commutation.
 
-        The right side is a palindrome, hence star-invariant, so both
-        sides must equal their own stars.  Emits the starred claim for
-        the record and then the commutation u[i,j]u[k,l] = u[k,l]u[i,j].
-        Returns the id of the commutation step.
+        The right side is a palindrome, hence star-invariant, so the left
+        side must equal its own star.  Emits the single LemmaCom step
+        claiming the commutation u[i,j]u[k,l] = u[k,l]u[i,j] and returns
+        its id.
         """
         step = self.steps[sid]
         word_x = _single_word(step.lhs)
@@ -105,7 +104,6 @@ class ProofBuilder:
             raise ValueError(
                 "right side must be the left side times its own first factor"
             )
-        self.add(star(step.lhs), star(step.rhs), StarOfStep(sid))
         return self.add(step.lhs, star(step.lhs), LemmaCom(sid))
 
 
@@ -153,7 +151,7 @@ def _derive_edge_edge(bld: ProofBuilder, r1: int, c1: int, r2: int, c2: int) -> 
         b2 = bld.add(b1_rhs, survivor, LocalReduce())
         b3 = bld.add(y, Poly.zero(), LocalReduce())
         b4a = bld.add(y, survivor, Substitution(b2, b1))
-        b4b = bld.add(survivor, Poly.zero(), Substitution(b4a, b3))
+        b4b = bld.add(survivor, Poly.zero(), Substitution(b3, b4a, -1))
         cur_rhs = cur_rhs - survivor
         cur = bld.add(x0, cur_rhs, Substitution(cur, b4b))
     if cur_rhs != monomial(((r1, c1), (r2, c2), (r1, c1))):
@@ -229,7 +227,7 @@ def _kill_extra_neighbor(
     z8 = bld.add(g3, g3_swapped, RelationApplication(swap_front, 0))
     z9 = bld.add(g3_swapped, Poly.zero(), LocalReduce())
     z10 = bld.add(g3, Poly.zero(), Substitution(z8, z9))
-    return bld.add(t_word, Poly.zero(), Substitution(z7, z10))
+    return bld.add(t_word, Poly.zero(), Substitution(z10, z7, -1))
 
 
 def _derive_nonedge(
@@ -301,7 +299,7 @@ def _derive_nonedge(
         raise AssertionError("palindrome expansion must reduce to the bridge witness")
     p4b = bld.add(p4a_rhs, witness, LocalReduce())
     p4c = bld.add(y, witness, Substitution(p4a, p4b))
-    final = bld.add(x0, y, Substitution(cur, p4c))
+    final = bld.add(x0, y, Substitution(cur, p4c, -1))
     return bld.lemma_com(final)
 
 

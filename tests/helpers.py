@@ -2,10 +2,12 @@
 
 The mutation operator only produces changes that genuinely alter the
 meaning of the chosen step, so a correct checker must reject every
-mutant at exactly that step.  Classes with equivalent-mutant risk
-(rewriting the inputs of a Substitution, or the left side of a relation
-application, where a killed term can change without changing the
-result) are deliberately excluded.
+mutant at exactly that step.  A Substitution is checked as one exact
+equality, lhs - rhs == d_base + sign * d_using, so any change to either
+side changes lhs - rhs and is rejected; flipping the sign or retargeting
+a citation is guarded to produce a combination that differs from the
+claim.  The left side of a relation application stays excluded: a
+killed term can change there without changing the result.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from qsym import (
     Poly,
     ProofStep,
     RelationApplication,
-    StarOfStep,
     Substitution,
     apply_relation,
     expand_unity,
@@ -161,14 +162,36 @@ def _retarget(rng, step, steps, bad):
     return None
 
 
-def _retarget_star(g, step, steps, rng):
-    old = steps[step.justification.step]
-    ref = _retarget(
-        rng, step, steps, lambda r: r.lhs != old.lhs or r.rhs != old.rhs
+def _diff(s):
+    return s.lhs - s.rhs
+
+
+def _flip_sign(g, step, steps, rng):
+    just = step.justification
+    using = steps[just.using]
+    if using.lhs == using.rhs:
+        return None
+    # The flip moves the combination by 2 * d_using, which is nonzero.
+    return dataclasses.replace(
+        step, justification=dataclasses.replace(just, sign=-just.sign)
     )
+
+
+def _retarget_substitution(g, step, steps, rng):
+    just = step.justification
+    field = "base" if rng.random() < 0.5 else "using"
+
+    def bad(r):
+        cited = {"base": steps[just.base], "using": steps[just.using], field: r}
+        combo = _diff(cited["base"]) + just.sign * _diff(cited["using"])
+        return combo != _diff(step)
+
+    ref = _retarget(rng, step, steps, bad)
     if ref is None:
         return None
-    return dataclasses.replace(step, justification=StarOfStep(ref))
+    return dataclasses.replace(
+        step, justification=dataclasses.replace(just, **{field: ref})
+    )
 
 
 def _retarget_lemma(g, step, steps, rng):
@@ -221,10 +244,8 @@ def _eligible_ops(step):
         if isinstance(just.relation, Comm):
             ops.append(_retarget_comm)
         return ops
-    if isinstance(just, StarOfStep):
-        return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _retarget_star]
     if isinstance(just, Substitution):
-        return [_JUNK_RHS]
+        return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _flip_sign, _retarget_substitution]
     if isinstance(just, LemmaCom):
         return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _retarget_lemma]
     raise AssertionError(f"unknown justification {just!r}")

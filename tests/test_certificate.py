@@ -17,7 +17,6 @@ from qsym import (
     MalformedCertificate,
     ProofStep,
     RelationApplication,
-    StarOfStep,
     Substitution,
     RowOrth,
     VanishB,
@@ -45,14 +44,14 @@ def _sample_cert():
         ProofStep(1, x, x, ExpandUnity(0, 3, "row")),
         ProofStep(2, x, x, RelationApplication(RowOrth(1, 1, 2), 0)),
         ProofStep(3, x, x, RelationApplication(Comm(1, 1, 2, 2, certified_by=0), 0)),
-        ProofStep(4, star(x), star(x), StarOfStep(1)),
-        ProofStep(5, x, x, Substitution(0, 2)),
-        ProofStep(6, x, star(x), LemmaCom(0)),
-        ProofStep(7, u(1, 2) - u(2, 1), monomial((), 2), RelationApplication(VanishB(1, 1, 3, 2), 0)),
-        ProofStep(8, x, x, RelationApplication(Idem(2, 2), 0)),
+        ProofStep(4, x, x, Substitution(0, 2)),
+        ProofStep(5, x, star(x), LemmaCom(0)),
+        ProofStep(6, u(1, 2) - u(2, 1), monomial((), 2), RelationApplication(VanishB(1, 1, 3, 2), 0)),
+        ProofStep(7, x, x, RelationApplication(Idem(2, 2), 0)),
+        ProofStep(8, x, x, Substitution(4, 7, -1)),
     )
     conclusions = (
-        Conclusion(COMMUTES, 1, 1, 2, 2, 6),
+        Conclusion(COMMUTES, 1, 1, 2, 2, 5),
         Conclusion(ZERO_PRODUCT, 1, 1, 1, 2, 0),
     )
     return Certificate(CERT_VERSION, graph_digest(g), steps, conclusions)
@@ -87,7 +86,7 @@ def test_polys_round_trip_in_text_form():
     cert = _sample_cert()
     d = certificate_to_dict(cert)
     assert d["steps"][0]["lhs"] == "u[1,1]u[2,2]"
-    assert d["steps"][7]["rhs"] == "2"
+    assert d["steps"][6]["rhs"] == "2"
     assert d["conclusions"][0]["kind"] == "commutes"
 
 
@@ -101,7 +100,7 @@ def test_from_dict_rejects_bad_shapes():
             certificate_from_dict(d)
 
     corrupt(lambda d: d.pop("version"))
-    corrupt(lambda d: d.update(version=2))
+    corrupt(lambda d: d.update(version=1))
     corrupt(lambda d: d.update(extra=1))
     corrupt(lambda d: d["steps"][0].pop("lhs"))
     corrupt(lambda d: d["steps"][0].update(id=5))  # ids must be sequential
@@ -110,7 +109,12 @@ def test_from_dict_rejects_bad_shapes():
     corrupt(lambda d: d["steps"][1]["justification"].update(rule="nonsense"))
     corrupt(lambda d: d["steps"][1]["justification"].pop("index"))
     corrupt(lambda d: d["steps"][2]["justification"]["relation"].update(kind="bogus"))
-    corrupt(lambda d: d["steps"][5]["justification"].update(base="0"))
+    corrupt(lambda d: d["steps"][4]["justification"].update(base="0"))
+    # sign is an integer, exactly 1 or -1: bool, float and str are refused
+    # before the membership test, which would accept True and 1.0.
+    for bad_sign in (True, 1.0, "1", 0, 2):
+        corrupt(lambda d: d["steps"][8]["justification"].update(sign=bad_sign))
+    corrupt(lambda d: d["steps"][8]["justification"].pop("sign"))
     corrupt(lambda d: d["conclusions"][0].update(kind="maybe"))
     corrupt(lambda d: d["conclusions"][0].pop("step"))
 
@@ -120,6 +124,24 @@ def test_loads_rejects_non_json():
         loads_certificate("{not json")
     with pytest.raises(MalformedCertificate):
         loads_certificate("[1,2,3]")
+
+
+def test_loads_rejects_deep_nesting():
+    # json.loads recurses once per level and hits the recursion limit.
+    with pytest.raises(MalformedCertificate):
+        loads_certificate("[" * 100000 + "]" * 100000)
+
+
+def test_loads_rejects_integers_over_the_digit_limit():
+    # Python refuses to convert integer strings over 4300 digits.
+    huge = "7" * 5000
+    with pytest.raises(MalformedCertificate):
+        loads_certificate('{"version":' + huge + "}")
+    d = certificate_to_dict(_sample_cert())
+    d["steps"][0]["lhs"] = huge + "*u[1,1]"
+    with pytest.raises(MalformedCertificate) as exc:
+        loads_certificate(json.dumps(d))
+    assert "step 0 lhs" in str(exc.value)
 
 
 def test_step_and_conclusion_validation():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import helpers
-from qsym import format_graph_text, load_certificate, save_certificate
+from qsym import format_graph_text, graph_digest, load_certificate, save_certificate
 from qsym.cli import main
 
 
@@ -102,6 +102,40 @@ def test_verify_malformed_certificate(tmp_path, capsys):
     code, _, err = run_cli(["verify", "--graph", "c5", str(bad)], capsys)
     assert code == 1
     assert "malformed certificate" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100000 + "]" * 100000, '{"version":' + "7" * 5000 + "}"],
+    ids=["deep-nesting", "huge-integer"],
+)
+def test_verify_hostile_certificate(tmp_path, capsys, text):
+    bad = tmp_path / "hostile.json"
+    bad.write_text(text)
+    code, _, err = run_cli(["verify", "--graph", "c5", str(bad)], capsys)
+    assert code == 1
+    assert "malformed certificate" in err
+
+
+def test_verify_refuses_version_1(tmp_path, capsys, c5_graph):
+    # Format version 1 had a star_of rule and unsigned substitutions;
+    # there is no loader for it.
+    v1 = {
+        "version": 1,
+        "graph_digest": graph_digest(c5_graph),
+        "steps": [
+            {"id": i, "lhs": "u[1,1]", "rhs": "u[1,1]", "justification": just}
+            for i, just in enumerate(
+                [{"rule": "local_reduce"}, {"rule": "star_of", "step": 0}]
+            )
+        ],
+        "conclusions": [],
+    }
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(v1))
+    code, _, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
+    assert code == 1
+    assert "unsupported certificate version 1" in err
 
 
 def test_verify_missing_certificate(tmp_path, capsys):

@@ -11,7 +11,6 @@ from qsym import (
     LocalReduce,
     ProofBuilder,
     RelationApplication,
-    StarOfStep,
     UnsupportedDegree,
     complement,
     complete,
@@ -28,6 +27,7 @@ from qsym import (
     u,
     verify_certificate,
 )
+from qsym.certificate import justification_refs
 from helpers import hoffman_singleton
 
 
@@ -45,9 +45,9 @@ def test_lemma_com_emits_star_then_commutation():
     y = monomial(((1, 1), (2, 2), (1, 1)))
     base = bld.add(x, y, LocalReduce())  # justification irrelevant here
     final = bld.lemma_com(base)
-    star_step, com_step = bld.steps[final - 1], bld.steps[final]
-    assert star_step.justification == StarOfStep(base)
-    assert star_step.lhs == star(x) and star_step.rhs == star(y)
+    # One LemmaCom step and nothing else: no star step is emitted.
+    assert final == base + 1 == len(bld.steps) - 1
+    com_step = bld.steps[final]
     assert com_step.justification == LemmaCom(base)
     assert com_step.lhs == x and com_step.rhs == star(x)
 
@@ -168,6 +168,20 @@ def test_prove_uses_certified_commutations(petersen_full_cert):
             assert ref.rhs == u(rel.row2, rel.col2) * u(rel.row1, rel.col1)
             seen += 1
     assert seen > 0
+
+
+@pytest.mark.parametrize(
+    "cert_fixture", ["c5_full_cert", "petersen_qa5_cert", "petersen_full_cert"]
+)
+def test_every_step_is_cited(cert_fixture, request):
+    # Each step feeds a later step or a conclusion; nothing is emitted
+    # only for the record.
+    cert = request.getfixturevalue(cert_fixture)
+    cited = {c.step for c in cert.conclusions}
+    for step in cert.steps:
+        cited.update(justification_refs(step.justification))
+    unreferenced = [s.id for s in cert.steps if s.id not in cited]
+    assert len(unreferenced) == 0, f"{len(unreferenced)} unreferenced steps"
 
 
 def test_conditions_not_met_carries_witness():

@@ -19,8 +19,9 @@ from qsym import (
     ROW,
     RelationApplication,
     RowOrth,
-    StarOfStep,
     Substitution,
+    certificate_from_dict,
+    certificate_to_dict,
     cycle,
     expand_unity,
     graph_digest,
@@ -69,7 +70,7 @@ def test_nonsequential_ids_rejected():
 
 
 def test_self_reference_rejected():
-    steps = (ProofStep(0, u(1, 1), u(1, 1), StarOfStep(0)),)
+    steps = (ProofStep(0, u(1, 1), u(1, 1), LemmaCom(0)),)
     with pytest.raises(MalformedCertificate) as exc:
         verify_certificate(G5, _cert(steps))
     assert "not earlier" in str(exc.value)
@@ -156,23 +157,36 @@ def test_miscertified_commutation_rejected():
 
 
 def test_star_of_step_checked():
+    # The star_of rule of format version 1 is gone: a step citing it is
+    # refused as an unknown rule.
     base = ProofStep(0, u(1, 2) * u(1, 3), Poly.zero(), LocalReduce())
-    good = ProofStep(1, u(1, 3) * u(1, 2), Poly.zero(), StarOfStep(0))
-    assert verify_certificate(G5, _cert((base, good))).valid
-    bad = ProofStep(1, u(1, 2) * u(1, 3), Poly.zero(), StarOfStep(0))
-    report = _first_failure((base, bad))
-    assert report.first_failure == 1
-    assert "star of step 0" in report.reason
+    d = certificate_to_dict(_cert((base,)))
+    d["steps"].append(
+        {
+            "id": 1,
+            "lhs": "u[1,3]u[1,2]",
+            "rhs": "0",
+            "justification": {"rule": "star_of", "step": 0},
+        }
+    )
+    with pytest.raises(MalformedCertificate) as exc:
+        certificate_from_dict(d)
+    assert "unknown justification rule 'star_of'" in str(exc.value)
 
 
 def test_substitution_accepts_rational_combinations():
+    # Exactly d_base + d_using or d_base - d_using; any other rational
+    # combination, even one in the span, is refused.
     s0 = IDEM_STEP
     s1 = ProofStep(1, u(2, 2) * u(2, 2), u(2, 2), LocalReduce())
-    lhs = 2 * (u(1, 1) * u(1, 1)) + u(2, 2)
-    rhs = 2 * u(1, 1) + u(2, 2) * u(2, 2)
-    s2 = ProofStep(2, lhs, rhs, Substitution(0, 1))
-    report = verify_certificate(G5, _cert((s0, s1, s2)))
-    assert report.valid
+    d0, d1 = s0.lhs - s0.rhs, s1.lhs - s1.rhs
+    plus = ProofStep(2, d0, -d1, Substitution(0, 1))
+    minus = ProofStep(3, d0, d1, Substitution(0, 1, -1))
+    assert verify_certificate(G5, _cert((s0, s1, plus, minus))).valid
+    double = ProofStep(2, 2 * d0 + d1, Poly.zero(), Substitution(0, 1))
+    report = _first_failure((s0, s1, double))
+    assert report.first_failure == 2
+    assert "that of step 0 plus that of step 1" in report.reason
 
 
 def test_substitution_rejects_outside_span():
@@ -182,7 +196,7 @@ def test_substitution_rejects_outside_span():
     report = _first_failure((s0, s1, s2))
     assert report.first_failure == 2
     assert report.steps_checked == 2
-    assert "rational combination of steps 0 and 1" in report.reason
+    assert "not that of step 0 plus that of step 1" in report.reason
 
 
 def test_lemma_com_requires_star_invariant_source():
