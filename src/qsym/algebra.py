@@ -56,7 +56,13 @@ def _check_coeff(c) -> Coeff:
 
 
 class Poly:
-    """Polynomial as a word-to-coefficient map.  Zero coefficients are never stored."""
+    """Polynomial as a word-to-coefficient map.  Zero coefficients are never stored.
+
+    A Poly is never mutated after construction: every operation returns
+    a new object, and nothing writes to ``terms`` in place.  Callers
+    rely on this to share one Poly between many places, as the
+    certificate loader and dumper do.
+    """
 
     __slots__ = ("terms",)
 
@@ -219,13 +225,19 @@ def expand_unity(p: Poly, position: int, index: int, side: str, n: int) -> Poly:
     return Poly._from_dict(data)
 
 
-def evaluate_perm(g, sigma, p: Poly) -> Fraction:
-    """Evaluate p at the permutation matrix of sigma on the vertices of g.
+def check_gen_bounds(p: Poly, n: int) -> None:
+    """Raise ValueError if p names a generator outside u[1..n,1..n]."""
+    for w in p.terms:
+        for f in w:
+            if f.row > n or f.col > n:
+                raise ValueError(f"generator u[{f.row},{f.col}] out of range for n={n}")
 
-    The generator u[i,j] becomes 1 when sigma maps j to i and 0
-    otherwise; the empty word evaluates to 1.  ``sigma`` is anything
-    with an ``images`` tuple in one-line notation, or such a sequence
-    itself.
+
+def perm_images(g, sigma) -> tuple[int, ...]:
+    """The one-line images of sigma, checked to permute the vertices of g.
+
+    ``sigma`` is anything with an ``images`` tuple in one-line notation,
+    or such a sequence itself.
     """
     images = tuple(getattr(sigma, "images", sigma))
     n = g.n
@@ -233,18 +245,37 @@ def evaluate_perm(g, sigma, p: Poly) -> Fraction:
         raise ValueError(f"permutation has degree {len(images)}, graph has {n} vertices")
     if sorted(images) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {images}")
-    total = Fraction(0)
+    return images
+
+
+def evaluate_images(images: tuple[int, ...], p: Poly) -> Coeff:
+    """Evaluate p at the permutation matrix with these one-line images.
+
+    Unchecked: ``images`` must come from :func:`perm_images` and p must
+    pass :func:`check_gen_bounds` for the same n.
+    """
+    total = 0
     for w, c in p.terms.items():
         for f in w:
-            if f.row > n or f.col > n:
-                raise ValueError(
-                    f"generator u[{f.row},{f.col}] out of range for n={n}"
-                )
             if images[f.col - 1] != f.row:
                 break
         else:
             total += c
     return total
+
+
+def evaluate_perm(g, sigma, p: Poly) -> Fraction:
+    """Evaluate p at the permutation matrix of sigma on the vertices of g.
+
+    The generator u[i,j] becomes 1 when sigma maps j to i and 0
+    otherwise; the empty word evaluates to 1.  ``sigma`` is anything
+    with an ``images`` tuple in one-line notation, or such a sequence
+    itself.  Raises ValueError if sigma does not permute the vertices
+    or p names a generator outside them.
+    """
+    images = perm_images(g, sigma)
+    check_gen_bounds(p, g.n)
+    return Fraction(evaluate_images(images, p))
 
 
 def _term_str(w: Word, c: Coeff) -> tuple[bool, str]:

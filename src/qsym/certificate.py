@@ -285,24 +285,43 @@ def _justification_from_dict(d) -> Justification:
     raise MalformedCertificate(f"unknown justification rule {rule!r}")
 
 
-def _parse_poly_field(text, what: str) -> Poly:
+def _parse_poly_field(text, what: str, parsed: dict[str, Poly]) -> Poly:
+    """Parse one polynomial field, once per distinct text.
+
+    ``parsed`` maps each text already parsed in this certificate to its
+    Poly, which is shared by every field with that text.
+    """
     if not isinstance(text, str):
         raise MalformedCertificate(f"{what} must be a string")
-    try:
-        return parse_poly(text)
-    except ValueError as exc:  # PolyParseError, or an integer over Python's digit limit
-        raise MalformedCertificate(f"{what}: {exc}") from None
+    p = parsed.get(text)
+    if p is None:
+        try:
+            p = parse_poly(text)
+        except ValueError as exc:  # PolyParseError, or an integer over Python's digit limit
+            raise MalformedCertificate(f"{what}: {exc}") from None
+        parsed[text] = p
+    return p
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
+    # The prover shares Poly objects between steps; format each object
+    # once.  Keys stay valid because cert keeps every object alive.
+    texts: dict[int, str] = {}
+
+    def text(p: Poly) -> str:
+        t = texts.get(id(p))
+        if t is None:
+            t = texts[id(p)] = format_poly(p)
+        return t
+
     return {
         "version": cert.version,
         "graph_digest": cert.graph_digest,
         "steps": [
             {
                 "id": s.id,
-                "lhs": format_poly(s.lhs),
-                "rhs": format_poly(s.rhs),
+                "lhs": text(s.lhs),
+                "rhs": text(s.rhs),
                 "justification": _justification_to_dict(s.justification),
             }
             for s in cert.steps
@@ -327,6 +346,7 @@ def certificate_from_dict(d) -> Certificate:
     if not isinstance(d["steps"], list) or not isinstance(d["conclusions"], list):
         raise MalformedCertificate("steps and conclusions must be arrays")
     steps = []
+    parsed: dict[str, Poly] = {}
     for position, sd in enumerate(d["steps"]):
         _require_keys(sd, {"id", "lhs", "rhs", "justification"}, "step")
         sid = _require_int(sd["id"], "step id")
@@ -337,8 +357,8 @@ def certificate_from_dict(d) -> Certificate:
         steps.append(
             ProofStep(
                 id=sid,
-                lhs=_parse_poly_field(sd["lhs"], f"step {sid} lhs"),
-                rhs=_parse_poly_field(sd["rhs"], f"step {sid} rhs"),
+                lhs=_parse_poly_field(sd["lhs"], f"step {sid} lhs", parsed),
+                rhs=_parse_poly_field(sd["rhs"], f"step {sid} rhs", parsed),
                 justification=_justification_from_dict(sd["justification"]),
             )
         )
@@ -395,4 +415,8 @@ def save_certificate(cert: Certificate, path) -> None:
 
 def load_certificate(path) -> Certificate:
     with open(path, "r", encoding="ascii") as fh:
-        return loads_certificate(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # the format is ASCII-only JSON
+            raise MalformedCertificate(f"not ASCII text: {exc}") from None
+    return loads_certificate(text)

@@ -52,6 +52,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument(
@@ -257,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("certificate", help="certificate file to check")
     p_verify.add_argument(
         "--fuzz",
-        type=int,
+        type=_nonnegative_int,
         default=0,
         metavar="N",
         help="also evaluate conclusions at N random automorphisms",

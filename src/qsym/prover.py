@@ -22,7 +22,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import ROW, Poly, expand_unity, evaluate_perm, monomial, star, u
+from .algebra import (
+    ROW,
+    Poly,
+    check_gen_bounds,
+    evaluate_images,
+    expand_unity,
+    monomial,
+    perm_images,
+    star,
+    u,
+)
 from .autgroup import automorphism_group
 from .certificate import (
     CERT_VERSION,
@@ -367,21 +377,26 @@ def sanity_eval(g: Graph, cert: Certificate, trials: int, seed: int = 0) -> Sani
     evaluate to 0.  Failures are reported with the conclusion index and
     the offending permutation; any failure means a bug, since a
     verified certificate holds in every permutation representation.
+    Raises ValueError for negative ``trials`` or a conclusion naming a
+    vertex outside g.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     group = automorphism_group(g)
     if group.elements is None:
         raise ValueError("graph too large to sample automorphism elements")
     diffs = []
     for c in cert.conclusions:
         lhs, rhs = c.claim()
-        diffs.append(lhs - rhs)
+        d = lhs - rhs
+        check_gen_bounds(d, g.n)
+        diffs.append(d)
     rng = random.Random(seed)
     failures = []
-    checks = 0
     for _ in range(trials):
         sigma = rng.choice(group.elements)
+        images = perm_images(g, sigma)
         for idx, d in enumerate(diffs):
-            checks += 1
-            if evaluate_perm(g, sigma, d) != 0:
+            if evaluate_images(images, d):
                 failures.append((idx, sigma.images))
-    return SanityReport(trials=trials, checks=checks, failures=tuple(failures))
+    return SanityReport(trials=trials, checks=trials * len(diffs), failures=tuple(failures))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import Poly, expand_unity, star, u
+from .algebra import check_gen_bounds, expand_unity, star, u
 from .certificate import (
     CERT_VERSION,
     Certificate,
@@ -50,13 +50,6 @@ class VerificationReport:
     reason: Optional[str] = None
 
 
-def _check_gen_bounds(p: Poly, n: int) -> None:
-    for w in p.terms:
-        for g in w:
-            if g.row > n or g.col > n:
-                raise ValueError(f"generator u[{g.row},{g.col}] out of range for n={n}")
-
-
 def _check_step(g: Graph, steps: Sequence[ProofStep], step: ProofStep) -> Optional[str]:
     """Recheck one step; returns a failure reason or None."""
     just = step.justification
@@ -65,7 +58,7 @@ def _check_step(g: Graph, steps: Sequence[ProofStep], step: ProofStep) -> Option
             return "sides do not reduce to the same normal form"
         return None
     if isinstance(just, ExpandUnity):
-        _check_gen_bounds(step.lhs, g.n)
+        check_gen_bounds(step.lhs, g.n)
         expected = expand_unity(step.lhs, just.position, just.index, just.side, g.n)
         if step.rhs != expected:
             return "right side is not the stated unity expansion of the left"
@@ -83,7 +76,7 @@ def _check_step(g: Graph, steps: Sequence[ProofStep], step: ProofStep) -> Option
                     f"step {rel.certified_by} does not certify commutation of"
                     f" u[{rel.row1},{rel.col1}] and u[{rel.row2},{rel.col2}]"
                 )
-        _check_gen_bounds(step.lhs, g.n)
+        check_gen_bounds(step.lhs, g.n)
         if step.rhs != apply_relation(step.lhs, rel, just.position):
             return "right side does not follow from applying the relation"
         return None

@@ -82,6 +82,28 @@ def test_dumps_deterministic(c5_full_cert):
     assert dumps_certificate(c5_full_cert) == dumps_certificate(c5_full_cert)
 
 
+@pytest.mark.parametrize("cert_fixture", ["c5_full_cert", "petersen_qa5_cert"])
+def test_text_round_trip_is_byte_identical(cert_fixture, request):
+    text = dumps_certificate(request.getfixturevalue(cert_fixture))
+    assert dumps_certificate(loads_certificate(text)) == text
+
+
+def test_loads_shares_one_poly_per_distinct_text():
+    d = certificate_to_dict(_sample_cert())
+    cert = certificate_from_dict(d)
+    assert d["steps"][0]["lhs"] == d["steps"][1]["rhs"]
+    assert cert.steps[0].lhs is cert.steps[1].rhs
+
+
+def test_load_rejects_non_ascii_bytes(tmp_path, c5_full_cert):
+    path = tmp_path / "cert.json"
+    save_certificate(c5_full_cert, path)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff")
+    with pytest.raises(MalformedCertificate, match="not ASCII"):
+        load_certificate(path)
+
+
 def test_polys_round_trip_in_text_form():
     cert = _sample_cert()
     d = certificate_to_dict(cert)
@@ -117,6 +139,13 @@ def test_from_dict_rejects_bad_shapes():
     corrupt(lambda d: d["steps"][8]["justification"].pop("sign"))
     corrupt(lambda d: d["conclusions"][0].update(kind="maybe"))
     corrupt(lambda d: d["conclusions"][0].pop("step"))
+
+
+def test_repeated_malformed_poly_names_its_first_field():
+    d = certificate_to_dict(_sample_cert())
+    d["steps"][1]["rhs"] = d["steps"][3]["lhs"] = "u[1,1] + u[1"
+    with pytest.raises(MalformedCertificate, match="^step 1 rhs: "):
+        certificate_from_dict(d)
 
 
 def test_loads_rejects_non_json():

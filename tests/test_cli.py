@@ -105,13 +105,13 @@ def test_verify_malformed_certificate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["[" * 100000 + "]" * 100000, '{"version":' + "7" * 5000 + "}"],
-    ids=["deep-nesting", "huge-integer"],
+    "data",
+    [b"[" * 100000 + b"]" * 100000, b'{"version":' + b"7" * 5000 + b"}", b'{"version":2}\xff'],
+    ids=["deep-nesting", "huge-integer", "non-ascii"],
 )
-def test_verify_hostile_certificate(tmp_path, capsys, text):
+def test_verify_hostile_certificate(tmp_path, capsys, data):
     bad = tmp_path / "hostile.json"
-    bad.write_text(text)
+    bad.write_bytes(data)
     code, _, err = run_cli(["verify", "--graph", "c5", str(bad)], capsys)
     assert code == 1
     assert "malformed certificate" in err
@@ -232,6 +232,8 @@ def test_reduce_out_of_range_generator(capsys):
         ["info", "--graph", "nonsense"],
         ["verify", "--graph", "c5"],
         ["prove", "--graph", "c5"],
+        ["verify", "--graph", "c5", "c5.json", "--fuzz", "-5"],
+        ["verify", "--graph", "c5", "c5.json", "--fuzz", "many"],
     ],
 )
 def test_usage_errors(argv, capsys):

@@ -1,23 +1,28 @@
 import itertools
+import random
 
 import pytest
 
 from qsym import (
     COMMUTES,
     ZERO_PRODUCT,
+    Certificate,
     Comm,
+    Conclusion,
     ConditionsNotMet,
     LemmaCom,
     LocalReduce,
     ProofBuilder,
     RelationApplication,
     UnsupportedDegree,
+    automorphism_group,
     complement,
     complete,
     complete_bipartite,
     cycle,
     derive_qa5,
     empty,
+    evaluate_perm,
     graph_digest,
     monomial,
     petersen,
@@ -211,22 +216,56 @@ def test_sanity_eval_counts_and_determinism(c5_graph, c5_full_cert):
     assert a.ok and not a.failures
 
 
-def test_sanity_eval_flags_false_conclusions(c5_graph, c5_full_cert):
+def _with_conclusions(cert, conclusions):
+    return Certificate(cert.version, cert.graph_digest, cert.steps, tuple(conclusions))
+
+
+def _forged_cert(cert):
     # Forged zero-product claims u[v,1]u[v,1] = 0: any automorphism
     # sends 1 to exactly one v, so each trial trips exactly one claim.
-    from qsym import Certificate, Conclusion
+    return _with_conclusions(cert, (Conclusion(ZERO_PRODUCT, v, 1, v, 1, 0) for v in range(1, 6)))
 
-    cert = c5_full_cert
-    forged = Certificate(
-        cert.version,
-        cert.graph_digest,
-        cert.steps,
-        tuple(Conclusion(ZERO_PRODUCT, v, 1, v, 1, 0) for v in range(1, 6)),
-    )
-    report = sanity_eval(c5_graph, forged, trials=3, seed=0)
+
+def test_sanity_eval_flags_false_conclusions(c5_graph, c5_full_cert):
+    report = sanity_eval(c5_graph, _forged_cert(c5_full_cert), trials=3, seed=0)
     assert not report.ok
     assert len(report.failures) == 3
     assert all(0 <= idx < 5 for idx, _ in report.failures)
+
+
+def _reference_sanity(g, cert, trials, seed):
+    """sanity_eval as a plain loop over evaluate_perm, the reference."""
+    elements = automorphism_group(g).elements
+    rng = random.Random(seed)
+    checks, failures = 0, []
+    for _ in range(trials):
+        sigma = rng.choice(elements)
+        for idx, c in enumerate(cert.conclusions):
+            lhs, rhs = c.claim()
+            checks += 1
+            if evaluate_perm(g, sigma, lhs - rhs) != 0:
+                failures.append((idx, sigma.images))
+    return checks, tuple(failures)
+
+
+@pytest.mark.parametrize("forged, trials, seed", [(False, 7, 3), (True, 3, 0), (True, 20, 5)])
+def test_sanity_eval_matches_reference_loop(c5_graph, c5_full_cert, forged, trials, seed):
+    cert = _forged_cert(c5_full_cert) if forged else c5_full_cert
+    report = sanity_eval(c5_graph, cert, trials=trials, seed=seed)
+    assert (report.checks, report.failures) == _reference_sanity(c5_graph, cert, trials, seed)
+
+
+@pytest.mark.parametrize("conclusion", [(6, 1, 1, 1), (1, 1, 1, 6), (1, 1, 7, 1)])
+def test_sanity_eval_rejects_out_of_range_conclusions(c5_graph, c5_full_cert, conclusion):
+    cert = _with_conclusions(c5_full_cert, [Conclusion(ZERO_PRODUCT, *conclusion, 0)])
+    with pytest.raises(ValueError, match="out of range"):
+        sanity_eval(c5_graph, cert, trials=1, seed=0)
+
+
+def test_sanity_eval_rejects_negative_trials(c5_graph, c5_full_cert):
+    with pytest.raises(ValueError, match="nonnegative"):
+        sanity_eval(c5_graph, c5_full_cert, trials=-5)
+    assert sanity_eval(c5_graph, c5_full_cert, trials=0).checks == 0
 
 
 def test_certificates_are_deterministic(petersen_graph):

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,6 +31,7 @@ from qsym import (
     u,
     validate_relation,
 )
+from qsym.relations import _reduce_word
 
 gens10 = st.tuples(st.integers(1, 10), st.integers(1, 10)).map(lambda t: gen(*t))
 words10 = st.lists(gens10, max_size=5).map(tuple)
@@ -203,3 +207,55 @@ def test_expand_unity_preserves_evaluation(p, idx, data):
     assert evaluate_perm(g, sigma, p) == evaluate_perm(
         g, sigma, expand_unity(p, 0, idx, side, 10)
     )
+
+
+def _one_rule_rewrites(g):
+    """Map each generator pair to the results of every rule that rewrites it.
+
+    Built by trying ``rewrite_pair`` for every instance from
+    ``relation_instances``.  A rule only matches generators whose indices
+    are among its own fields, so those pairs are the only candidates.
+    """
+    table = {}
+    for rel in relation_instances(g):
+        values = set(dataclasses.astuple(rel))
+        cands = [gen(r, c) for r in values for c in values]
+        for a, b in itertools.product(cands, repeat=2):
+            res = rewrite_pair(rel, a, b)
+            if res is not None:
+                table.setdefault((a, b), set()).add(None if res is KILLED else res)
+    return table
+
+
+def _normal_forms(table, w):
+    """Every irreducible word that w rewrites to, one rule at a time; None is zero."""
+    found, seen, todo = set(), set(), [w]
+    while todo:
+        x = todo.pop()
+        if x in seen:
+            continue
+        seen.add(x)
+        if x is None:
+            found.add(None)
+            continue
+        nxt = [
+            None if res is None else x[:i] + res + x[i + 2 :]
+            for i in range(len(x) - 1)
+            for res in table.get((x[i], x[i + 1]), ())
+        ]
+        if not nxt:
+            found.add(x)
+        todo.extend(nxt)
+    return found
+
+
+@pytest.mark.parametrize("graph, max_len", [(cycle(5), 3), (petersen(), 2)], ids=["c5", "petersen"])
+def test_reduce_word_matches_one_rule_rewriting(graph, max_len):
+    # The checker's LocalReduce trusts _reduce_word; compare it on every
+    # short word with naive rewriting by the relation instances, which
+    # must also reach a single normal form.
+    table = _one_rule_rewrites(graph)
+    gens = [gen(r, c) for r in graph.vertices() for c in graph.vertices()]
+    for length in range(max_len + 1):
+        for w in itertools.product(gens, repeat=length):
+            assert _normal_forms(table, w) == {_reduce_word(graph.adj1, graph.n, w)}, w
