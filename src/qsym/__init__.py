@@ -20,6 +20,7 @@ from .algebra import (
     gen,
     monomial,
     parse_poly,
+    relabel,
     star,
     u,
     word,
@@ -45,6 +46,7 @@ from .certificate import (
     ProofStep,
     RelationApplication,
     Substitution,
+    Transport,
     certificate_from_dict,
     certificate_to_dict,
     dumps_certificate,

@@ -225,6 +225,33 @@ def expand_unity(p: Poly, position: int, index: int, side: str, n: int) -> Poly:
     return Poly._from_dict(data)
 
 
+def relabel(p: Poly, rows, cols) -> Poly:
+    """Rename every generator u[i,j] of p to u[rows[i],cols[j]].
+
+    ``rows`` and ``cols`` are one-line images indexed from 1: entry
+    ``i - 1`` is the image of i.  Coefficients are kept; words that
+    the renaming merges accumulate.  Raises ValueError, never
+    IndexError, for a generator whose row lies beyond ``rows`` or
+    whose column lies beyond ``cols``.
+    """
+    nrows, ncols = len(rows), len(cols)
+    data: dict[Word, Coeff] = {}
+    for w, c in p.terms.items():
+        for f in w:
+            if f.row > nrows or f.col > ncols:
+                raise ValueError(
+                    f"generator u[{f.row},{f.col}] out of range for a"
+                    f" {nrows} x {ncols} renaming"
+                )
+        nw = tuple(gen(rows[f.row - 1], cols[f.col - 1]) for f in w)
+        s = data.get(nw, 0) + c
+        if s:
+            data[nw] = s
+        else:
+            del data[nw]
+    return Poly._from_dict(data)
+
+
 def check_gen_bounds(p: Poly, n: int) -> None:
     """Raise ValueError if p names a generator outside u[1..n,1..n]."""
     for w in p.terms:

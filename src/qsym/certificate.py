@@ -85,7 +85,23 @@ class LemmaCom:
     step: int
 
 
-Justification = Union[LocalReduce, ExpandUnity, RelationApplication, Substitution, LemmaCom]
+@dataclass(frozen=True, slots=True)
+class Transport:
+    """The claim of an earlier step with every u[i,j] renamed to u[rows[i],cols[j]].
+
+    ``rows`` and ``cols`` are one-line images of vertex permutations;
+    the verifier accepts the step only when both are automorphisms of
+    the graph.
+    """
+
+    step: int
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+
+
+Justification = Union[
+    LocalReduce, ExpandUnity, RelationApplication, Substitution, LemmaCom, Transport
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,7 +163,7 @@ def graph_digest(g: Graph) -> str:
 
 def justification_refs(just: Justification) -> tuple[int, ...]:
     """Earlier step ids a justification depends on, certification included."""
-    if isinstance(just, LemmaCom):
+    if isinstance(just, (LemmaCom, Transport)):
         return (just.step,)
     if isinstance(just, Substitution):
         return (just.base, just.using)
@@ -194,6 +210,12 @@ def _require_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise MalformedCertificate(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _require_int_array(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise MalformedCertificate(f"{what} must be an array of integers")
+    return tuple(_require_int(v, f"{what} entry") for v in value)
 
 
 def _require_keys(d: dict, expected: set, what: str):
@@ -243,6 +265,13 @@ def _justification_to_dict(just: Justification) -> dict:
         return {"rule": "substitution", "base": just.base, "using": just.using, "sign": just.sign}
     if isinstance(just, LemmaCom):
         return {"rule": "lemma_com", "step": just.step}
+    if isinstance(just, Transport):
+        return {
+            "rule": "transport",
+            "step": just.step,
+            "rows": list(just.rows),
+            "cols": list(just.cols),
+        }
     raise MalformedCertificate(f"unknown justification {just!r}")
 
 
@@ -282,6 +311,13 @@ def _justification_from_dict(d) -> Justification:
     if rule == "lemma_com":
         _require_keys(d, {"rule", "step"}, "lemma_com justification")
         return LemmaCom(step=_require_int(d["step"], "step"))
+    if rule == "transport":
+        _require_keys(d, {"rule", "step", "rows", "cols"}, "transport justification")
+        return Transport(
+            step=_require_int(d["step"], "step"),
+            rows=_require_int_array(d["rows"], "rows"),
+            cols=_require_int_array(d["cols"], "cols"),
+        )
     raise MalformedCertificate(f"unknown justification rule {rule!r}")
 
 

@@ -15,6 +15,10 @@ pairs of non-edges, which needs the unique common neighbors of the row
 and column pairs as a bridge and uses already-certified commutations to
 shuffle factors.  Third, the remaining quadruples, which vanish or
 commute directly by the defining relations.
+
+The first two layers derive one quadruple per orbit of Aut x Aut,
+acting by automorphisms on rows and columns separately, and transport
+that commutation to the rest of the orbit by renaming generators.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ from .algebra import (
     expand_unity,
     monomial,
     perm_images,
+    relabel,
     star,
     u,
 )
-from .autgroup import automorphism_group
+from .autgroup import MAX_LISTED_VERTICES, Permutation, automorphism_group
 from .certificate import (
     CERT_VERSION,
     COMMUTES,
@@ -46,6 +51,7 @@ from .certificate import (
     ProofStep,
     RelationApplication,
     Substitution,
+    Transport,
     graph_digest,
 )
 from .graphs import Graph, MooreReport, check_moore_conditions
@@ -116,6 +122,15 @@ class ProofBuilder:
             )
         return self.add(step.lhs, star(step.lhs), LemmaCom(sid))
 
+    def transport(self, sid: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
+        """Emit the claim of step sid with u[i,j] renamed to u[rows[i],cols[j]]."""
+        step = self.steps[sid]
+        return self.add(
+            relabel(step.lhs, rows, cols),
+            relabel(step.rhs, rows, cols),
+            Transport(sid, rows, cols),
+        )
+
 
 def _require_hypotheses(g: Graph) -> int:
     report = check_moore_conditions(g)
@@ -169,14 +184,62 @@ def _derive_edge_edge(bld: ProofBuilder, r1: int, c1: int, r2: int, c2: int) -> 
     return bld.lemma_com(cur)
 
 
-def _derive_all_edge_edge(bld: ProofBuilder) -> dict[tuple[int, int, int, int], int]:
-    """Commutation step ids for every quadruple of two directed edges."""
-    edges = bld.graph.directed_edges()
+def _symmetries(g: Graph) -> tuple[Permutation, ...]:
+    """The automorphisms that transports may use, identity first.
+
+    Graphs too large for an element list get the identity alone, so
+    every quadruple is its own orbit and nothing is transported.
+    """
+    if g.n > MAX_LISTED_VERTICES:
+        return (Permutation.identity(g.n),)
+    return automorphism_group(g).elements
+
+
+def _orbit_maps(pairs, symmetries) -> dict:
+    """Map each vertex pair to the first pair of its orbit and the first
+    symmetry sending that pair onto it.
+
+    ``pairs`` must be closed under ``symmetries``, which must list the
+    identity first, so each first pair maps to itself by the identity.
+    """
+    out = {}
+    for p in sorted(pairs):
+        if p in out:
+            continue
+        for sigma in symmetries:
+            out.setdefault((sigma(p[0]), sigma(p[1])), (p, sigma))
+    return out
+
+
+def _derive_family(bld: ProofBuilder, pairs, symmetries, derive) -> dict:
+    """Commutation step ids for every quadruple (r1, c1, r2, c2) with
+    (r1, r2) and (c1, c2) in ``pairs``, keyed by the quadruple.
+
+    Aut x Aut acts on the rows and the columns separately, so an orbit
+    of quadruples is an orbit of row pairs times an orbit of column
+    pairs.  ``derive(bld, r1, c1, r2, c2)`` certifies the first
+    quadruple of each orbit; every other quadruple is transported from
+    it under the first symmetries that reach it.
+    """
+    orbit = _orbit_maps(pairs, symmetries)
+    ordered = sorted(orbit)
     table = {}
-    for r1, r2 in edges:
-        for c1, c2 in edges:
-            table[(r1, c1, r2, c2)] = _derive_edge_edge(bld, r1, c1, r2, c2)
+    for r1, r2 in ordered:
+        (q1, q2), sigma = orbit[(r1, r2)]
+        for c1, c2 in ordered:
+            (d1, d2), tau = orbit[(c1, c2)]
+            rep = (q1, d1, q2, d2)
+            if rep not in table:
+                table[rep] = derive(bld, *rep)
+            quad = (r1, c1, r2, c2)
+            if quad not in table:
+                table[quad] = bld.transport(table[rep], sigma.images, tau.images)
     return table
+
+
+def _derive_all_edge_edge(bld: ProofBuilder, symmetries) -> dict[tuple[int, int, int, int], int]:
+    """Commutation step ids for every quadruple of two directed edges."""
+    return _derive_family(bld, bld.graph.directed_edges(), symmetries, _derive_edge_edge)
 
 
 def derive_qa5(g: Graph) -> Certificate:
@@ -187,7 +250,7 @@ def derive_qa5(g: Graph) -> Certificate:
     """
     _require_hypotheses(g)
     bld = ProofBuilder(g)
-    table = _derive_all_edge_edge(bld)
+    table = _derive_all_edge_edge(bld, _symmetries(g))
     conclusions = tuple(
         Conclusion(COMMUTES, i, j, k, l, table[(i, j, k, l)])
         for (i, j, k, l) in sorted(table)
@@ -326,31 +389,34 @@ def prove_no_quantum_symmetry(g: Graph) -> Certificate:
     if k > MAX_DEGREE:
         raise UnsupportedDegree(k)
     bld = ProofBuilder(g)
-    comm = _derive_all_edge_edge(bld)
+    symmetries = _symmetries(g)
     adj1 = g.adj1
+    comm = _derive_all_edge_edge(bld, symmetries)
+    nonedges = [(a, b) for a in g.vertices() for b in g.vertices() if a != b and not adj1[a][b]]
+    comm.update(
+        _derive_family(
+            bld,
+            nonedges,
+            symmetries,
+            lambda bld, r1, c1, r2, c2: _derive_nonedge(bld, r1, c1, r2, c2, comm),
+        )
+    )
     conclusions = []
     for i in g.vertices():
         for j in g.vertices():
             for k2 in g.vertices():
                 for l in g.vertices():
-                    if i == k2:
-                        if j == l:
-                            w = u(i, j) * u(k2, l)
-                            sid = bld.add(w, w, LocalReduce())
-                            conclusions.append(Conclusion(COMMUTES, i, j, k2, l, sid))
-                        else:
-                            sid = bld.add(u(i, j) * u(k2, l), Poly.zero(), LocalReduce())
-                            conclusions.append(Conclusion(ZERO_PRODUCT, i, j, k2, l, sid))
-                    elif j == l or bool(adj1[i][k2]) != bool(adj1[j][l]):
+                    if i == k2 and j == l:
+                        w = u(i, j) * u(k2, l)
+                        sid = bld.add(w, w, LocalReduce())
+                        conclusions.append(Conclusion(COMMUTES, i, j, k2, l, sid))
+                    elif i == k2 or j == l or bool(adj1[i][k2]) != bool(adj1[j][l]):
                         sid = bld.add(u(i, j) * u(k2, l), Poly.zero(), LocalReduce())
                         conclusions.append(Conclusion(ZERO_PRODUCT, i, j, k2, l, sid))
-                    elif adj1[i][k2]:
+                    else:
                         conclusions.append(
                             Conclusion(COMMUTES, i, j, k2, l, comm[(i, j, k2, l)])
                         )
-                    else:
-                        sid = _derive_nonedge(bld, i, j, k2, l, comm)
-                        conclusions.append(Conclusion(COMMUTES, i, j, k2, l, sid))
     return Certificate(
         CERT_VERSION, graph_digest(g), tuple(bld.steps), tuple(conclusions)
     )

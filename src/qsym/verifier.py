@@ -1,8 +1,9 @@
 """Independent rechecking of commutativity certificates.
 
-The checker shares only the algebra primitives with the prover: each
-step is reverified from its justification and earlier steps, never
-from how the prover happened to emit it.  Every rule is a lookup, not
+The checker shares only the algebra primitives, and autgroup's
+permutation type and automorphism test, with the prover: each step is
+reverified from its justification and earlier steps, never from how
+the prover happened to emit it.  Every rule is a lookup, not
 a search: the justification names the cited steps and, for a
 substitution, the sign of the combination, so each check is an exact
 recomputation or polynomial equality.  Structural defects (wrong
@@ -10,6 +11,24 @@ version, non-sequential ids, dangling or forward references) raise
 MalformedCertificate; a certificate for a different graph raises
 DigestMismatch; defects of content produce an invalid report naming
 the first failing step.
+
+A transport step renames every generator u[i,j] of an earlier claim to
+u[rows[i],cols[j]], and is accepted only when rows and cols are
+permutations of 1..n that are automorphisms of the graph.  This is
+sound.  The renaming acts letter by letter, so it is an algebra map of
+the free *-algebra that commutes with star, and it is invertible.  It
+sends each defining relation instance to another: orthogonality,
+idempotence and self-adjointness to their renamed instances, and a row
+or column unity sum to another such sum, since a permutation only
+reorders its terms.  VanishA and VanishB are picked out by adjacency
+of the two rows and non-adjacency of the two columns, or the reverse;
+automorphisms preserve both, so the renamed instance meets the same
+side conditions.  Commutation is not a defining relation: each use
+cites an earlier step whose claim holds in the quotient.  The renaming
+therefore maps the ideal of relations onto itself and is a
+*-automorphism of the quotient algebra, so a claim that holds there
+still holds after renaming.  Under a permutation that is not an
+automorphism the renamed claim can be false, and the step is refused.
 """
 
 from __future__ import annotations
@@ -17,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import check_gen_bounds, expand_unity, star, u
+from .algebra import check_gen_bounds, expand_unity, perm_images, relabel, star, u
+from .autgroup import Permutation, is_automorphism
 from .certificate import (
     CERT_VERSION,
     Certificate,
@@ -28,6 +48,7 @@ from .certificate import (
     ProofStep,
     RelationApplication,
     Substitution,
+    Transport,
     graph_digest,
     justification_refs,
 )
@@ -96,6 +117,15 @@ def _check_step(g: Graph, steps: Sequence[ProofStep], step: ProofStep) -> Option
             return f"right side of step {just.step} is not star-invariant"
         if step.lhs != ref.lhs or step.rhs != star(ref.lhs):
             return f"claim is not the star transport of step {just.step}"
+        return None
+    if isinstance(just, Transport):
+        for name, images in (("rows", just.rows), ("cols", just.cols)):
+            if not is_automorphism(g, Permutation(perm_images(g, images))):
+                return f"{name} is not an automorphism of the graph"
+        ref = steps[just.step]
+        lhs = relabel(ref.lhs, just.rows, just.cols)
+        if step.lhs != lhs or step.rhs != relabel(ref.rhs, just.rows, just.cols):
+            return f"claim is not the renaming of step {just.step} under rows and cols"
         return None
     return f"unknown justification {type(just).__name__}"
 

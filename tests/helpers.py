@@ -6,8 +6,12 @@ mutant at exactly that step.  A Substitution is checked as one exact
 equality, lhs - rhs == d_base + sign * d_using, so any change to either
 side changes lhs - rhs and is rejected; flipping the sign or retargeting
 a citation is guarded to produce a combination that differs from the
-claim.  The left side of a relation application stays excluded: a
-killed term can change there without changing the result.
+claim.  A Transport is checked as an exact equality with the renamed
+sides of the cited step: a new citation, or rows and cols swapped, is
+guarded so that the renamed claim differs, and a rows permutation that
+is not an automorphism is refused whatever the claim.  The left side of
+a relation application stays excluded: a killed term can change there
+without changing the result.
 """
 
 from __future__ import annotations
@@ -22,14 +26,18 @@ from qsym import (
     ExpandUnity,
     LemmaCom,
     LocalReduce,
+    Permutation,
     Poly,
     ProofStep,
     RelationApplication,
     Substitution,
+    Transport,
     apply_relation,
     expand_unity,
     from_edge_list,
     gen,
+    is_automorphism,
+    relabel,
     star,
     u,
 )
@@ -206,6 +214,47 @@ def _retarget_lemma(g, step, steps, rng):
     return dataclasses.replace(step, justification=LemmaCom(ref))
 
 
+def _renamed_claim_differs(step, ref, rows, cols):
+    return relabel(ref.lhs, rows, cols) != step.lhs or relabel(ref.rhs, rows, cols) != step.rhs
+
+
+def _retarget_transport(g, step, steps, rng):
+    just = step.justification
+    ref = _retarget(
+        rng, step, steps, lambda r: _renamed_claim_differs(step, r, just.rows, just.cols)
+    )
+    if ref is None:
+        return None
+    return dataclasses.replace(
+        step, justification=dataclasses.replace(just, step=ref)
+    )
+
+
+def _non_automorphism_rows(g, step, steps, rng):
+    # Swap two images: still a permutation, refused only for not
+    # preserving adjacency.
+    just = step.justification
+    rows = list(just.rows)
+    a, b = rng.sample(range(len(rows)), 2)
+    rows[a], rows[b] = rows[b], rows[a]
+    if is_automorphism(g, Permutation(tuple(rows))):
+        return None
+    return dataclasses.replace(
+        step, justification=dataclasses.replace(just, rows=tuple(rows))
+    )
+
+
+def _swap_rows_cols(g, step, steps, rng):
+    # Both are automorphisms, so only the renamed claim can catch the
+    # swap: require that it differs, which implies rows != cols.
+    just = step.justification
+    if not _renamed_claim_differs(step, steps[just.step], just.cols, just.rows):
+        return None
+    return dataclasses.replace(
+        step, justification=dataclasses.replace(just, rows=just.cols, cols=just.rows)
+    )
+
+
 def _retarget_comm(g, step, steps, rng):
     rel = step.justification.relation
     want_lhs = u(rel.row1, rel.col1) * u(rel.row2, rel.col2)
@@ -233,7 +282,7 @@ _LHS_OPS = [_side_op(f, "lhs") for f in (_double_coeff, _tweak_index, _drop_term
 _JUNK_RHS = _side_op(_add_junk_term, "rhs")
 
 
-def _eligible_ops(step):
+def eligible_ops(step):
     just = step.justification
     if isinstance(just, LocalReduce):
         return _RHS_OPS + [_JUNK_RHS]
@@ -248,6 +297,13 @@ def _eligible_ops(step):
         return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _flip_sign, _retarget_substitution]
     if isinstance(just, LemmaCom):
         return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _retarget_lemma]
+    if isinstance(just, Transport):
+        return _RHS_OPS + _LHS_OPS + [
+            _JUNK_RHS,
+            _retarget_transport,
+            _non_automorphism_rows,
+            _swap_rows_cols,
+        ]
     raise AssertionError(f"unknown justification {just!r}")
 
 
@@ -256,7 +312,7 @@ def mutate_certificate(g, cert: Certificate, rng):
     steps = cert.steps
     while True:
         step = steps[rng.randrange(len(steps))]
-        ops = _eligible_ops(step)
+        ops = eligible_ops(step)
         op = ops[rng.randrange(len(ops))]
         mutated = op(g, step, steps, rng)
         if mutated is None:

@@ -20,6 +20,7 @@ from qsym import (
     monomial,
     parse_poly,
     petersen,
+    relabel,
     star,
     u,
     word,
@@ -128,6 +129,33 @@ def test_expand_unity_errors():
 def test_expand_unity_adds_factor_everywhere(p, idx):
     got = expand_unity(p, 0, idx, ROW, 10)
     assert all(len(w) >= 1 and w[0].row == idx for w in got.terms) or p.is_zero
+
+
+def test_relabel_examples():
+    p = monomial(((1, 2), (3, 1))) - 2 * u(2, 2)
+    assert relabel(p, (2, 3, 1), (3, 1, 2)) == monomial(((2, 1), (1, 3))) - 2 * u(3, 1)
+    # A renaming that is not injective merges words.
+    assert relabel(u(1, 1) + u(2, 1), (1, 1, 3), (1, 2, 3)) == 2 * u(1, 1)
+    assert relabel(Poly.one(), (), ()) == Poly.one()
+
+
+@pytest.mark.parametrize("p", [u(4, 1), u(1, 4), monomial(((1, 1), (3, 9)))])
+def test_relabel_refuses_generators_beyond_the_renaming(p):
+    with pytest.raises(ValueError, match="out of range"):
+        relabel(p, (1, 2, 3), (1, 2, 3))
+
+
+perms10 = st.permutations(range(1, 11)).map(tuple)
+
+
+@given(polys, polys, perms10, perms10)
+def test_relabel_is_a_star_homomorphism(p, q, rows, cols):
+    def r(x):
+        return relabel(x, rows, cols)
+
+    assert r(p * q) == r(p) * r(q)
+    assert r(p + q) == r(p) + r(q)
+    assert r(star(p)) == star(r(p))
 
 
 def test_evaluate_perm_basics():

@@ -18,6 +18,7 @@ from qsym import (
     ProofStep,
     RelationApplication,
     Substitution,
+    Transport,
     RowOrth,
     VanishB,
     certificate_from_dict,
@@ -30,15 +31,22 @@ from qsym import (
     loads_certificate,
     monomial,
     petersen,
+    relabel,
     save_certificate,
     star,
     u,
 )
 
 
+# Two automorphisms of C5.
+ROTATION = (2, 3, 4, 5, 1)
+REFLECTION = (5, 4, 3, 2, 1)
+
+
 def _sample_cert():
     g = cycle(5)
     x = monomial(((1, 1), (2, 2)))
+    y = relabel(x, ROTATION, REFLECTION)
     steps = (
         ProofStep(0, x, x, LocalReduce()),
         ProofStep(1, x, x, ExpandUnity(0, 3, "row")),
@@ -49,6 +57,7 @@ def _sample_cert():
         ProofStep(6, u(1, 2) - u(2, 1), monomial((), 2), RelationApplication(VanishB(1, 1, 3, 2), 0)),
         ProofStep(7, x, x, RelationApplication(Idem(2, 2), 0)),
         ProofStep(8, x, x, Substitution(4, 7, -1)),
+        ProofStep(9, y, y, Transport(8, ROTATION, REFLECTION)),
     )
     conclusions = (
         Conclusion(COMMUTES, 1, 1, 2, 2, 5),
@@ -137,6 +146,12 @@ def test_from_dict_rejects_bad_shapes():
     for bad_sign in (True, 1.0, "1", 0, 2):
         corrupt(lambda d: d["steps"][8]["justification"].update(sign=bad_sign))
     corrupt(lambda d: d["steps"][8]["justification"].pop("sign"))
+    # rows and cols are arrays of integers; that they permute the
+    # graph's vertices is the verifier's check.
+    for bad_rows in (5, "23451", {"1": 2}, [True, 3, 4, 5, 1], ["2", 3, 4, 5, 1], [2.0, 3, 4, 5, 1]):
+        corrupt(lambda d: d["steps"][9]["justification"].update(rows=bad_rows))
+    corrupt(lambda d: d["steps"][9]["justification"].pop("cols"))
+    corrupt(lambda d: d["steps"][9]["justification"].update(step="8"))
     corrupt(lambda d: d["conclusions"][0].update(kind="maybe"))
     corrupt(lambda d: d["conclusions"][0].pop("step"))
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import helpers
-from qsym import format_graph_text, graph_digest, load_certificate, save_certificate
+from qsym import cycle, format_graph_text, graph_digest, load_certificate, save_certificate
 from qsym.cli import main
 
 
@@ -104,17 +104,72 @@ def test_verify_malformed_certificate(tmp_path, capsys):
     assert "malformed certificate" in err
 
 
+def _transport_cert(cite=0, first=("u[1,2]u[1,3]", "0"), **fields) -> bytes:
+    """A C5 certificate of three steps whose step 1 renames step ``cite``
+    under a rotation of the rows.  ``first`` is the claim of step 0 and
+    ``fields`` override the transport's JSON fields."""
+    transport = {"rule": "transport", "step": cite, "rows": [2, 3, 4, 5, 1], "cols": [1, 2, 3, 4, 5]}
+    transport.update(fields)
+    steps = [
+        (first, {"rule": "local_reduce"}),
+        (("u[2,2]u[2,3]", "0"), transport),
+        (("u[1,1]", "u[1,1]"), {"rule": "local_reduce"}),
+    ]
+    cert = {
+        "version": 2,
+        "graph_digest": graph_digest(cycle(5)),
+        "steps": [
+            {"id": i, "lhs": lhs, "rhs": rhs, "justification": just}
+            for i, ((lhs, rhs), just) in enumerate(steps)
+        ],
+        "conclusions": [],
+    }
+    return json.dumps(cert).encode("ascii")
+
+
+MALFORMED = ("err", "malformed certificate")
+
+
 @pytest.mark.parametrize(
-    "data",
-    [b"[" * 100000 + b"]" * 100000, b'{"version":' + b"7" * 5000 + b"}", b'{"version":2}\xff'],
-    ids=["deep-nesting", "huge-integer", "non-ascii"],
+    "data, stream, expected",
+    [
+        (b"[" * 100000 + b"]" * 100000, *MALFORMED),
+        (b'{"version":' + b"7" * 5000 + b"}", *MALFORMED),
+        (b'{"version":2}\xff', *MALFORMED),
+        (_transport_cert(rows=5), *MALFORMED),
+        (_transport_cert(rows=[2, 3, 4, 5]), "out", "INVALID at step 1: permutation has degree 4"),
+        (_transport_cert(rows=[True, 3, 4, 5, 1]), *MALFORMED),
+        (_transport_cert(rows=["2", 3, 4, 5, 1]), *MALFORMED),
+        (_transport_cert(rows=[2, 2, 4, 5, 1]), "out", "INVALID at step 1: not a permutation"),
+        (_transport_cert(cite=2), "err", "references step 2, which is not earlier"),
+        (_transport_cert(first=("u[6,1]", "u[6,1]")), "out", "INVALID at step 1: generator u[6,1] out of range"),
+    ],
+    ids=[
+        "deep-nesting",
+        "huge-integer",
+        "non-ascii",
+        "rows-not-array",
+        "rows-wrong-length",
+        "rows-bool-entry",
+        "rows-string-entry",
+        "rows-not-permutation",
+        "transport-of-later-step",
+        "transport-of-generator-beyond-n",
+    ],
 )
-def test_verify_hostile_certificate(tmp_path, capsys, data):
+def test_verify_hostile_certificate(tmp_path, capsys, data, stream, expected):
     bad = tmp_path / "hostile.json"
     bad.write_bytes(data)
-    code, _, err = run_cli(["verify", "--graph", "c5", str(bad)], capsys)
+    code, out, err = run_cli(["verify", "--graph", "c5", str(bad)], capsys)
     assert code == 1
-    assert "malformed certificate" in err
+    assert expected in {"out": out, "err": err}[stream]
+
+
+def test_verify_accepts_a_transport_step(tmp_path, capsys):
+    path = tmp_path / "transport.json"
+    path.write_bytes(_transport_cert())
+    code, out, _ = run_cli(["verify", "--graph", "c5", str(path)], capsys)
+    assert code == 0 and "valid: 3 steps" in out
 
 
 def test_verify_refuses_version_1(tmp_path, capsys, c5_graph):

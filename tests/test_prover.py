@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from qsym import (
     ConditionsNotMet,
     LemmaCom,
     LocalReduce,
+    Permutation,
     ProofBuilder,
     RelationApplication,
     UnsupportedDegree,
@@ -33,6 +35,7 @@ from qsym import (
     verify_certificate,
 )
 from qsym.certificate import justification_refs
+from qsym.prover import _derive_all_edge_edge, _symmetries
 from helpers import hoffman_singleton
 
 
@@ -189,6 +192,58 @@ def test_every_step_is_cited(cert_fixture, request):
     assert len(unreferenced) == 0, f"{len(unreferenced)} unreferenced steps"
 
 
+def _orbit_count(g, quads):
+    """Orbits of quads under Aut x Aut, by union-find over the group's
+    generators acting on the rows or on the columns."""
+    parent = {q: q for q in quads}
+
+    def find(q):
+        while parent[q] != q:
+            parent[q] = parent[parent[q]]
+            q = parent[q]
+        return q
+
+    generators = automorphism_group(g).generators
+    for q in quads:
+        i, j, k, l = q
+        for s in generators:
+            for image in ((s(i), j, s(k), l), (i, s(j), k, s(l))):
+                parent[find(image)] = find(q)
+    return len({find(q) for q in quads})
+
+
+@pytest.mark.parametrize(
+    "graph_fixture, cert_fixture, max_steps",
+    [("c5_graph", "c5_full_cert", 700), ("petersen_graph", "petersen_full_cert", 10_100)],
+)
+def test_one_lemma_com_per_orbit(graph_fixture, cert_fixture, max_steps, request):
+    g = request.getfixturevalue(graph_fixture)
+    cert = request.getfixturevalue(cert_fixture)
+    steps = cert.steps
+    # Commuting quadruples other than the diagonal u[i,j]u[i,j].
+    commuting = [c for c in cert.conclusions if c.kind == COMMUTES and (c.i, c.j) != (c.k, c.l)]
+    orbits = _orbit_count(g, [(c.i, c.j, c.k, c.l) for c in commuting])
+    # Both graphs are distance-transitive: the edge-edge and the
+    # non-edge family are one orbit each.
+    assert orbits == 2
+    assert sum(isinstance(s.justification, LemmaCom) for s in steps) == orbits
+    cited = Counter(type(steps[c.step].justification).__name__ for c in commuting)
+    assert cited == {"LemmaCom": orbits, "Transport": len(commuting) - orbits}
+    assert len(steps) <= max_steps
+
+
+def test_symmetry_fallback_transports_nothing():
+    # Above the element-list bound only the identity is used, so every
+    # quadruple is derived as its own orbit.
+    assert _symmetries(cycle(13)) == (Permutation.identity(13),)
+    bld = ProofBuilder(cycle(5))
+    table = _derive_all_edge_edge(bld, (Permutation.identity(5),))
+    kinds = Counter(type(s.justification).__name__ for s in bld.steps)
+    assert len(table) == 100 and kinds["LemmaCom"] == 100 and "Transport" not in kinds
+    elements = automorphism_group(petersen()).elements
+    assert _symmetries(petersen()) == elements and elements[0] == Permutation.identity(10)
+
+
 def test_conditions_not_met_carries_witness():
     for g in (complete(4), empty(4), complement(petersen()), complete_bipartite(3, 3)):
         with pytest.raises(ConditionsNotMet) as exc:
@@ -271,6 +326,7 @@ def test_sanity_eval_rejects_negative_trials(c5_graph, c5_full_cert):
 def test_certificates_are_deterministic(petersen_graph):
     from qsym import dumps_certificate
 
-    a = dumps_certificate(derive_qa5(petersen_graph))
-    b = dumps_certificate(derive_qa5(petersen_graph))
-    assert a == b
+    for produce in (derive_qa5, prove_no_quantum_symmetry):
+        a = dumps_certificate(produce(petersen_graph))
+        b = dumps_certificate(produce(petersen_graph))
+        assert a == b

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -20,12 +21,15 @@ from qsym import (
     RelationApplication,
     RowOrth,
     Substitution,
+    Transport,
     certificate_from_dict,
     certificate_to_dict,
     cycle,
+    evaluate_perm,
     expand_unity,
     graph_digest,
     petersen,
+    relabel,
     star,
     u,
     verify_certificate,
@@ -216,6 +220,50 @@ def test_lemma_com_checks_transport():
     assert "star transport of step 0" in report.reason
 
 
+IDENTITY = (1, 2, 3, 4, 5)
+ROTATION = (2, 3, 4, 5, 1)
+SWAP_2_3 = (1, 3, 2, 4, 5)  # not in D5: it maps the edge 1-2 to the non-edge 1-3
+# u[1,1]u[2,3] = 0: rows 1, 2 adjacent in C5, columns 1, 3 not.
+VANISH_STEP = ProofStep(0, u(1, 1) * u(2, 3), Poly.zero(), LocalReduce())
+
+
+def _transported(rows, cols, base=VANISH_STEP):
+    """Step 1: the exact renaming of base under rows and cols."""
+    return ProofStep(
+        1, relabel(base.lhs, rows, cols), relabel(base.rhs, rows, cols), Transport(0, rows, cols)
+    )
+
+
+def test_transport_needs_automorphisms():
+    good = _transported(ROTATION, IDENTITY)
+    assert good.lhs == u(2, 1) * u(3, 3)
+    assert verify_certificate(G5, _cert((VANISH_STEP, good))).valid
+    bad = _transported(SWAP_2_3, IDENTITY)
+    # The renamed claim u[1,1]u[3,3] = 0 is false: the identity
+    # permutation matrix satisfies every relation and gives 1.
+    assert bad.lhs == u(1, 1) * u(3, 3)
+    assert evaluate_perm(G5, IDENTITY, bad.lhs - bad.rhs) == 1
+    report = _first_failure((VANISH_STEP, bad))
+    assert report.first_failure == 1
+    assert "rows is not an automorphism" in report.reason
+    report = _first_failure((VANISH_STEP, _transported(IDENTITY, SWAP_2_3)))
+    assert "cols is not an automorphism" in report.reason
+
+
+def test_transport_checks_the_renamed_claim():
+    good = _transported(ROTATION, ROTATION)
+    for wrong in (
+        dataclasses.replace(good, lhs=u(1, 1) * u(2, 3)),
+        dataclasses.replace(good, rhs=u(3, 3)),
+        dataclasses.replace(good, justification=Transport(0, ROTATION, IDENTITY)),
+    ):
+        report = _first_failure((VANISH_STEP, wrong))
+        assert report.first_failure == 1
+        assert "not the renaming of step 0" in report.reason
+    short = dataclasses.replace(good, justification=Transport(0, ROTATION[:4], ROTATION))
+    assert "degree 4" in _first_failure((VANISH_STEP, short)).reason
+
+
 def test_conclusion_must_match_step_claim():
     concl = Conclusion(COMMUTES, 1, 1, 2, 2, 0)
     report = _first_failure((IDEM_STEP,), (concl,))
@@ -235,3 +283,25 @@ def test_random_mutations_rejected(c5_graph, c5_full_cert):
         assert report.first_failure == sid, op
         ops.add(op)
     assert len(ops) >= 4
+
+
+def test_every_derivation_step_mutation_rejected(petersen_graph, petersen_full_cert):
+    # Transports and one-step LocalReduce conclusions make up all but a
+    # few dozen steps, so random mutation seldom reaches a derivation:
+    # apply every operator to every derivation step instead, checking
+    # the prefix of the certificate that ends at that step.
+    rng = random.Random(3)
+    tried = 0
+    for step in petersen_full_cert.steps:
+        if isinstance(step.justification, (LocalReduce, Transport)):
+            continue
+        prefix = petersen_full_cert.steps[: step.id + 1]
+        for op in helpers.eligible_ops(step):
+            mutated = op(petersen_graph, step, prefix, rng)
+            if mutated is None:
+                continue
+            mutant = _cert(prefix[:-1] + (mutated,), g=petersen_graph)
+            report = verify_certificate(petersen_graph, mutant)
+            assert not report.valid and report.first_failure == step.id, op.__name__
+            tried += 1
+    assert tried >= 200
