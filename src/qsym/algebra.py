@@ -275,22 +275,6 @@ def perm_images(g, sigma) -> tuple[int, ...]:
     return images
 
 
-def evaluate_images(images: tuple[int, ...], p: Poly) -> Coeff:
-    """Evaluate p at the permutation matrix with these one-line images.
-
-    Unchecked: ``images`` must come from :func:`perm_images` and p must
-    pass :func:`check_gen_bounds` for the same n.
-    """
-    total = 0
-    for w, c in p.terms.items():
-        for f in w:
-            if images[f.col - 1] != f.row:
-                break
-        else:
-            total += c
-    return total
-
-
 def evaluate_perm(g, sigma, p: Poly) -> Fraction:
     """Evaluate p at the permutation matrix of sigma on the vertices of g.
 
@@ -302,7 +286,14 @@ def evaluate_perm(g, sigma, p: Poly) -> Fraction:
     """
     images = perm_images(g, sigma)
     check_gen_bounds(p, g.n)
-    return Fraction(evaluate_images(images, p))
+    total = 0
+    for w, c in p.terms.items():
+        for f in w:
+            if images[f.col - 1] != f.row:
+                break
+        else:
+            total += c
+    return Fraction(total)
 
 
 def _term_str(w: Word, c: Coeff) -> tuple[bool, str]:

@@ -28,10 +28,13 @@ from dataclasses import dataclass
 
 from .algebra import (
     ROW,
+    Coeff,
+    Gen,
     Poly,
+    Word,
     check_gen_bounds,
-    evaluate_images,
     expand_unity,
+    gen,
     monomial,
     perm_images,
     relabel,
@@ -445,24 +448,44 @@ def sanity_eval(g: Graph, cert: Certificate, trials: int, seed: int = 0) -> Sani
     verified certificate holds in every permutation representation.
     Raises ValueError for negative ``trials`` or a conclusion naming a
     vertex outside g.
+
+    A commutator evaluates to 0 at every permutation matrix: a word is
+    1 exactly when each of its letters u[i,j] has sigma(j) = i, so a
+    word and its reverse hold at the same sigma.  The spot check can
+    therefore only catch false zero-product conclusions; commutations
+    are evaluated all the same, so every conclusion is counted.
+
+    At sigma only the n generators u[sigma(j),j] are 1, so each term is
+    filed once under its first letter and a trial visits only the terms
+    filed under those n generators; every other term is 0.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     group = automorphism_group(g)
     if group.elements is None:
         raise ValueError("graph too large to sample automorphism elements")
-    diffs = []
-    for c in cert.conclusions:
+    # Claim words are products of two generators, so none is empty.
+    by_first: dict[Gen, list[tuple[Word, int, Coeff]]] = {}
+    for idx, c in enumerate(cert.conclusions):
         lhs, rhs = c.claim()
         d = lhs - rhs
         check_gen_bounds(d, g.n)
-        diffs.append(d)
+        for w, coeff in d.terms.items():
+            by_first.setdefault(w[0], []).append((w[1:], idx, coeff))
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
         sigma = rng.choice(group.elements)
         images = perm_images(g, sigma)
-        for idx, d in enumerate(diffs):
-            if evaluate_images(images, d):
-                failures.append((idx, sigma.images))
-    return SanityReport(trials=trials, checks=trials * len(diffs), failures=tuple(failures))
+        totals: dict[int, Coeff] = {}
+        for j, i in enumerate(images, 1):
+            for rest, idx, coeff in by_first.get(gen(i, j), ()):
+                for f in rest:
+                    if images[f.col - 1] != f.row:
+                        break
+                else:
+                    totals[idx] = totals.get(idx, 0) + coeff
+        failures.extend((idx, sigma.images) for idx in sorted(totals) if totals[idx])
+    return SanityReport(
+        trials=trials, checks=trials * len(cert.conclusions), failures=tuple(failures)
+    )

@@ -72,14 +72,19 @@ class VerificationReport:
 
 
 def _check_step(g: Graph, steps: Sequence[ProofStep], step: ProofStep) -> Optional[str]:
-    """Recheck one step; returns a failure reason or None."""
+    """Recheck one step; returns a failure reason or None.
+
+    Raises ValueError, which the caller reports as the reason, for a
+    side naming a generator outside u[1..n,1..n], whatever the rule.
+    """
+    check_gen_bounds(step.lhs, g.n)
+    check_gen_bounds(step.rhs, g.n)
     just = step.justification
     if isinstance(just, LocalReduce):
         if not local_reduce(g, step.lhs - step.rhs).is_zero:
             return "sides do not reduce to the same normal form"
         return None
     if isinstance(just, ExpandUnity):
-        check_gen_bounds(step.lhs, g.n)
         expected = expand_unity(step.lhs, just.position, just.index, just.side, g.n)
         if step.rhs != expected:
             return "right side is not the stated unity expansion of the left"
@@ -97,7 +102,6 @@ def _check_step(g: Graph, steps: Sequence[ProofStep], step: ProofStep) -> Option
                     f"step {rel.certified_by} does not certify commutation of"
                     f" u[{rel.row1},{rel.col1}] and u[{rel.row2},{rel.col2}]"
                 )
-        check_gen_bounds(step.lhs, g.n)
         if step.rhs != apply_relation(step.lhs, rel, just.position):
             return "right side does not follow from applying the relation"
         return None

@@ -142,7 +142,7 @@ MALFORMED = ("err", "malformed certificate")
         (_transport_cert(rows=["2", 3, 4, 5, 1]), *MALFORMED),
         (_transport_cert(rows=[2, 2, 4, 5, 1]), "out", "INVALID at step 1: not a permutation"),
         (_transport_cert(cite=2), "err", "references step 2, which is not earlier"),
-        (_transport_cert(first=("u[6,1]", "u[6,1]")), "out", "INVALID at step 1: generator u[6,1] out of range"),
+        (_transport_cert(first=("u[6,1]", "u[6,1]")), "out", "INVALID at step 0: generator u[6,1] out of range"),
     ],
     ids=[
         "deep-nesting",

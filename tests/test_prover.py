@@ -310,6 +310,32 @@ def test_sanity_eval_matches_reference_loop(c5_graph, c5_full_cert, forged, tria
     assert (report.checks, report.failures) == _reference_sanity(c5_graph, cert, trials, seed)
 
 
+def _forged_squares(g, cert):
+    # Forged zero-product claims u[i,j]u[i,j] = 0 for every i, j, in
+    # descending order: each trial trips the n claims with i = sigma(j),
+    # at indices that do not rise with j.
+    n = g.n
+    squares = (
+        Conclusion(ZERO_PRODUCT, i, j, i, j, 0)
+        for i in range(n, 0, -1)
+        for j in range(n, 0, -1)
+    )
+    return _with_conclusions(cert, squares)
+
+
+@pytest.mark.parametrize("forged", [False, True])
+@pytest.mark.parametrize("graph", ["c5", "petersen"])
+def test_sanity_eval_matches_reference_on_both_graphs(request, graph, forged):
+    g = request.getfixturevalue(f"{graph}_graph")
+    cert = request.getfixturevalue(f"{graph}_full_cert")
+    if forged:
+        cert = _forged_squares(g, cert)
+    trials, seed = 5, 7
+    report = sanity_eval(g, cert, trials=trials, seed=seed)
+    assert (report.checks, report.failures) == _reference_sanity(g, cert, trials, seed)
+    assert len(report.failures) == (trials * g.n if forged else 0)
+
+
 @pytest.mark.parametrize("conclusion", [(6, 1, 1, 1), (1, 1, 1, 6), (1, 1, 7, 1)])
 def test_sanity_eval_rejects_out_of_range_conclusions(c5_graph, c5_full_cert, conclusion):
     cert = _with_conclusions(c5_full_cert, [Conclusion(ZERO_PRODUCT, *conclusion, 0)])

@@ -129,6 +129,23 @@ def test_generator_bounds_enforced():
     assert "u[7,1] out of range" in report.reason
 
 
+def test_every_rule_checks_generator_bounds():
+    # Each step names u[6,1], outside C5, and is refused for that at its
+    # own step.  The LocalReduce and Substitution claims have equal sides
+    # and would otherwise pass their rules; a LemmaCom claim about u[6,1]
+    # cannot transport an in-range step, so there the reason is the test.
+    beyond = u(6, 1) * u(1, 1)
+    cases = (
+        (ProofStep(0, beyond, beyond, LocalReduce()),),
+        (IDEM_STEP, ProofStep(1, beyond, beyond, Substitution(0, 0))),
+        (IDEM_STEP, ProofStep(1, beyond, star(beyond), LemmaCom(0))),
+    )
+    for steps in cases:
+        report = _first_failure(steps)
+        assert report.first_failure == steps[-1].id
+        assert "u[6,1] out of range" in report.reason
+
+
 def test_invalid_relation_instance_fails_step():
     just = RelationApplication(RowOrth(1, 2, 2), 0)
     step = ProofStep(0, u(1, 2) * u(1, 2), Poly.zero(), just)
