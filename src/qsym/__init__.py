@@ -36,6 +36,8 @@ from .autgroup import (
 from .certificate import (
     CERT_VERSION,
     COMMUTES,
+    FULL,
+    QA5,
     ZERO_PRODUCT,
     Certificate,
     Conclusion,

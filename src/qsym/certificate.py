@@ -3,9 +3,12 @@
 A certificate is a list of steps, each claiming that two polynomials
 are equal in the quotient algebra of a fixed graph, plus a list of
 conclusions naming the generator quadruples whose products commute or
-vanish.  Each step carries a justification small enough to be rechecked
-from scratch; the verifier module does that without trusting the
-producer.
+vanish, one per quadruple of the certificate's scope.  Each step
+carries a justification small enough to be rechecked from scratch, and
+so does each conclusion: its claim reduces to zero by itself, is the
+claim of a cited step, or is that claim renamed under two entries of
+the certificate's table of graph automorphisms.  The verifier module
+rechecks all of it without trusting the producer.
 
 Serialization is JSON with polynomials in their canonical text syntax.
 The graph is bound by digest: lowercase hex SHA-256 of its canonical
@@ -17,9 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Union
+from typing import Optional, Union
 
-from .algebra import COL, ROW, Poly, format_poly, parse_poly, u
+from .algebra import COL, ROW, Poly, format_poly, monomial, parse_poly
 from .graphs import Graph, format_graph_text
 from .relations import (
     ColOrth,
@@ -34,10 +37,16 @@ from .relations import (
     VanishB,
 )
 
-CERT_VERSION = 2
+CERT_VERSION = 3
 
 COMMUTES = "commutes"
 ZERO_PRODUCT = "zero_product"
+
+# Scopes: every ordered quadruple (i, j, k, l), or only those with i
+# adjacent to k and j adjacent to l.
+FULL = "full"
+QA5 = "qa5"
+SCOPES = (FULL, QA5)
 
 
 class MalformedCertificate(ValueError):
@@ -118,16 +127,33 @@ class ProofStep:
             raise ValueError(f"step id must be a nonnegative integer, got {self.id!r}")
 
 
+def _check_optional_index(value, what: str) -> None:
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Conclusion:
-    """Classification of one ordered generator pair (u[i,j], u[k,l])."""
+    """Classification of one ordered generator pair (u[i,j], u[k,l]).
+
+    The claim justifies itself in one of three ways.  With no ``step``,
+    its two sides reduce to the same normal form.  With a ``step``
+    alone, it is exactly that step's claim.  With ``rows`` and ``cols``
+    as well, it is that step's claim with every u[a,b] renamed to
+    u[rho(a),kappa(b)], where rho and kappa are the certificate's
+    automorphisms at those two indices.
+    """
 
     kind: str
     i: int
     j: int
     k: int
     l: int
-    step: int
+    step: Optional[int] = None
+    rows: Optional[int] = None
+    cols: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in (COMMUTES, ZERO_PRODUCT):
@@ -135,14 +161,19 @@ class Conclusion:
         for v in (self.i, self.j, self.k, self.l):
             if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"conclusion index must be a positive integer, got {v!r}")
-        if isinstance(self.step, bool) or not isinstance(self.step, int) or self.step < 0:
-            raise ValueError(f"conclusion step must be a nonnegative integer, got {self.step!r}")
+        _check_optional_index(self.step, "conclusion step")
+        _check_optional_index(self.rows, "conclusion rows")
+        _check_optional_index(self.cols, "conclusion cols")
+        if (self.rows is None) != (self.cols is None):
+            raise ValueError("conclusion rows and cols come together")
+        if self.rows is not None and self.step is None:
+            raise ValueError("conclusion rows and cols need a step to rename")
 
     def claim(self) -> tuple[Poly, Poly]:
         """The equation this conclusion asserts."""
-        lhs = u(self.i, self.j) * u(self.k, self.l)
+        lhs = monomial(((self.i, self.j), (self.k, self.l)))
         if self.kind == COMMUTES:
-            return lhs, u(self.k, self.l) * u(self.i, self.j)
+            return lhs, monomial(((self.k, self.l), (self.i, self.j)))
         if self.kind == ZERO_PRODUCT:
             return lhs, Poly.zero()
         raise MalformedCertificate(f"unknown conclusion kind {self.kind!r}")
@@ -150,8 +181,17 @@ class Conclusion:
 
 @dataclass(frozen=True)
 class Certificate:
+    """Steps and conclusions for one graph.
+
+    ``automorphisms`` holds the one-line images of the vertex
+    permutations that conclusions cite by index; ``scope`` is FULL or
+    QA5 and fixes which quadruples the conclusions must cover.
+    """
+
     version: int
     graph_digest: str
+    scope: str
+    automorphisms: tuple[tuple[int, ...], ...]
     steps: tuple[ProofStep, ...]
     conclusions: tuple[Conclusion, ...]
 
@@ -339,6 +379,16 @@ def _parse_poly_field(text, what: str, parsed: dict[str, Poly]) -> Poly:
     return p
 
 
+def _conclusion_to_dict(c: Conclusion) -> dict:
+    d = {"kind": c.kind, "i": c.i, "j": c.j, "k": c.k, "l": c.l}
+    if c.step is not None:
+        d["step"] = c.step
+    if c.rows is not None:
+        d["rows"] = c.rows
+        d["cols"] = c.cols
+    return d
+
+
 def certificate_to_dict(cert: Certificate) -> dict:
     # The prover shares Poly objects between steps; format each object
     # once.  Keys stay valid because cert keeps every object alive.
@@ -353,6 +403,8 @@ def certificate_to_dict(cert: Certificate) -> dict:
     return {
         "version": cert.version,
         "graph_digest": cert.graph_digest,
+        "scope": cert.scope,
+        "automorphisms": [list(images) for images in cert.automorphisms],
         "steps": [
             {
                 "id": s.id,
@@ -362,23 +414,69 @@ def certificate_to_dict(cert: Certificate) -> dict:
             }
             for s in cert.steps
         ],
-        "conclusions": [
-            {"kind": c.kind, "i": c.i, "j": c.j, "k": c.k, "l": c.l, "step": c.step}
-            for c in cert.conclusions
-        ],
+        "conclusions": [_conclusion_to_dict(c) for c in cert.conclusions],
     }
 
 
+# A conclusion justified by local_reduce, by a cited step, or by a
+# cited step renamed under two table entries.
+_CONCLUSION_FIELDS = (
+    frozenset({"kind", "i", "j", "k", "l"}),
+    frozenset({"kind", "i", "j", "k", "l", "step"}),
+    frozenset({"kind", "i", "j", "k", "l", "step", "rows", "cols"}),
+)
+
+
+def _conclusion_from_dict(cd, idx: int) -> Conclusion:
+    # A field that is present holds a value: null is never a stand-in
+    # for an absent step.
+    if not isinstance(cd, dict) or cd.keys() not in _CONCLUSION_FIELDS or None in cd.values():
+        raise MalformedCertificate(
+            f"conclusion {idx} must be an object with the fields kind, i, j, k, l"
+            " and optionally step, or step, rows and cols"
+        )
+    try:
+        return Conclusion(
+            cd["kind"],
+            cd["i"],
+            cd["j"],
+            cd["k"],
+            cd["l"],
+            step=cd.get("step"),
+            rows=cd.get("rows"),
+            cols=cd.get("cols"),
+        )
+    except ValueError as exc:
+        raise MalformedCertificate(f"conclusion {idx}: {exc}") from None
+
+
 def certificate_from_dict(d) -> Certificate:
-    _require_keys(d, {"version", "graph_digest", "steps", "conclusions"}, "certificate")
+    # The version comes first, so that a file of another version is
+    # refused by name rather than for its fields.
+    if not isinstance(d, dict) or "version" not in d:
+        raise MalformedCertificate("certificate must be an object with a 'version'")
     version = _require_int(d["version"], "version")
     if version != CERT_VERSION:
         raise MalformedCertificate(
             f"unsupported certificate version {version}, expected {CERT_VERSION}"
         )
+    _require_keys(
+        d,
+        {"version", "graph_digest", "scope", "automorphisms", "steps", "conclusions"},
+        "certificate",
+    )
     digest = d["graph_digest"]
     if not isinstance(digest, str):
         raise MalformedCertificate("graph_digest must be a string")
+    scope = d["scope"]
+    if scope not in SCOPES:
+        raise MalformedCertificate(f"scope must be one of {list(SCOPES)}, got {scope!r}")
+    if not isinstance(d["automorphisms"], list):
+        raise MalformedCertificate("automorphisms must be an array")
+    automorphisms = tuple(
+        _require_int_array(images, f"automorphism {idx}")
+        for idx, images in enumerate(d["automorphisms"])
+    )
     if not isinstance(d["steps"], list) or not isinstance(d["conclusions"], list):
         raise MalformedCertificate("steps and conclusions must be arrays")
     steps = []
@@ -398,32 +496,15 @@ def certificate_from_dict(d) -> Certificate:
                 justification=_justification_from_dict(sd["justification"]),
             )
         )
-    conclusions = []
-    for cd in d["conclusions"]:
-        _require_keys(cd, {"kind", "i", "j", "k", "l", "step"}, "conclusion")
-        kind = cd["kind"]
-        if kind not in (COMMUTES, ZERO_PRODUCT):
-            raise MalformedCertificate(f"unknown conclusion kind {kind!r}")
-        try:
-            conclusions.append(
-                Conclusion(
-                    kind=kind,
-                    i=_require_int(cd["i"], "i"),
-                    j=_require_int(cd["j"], "j"),
-                    k=_require_int(cd["k"], "k"),
-                    l=_require_int(cd["l"], "l"),
-                    step=_require_int(cd["step"], "step reference"),
-                )
-            )
-        except MalformedCertificate:
-            raise
-        except ValueError as exc:
-            raise MalformedCertificate(str(exc)) from None
     return Certificate(
         version=version,
         graph_digest=digest,
+        scope=scope,
+        automorphisms=automorphisms,
         steps=tuple(steps),
-        conclusions=tuple(conclusions),
+        conclusions=tuple(
+            _conclusion_from_dict(cd, idx) for idx, cd in enumerate(d["conclusions"])
+        ),
     )
 
 

@@ -14,7 +14,7 @@ from collections import Counter
 
 from . import graphs
 from .algebra import PolyParseError, format_poly, parse_poly
-from .autgroup import automorphism_group
+from .autgroup import MAX_LISTED_VERTICES, automorphism_group
 from .certificate import MalformedCertificate, load_certificate, save_certificate
 from .graphs import Graph, GraphFormatError, check_moore_conditions, srg_params
 from .prover import (
@@ -170,8 +170,8 @@ def cmd_prove(args: argparse.Namespace) -> int:
     report = verify_certificate(g, cert)
     if not report.valid:
         print(
-            f"produced certificate failed verification at step"
-            f" {report.first_failure}: {report.reason}",
+            f"produced certificate failed verification at {report.location}:"
+            f" {report.reason}",
             file=sys.stderr,
         )
         return EXIT_INVALID
@@ -184,6 +184,13 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
+    if args.fuzz and g.n > MAX_LISTED_VERTICES:
+        print(
+            f"cannot fuzz: automorphisms are sampled only for graphs of at most"
+            f" {MAX_LISTED_VERTICES} vertices, this one has {g.n}",
+            file=sys.stderr,
+        )
+        return EXIT_INVALID
     try:
         cert = load_certificate(args.certificate)
     except OSError as exc:
@@ -201,7 +208,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if not report.valid:
-        print(f"INVALID at step {report.first_failure}: {report.reason}")
+        print(f"INVALID at {report.location}: {report.reason}")
         return EXIT_INVALID
     print(
         f"valid: {report.steps_checked} steps,"

@@ -17,8 +17,12 @@ shuffle factors.  Third, the remaining quadruples, which vanish or
 commute directly by the defining relations.
 
 The first two layers derive one quadruple per orbit of Aut x Aut,
-acting by automorphisms on rows and columns separately, and transport
-that commutation to the rest of the orbit by renaming generators.
+acting by automorphisms on rows and columns separately.  Every other
+commuting conclusion cites its orbit's derivation and two entries of
+the certificate's automorphism table under which the derived claim is
+renamed to its own; the third layer's conclusions reduce to zero by
+themselves and cite no step.  A Transport step is emitted only where
+a derivation uses a renamed commutation.
 """
 
 from __future__ import annotations
@@ -41,10 +45,12 @@ from .algebra import (
     star,
     u,
 )
-from .autgroup import MAX_LISTED_VERTICES, Permutation, automorphism_group
+from .autgroup import Permutation, automorphism_group
 from .certificate import (
     CERT_VERSION,
     COMMUTES,
+    FULL,
+    QA5,
     ZERO_PRODUCT,
     Certificate,
     Conclusion,
@@ -97,6 +103,7 @@ class ProofBuilder:
     def __init__(self, g: Graph):
         self.graph = g
         self.steps: list[ProofStep] = []
+        self._transports: dict[tuple, int] = {}
 
     def add(self, lhs: Poly, rhs: Poly, justification) -> int:
         sid = len(self.steps)
@@ -125,21 +132,34 @@ class ProofBuilder:
             )
         return self.add(step.lhs, star(step.lhs), LemmaCom(sid))
 
-    def transport(self, sid: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-        """Emit the claim of step sid with u[i,j] renamed to u[rows[i],cols[j]]."""
-        step = self.steps[sid]
-        return self.add(
-            relabel(step.lhs, rows, cols),
-            relabel(step.rhs, rows, cols),
-            Transport(sid, rows, cols),
-        )
+    def transport(self, sid: int, rows: Permutation, cols: Permutation) -> int:
+        """A step claiming the claim of step sid with u[i,j] renamed to
+        u[rows(i),cols(j)]: sid itself under two identities, else a
+        Transport step, emitted once per renaming."""
+        if rows == cols == Permutation.identity(self.graph.n):
+            return sid
+        key = (sid, rows.images, cols.images)
+        if key not in self._transports:
+            step = self.steps[sid]
+            self._transports[key] = self.add(
+                relabel(step.lhs, rows.images, cols.images),
+                relabel(step.rhs, rows.images, cols.images),
+                Transport(sid, rows.images, cols.images),
+            )
+        return self._transports[key]
 
 
-def _require_hypotheses(g: Graph) -> int:
+def _require_hypotheses(g: Graph) -> None:
+    """Refuse g unless it meets the hypotheses with k <= MAX_DEGREE.
+
+    Such a graph is K1, K2, C5 or Petersen (Hoffman and Singleton), so
+    its automorphism group is small enough to list.
+    """
     report = check_moore_conditions(g)
     if not report.holds:
         raise ConditionsNotMet(report)
-    return report.k
+    if report.k > MAX_DEGREE:
+        raise UnsupportedDegree(report.k)
 
 
 def _unique_common_neighbor(g: Graph, a: int, b: int) -> int:
@@ -187,17 +207,6 @@ def _derive_edge_edge(bld: ProofBuilder, r1: int, c1: int, r2: int, c2: int) -> 
     return bld.lemma_com(cur)
 
 
-def _symmetries(g: Graph) -> tuple[Permutation, ...]:
-    """The automorphisms that transports may use, identity first.
-
-    Graphs too large for an element list get the identity alone, so
-    every quadruple is its own orbit and nothing is transported.
-    """
-    if g.n > MAX_LISTED_VERTICES:
-        return (Permutation.identity(g.n),)
-    return automorphism_group(g).elements
-
-
 def _orbit_maps(pairs, symmetries) -> dict:
     """Map each vertex pair to the first pair of its orbit and the first
     symmetry sending that pair onto it.
@@ -215,50 +224,80 @@ def _orbit_maps(pairs, symmetries) -> dict:
 
 
 def _derive_family(bld: ProofBuilder, pairs, symmetries, derive) -> dict:
-    """Commutation step ids for every quadruple (r1, c1, r2, c2) with
-    (r1, r2) and (c1, c2) in ``pairs``, keyed by the quadruple.
+    """How to certify commutation of every quadruple (r1, c1, r2, c2)
+    with (r1, r2) and (c1, c2) in ``pairs``, keyed by the quadruple.
 
     Aut x Aut acts on the rows and the columns separately, so an orbit
     of quadruples is an orbit of row pairs times an orbit of column
     pairs.  ``derive(bld, r1, c1, r2, c2)`` certifies the first
-    quadruple of each orbit; every other quadruple is transported from
-    it under the first symmetries that reach it.
+    quadruple of each orbit and returns its step id.  Each quadruple
+    maps to (step id, rho, kappa): the derivation of its orbit and the
+    first symmetries that rename that claim to its own, two identities
+    for the first quadruple itself.
     """
     orbit = _orbit_maps(pairs, symmetries)
     ordered = sorted(orbit)
+    derived = {}
     table = {}
     for r1, r2 in ordered:
         (q1, q2), sigma = orbit[(r1, r2)]
         for c1, c2 in ordered:
             (d1, d2), tau = orbit[(c1, c2)]
             rep = (q1, d1, q2, d2)
-            if rep not in table:
-                table[rep] = derive(bld, *rep)
-            quad = (r1, c1, r2, c2)
-            if quad not in table:
-                table[quad] = bld.transport(table[rep], sigma.images, tau.images)
+            if rep not in derived:
+                derived[rep] = derive(bld, *rep)
+            table[(r1, c1, r2, c2)] = (derived[rep], sigma, tau)
     return table
 
 
-def _derive_all_edge_edge(bld: ProofBuilder, symmetries) -> dict[tuple[int, int, int, int], int]:
-    """Commutation step ids for every quadruple of two directed edges."""
+def _derive_all_edge_edge(bld: ProofBuilder, symmetries) -> dict:
+    """How to certify commutation of every quadruple of two directed edges."""
     return _derive_family(bld, bld.graph.directed_edges(), symmetries, _derive_edge_edge)
+
+
+class _Conclusions:
+    """Conclusions in the order given, and the automorphism table they
+    cite, each permutation listed once in order of first use."""
+
+    def __init__(self):
+        self.items: list[Conclusion] = []
+        self.table: dict[tuple[int, ...], int] = {}
+
+    def commutes(self, quad, sid: int, rows: Permutation, cols: Permutation) -> None:
+        """Cite step sid for quad, renamed under rows and cols unless both
+        are the identity."""
+        if rows == cols == Permutation.identity(rows.degree):
+            self.items.append(Conclusion(COMMUTES, *quad, sid))
+        else:
+            r = self.table.setdefault(rows.images, len(self.table))
+            c = self.table.setdefault(cols.images, len(self.table))
+            self.items.append(Conclusion(COMMUTES, *quad, sid, r, c))
+
+    def certificate(self, bld: ProofBuilder, scope: str) -> Certificate:
+        return Certificate(
+            CERT_VERSION,
+            graph_digest(bld.graph),
+            scope,
+            tuple(self.table),
+            tuple(bld.steps),
+            tuple(self.items),
+        )
 
 
 def derive_qa5(g: Graph) -> Certificate:
     """Certify commutation of u[i,j] and u[k,l] for all edges (i,k), (j,l).
 
-    Requires the regularity and common-neighbor hypotheses; raises
-    ConditionsNotMet otherwise.  Conclusions are sorted by quadruple.
+    Requires the regularity and common-neighbor hypotheses and common
+    degree at most 3; raises ConditionsNotMet or UnsupportedDegree
+    otherwise.  Conclusions are sorted by quadruple.
     """
     _require_hypotheses(g)
     bld = ProofBuilder(g)
-    table = _derive_all_edge_edge(bld, _symmetries(g))
-    conclusions = tuple(
-        Conclusion(COMMUTES, i, j, k, l, table[(i, j, k, l)])
-        for (i, j, k, l) in sorted(table)
-    )
-    return Certificate(CERT_VERSION, graph_digest(g), tuple(bld.steps), conclusions)
+    family = _derive_all_edge_edge(bld, automorphism_group(g).elements)
+    out = _Conclusions()
+    for quad in sorted(family):
+        out.commutes(quad, *family[quad])
+    return out.certificate(bld, QA5)
 
 
 def _kill_extra_neighbor(
@@ -270,7 +309,7 @@ def _kill_extra_neighbor(
     s: int,
     t: int,
     q: int,
-    comm: dict,
+    certify,
 ) -> int:
     """Certify u[r1,c1]u[s,t]u[r2,c2]u[r1,q] = 0 for the extra neighbor q of t.
 
@@ -291,14 +330,14 @@ def _kill_extra_neighbor(
     if z2_rhs != a_word + t_word:
         raise AssertionError("inner expansion has unexpected survivors")
     z2 = bld.add(z1_rhs, z2_rhs, LocalReduce())
-    swap_c1 = Comm(s, t, r2, c1, certified_by=comm[(s, t, r2, c1)])
+    swap_c1 = Comm(s, t, r2, c1, certified_by=certify((s, t, r2, c1)))
     a_swapped = apply_relation(a_word, swap_c1, 1)
     z3 = bld.add(a_word, a_swapped, RelationApplication(swap_c1, 1))
     z4 = bld.add(a_swapped, Poly.zero(), LocalReduce())
     z5 = bld.add(a_word, Poly.zero(), Substitution(z3, z4))
     z6 = bld.add(z1_rhs, t_word, Substitution(z2, z5))
     z7 = bld.add(g3, t_word, Substitution(z1, z6))
-    swap_front = Comm(r1, c1, s, t, certified_by=comm[(r1, c1, s, t)])
+    swap_front = Comm(r1, c1, s, t, certified_by=certify((r1, c1, s, t)))
     g3_swapped = apply_relation(g3, swap_front, 0)
     z8 = bld.add(g3, g3_swapped, RelationApplication(swap_front, 0))
     z9 = bld.add(g3_swapped, Poly.zero(), LocalReduce())
@@ -307,12 +346,14 @@ def _kill_extra_neighbor(
 
 
 def _derive_nonedge(
-    bld: ProofBuilder, r1: int, c1: int, r2: int, c2: int, comm: dict
+    bld: ProofBuilder, r1: int, c1: int, r2: int, c2: int, certify
 ) -> int:
     """Certify u[r1,c1]u[r2,c2] = u[r2,c2]u[r1,c1] for two non-adjacent pairs.
 
     Uses the unique common neighbor s of the rows and t of the columns.
-    Returns the id of the final commutation step.
+    ``certify(quad)`` returns the id of a step claiming the commutation
+    of an edge-edge quadruple.  Returns the id of the final commutation
+    step.
     """
     g = bld.graph
     n = g.n
@@ -332,7 +373,7 @@ def _derive_nonedge(
     # Swing u[s,t] to the right, expand a trailing row-r1 unity, and
     # swing it back: x0 equals the sum over the neighbors p of t of
     # u[r1,c1]u[s,t]u[r2,c2]u[r1,p].
-    swap = Comm(s, t, r2, c2, certified_by=comm[(s, t, r2, c2)])
+    swap = Comm(s, t, r2, c2, certified_by=certify((s, t, r2, c2)))
     w2 = apply_relation(w1, swap, 1)
     p2a = bld.add(w1, w2, RelationApplication(swap, 1))
     p2b_rhs = expand_unity(w2, 3, r1, ROW, n)
@@ -357,7 +398,7 @@ def _derive_nonedge(
     for q in g.neighbors(t):
         if q == c1 or q == c2:
             continue
-        zq = _kill_extra_neighbor(bld, r1, c1, r2, c2, s, t, q, comm)
+        zq = _kill_extra_neighbor(bld, r1, c1, r2, c2, s, t, q, certify)
         t_word = monomial(((r1, c1), (s, t), (r2, c2), (r1, q)))
         cur_rhs = cur_rhs - t_word
         cur = bld.add(x0, cur_rhs, Substitution(cur, zq))
@@ -388,41 +429,35 @@ def prove_no_quantum_symmetry(g: Graph) -> Certificate:
     common degree at most 3; raises ConditionsNotMet or
     UnsupportedDegree otherwise.
     """
-    k = _require_hypotheses(g)
-    if k > MAX_DEGREE:
-        raise UnsupportedDegree(k)
+    _require_hypotheses(g)
     bld = ProofBuilder(g)
-    symmetries = _symmetries(g)
+    symmetries = automorphism_group(g).elements
     adj1 = g.adj1
-    comm = _derive_all_edge_edge(bld, symmetries)
+    edge_edge = _derive_all_edge_edge(bld, symmetries)
+
+    def certify(quad):
+        return bld.transport(*edge_edge[quad])
+
     nonedges = [(a, b) for a in g.vertices() for b in g.vertices() if a != b and not adj1[a][b]]
-    comm.update(
-        _derive_family(
-            bld,
-            nonedges,
-            symmetries,
-            lambda bld, r1, c1, r2, c2: _derive_nonedge(bld, r1, c1, r2, c2, comm),
-        )
+    commuting = edge_edge | _derive_family(
+        bld,
+        nonedges,
+        symmetries,
+        lambda bld, r1, c1, r2, c2: _derive_nonedge(bld, r1, c1, r2, c2, certify),
     )
-    conclusions = []
+    out = _Conclusions()
     for i in g.vertices():
         for j in g.vertices():
             for k2 in g.vertices():
                 for l in g.vertices():
                     if i == k2 and j == l:
-                        w = u(i, j) * u(k2, l)
-                        sid = bld.add(w, w, LocalReduce())
-                        conclusions.append(Conclusion(COMMUTES, i, j, k2, l, sid))
+                        out.items.append(Conclusion(COMMUTES, i, j, k2, l))
                     elif i == k2 or j == l or bool(adj1[i][k2]) != bool(adj1[j][l]):
-                        sid = bld.add(u(i, j) * u(k2, l), Poly.zero(), LocalReduce())
-                        conclusions.append(Conclusion(ZERO_PRODUCT, i, j, k2, l, sid))
+                        out.items.append(Conclusion(ZERO_PRODUCT, i, j, k2, l))
                     else:
-                        conclusions.append(
-                            Conclusion(COMMUTES, i, j, k2, l, comm[(i, j, k2, l)])
-                        )
-    return Certificate(
-        CERT_VERSION, graph_digest(g), tuple(bld.steps), tuple(conclusions)
-    )
+                        quad = (i, j, k2, l)
+                        out.commutes(quad, *commuting[quad])
+    return out.certificate(bld, FULL)
 
 
 @dataclass(frozen=True)

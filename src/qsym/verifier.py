@@ -7,32 +7,44 @@ the prover happened to emit it.  Every rule is a lookup, not
 a search: the justification names the cited steps and, for a
 substitution, the sign of the combination, so each check is an exact
 recomputation or polynomial equality.  Structural defects (wrong
-version, non-sequential ids, dangling or forward references) raise
-MalformedCertificate; a certificate for a different graph raises
-DigestMismatch; defects of content produce an invalid report naming
-the first failing step.
+version or scope, non-sequential ids, dangling or forward references
+between steps) raise MalformedCertificate; a certificate for a
+different graph raises DigestMismatch; defects of content produce an
+invalid report naming the first failing table entry, step or
+conclusion, in that order of checking.
 
-A transport step renames every generator u[i,j] of an earlier claim to
-u[rows[i],cols[j]], and is accepted only when rows and cols are
-permutations of 1..n that are automorphisms of the graph.  This is
-sound.  The renaming acts letter by letter, so it is an algebra map of
-the free *-algebra that commutes with star, and it is invertible.  It
-sends each defining relation instance to another: orthogonality,
-idempotence and self-adjointness to their renamed instances, and a row
-or column unity sum to another such sum, since a permutation only
-reorders its terms.  VanishA and VanishB are picked out by adjacency
-of the two rows and non-adjacency of the two columns, or the reverse;
-automorphisms preserve both, so the renamed instance meets the same
-side conditions.  Commutation is not a defining relation: each use
-cites an earlier step whose claim holds in the quotient.  The renaming
-therefore maps the ideal of relations onto itself and is a
-*-automorphism of the quotient algebra, so a claim that holds there
-still holds after renaming.  Under a permutation that is not an
-automorphism the renamed claim can be false, and the step is refused.
+Each conclusion's claim is rechecked from its own justification: its
+difference reduces to zero, or it equals the claim of the cited step,
+or it equals that claim renamed under two entries of the certificate's
+automorphism table.  The conclusions must name the quadruples of the
+certificate's scope in lexicographic order, each exactly once, so a
+valid full certificate classifies every ordered generator pair and
+proves the quantum automorphism algebra commutative.
+
+Renaming under the table is sound because every entry is checked, once
+and before any step, to be a permutation of 1..n that is an
+automorphism of the graph; the transport step rule checks its own
+rows and cols the same way.  Renaming every generator u[i,j] to
+u[rho(i),kappa(j)] under two automorphisms rho and kappa acts letter
+by letter, so it is an algebra map of the free *-algebra that commutes
+with star, and it is invertible.  It sends each defining relation
+instance to another: orthogonality, idempotence and self-adjointness
+to their renamed instances, and a row or column unity sum to another
+such sum, since a permutation only reorders its terms.  VanishA and
+VanishB are picked out by adjacency of the two rows and non-adjacency
+of the two columns, or the reverse; automorphisms preserve both, so
+the renamed instance meets the same side conditions.  Commutation is
+not a defining relation: each use cites an earlier step whose claim
+holds in the quotient.  The renaming therefore maps the ideal of
+relations onto itself and is a *-automorphism of the quotient algebra,
+so a claim that holds there still holds after renaming.  Under a
+permutation that is not an automorphism the renamed claim can be
+false, and the entry is refused.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -40,7 +52,10 @@ from .algebra import check_gen_bounds, expand_unity, perm_images, relabel, star,
 from .autgroup import Permutation, is_automorphism
 from .certificate import (
     CERT_VERSION,
+    FULL,
+    SCOPES,
     Certificate,
+    Conclusion,
     ExpandUnity,
     LemmaCom,
     LocalReduce,
@@ -67,8 +82,37 @@ class VerificationReport:
     valid: bool
     steps_checked: int
     conclusions_checked: int
-    first_failure: Optional[int] = None
+    first_failure: Optional[int] = None  # id of the failing step
     reason: Optional[str] = None
+    failed_conclusion: Optional[int] = None
+    failed_automorphism: Optional[int] = None
+
+    @property
+    def location(self) -> Optional[str]:
+        """Where the check failed: "step s", "conclusion c" or "automorphism a"."""
+        if self.first_failure is not None:
+            return f"step {self.first_failure}"
+        if self.failed_conclusion is not None:
+            return f"conclusion {self.failed_conclusion}"
+        if self.failed_automorphism is not None:
+            return f"automorphism {self.failed_automorphism}"
+        return None
+
+
+def scope_quadruples(g: Graph, scope: str) -> list[tuple[int, int, int, int]]:
+    """The quadruples (i, j, k, l) a certificate of this scope concludes
+    on, in lexicographic order: all of them, or for QA5 those with i
+    adjacent to k and j adjacent to l."""
+    if scope == FULL:
+        return list(itertools.product(g.vertices(), repeat=4))
+    edges = g.directed_edges()
+    return sorted((i, j, k, l) for i, k in edges for j, l in edges)
+
+
+def _is_automorphism(g: Graph, images) -> bool:
+    """Whether the one-line images preserve adjacency; raises ValueError
+    when they do not permute the vertices of g."""
+    return is_automorphism(g, Permutation(perm_images(g, images)))
 
 
 def _check_step(g: Graph, steps: Sequence[ProofStep], step: ProofStep) -> Optional[str]:
@@ -124,7 +168,7 @@ def _check_step(g: Graph, steps: Sequence[ProofStep], step: ProofStep) -> Option
         return None
     if isinstance(just, Transport):
         for name, images in (("rows", just.rows), ("cols", just.cols)):
-            if not is_automorphism(g, Permutation(perm_images(g, images))):
+            if not _is_automorphism(g, images):
                 return f"{name} is not an automorphism of the graph"
         ref = steps[just.step]
         lhs = relabel(ref.lhs, just.rows, just.cols)
@@ -134,12 +178,46 @@ def _check_step(g: Graph, steps: Sequence[ProofStep], step: ProofStep) -> Option
     return f"unknown justification {type(just).__name__}"
 
 
+def _check_conclusion(g: Graph, cert: Certificate, concl: Conclusion, quad) -> Optional[str]:
+    """Recheck one conclusion, whose place in the scope is that of
+    ``quad``; returns a failure reason or None."""
+    if (concl.i, concl.j, concl.k, concl.l) != quad:
+        return "is out of place: quadruple {},{},{},{} belongs here".format(*quad)
+    lhs, rhs = concl.claim()
+    if concl.step is None:
+        if not local_reduce(g, lhs - rhs).is_zero:
+            return "does not reduce to zero"
+        return None
+    steps = cert.steps
+    if concl.step >= len(steps):
+        return f"cites missing step {concl.step}"
+    ref = steps[concl.step]
+    if concl.rows is None:
+        if ref.lhs != lhs or ref.rhs != rhs:
+            return f"is not the claim of step {concl.step}"
+        return None
+    table = cert.automorphisms
+    for t in (concl.rows, concl.cols):
+        if t >= len(table):
+            return f"cites missing automorphism {t}"
+    rows, cols = table[concl.rows], table[concl.cols]
+    if relabel(ref.lhs, rows, cols) != lhs or relabel(ref.rhs, rows, cols) != rhs:
+        return (
+            f"is not the renaming of step {concl.step}"
+            f" under automorphisms {concl.rows} and {concl.cols}"
+        )
+    return None
+
+
 def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
-    """Recheck every step and conclusion of cert against g."""
+    """Recheck every table entry, step and conclusion of cert against g,
+    and that the conclusions cover the certificate's scope."""
     if cert.version != CERT_VERSION:
         raise MalformedCertificate(f"unsupported certificate version {cert.version!r}")
     if cert.graph_digest != graph_digest(g):
         raise DigestMismatch("certificate digest does not match the graph")
+    if cert.scope not in SCOPES:
+        raise MalformedCertificate(f"unknown scope {cert.scope!r}")
     steps = cert.steps
     for pos, step in enumerate(steps):
         if step.id != pos:
@@ -151,16 +229,20 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
                 raise MalformedCertificate(
                     f"step {step.id} references step {ref}, which is not earlier"
                 )
-    for idx, concl in enumerate(cert.conclusions):
-        if not 0 <= concl.step < len(steps):
-            raise MalformedCertificate(
-                f"conclusion {idx} references missing step {concl.step}"
+
+    for idx, images in enumerate(cert.automorphisms):
+        try:
+            reason = None if _is_automorphism(g, images) else "not an automorphism of the graph"
+        except ValueError as exc:
+            reason = str(exc)
+        if reason is not None:
+            return VerificationReport(
+                valid=False,
+                steps_checked=0,
+                conclusions_checked=0,
+                failed_automorphism=idx,
+                reason=reason,
             )
-        for v in (concl.i, concl.j, concl.k, concl.l):
-            if not 1 <= v <= g.n:
-                raise MalformedCertificate(
-                    f"conclusion {idx} names vertex {v}, out of range for n={g.n}"
-                )
 
     for step in steps:
         try:
@@ -176,23 +258,39 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
                 reason=reason,
             )
 
-    for idx, concl in enumerate(cert.conclusions):
-        lhs, rhs = concl.claim()
-        step = steps[concl.step]
-        if step.lhs != lhs or step.rhs != rhs:
+    quads = scope_quadruples(g, cert.scope)
+    conclusions = cert.conclusions
+    for idx, (concl, quad) in enumerate(zip(conclusions, quads)):
+        try:
+            reason = _check_conclusion(g, cert, concl, quad)
+        except ValueError as exc:
+            reason = str(exc)
+        if reason is not None:
             return VerificationReport(
                 valid=False,
                 steps_checked=len(steps),
                 conclusions_checked=idx,
-                first_failure=concl.step,
+                failed_conclusion=idx,
                 reason=(
                     f"conclusion {idx} ({concl.kind} {concl.i},{concl.j},"
-                    f"{concl.k},{concl.l}) is not the claim of step {concl.step}"
+                    f"{concl.k},{concl.l}) {reason}"
                 ),
             )
+    if len(conclusions) != len(quads):
+        idx = min(len(conclusions), len(quads))
+        return VerificationReport(
+            valid=False,
+            steps_checked=len(steps),
+            conclusions_checked=idx,
+            failed_conclusion=idx,
+            reason=(
+                f"{len(conclusions)} conclusions for the {len(quads)}"
+                f" quadruples of the {cert.scope} scope"
+            ),
+        )
 
     return VerificationReport(
         valid=True,
         steps_checked=len(steps),
-        conclusions_checked=len(cert.conclusions),
+        conclusions_checked=len(conclusions),
     )

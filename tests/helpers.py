@@ -1,8 +1,8 @@
 """Shared test utilities: an independent big graph and certificate mutation.
 
-The mutation operator only produces changes that genuinely alter the
-meaning of the chosen step, so a correct checker must reject every
-mutant at exactly that step.  A Substitution is checked as one exact
+The mutation operators only produce changes that genuinely alter the
+meaning of the chosen step, conclusion or automorphism table entry, so
+a correct checker must reject every mutant at exactly that place.  A Substitution is checked as one exact
 equality, lhs - rhs == d_base + sign * d_using, so any change to either
 side changes lhs - rhs and is rejected; flipping the sign or retargeting
 a citation is guarded to produce a combination that differs from the
@@ -12,6 +12,14 @@ guarded so that the renamed claim differs, and a rows permutation that
 is not an automorphism is refused whatever the claim.  The left side of
 a relation application stays excluded: a killed term can change there
 without changing the result.
+
+A conclusion is checked for its place in the scope's quadruple order
+and for its claim: moving, dropping or duplicating one puts a wrong
+quadruple at a known position, and a new citation, swapped table
+indices, a flipped kind or a bare local_reduce justification is
+guarded so that the claim no longer follows.  A table index past the
+end is refused whatever the claim, and so is a table entry that is
+not an automorphism.
 """
 
 from __future__ import annotations
@@ -32,11 +40,14 @@ from qsym import (
     RelationApplication,
     Substitution,
     Transport,
+    ZERO_PRODUCT,
+    COMMUTES,
     apply_relation,
     expand_unity,
     from_edge_list,
     gen,
     is_automorphism,
+    local_reduce,
     relabel,
     star,
     u,
@@ -307,19 +318,147 @@ def eligible_ops(step):
     raise AssertionError(f"unknown justification {just!r}")
 
 
+def _conclusion_follows(g, cert, c) -> bool:
+    """Whether c's claim follows from its justification, its place aside."""
+    lhs, rhs = c.claim()
+    if c.step is None:
+        return local_reduce(g, lhs - rhs).is_zero
+    ref = cert.steps[c.step]
+    if c.rows is None:
+        return (ref.lhs, ref.rhs) == (lhs, rhs)
+    rows, cols = cert.automorphisms[c.rows], cert.automorphisms[c.cols]
+    return (relabel(ref.lhs, rows, cols), relabel(ref.rhs, rows, cols)) == (lhs, rhs)
+
+
+def _replaced(cert, idx, c):
+    conclusions = list(cert.conclusions)
+    conclusions[idx] = c
+    return tuple(conclusions), idx
+
+
+def _if_false(g, cert, idx, c):
+    if _conclusion_follows(g, cert, c):
+        return None
+    return _replaced(cert, idx, c)
+
+
+def _retarget_conclusion(g, cert, idx, rng):
+    c = cert.conclusions[idx]
+    if c.step is None:
+        return None
+    for _ in range(40):
+        mutated = dataclasses.replace(c, step=rng.randrange(len(cert.steps)))
+        found = _if_false(g, cert, idx, mutated)
+        if found is not None:
+            return found
+    return None
+
+
+def _swap_table_indices(g, cert, idx, rng):
+    c = cert.conclusions[idx]
+    if c.rows is None:
+        return None
+    return _if_false(g, cert, idx, dataclasses.replace(c, rows=c.cols, cols=c.rows))
+
+
+def _table_index_out_of_range(g, cert, idx, rng):
+    c = cert.conclusions[idx]
+    if c.rows is None:
+        return None
+    field = "rows" if rng.random() < 0.5 else "cols"
+    bad = len(cert.automorphisms) + rng.randrange(3)
+    return _replaced(cert, idx, dataclasses.replace(c, **{field: bad}))
+
+
+def _claim_local_reduce(g, cert, idx, rng):
+    c = cert.conclusions[idx]
+    if c.step is None:
+        return None
+    return _if_false(g, cert, idx, dataclasses.replace(c, step=None, rows=None, cols=None))
+
+
+def _flip_kind(g, cert, idx, rng):
+    # A zero product also commutes, so commutes in place of a reduced
+    # zero_product still follows; the guard leaves such flips out.
+    c = cert.conclusions[idx]
+    kind = ZERO_PRODUCT if c.kind == COMMUTES else COMMUTES
+    return _if_false(g, cert, idx, dataclasses.replace(c, kind=kind))
+
+
+def _move_quadruple(g, cert, idx, rng):
+    c = cert.conclusions[idx]
+    field = "ijkl"[rng.randrange(4)]
+    value = getattr(c, field) % g.n + 1
+    return _replaced(cert, idx, dataclasses.replace(c, **{field: value}))
+
+
+def _drop_conclusion(g, cert, idx, rng):
+    # The next quadruple moves into place idx, or the list falls short
+    # there.
+    return cert.conclusions[:idx] + cert.conclusions[idx + 1 :], idx
+
+
+def _duplicate_conclusion(g, cert, idx, rng):
+    conclusions = cert.conclusions
+    return conclusions[: idx + 1] + conclusions[idx:], idx + 1
+
+
+CONCLUSION_OPS = [
+    _retarget_conclusion,
+    _swap_table_indices,
+    _table_index_out_of_range,
+    _claim_local_reduce,
+    _flip_kind,
+    _move_quadruple,
+    _drop_conclusion,
+    _duplicate_conclusion,
+]
+
+
+def _non_automorphism_entry(g, cert, idx, rng):
+    # Swap two images: still a permutation, refused only for not
+    # preserving adjacency.
+    images = list(cert.automorphisms[idx])
+    a, b = rng.sample(range(len(images)), 2)
+    images[a], images[b] = images[b], images[a]
+    if is_automorphism(g, Permutation(tuple(images))):
+        return None
+    table = list(cert.automorphisms)
+    table[idx] = tuple(images)
+    return tuple(table)
+
+
 def mutate_certificate(g, cert: Certificate, rng):
-    """Randomly corrupt one step; returns (mutant, step id, op label)."""
-    steps = cert.steps
+    """Randomly corrupt one step, conclusion or automorphism table
+    entry; returns (mutant, where, op label).  ``where`` is where a
+    correct checker must reject the mutant, as VerificationReport.location
+    names it: "step s", "conclusion c" or "automorphism a"."""
+    sites = ["step", "conclusion"] + (["automorphism"] if cert.automorphisms else [])
     while True:
-        step = steps[rng.randrange(len(steps))]
-        ops = eligible_ops(step)
-        op = ops[rng.randrange(len(ops))]
-        mutated = op(g, step, steps, rng)
-        if mutated is None:
+        site = sites[rng.randrange(len(sites))]
+        if site == "step":
+            step = cert.steps[rng.randrange(len(cert.steps))]
+            ops = eligible_ops(step)
+            op = ops[rng.randrange(len(ops))]
+            mutated = op(g, step, cert.steps, rng)
+            if mutated is None:
+                continue
+            new_steps = list(cert.steps)
+            new_steps[step.id] = mutated
+            mutant = dataclasses.replace(cert, steps=tuple(new_steps))
+            return mutant, f"step {step.id}", op.__name__
+        if site == "conclusion":
+            idx = rng.randrange(len(cert.conclusions))
+            op = CONCLUSION_OPS[rng.randrange(len(CONCLUSION_OPS))]
+            found = op(g, cert, idx, rng)
+            if found is None:
+                continue
+            conclusions, where = found
+            mutant = dataclasses.replace(cert, conclusions=conclusions)
+            return mutant, f"conclusion {where}", op.__name__
+        idx = rng.randrange(len(cert.automorphisms))
+        table = _non_automorphism_entry(g, cert, idx, rng)
+        if table is None:
             continue
-        new_steps = list(steps)
-        new_steps[step.id] = mutated
-        mutant = Certificate(
-            cert.version, cert.graph_digest, tuple(new_steps), cert.conclusions
-        )
-        return mutant, step.id, op.__name__
+        mutant = dataclasses.replace(cert, automorphisms=table)
+        return mutant, f"automorphism {idx}", _non_automorphism_entry.__name__

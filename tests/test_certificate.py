@@ -6,6 +6,7 @@ import pytest
 from qsym import (
     CERT_VERSION,
     COMMUTES,
+    FULL,
     ZERO_PRODUCT,
     Certificate,
     Comm,
@@ -61,9 +62,10 @@ def _sample_cert():
     )
     conclusions = (
         Conclusion(COMMUTES, 1, 1, 2, 2, 5),
-        Conclusion(ZERO_PRODUCT, 1, 1, 1, 2, 0),
+        Conclusion(ZERO_PRODUCT, 1, 1, 1, 2),
+        Conclusion(COMMUTES, 2, 5, 3, 4, 5, 0, 1),
     )
-    return Certificate(CERT_VERSION, graph_digest(g), steps, conclusions)
+    return Certificate(CERT_VERSION, graph_digest(g), FULL, (ROTATION, REFLECTION), steps, conclusions)
 
 
 def test_graph_digest_is_sha256_of_text():
@@ -119,6 +121,12 @@ def test_polys_round_trip_in_text_form():
     assert d["steps"][0]["lhs"] == "u[1,1]u[2,2]"
     assert d["steps"][6]["rhs"] == "2"
     assert d["conclusions"][0]["kind"] == "commutes"
+    # A conclusion stores only the fields its justification needs.
+    assert d["conclusions"][1] == {"kind": "zero_product", "i": 1, "j": 1, "k": 1, "l": 2}
+    assert d["conclusions"][2] == {
+        "kind": "commutes", "i": 2, "j": 5, "k": 3, "l": 4, "step": 5, "rows": 0, "cols": 1
+    }
+    assert d["automorphisms"] == [list(ROTATION), list(REFLECTION)]
 
 
 def test_from_dict_rejects_bad_shapes():
@@ -132,6 +140,12 @@ def test_from_dict_rejects_bad_shapes():
 
     corrupt(lambda d: d.pop("version"))
     corrupt(lambda d: d.update(version=1))
+    corrupt(lambda d: d.update(version=2))
+    corrupt(lambda d: d.pop("scope"))
+    corrupt(lambda d: d.update(scope="partial"))
+    corrupt(lambda d: d.pop("automorphisms"))
+    for bad_table in (5, [5], [[2, "3", 4, 5, 1]], [[True, 3, 4, 5, 1]], {"0": [1, 2]}):
+        corrupt(lambda d: d.update(automorphisms=bad_table))
     corrupt(lambda d: d.update(extra=1))
     corrupt(lambda d: d["steps"][0].pop("lhs"))
     corrupt(lambda d: d["steps"][0].update(id=5))  # ids must be sequential
@@ -153,7 +167,16 @@ def test_from_dict_rejects_bad_shapes():
     corrupt(lambda d: d["steps"][9]["justification"].pop("cols"))
     corrupt(lambda d: d["steps"][9]["justification"].update(step="8"))
     corrupt(lambda d: d["conclusions"][0].update(kind="maybe"))
-    corrupt(lambda d: d["conclusions"][0].pop("step"))
+    # A conclusion without a step is justified by local_reduce; rows and
+    # cols come together, and only with a step.
+    corrupt(lambda d: d["conclusions"][2].pop("step"))
+    corrupt(lambda d: d["conclusions"][2].pop("cols"))
+    corrupt(lambda d: d["conclusions"][0].update(rows=0))
+    for bad_index in (-1, True, "0", 1.0, None):
+        corrupt(lambda d: d["conclusions"][2].update(rows=bad_index))
+    corrupt(lambda d: d["conclusions"][0].update(step=None))
+    corrupt(lambda d: d["conclusions"][0].update(extra=1))
+    corrupt(lambda d: d["conclusions"].append([1, 1, 1, 1]))
 
 
 def test_repeated_malformed_poly_names_its_first_field():
@@ -194,6 +217,10 @@ def test_step_and_conclusion_validation():
         ProofStep(-1, x, x, LocalReduce())
     with pytest.raises(ValueError):
         Conclusion("commutes", 1, 1, 2, 2, -1)
+    with pytest.raises(ValueError, match="together"):
+        Conclusion(COMMUTES, 1, 1, 2, 2, 0, 0)
+    with pytest.raises(ValueError, match="need a step"):
+        Conclusion(COMMUTES, 1, 1, 2, 2, None, 0, 0)
     claim = Conclusion(COMMUTES, 1, 2, 3, 4, 0).claim()
     assert claim == (
         monomial(((1, 2), (3, 4))),

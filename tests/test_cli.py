@@ -4,7 +4,15 @@ import random
 import pytest
 
 import helpers
-from qsym import cycle, format_graph_text, graph_digest, load_certificate, save_certificate
+from qsym import (
+    certificate_to_dict,
+    cycle,
+    format_graph_text,
+    graph_digest,
+    load_certificate,
+    prove_no_quantum_symmetry,
+    save_certificate,
+)
 from qsym.cli import main
 
 
@@ -89,11 +97,12 @@ def test_verify_tampered_certificate(tmp_path, capsys, c5_graph):
     out_path = str(tmp_path / "c5.cert.json")
     run_cli(["prove", "--graph", "c5", "--out", out_path], capsys)
     cert = load_certificate(out_path)
-    mutant, sid, _ = helpers.mutate_certificate(c5_graph, cert, random.Random(5))
-    save_certificate(mutant, out_path)
-    code, out, _ = run_cli(["verify", "--graph", "c5", out_path], capsys)
-    assert code == 1
-    assert f"INVALID at step {sid}:" in out
+    for seed in range(5, 11):
+        mutant, where, _ = helpers.mutate_certificate(c5_graph, cert, random.Random(seed))
+        save_certificate(mutant, out_path)
+        code, out, _ = run_cli(["verify", "--graph", "c5", out_path], capsys)
+        assert code == 1
+        assert f"INVALID at {where}:" in out
 
 
 def test_verify_malformed_certificate(tmp_path, capsys):
@@ -104,26 +113,28 @@ def test_verify_malformed_certificate(tmp_path, capsys):
     assert "malformed certificate" in err
 
 
+# The C5 proof; the hand-made steps below follow its N steps, so that
+# the certificate still covers every quadruple.
+C5_PROOF = certificate_to_dict(prove_no_quantum_symmetry(cycle(5)))
+N = len(C5_PROOF["steps"])
+
+
 def _transport_cert(cite=0, first=("u[1,2]u[1,3]", "0"), **fields) -> bytes:
-    """A C5 certificate of three steps whose step 1 renames step ``cite``
-    under a rotation of the rows.  ``first`` is the claim of step 0 and
-    ``fields`` override the transport's JSON fields."""
-    transport = {"rule": "transport", "step": cite, "rows": [2, 3, 4, 5, 1], "cols": [1, 2, 3, 4, 5]}
+    """The C5 proof followed by three steps, whose second renames step
+    N + ``cite`` under a rotation of the rows.  ``first`` is the claim
+    of step N and ``fields`` override the transport's JSON fields."""
+    transport = {"rule": "transport", "step": N + cite, "rows": [2, 3, 4, 5, 1], "cols": [1, 2, 3, 4, 5]}
     transport.update(fields)
     steps = [
         (first, {"rule": "local_reduce"}),
         (("u[2,2]u[2,3]", "0"), transport),
         (("u[1,1]", "u[1,1]"), {"rule": "local_reduce"}),
     ]
-    cert = {
-        "version": 2,
-        "graph_digest": graph_digest(cycle(5)),
-        "steps": [
-            {"id": i, "lhs": lhs, "rhs": rhs, "justification": just}
-            for i, ((lhs, rhs), just) in enumerate(steps)
-        ],
-        "conclusions": [],
-    }
+    cert = dict(C5_PROOF)
+    cert["steps"] = C5_PROOF["steps"] + [
+        {"id": N + i, "lhs": lhs, "rhs": rhs, "justification": just}
+        for i, ((lhs, rhs), just) in enumerate(steps)
+    ]
     return json.dumps(cert).encode("ascii")
 
 
@@ -137,12 +148,16 @@ MALFORMED = ("err", "malformed certificate")
         (b'{"version":' + b"7" * 5000 + b"}", *MALFORMED),
         (b'{"version":2}\xff', *MALFORMED),
         (_transport_cert(rows=5), *MALFORMED),
-        (_transport_cert(rows=[2, 3, 4, 5]), "out", "INVALID at step 1: permutation has degree 4"),
+        (_transport_cert(rows=[2, 3, 4, 5]), "out", f"INVALID at step {N + 1}: permutation has degree 4"),
         (_transport_cert(rows=[True, 3, 4, 5, 1]), *MALFORMED),
         (_transport_cert(rows=["2", 3, 4, 5, 1]), *MALFORMED),
-        (_transport_cert(rows=[2, 2, 4, 5, 1]), "out", "INVALID at step 1: not a permutation"),
-        (_transport_cert(cite=2), "err", "references step 2, which is not earlier"),
-        (_transport_cert(first=("u[6,1]", "u[6,1]")), "out", "INVALID at step 0: generator u[6,1] out of range"),
+        (_transport_cert(rows=[2, 2, 4, 5, 1]), "out", f"INVALID at step {N + 1}: not a permutation"),
+        (_transport_cert(cite=2), "err", f"references step {N + 2}, which is not earlier"),
+        (
+            _transport_cert(first=("u[6,1]", "u[6,1]")),
+            "out",
+            f"INVALID at step {N}: generator u[6,1] out of range",
+        ),
     ],
     ids=[
         "deep-nesting",
@@ -169,7 +184,7 @@ def test_verify_accepts_a_transport_step(tmp_path, capsys):
     path = tmp_path / "transport.json"
     path.write_bytes(_transport_cert())
     code, out, _ = run_cli(["verify", "--graph", "c5", str(path)], capsys)
-    assert code == 0 and "valid: 3 steps" in out
+    assert code == 0 and f"valid: {N + 3} steps" in out
 
 
 def test_verify_refuses_version_1(tmp_path, capsys, c5_graph):
@@ -191,6 +206,69 @@ def test_verify_refuses_version_1(tmp_path, capsys, c5_graph):
     code, _, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1
     assert "unsupported certificate version 1" in err
+
+
+def test_verify_refuses_version_2(tmp_path, capsys):
+    # Format version 2 stored one step per conclusion and no table or
+    # scope; there is no loader for it.
+    v2 = {
+        "version": 2,
+        "graph_digest": C5_PROOF["graph_digest"],
+        "steps": [
+            {"id": 0, "lhs": "u[1,1]u[1,1]", "rhs": "u[1,1]u[1,1]", "justification": {"rule": "local_reduce"}}
+        ],
+        "conclusions": [{"kind": "commutes", "i": 1, "j": 1, "k": 1, "l": 1, "step": 0}],
+    }
+    path = tmp_path / "v2.json"
+    path.write_text(json.dumps(v2))
+    code, _, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
+    assert code == 1
+    assert "unsupported certificate version 2, expected 3" in err
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [("empty", 0), ("dropped", 624), ("duplicated", 625)],
+)
+def test_verify_refuses_incomplete_coverage(tmp_path, capsys, edit, where):
+    # Each remaining conclusion follows from its justification; the list
+    # leaves out or repeats a quadruple.
+    cert = dict(C5_PROOF)
+    c = C5_PROOF["conclusions"]
+    cert["conclusions"] = {"empty": [], "dropped": c[:-1], "duplicated": c + c[-1:]}[edit]
+    assert len(cert["conclusions"]) == {"empty": 0, "dropped": 624, "duplicated": 626}[edit]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, out, _ = run_cli(["verify", "--graph", "c5", str(path)], capsys)
+    assert code == 1
+    assert f"INVALID at conclusion {where}:" in out
+
+
+def test_verify_fuzz_refuses_unlistable_graph(tmp_path, capsys):
+    # Hoffman-Singleton has 50 vertices: its automorphisms are not
+    # listed, so there is nothing to sample, and verify says so cleanly.
+    g = helpers.hoffman_singleton()
+    graph_path = tmp_path / "hs.graph"
+    graph_path.write_text(format_graph_text(g))
+    cert = {
+        "version": 3,
+        "graph_digest": graph_digest(g),
+        "scope": "full",
+        "automorphisms": [],
+        "steps": [],
+        "conclusions": [],
+    }
+    cert_path = tmp_path / "hs.cert.json"
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = run_cli(
+        ["verify", "--file", str(graph_path), str(cert_path), "--fuzz", "1"], capsys
+    )
+    assert code == 1
+    assert "cannot fuzz" in err and "50" in err
+    assert "Traceback" not in out + err
+    # Without --fuzz the certificate is checked, and falls short.
+    code, out, _ = run_cli(["verify", "--file", str(graph_path), str(cert_path)], capsys)
+    assert code == 1 and "INVALID at conclusion 0:" in out
 
 
 def test_verify_missing_certificate(tmp_path, capsys):
@@ -217,6 +295,18 @@ def test_prove_unsupported_degree(tmp_path, capsys):
     )
     assert code == 2
     assert "UnsupportedDegree k=7" in err
+
+
+def test_prove_qa5_only_unsupported_degree(tmp_path, capsys):
+    graph_path = tmp_path / "hs.graph"
+    graph_path.write_text(format_graph_text(helpers.hoffman_singleton()))
+    out_path = tmp_path / "hs.qa5.json"
+    code, _, err = run_cli(
+        ["prove", "--file", str(graph_path), "--qa5-only", "--out", str(out_path)], capsys
+    )
+    assert code == 2
+    assert "UnsupportedDegree k=7" in err
+    assert not out_path.exists()
 
 
 def test_prove_unwritable_output(tmp_path, capsys):
@@ -316,5 +406,6 @@ def test_certificate_json_shape(tmp_path, capsys):
     out_path = tmp_path / "c5.cert.json"
     run_cli(["prove", "--graph", "c5", "--out", str(out_path)], capsys)
     data = json.loads(out_path.read_text())
-    assert set(data) == {"version", "graph_digest", "steps", "conclusions"}
+    assert set(data) == {"version", "graph_digest", "scope", "automorphisms", "steps", "conclusions"}
+    assert data["version"] == 3 and data["scope"] == "full"
     assert len(data["conclusions"]) == 625

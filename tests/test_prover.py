@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -7,7 +8,6 @@ import pytest
 from qsym import (
     COMMUTES,
     ZERO_PRODUCT,
-    Certificate,
     Comm,
     Conclusion,
     ConditionsNotMet,
@@ -29,13 +29,14 @@ from qsym import (
     monomial,
     petersen,
     prove_no_quantum_symmetry,
+    relabel,
     sanity_eval,
     star,
     u,
     verify_certificate,
 )
 from qsym.certificate import justification_refs
-from qsym.prover import _derive_all_edge_edge, _symmetries
+from qsym.prover import _derive_all_edge_edge
 from helpers import hoffman_singleton
 
 
@@ -109,17 +110,25 @@ def test_derive_qa5_petersen_count(petersen_graph, petersen_qa5_cert):
     cert = petersen_qa5_cert
     assert len(cert.conclusions) == 900
     assert all(c.kind == COMMUTES for c in cert.conclusions)
-    # Every conclusion's step claims exactly the stated commutation.
+    # Every conclusion's step claims exactly the stated commutation,
+    # once renamed under the two table entries the conclusion cites.
+    identity = tuple(petersen_graph.vertices())
     for c in cert.conclusions[::97]:
         step = cert.steps[c.step]
-        assert step.lhs == u(c.i, c.j) * u(c.k, c.l)
-        assert step.rhs == u(c.k, c.l) * u(c.i, c.j)
+        rows, cols = (
+            (identity, identity)
+            if c.rows is None
+            else (cert.automorphisms[c.rows], cert.automorphisms[c.cols])
+        )
+        assert relabel(step.lhs, rows, cols) == u(c.i, c.j) * u(c.k, c.l)
+        assert relabel(step.rhs, rows, cols) == u(c.k, c.l) * u(c.i, c.j)
 
 
 def test_derive_qa5_requires_conditions_only():
     with pytest.raises(ConditionsNotMet):
         derive_qa5(complete(4))
-    # Degree is not gated here: the edge-edge replay works for any k.
+    # K2 meets the hypotheses with k = 1; larger degrees are refused
+    # as by the full prover (test_unsupported_degree).
     cert = derive_qa5(complete(2))
     assert len(cert.conclusions) == 4
 
@@ -214,7 +223,7 @@ def _orbit_count(g, quads):
 
 @pytest.mark.parametrize(
     "graph_fixture, cert_fixture, max_steps",
-    [("c5_graph", "c5_full_cert", 700), ("petersen_graph", "petersen_full_cert", 10_100)],
+    [("c5_graph", "c5_full_cert", 35), ("petersen_graph", "petersen_full_cert", 60)],
 )
 def test_one_lemma_com_per_orbit(graph_fixture, cert_fixture, max_steps, request):
     g = request.getfixturevalue(graph_fixture)
@@ -227,21 +236,28 @@ def test_one_lemma_com_per_orbit(graph_fixture, cert_fixture, max_steps, request
     # non-edge family are one orbit each.
     assert orbits == 2
     assert sum(isinstance(s.justification, LemmaCom) for s in steps) == orbits
-    cited = Counter(type(steps[c.step].justification).__name__ for c in commuting)
-    assert cited == {"LemmaCom": orbits, "Transport": len(commuting) - orbits}
+    # Every commuting conclusion cites its orbit's LemmaCom step: as it
+    # stands for the derived quadruple, renamed under two table entries
+    # for the rest.
+    assert all(isinstance(steps[c.step].justification, LemmaCom) for c in commuting)
+    assert sum(c.rows is None for c in commuting) == orbits
     assert len(steps) <= max_steps
 
 
 def test_symmetry_fallback_transports_nothing():
-    # Above the element-list bound only the identity is used, so every
-    # quadruple is derived as its own orbit.
-    assert _symmetries(cycle(13)) == (Permutation.identity(13),)
+    # There is no fallback for graphs whose automorphisms cannot be
+    # listed: both provers refuse degree k > 3 first, which leaves K1,
+    # K2, C5 and Petersen.
+    with pytest.raises(UnsupportedDegree):
+        derive_qa5(hoffman_singleton())
+    # Under the identity alone every quadruple is its own orbit, so each
+    # is derived and none is renamed.
     bld = ProofBuilder(cycle(5))
-    table = _derive_all_edge_edge(bld, (Permutation.identity(5),))
+    family = _derive_all_edge_edge(bld, (Permutation.identity(5),))
     kinds = Counter(type(s.justification).__name__ for s in bld.steps)
-    assert len(table) == 100 and kinds["LemmaCom"] == 100 and "Transport" not in kinds
-    elements = automorphism_group(petersen()).elements
-    assert _symmetries(petersen()) == elements and elements[0] == Permutation.identity(10)
+    assert len(family) == 100 and kinds["LemmaCom"] == 100 and "Transport" not in kinds
+    identity = Permutation.identity(5)
+    assert all(rows == cols == identity for _, rows, cols in family.values())
 
 
 def test_conditions_not_met_carries_witness():
@@ -256,10 +272,11 @@ def test_conditions_not_met_carries_witness():
 
 def test_unsupported_degree():
     g = hoffman_singleton()
-    with pytest.raises(UnsupportedDegree) as exc:
-        prove_no_quantum_symmetry(g)
-    assert exc.value.k == 7
-    assert "k=7" in str(exc.value)
+    for produce in (prove_no_quantum_symmetry, derive_qa5):
+        with pytest.raises(UnsupportedDegree) as exc:
+            produce(g)
+        assert exc.value.k == 7
+        assert "k=7" in str(exc.value)
 
 
 def test_sanity_eval_counts_and_determinism(c5_graph, c5_full_cert):
@@ -272,7 +289,7 @@ def test_sanity_eval_counts_and_determinism(c5_graph, c5_full_cert):
 
 
 def _with_conclusions(cert, conclusions):
-    return Certificate(cert.version, cert.graph_digest, cert.steps, tuple(conclusions))
+    return dataclasses.replace(cert, conclusions=tuple(conclusions))
 
 
 def _forged_cert(cert):

@@ -1,12 +1,17 @@
 import dataclasses
+import itertools
+import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from qsym import (
     CERT_VERSION,
     COMMUTES,
+    FULL,
     Certificate,
     Comm,
     Conclusion,
@@ -22,13 +27,17 @@ from qsym import (
     RowOrth,
     Substitution,
     Transport,
+    ZERO_PRODUCT,
     certificate_from_dict,
     certificate_to_dict,
     cycle,
+    dumps_certificate,
     evaluate_perm,
     expand_unity,
     graph_digest,
+    load_certificate,
     petersen,
+    prove_no_quantum_symmetry,
     relabel,
     star,
     u,
@@ -38,8 +47,17 @@ from qsym import (
 G5 = cycle(5)
 
 
-def _cert(steps, conclusions=(), g=G5):
-    return Certificate(CERT_VERSION, graph_digest(g), tuple(steps), tuple(conclusions))
+def _cert(steps, conclusions=(), g=G5, automorphisms=()):
+    return Certificate(
+        CERT_VERSION, graph_digest(g), FULL, tuple(automorphisms), tuple(steps), tuple(conclusions)
+    )
+
+
+def _steps_pass(steps):
+    """Whether every step is accepted.  With no conclusions the report
+    can only fail for falling short of the scope, at conclusion 0."""
+    report = verify_certificate(G5, _cert(steps))
+    return report.steps_checked == len(steps) and report.location == "conclusion 0"
 
 
 IDEM_STEP = ProofStep(0, u(1, 1) * u(1, 1), u(1, 1), LocalReduce())
@@ -55,7 +73,7 @@ def test_valid_certificates_pass(petersen_graph, petersen_qa5_cert, c5_full_cert
 
 
 def test_wrong_version_rejected():
-    cert = Certificate(999, graph_digest(G5), (), ())
+    cert = Certificate(999, graph_digest(G5), FULL, (), (), ())
     with pytest.raises(MalformedCertificate) as exc:
         verify_certificate(G5, cert)
     assert "version" in str(exc.value)
@@ -89,17 +107,21 @@ def test_dangling_certification_rejected():
 
 
 def test_conclusion_step_out_of_range_rejected():
+    # A conclusion's citations are part of its own check: the report is
+    # invalid at that conclusion.
     concl = Conclusion(COMMUTES, 1, 1, 1, 1, 3)
-    with pytest.raises(MalformedCertificate) as exc:
-        verify_certificate(G5, _cert((IDEM_STEP,), (concl,)))
-    assert "missing step 3" in str(exc.value)
+    report = verify_certificate(G5, _cert((IDEM_STEP,), (concl,)))
+    assert not report.valid and report.location == "conclusion 0"
+    assert "cites missing step 3" in report.reason
 
 
 def test_conclusion_vertex_out_of_range_rejected():
+    # Coverage puts quadruple 1,1,1,1 first, so a vertex outside C5 is
+    # out of place there.
     concl = Conclusion(COMMUTES, 6, 1, 1, 1, 0)
-    with pytest.raises(MalformedCertificate) as exc:
-        verify_certificate(G5, _cert((IDEM_STEP,), (concl,)))
-    assert "vertex 6" in str(exc.value)
+    report = verify_certificate(G5, _cert((IDEM_STEP,), (concl,)))
+    assert not report.valid and report.location == "conclusion 0"
+    assert "(commutes 6,1,1,1) is out of place: quadruple 1,1,1,1 belongs here" in report.reason
 
 
 def _first_failure(steps, conclusions=()):
@@ -117,7 +139,7 @@ def test_local_reduce_failure():
 def test_expand_unity_checks_recompute():
     rhs = expand_unity(u(1, 1), 1, 2, ROW, 5)
     good = ProofStep(0, u(1, 1), rhs, ExpandUnity(1, 2, ROW))
-    assert verify_certificate(G5, _cert((good,))).valid
+    assert _steps_pass((good,))
     bad = ProofStep(0, u(1, 1), rhs - u(1, 1) * u(2, 4), ExpandUnity(1, 2, ROW))
     report = _first_failure((bad,))
     assert "unity expansion" in report.reason
@@ -156,7 +178,7 @@ def test_invalid_relation_instance_fails_step():
 def test_relation_application_recomputed():
     lhs = u(1, 2) * u(1, 3)
     good = ProofStep(0, lhs, Poly.zero(), RelationApplication(RowOrth(1, 2, 3), 0))
-    assert verify_certificate(G5, _cert((good,))).valid
+    assert _steps_pass((good,))
     bad = ProofStep(0, lhs, lhs, RelationApplication(RowOrth(1, 2, 3), 0))
     report = _first_failure((bad,))
     assert "does not follow" in report.reason
@@ -203,7 +225,7 @@ def test_substitution_accepts_rational_combinations():
     d0, d1 = s0.lhs - s0.rhs, s1.lhs - s1.rhs
     plus = ProofStep(2, d0, -d1, Substitution(0, 1))
     minus = ProofStep(3, d0, d1, Substitution(0, 1, -1))
-    assert verify_certificate(G5, _cert((s0, s1, plus, minus))).valid
+    assert _steps_pass((s0, s1, plus, minus))
     double = ProofStep(2, 2 * d0 + d1, Poly.zero(), Substitution(0, 1))
     report = _first_failure((s0, s1, double))
     assert report.first_failure == 2
@@ -231,7 +253,7 @@ def test_lemma_com_requires_star_invariant_source():
 def test_lemma_com_checks_transport():
     base = ProofStep(0, u(1, 1), u(1, 1), LocalReduce())
     good = ProofStep(1, u(1, 1), star(u(1, 1)), LemmaCom(0))
-    assert verify_certificate(G5, _cert((base, good))).valid
+    assert _steps_pass((base, good))
     bad = ProofStep(1, u(1, 1), u(2, 2), LemmaCom(0))
     report = _first_failure((base, bad))
     assert "star transport of step 0" in report.reason
@@ -254,7 +276,7 @@ def _transported(rows, cols, base=VANISH_STEP):
 def test_transport_needs_automorphisms():
     good = _transported(ROTATION, IDENTITY)
     assert good.lhs == u(2, 1) * u(3, 3)
-    assert verify_certificate(G5, _cert((VANISH_STEP, good))).valid
+    assert _steps_pass((VANISH_STEP, good))
     bad = _transported(SWAP_2_3, IDENTITY)
     # The renamed claim u[1,1]u[3,3] = 0 is false: the identity
     # permutation matrix satisfies every relation and gives 1.
@@ -282,9 +304,10 @@ def test_transport_checks_the_renamed_claim():
 
 
 def test_conclusion_must_match_step_claim():
-    concl = Conclusion(COMMUTES, 1, 1, 2, 2, 0)
+    # u[1,1]u[1,1] commutes with itself, but step 0 claims u[1,1]u[1,1] = u[1,1].
+    concl = Conclusion(COMMUTES, 1, 1, 1, 1, 0)
     report = _first_failure((IDEM_STEP,), (concl,))
-    assert report.first_failure == 0
+    assert report.first_failure is None and report.failed_conclusion == 0
     assert report.steps_checked == 1
     assert report.conclusions_checked == 0
     assert "not the claim of step 0" in report.reason
@@ -294,24 +317,21 @@ def test_random_mutations_rejected(c5_graph, c5_full_cert):
     rng = random.Random(7)
     ops = set()
     for _ in range(25):
-        mutant, sid, op = helpers.mutate_certificate(c5_graph, c5_full_cert, rng)
+        mutant, where, op = helpers.mutate_certificate(c5_graph, c5_full_cert, rng)
         report = verify_certificate(c5_graph, mutant)
         assert not report.valid, op
-        assert report.first_failure == sid, op
+        assert report.location == where, op
         ops.add(op)
     assert len(ops) >= 4
 
 
 def test_every_derivation_step_mutation_rejected(petersen_graph, petersen_full_cert):
-    # Transports and one-step LocalReduce conclusions make up all but a
-    # few dozen steps, so random mutation seldom reaches a derivation:
-    # apply every operator to every derivation step instead, checking
-    # the prefix of the certificate that ends at that step.
+    # Random mutation spreads over steps, conclusions and the table:
+    # apply every operator to every step as well, checking the prefix
+    # of the certificate that ends at that step.
     rng = random.Random(3)
     tried = 0
     for step in petersen_full_cert.steps:
-        if isinstance(step.justification, (LocalReduce, Transport)):
-            continue
         prefix = petersen_full_cert.steps[: step.id + 1]
         for op in helpers.eligible_ops(step):
             mutated = op(petersen_graph, step, prefix, rng)
@@ -322,3 +342,210 @@ def test_every_derivation_step_mutation_rejected(petersen_graph, petersen_full_c
             assert not report.valid and report.first_failure == step.id, op.__name__
             tried += 1
     assert tried >= 200
+
+
+C5_QUADS = list(itertools.product(range(1, 6), repeat=4))
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        ("empty", 0),
+        ("dropped-last", 624),
+        ("dropped-middle", 300),
+        ("duplicated-last", 625),
+        ("duplicated-middle", 301),
+    ],
+)
+def test_conclusions_must_cover_the_scope(c5_graph, c5_full_cert, edit, where):
+    # Every remaining conclusion still follows from its justification;
+    # only the coverage of the 625 quadruples is wrong.
+    c = c5_full_cert.conclusions
+    conclusions = {
+        "empty": (),
+        "dropped-last": c[:-1],
+        "dropped-middle": c[:300] + c[301:],
+        "duplicated-last": c + c[-1:],
+        "duplicated-middle": c[:301] + c[300:],
+    }[edit]
+    report = verify_certificate(c5_graph, dataclasses.replace(c5_full_cert, conclusions=conclusions))
+    assert not report.valid
+    assert report.location == f"conclusion {where}"
+    assert report.steps_checked == len(c5_full_cert.steps)
+
+
+def test_qa5_scope_is_the_edge_pairs(c5_graph):
+    from qsym import derive_qa5
+
+    cert = derive_qa5(c5_graph)
+    assert verify_certificate(c5_graph, cert).valid
+    # The same conclusions claimed for the full scope fall short at once.
+    report = verify_certificate(c5_graph, dataclasses.replace(cert, scope=FULL))
+    assert report.location == "conclusion 0" and "out of place" in report.reason
+    with pytest.raises(MalformedCertificate, match="scope"):
+        verify_certificate(c5_graph, dataclasses.replace(cert, scope="partial"))
+
+
+@pytest.mark.parametrize(
+    "entry, reason",
+    [
+        (SWAP_2_3, "not an automorphism of the graph"),
+        ((2, 3, 4, 5), "degree 4"),
+        ((2, 2, 4, 5, 1), "not a permutation"),
+    ],
+)
+def test_table_entries_are_checked_before_any_step(c5_graph, c5_full_cert, entry, reason):
+    table = list(c5_full_cert.automorphisms)
+    table[3] = entry
+    # Step 0 is broken too, but the table comes first.
+    steps = list(c5_full_cert.steps)
+    steps[0] = dataclasses.replace(steps[0], rhs=steps[0].rhs + u(1, 1))
+    mutant = dataclasses.replace(
+        c5_full_cert, automorphisms=tuple(table), steps=tuple(steps)
+    )
+    report = verify_certificate(c5_graph, mutant)
+    assert not report.valid and report.location == "automorphism 3"
+    assert reason in report.reason and report.steps_checked == 0
+
+
+def _first_renamed(cert):
+    return next(idx for idx, c in enumerate(cert.conclusions) if c.rows is not None)
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        (lambda c, n: dict(rows=c.cols, cols=c.rows), "is not the renaming of step"),
+        (lambda c, n: dict(cols=n), "cites missing automorphism"),
+        (lambda c, n: dict(rows=None, cols=None), "is not the claim of step"),
+        (lambda c, n: dict(step=None, rows=None, cols=None), "does not reduce to zero"),
+        (lambda c, n: dict(step=0), "is not the renaming of step 0"),
+        (lambda c, n: dict(kind=ZERO_PRODUCT), "is not the renaming of step"),
+    ],
+    ids=["swapped", "index-out-of-range", "renaming-dropped", "local-reduce", "wrong-step", "kind"],
+)
+def test_conclusion_justification_checked(c5_graph, c5_full_cert, change, reason):
+    cert = c5_full_cert
+    idx = _first_renamed(cert)
+    c = cert.conclusions[idx]
+    assert c.rows != c.cols
+    conclusions = list(cert.conclusions)
+    conclusions[idx] = dataclasses.replace(c, **change(c, len(cert.automorphisms)))
+    report = verify_certificate(c5_graph, dataclasses.replace(cert, conclusions=tuple(conclusions)))
+    assert not report.valid and report.location == f"conclusion {idx}"
+    assert reason in report.reason
+
+
+def test_every_conclusion_and_table_mutation_rejected(c5_graph, c5_full_cert):
+    # Each conclusion operator on a spread of conclusions, and the table
+    # operator on every entry; each mutant is rejected where it was made.
+    rng = random.Random(11)
+    made = {}
+    for op in helpers.CONCLUSION_OPS:
+        for idx in range(0, 625, 13):
+            found = op(c5_graph, c5_full_cert, idx, rng)
+            if found is None:
+                continue
+            conclusions, where = found
+            mutant = dataclasses.replace(c5_full_cert, conclusions=conclusions)
+            report = verify_certificate(c5_graph, mutant)
+            assert not report.valid and report.location == f"conclusion {where}", op.__name__
+            made[op.__name__] = made.get(op.__name__, 0) + 1
+    for idx in range(len(c5_full_cert.automorphisms)):
+        table = helpers._non_automorphism_entry(c5_graph, c5_full_cert, idx, rng)
+        if table is None:
+            continue
+        report = verify_certificate(c5_graph, dataclasses.replace(c5_full_cert, automorphisms=table))
+        assert not report.valid and report.location == f"automorphism {idx}"
+        made["table"] = made.get("table", 0) + 1
+    assert set(made) == {op.__name__ for op in helpers.CONCLUSION_OPS} | {"table"}
+
+
+# Hypothesis: hostile edits of a valid C5 certificate, as JSON data and
+# as bytes.  The loader and verifier may refuse the result as malformed,
+# for another graph or as invalid, and nothing else may escape.  An edit
+# can leave a certificate that still holds (a key moved, a space in a
+# polynomial, a reduced zero product restated as a commutation, since
+# a zero product also commutes); a valid verdict is accepted only for
+# conclusions that are all true.
+C5_TEXT = dumps_certificate(prove_no_quantum_symmetry(G5))
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 700)
+    | st.sampled_from(["", "u[1,1]", "u[1,2]u[2,1]", "0", "commutes", "zero_product", "full", "qa5"])
+    | st.sampled_from(["local_reduce", "transport", "lemma_com", "substitution", "row"]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["id", "step", "rows", "cols", "kind", "i", "rule"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _truly_zero(c) -> bool:
+    """Whether u[i,j]u[k,l] = 0 holds on C5, from adjacency alone."""
+    if (c.i, c.j) == (c.k, c.l):
+        return False
+    return c.i == c.k or c.j == c.l or G5.adjacent(c.i, c.k) != G5.adjacent(c.j, c.l)
+
+
+def _check_outcome(load):
+    try:
+        cert = load()
+        report = verify_certificate(G5, cert)
+    except (MalformedCertificate, DigestMismatch):
+        return
+    if report.valid:
+        # Every quadruple once, and a zero product only where it holds;
+        # on C5 every pair commutes.
+        assert [(c.i, c.j, c.k, c.l) for c in cert.conclusions] == C5_QUADS
+        assert all(c.kind == COMMUTES or _truly_zero(c) for c in cert.conclusions)
+    else:
+        assert report.location is not None and report.reason
+
+
+@st.composite
+def _edited_dicts(draw):
+    root = {"cert": json.loads(C5_TEXT)}
+    holder, key = root, "cert"
+    # Mostly down to a leaf, where an edit keeps the shape and changes
+    # the content.
+    while isinstance(holder[key], (dict, list)) and holder[key] and draw(st.integers(0, 7)):
+        node = holder[key]
+        holder, key = node, draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+    edit = draw(st.sampled_from(["replace", "replace", "delete", "insert"]))
+    if edit == "delete" and holder is not root:
+        del holder[key]
+    elif edit == "insert" and isinstance(holder[key], list):
+        node = holder[key]
+        node.insert(draw(st.integers(0, len(node))), draw(_JSON))
+    elif edit == "insert" and isinstance(holder[key], dict):
+        holder[key][draw(st.sampled_from(["id", "step", "rows", "cols", "x"]))] = draw(_JSON)
+    elif type(holder[key]) is int and draw(st.booleans()):
+        holder[key] = draw(st.integers(-1, 80))
+    else:
+        holder[key] = draw(_JSON)
+    return root["cert"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edited_dicts())
+def test_edited_certificate_data_never_escapes(d):
+    assume(d != json.loads(C5_TEXT))
+    _check_outcome(lambda: certificate_from_dict(d))
+
+
+_SPLICE = st.binary(max_size=6) | st.sampled_from(
+    [b"0", b"1", b"9", b"-", b'"', b"[", b"]", b"{", b"}", b",", b":", b"u[1,1]", b"null", b"\\", b"\xff"]
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, len(C5_TEXT)), st.integers(0, 8), _SPLICE)
+def test_edited_certificate_bytes_never_escape(tmp_path_factory, start, length, insert):
+    data = C5_TEXT.encode("ascii")
+    mutated = data[:start] + insert + data[start + length :]
+    assume(mutated != data)
+    path = tmp_path_factory.mktemp("edited") / "cert.json"
+    path.write_bytes(mutated)
+    _check_outcome(lambda: load_certificate(path))
