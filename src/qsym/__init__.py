@@ -51,6 +51,7 @@ from .certificate import (
     Transport,
     certificate_from_dict,
     certificate_to_dict,
+    claim_quadruple,
     dumps_certificate,
     graph_digest,
     load_certificate,

@@ -22,7 +22,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
-from .algebra import COL, ROW, Poly, format_poly, monomial, parse_poly
+from .algebra import COL, ROW, Poly, format_poly, gen, parse_poly
 from .graphs import Graph, format_graph_text
 from .relations import (
     ColOrth,
@@ -170,13 +170,39 @@ class Conclusion:
             raise ValueError("conclusion rows and cols need a step to rename")
 
     def claim(self) -> tuple[Poly, Poly]:
-        """The equation this conclusion asserts."""
-        lhs = monomial(((self.i, self.j), (self.k, self.l)))
+        """The equation this conclusion asserts: u[i,j]u[k,l] equals
+        u[k,l]u[i,j], or zero.  :func:`claim_quadruple` inverts it."""
+        a, b = gen(self.i, self.j), gen(self.k, self.l)
+        lhs = Poly._from_dict({(a, b): 1})
         if self.kind == COMMUTES:
-            return lhs, monomial(((self.k, self.l), (self.i, self.j)))
+            return lhs, Poly._from_dict({(b, a): 1})
         if self.kind == ZERO_PRODUCT:
             return lhs, Poly.zero()
         raise MalformedCertificate(f"unknown conclusion kind {self.kind!r}")
+
+
+def claim_quadruple(lhs: Poly, rhs: Poly) -> Optional[tuple[str, int, int, int, int]]:
+    """The (kind, i, j, k, l) of the conclusion whose claim is lhs = rhs,
+    or None when no conclusion claims it.
+
+    lhs must be the word u[i,j]u[k,l] alone, with coefficient 1, and rhs
+    either zero (a zero product) or the reversed word alone, with
+    coefficient 1 (a commutation).  Distinct (kind, quadruple) give
+    distinct claims, so this inverts :meth:`Conclusion.claim` exactly.
+    """
+    if len(lhs.terms) != 1:
+        return None
+    ((w, c),) = lhs.terms.items()
+    if c != 1 or len(w) != 2:
+        return None
+    a, b = w
+    if not rhs.terms:
+        kind = ZERO_PRODUCT
+    elif rhs.terms == {(b, a): 1}:
+        kind = COMMUTES
+    else:
+        return None
+    return kind, a.row, a.col, b.row, b.col
 
 
 @dataclass(frozen=True)

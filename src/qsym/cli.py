@@ -79,6 +79,9 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     except OSError as exc:
         print(f"cannot read graph file: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    except UnicodeDecodeError as exc:  # the format is ASCII-only text
+        print(f"{args.file}: not ASCII text: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     try:
         return graphs.parse_graph_text(text)
     except GraphFormatError as exc:

@@ -11,6 +11,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 
+# The most vertices a graph file may declare.  The header is refused
+# before anything is built, since a graph holds an n x n adjacency
+# matrix; every graph of interest here has at most 50 vertices.
+MAX_FILE_VERTICES = 1000
+
+
 class GraphFormatError(ValueError):
     """Raised when graph text input cannot be parsed.
 
@@ -298,6 +304,10 @@ def parse_graph_text(text: str) -> Graph:
         except ValueError:
             raise GraphFormatError(f"expected two integers, got {line!r}", lineno) from None
         if header is None:
+            if a > MAX_FILE_VERTICES:
+                raise GraphFormatError(
+                    f"vertex count {a} exceeds the limit of {MAX_FILE_VERTICES}", lineno
+                )
             header = (a, b)
             header_line = lineno
         else:

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from .algebra import (
     ROW,
     Coeff,
-    Gen,
     Poly,
     Word,
     check_gen_bounds,
@@ -490,35 +489,35 @@ def sanity_eval(g: Graph, cert: Certificate, trials: int, seed: int = 0) -> Sani
     therefore only catch false zero-product conclusions; commutations
     are evaluated all the same, so every conclusion is counted.
 
-    At sigma only the n generators u[sigma(j),j] are 1, so each term is
-    filed once under its first letter and a trial visits only the terms
-    filed under those n generators; every other term is 0.
+    At sigma a word is 1 exactly when each of its letters u[i,j] has
+    sigma(j) = i, and only the n generators u[sigma(j),j] do.  Every
+    claim word is a product of two generators, so each term is filed
+    once under its whole word, with its coefficient negated when it
+    stands on the right side; a trial then looks up the n^2 ordered
+    pairs of those generators, a generator paired with itself included,
+    and visits only the terms filed there.  Every other term is 0.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     group = automorphism_group(g)
     if group.elements is None:
         raise ValueError("graph too large to sample automorphism elements")
-    # Claim words are products of two generators, so none is empty.
-    by_first: dict[Gen, list[tuple[Word, int, Coeff]]] = {}
+    by_word: dict[Word, list[tuple[int, Coeff]]] = {}
     for idx, c in enumerate(cert.conclusions):
         lhs, rhs = c.claim()
-        d = lhs - rhs
-        check_gen_bounds(d, g.n)
-        for w, coeff in d.terms.items():
-            by_first.setdefault(w[0], []).append((w[1:], idx, coeff))
+        for side, sign in ((lhs, 1), (rhs, -1)):
+            check_gen_bounds(side, g.n)
+            for w, coeff in side.terms.items():
+                by_word.setdefault(w, []).append((idx, sign * coeff))
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
         sigma = rng.choice(group.elements)
-        images = perm_images(g, sigma)
+        ones = [gen(i, j) for j, i in enumerate(perm_images(g, sigma), 1)]
         totals: dict[int, Coeff] = {}
-        for j, i in enumerate(images, 1):
-            for rest, idx, coeff in by_first.get(gen(i, j), ()):
-                for f in rest:
-                    if images[f.col - 1] != f.row:
-                        break
-                else:
+        for a in ones:
+            for b in ones:
+                for idx, coeff in by_word.get((a, b), ()):
                     totals[idx] = totals.get(idx, 0) + coeff
         failures.extend((idx, sigma.images) for idx in sorted(totals) if totals[idx])
     return SanityReport(

@@ -40,6 +40,18 @@ relations onto itself and is a *-automorphism of the quotient algebra,
 so a claim that holds there still holds after renaming.  Under a
 permutation that is not an automorphism the renamed claim can be
 false, and the entry is refused.
+
+A cited conclusion is compared on integers.  Each step's claim is
+decoded once per check by claim_quadruple into the (kind, a, b, c, d)
+whose claim it is, or None; the conclusion's own (kind, i, j, k, l)
+must equal that tuple, or (kind, rho(a), kappa(b), rho(c), kappa(d))
+when it is renamed.  This is the same as renaming and comparing the
+polynomials.  Renaming under two permutations acts letter by letter,
+is injective on words, keeps every coefficient, commutes with reversal
+and fixes zero, so it sends the claim of a quadruple to the claim of
+the renamed quadruple, and an equation that is no conclusion's claim
+to another such equation.  Conclusion.claim is injective in (kind,
+quadruple), so two claims are equal exactly when their tuples are.
 """
 
 from __future__ import annotations
@@ -64,6 +76,7 @@ from .certificate import (
     RelationApplication,
     Substitution,
     Transport,
+    claim_quadruple,
     graph_digest,
     justification_refs,
 )
@@ -178,22 +191,29 @@ def _check_step(g: Graph, steps: Sequence[ProofStep], step: ProofStep) -> Option
     return f"unknown justification {type(just).__name__}"
 
 
-def _check_conclusion(g: Graph, cert: Certificate, concl: Conclusion, quad) -> Optional[str]:
+def _check_conclusion(
+    g: Graph, cert: Certificate, claims: Sequence, concl: Conclusion, quad
+) -> Optional[str]:
     """Recheck one conclusion, whose place in the scope is that of
-    ``quad``; returns a failure reason or None."""
+    ``quad``; returns a failure reason or None.
+
+    ``claims`` holds claim_quadruple of every step, by id.  It is only
+    read for a step that was checked, so every index a claim names lies
+    in 1..n, and every table entry is a permutation of 1..n.
+    """
     if (concl.i, concl.j, concl.k, concl.l) != quad:
         return "is out of place: quadruple {},{},{},{} belongs here".format(*quad)
-    lhs, rhs = concl.claim()
     if concl.step is None:
+        lhs, rhs = concl.claim()
         if not local_reduce(g, lhs - rhs).is_zero:
             return "does not reduce to zero"
         return None
-    steps = cert.steps
-    if concl.step >= len(steps):
+    if concl.step >= len(claims):
         return f"cites missing step {concl.step}"
-    ref = steps[concl.step]
+    cited = claims[concl.step]
+    own = (concl.kind, *quad)
     if concl.rows is None:
-        if ref.lhs != lhs or ref.rhs != rhs:
+        if cited != own:
             return f"is not the claim of step {concl.step}"
         return None
     table = cert.automorphisms
@@ -201,7 +221,13 @@ def _check_conclusion(g: Graph, cert: Certificate, concl: Conclusion, quad) -> O
         if t >= len(table):
             return f"cites missing automorphism {t}"
     rows, cols = table[concl.rows], table[concl.cols]
-    if relabel(ref.lhs, rows, cols) != lhs or relabel(ref.rhs, rows, cols) != rhs:
+    if cited is None or (
+        cited[0],
+        rows[cited[1] - 1],
+        cols[cited[2] - 1],
+        rows[cited[3] - 1],
+        cols[cited[4] - 1],
+    ) != own:
         return (
             f"is not the renaming of step {concl.step}"
             f" under automorphisms {concl.rows} and {concl.cols}"
@@ -258,11 +284,12 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
                 reason=reason,
             )
 
+    claims = [claim_quadruple(step.lhs, step.rhs) for step in steps]
     quads = scope_quadruples(g, cert.scope)
     conclusions = cert.conclusions
     for idx, (concl, quad) in enumerate(zip(conclusions, quads)):
         try:
-            reason = _check_conclusion(g, cert, concl, quad)
+            reason = _check_conclusion(g, cert, claims, concl, quad)
         except ValueError as exc:
             reason = str(exc)
         if reason is not None:

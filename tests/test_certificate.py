@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,7 @@ from qsym import (
     LemmaCom,
     LocalReduce,
     MalformedCertificate,
+    Poly,
     ProofStep,
     RelationApplication,
     Substitution,
@@ -24,6 +27,7 @@ from qsym import (
     VanishB,
     certificate_from_dict,
     certificate_to_dict,
+    claim_quadruple,
     cycle,
     dumps_certificate,
     format_graph_text,
@@ -228,3 +232,34 @@ def test_step_and_conclusion_validation():
     )
     zero = Conclusion(ZERO_PRODUCT, 1, 2, 3, 4, 0).claim()
     assert zero == (monomial(((1, 2), (3, 4))), monomial((), 1) - monomial((), 1))
+
+
+def test_claim_quadruple_inverts_claim():
+    quads = itertools.product(range(1, 4), repeat=4)
+    for kind, quad in itertools.product((COMMUTES, ZERO_PRODUCT), quads):
+        assert claim_quadruple(*Conclusion(kind, *quad).claim()) == (kind, *quad)
+    # Coefficients compare by value, as Poly equality does.
+    one = Fraction(1)
+    x = Poly({((1, 2), (2, 3)): one})
+    assert claim_quadruple(x, Poly({((2, 3), (1, 2)): one})) == (COMMUTES, 1, 2, 2, 3)
+
+
+def test_claim_quadruple_refuses_other_claims(petersen_full_cert):
+    x = monomial(((1, 2), (2, 3)))
+    x_rev = monomial(((2, 3), (1, 2)))
+    not_claims = [
+        (2 * x, 2 * x_rev),  # coefficient 2
+        (x, 2 * x_rev),
+        (-x, Poly.zero()),
+        (monomial(((1, 2), (2, 3), (1, 1))), Poly.zero()),  # three letters
+        (u(1, 2), Poly.zero()),  # one letter
+        (x, x),  # rhs is not the reverse of lhs
+        (x, x_rev + u(1, 1)),
+        (x + u(1, 1), x_rev),
+        (Poly.zero(), Poly.zero()),
+    ]
+    for lhs, rhs in not_claims:
+        assert claim_quadruple(lhs, rhs) is None, (lhs, rhs)
+    subs = [s for s in petersen_full_cert.steps if isinstance(s.justification, Substitution)]
+    assert subs
+    assert all(claim_quadruple(s.lhs, s.rhs) is None for s in subs)

@@ -347,6 +347,28 @@ def test_unparseable_graph_file(tmp_path, capsys):
     assert code == 3
 
 
+def _one_line_refusal(err):
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and "Traceback" not in err
+
+
+def test_non_ascii_graph_file(tmp_path, capsys):
+    graph_path = tmp_path / "bad.txt"
+    graph_path.write_bytes(b"2 1\n1 2\xc3\xa9\n")
+    code, _, err = run_cli(["info", "--file", str(graph_path)], capsys)
+    assert code == 3
+    assert _one_line_refusal(err) and "not ASCII" in err
+
+
+def test_graph_file_vertex_count_over_the_limit(tmp_path, capsys):
+    # Twelve bytes that would otherwise build a 10^8 x 10^8 adjacency.
+    graph_path = tmp_path / "big.txt"
+    graph_path.write_bytes(b"100000000 0")
+    code, _, err = run_cli(["conditions", "--file", str(graph_path)], capsys)
+    assert code == 3
+    assert _one_line_refusal(err) and "line 1" in err and "limit" in err
+
+
 def test_reduce_outputs(capsys):
     code, out, _ = run_cli(["reduce", "--graph", "petersen", "u[1,1]u[1,2]"], capsys)
     assert code == 0 and out.strip() == "0"

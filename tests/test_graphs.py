@@ -19,6 +19,7 @@ from qsym import (
     petersen,
     srg_params,
 )
+from qsym.graphs import MAX_FILE_VERTICES
 
 # Adjacency of the 2-subset construction on {1..5}, worked out by hand:
 # vertex i is the i-th 2-subset in lexicographic order, edges join
@@ -168,6 +169,13 @@ def test_parse_graph_text_errors_carry_line_numbers():
     assert "edge" in str(exc.value)
     with pytest.raises(GraphFormatError) as exc:
         parse_graph_text("2 1\n1 2\n2 1\n")
+
+
+def test_parse_graph_text_refuses_too_many_vertices():
+    for n in (MAX_FILE_VERTICES + 1, 10**8):
+        with pytest.raises(GraphFormatError, match="limit") as exc:
+            parse_graph_text(f"# header next\n{n} 0\n")
+        assert exc.value.line == 2
 
 
 @given(st.integers(min_value=3, max_value=9))

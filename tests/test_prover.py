@@ -340,17 +340,36 @@ def _forged_squares(g, cert):
     return _with_conclusions(cert, squares)
 
 
-@pytest.mark.parametrize("forged", [False, True])
+def _planted_diagonal(g, cert, seed):
+    # A false zero product u[i,j]u[i,j] = 0 in place of the diagonal
+    # quadruple (i, j, i, j), with i the image of j = 2 under the first
+    # automorphism that the seed samples: its word repeats one letter, so
+    # only a trial that pairs that letter with itself sees it fail.
+    sigma = random.Random(seed).choice(automorphism_group(g).elements)
+    quad = (sigma.images[1], 2) * 2
+    idx = next(idx for idx, c in enumerate(cert.conclusions) if (c.i, c.j, c.k, c.l) == quad)
+    conclusions = list(cert.conclusions)
+    conclusions[idx] = Conclusion(ZERO_PRODUCT, *quad)
+    return _with_conclusions(cert, conclusions), (idx, sigma.images)
+
+
+@pytest.mark.parametrize("forged", [False, True, "diagonal"])
 @pytest.mark.parametrize("graph", ["c5", "petersen"])
 def test_sanity_eval_matches_reference_on_both_graphs(request, graph, forged):
     g = request.getfixturevalue(f"{graph}_graph")
     cert = request.getfixturevalue(f"{graph}_full_cert")
-    if forged:
-        cert = _forged_squares(g, cert)
     trials, seed = 5, 7
+    if forged == "diagonal":
+        cert, first_failure = _planted_diagonal(g, cert, seed)
+    elif forged:
+        cert = _forged_squares(g, cert)
     report = sanity_eval(g, cert, trials=trials, seed=seed)
     assert (report.checks, report.failures) == _reference_sanity(g, cert, trials, seed)
-    assert len(report.failures) == (trials * g.n if forged else 0)
+    if forged == "diagonal":
+        assert report.failures[0] == first_failure
+        assert {idx for idx, _ in report.failures} == {first_failure[0]}
+    else:
+        assert len(report.failures) == (trials * g.n if forged else 0)
 
 
 @pytest.mark.parametrize("conclusion", [(6, 1, 1, 1), (1, 1, 1, 6), (1, 1, 7, 1)])

@@ -12,6 +12,7 @@ from qsym import (
     CERT_VERSION,
     COMMUTES,
     FULL,
+    QA5,
     Certificate,
     Comm,
     Conclusion,
@@ -30,7 +31,9 @@ from qsym import (
     ZERO_PRODUCT,
     certificate_from_dict,
     certificate_to_dict,
+    claim_quadruple,
     cycle,
+    derive_qa5,
     dumps_certificate,
     evaluate_perm,
     expand_unity,
@@ -43,6 +46,8 @@ from qsym import (
     u,
     verify_certificate,
 )
+from qsym import verifier
+from qsym.verifier import scope_quadruples
 
 G5 = cycle(5)
 
@@ -375,8 +380,6 @@ def test_conclusions_must_cover_the_scope(c5_graph, c5_full_cert, edit, where):
 
 
 def test_qa5_scope_is_the_edge_pairs(c5_graph):
-    from qsym import derive_qa5
-
     cert = derive_qa5(c5_graph)
     assert verify_certificate(c5_graph, cert).valid
     # The same conclusions claimed for the full scope fall short at once.
@@ -459,6 +462,53 @@ def test_every_conclusion_and_table_mutation_rejected(c5_graph, c5_full_cert):
         assert not report.valid and report.location == f"automorphism {idx}"
         made["table"] = made.get("table", 0) + 1
     assert set(made) == {op.__name__ for op in helpers.CONCLUSION_OPS} | {"table"}
+
+
+def _reference_verdict(g, cert, c, quad):
+    """Whether c holds at the place of quad, by the Poly and relabel
+    reference: in place, its citations present, and its claim following."""
+    if (c.i, c.j, c.k, c.l) != quad:
+        return False
+    if c.step is not None and c.step >= len(cert.steps):
+        return False
+    if c.rows is not None and max(c.rows, c.cols) >= len(cert.automorphisms):
+        return False
+    return helpers._conclusion_follows(g, cert, c)
+
+
+@pytest.mark.parametrize(
+    "graph, scope", [("c5", FULL), ("c5", QA5), ("petersen", FULL), ("petersen", QA5)]
+)
+def test_conclusion_verdicts_match_the_relabel_reference(request, graph, scope):
+    # The verifier compares integer quadruples; the reference renames
+    # and compares Polys.  Every conclusion of the certificate, and every
+    # mutated one, must get the same verdict from both, in its scope
+    # place and at its own quadruple.
+    g = request.getfixturevalue(f"{graph}_graph")
+    cert = request.getfixturevalue(f"{graph}_full_cert") if scope == FULL else derive_qa5(g)
+    claims = [claim_quadruple(s.lhs, s.rhs) for s in cert.steps]
+    quads = scope_quadruples(g, scope)
+
+    def agree(c, quad):
+        got = verifier._check_conclusion(g, cert, claims, c, quad) is None
+        assert got == _reference_verdict(g, cert, c, quad), (c, quad)
+        return got
+
+    assert all(agree(c, quad) for c, quad in zip(cert.conclusions, quads))
+    rng = random.Random(5)
+    made = dict.fromkeys((op.__name__ for op in helpers.CONCLUSION_OPS), 0)
+    for op in helpers.CONCLUSION_OPS:
+        for _ in range(40):
+            found = op(g, cert, rng.randrange(len(cert.conclusions)), rng)
+            if found is None:
+                continue
+            conclusions, where = found
+            if where < min(len(conclusions), len(quads)):
+                c = conclusions[where]
+                assert not agree(c, quads[where]), (op.__name__, c)
+                agree(c, (c.i, c.j, c.k, c.l))
+            made[op.__name__] += 1
+    assert all(made.values()), made
 
 
 # Hypothesis: hostile edits of a valid C5 certificate, as JSON data and
