@@ -46,8 +46,8 @@ from .certificate import (
     LocalReduce,
     MalformedCertificate,
     ProofStep,
-    RelationApplication,
     Substitution,
+    Swap,
     Transport,
     certificate_from_dict,
     certificate_to_dict,
@@ -86,25 +86,7 @@ from .prover import (
     prove_no_quantum_symmetry,
     sanity_eval,
 )
-from .relations import (
-    KILLED,
-    ColOrth,
-    ColSum,
-    Comm,
-    Idem,
-    RelationError,
-    RowOrth,
-    RowSum,
-    SelfAdj,
-    VanishA,
-    VanishB,
-    apply_relation,
-    equations,
-    local_reduce,
-    relation_instances,
-    rewrite_pair,
-    validate_relation,
-)
+from .relations import local_reduce, swap_pair
 from .verifier import DigestMismatch, VerificationReport, verify_certificate
 
 __version__ = "0.1.0"

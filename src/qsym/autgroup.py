@@ -1,8 +1,10 @@
 """Classical graph automorphisms by exhaustive backtracking.
 
-Sized for small graphs: the search enumerates every automorphism, so
-callers must stay under a hard vertex bound.  Element lists are only
-exposed for very small graphs; larger ones get order and generators.
+Sized for small graphs: the search enumerates and keeps every
+automorphism, so it refuses a graph of more than MAX_AUT_VERTICES
+vertices before it starts, and stops with ValueError once it has found
+more than MAX_AUT_ORDER automorphisms.  Every group it returns lists
+its elements.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from .graphs import Graph, kneser_vertices
 
 # Full enumeration is exponential in the worst case; refuse beyond this.
 MAX_AUT_VERTICES = 16
-# Element lists above this size are withheld to keep results small.
-MAX_LISTED_VERTICES = 12
+# Every element is kept, so the search stops past this many.
+MAX_AUT_ORDER = 100_000
 
 
 @dataclass(frozen=True)
@@ -63,11 +65,11 @@ class Permutation:
 
 @dataclass(frozen=True)
 class AutGroup:
-    """Automorphism group given by order, generators and maybe elements."""
+    """Automorphism group given by order, generators and elements."""
 
     order: int
     generators: tuple[Permutation, ...]
-    elements: tuple[Permutation, ...] | None
+    elements: tuple[Permutation, ...]
 
 
 def is_automorphism(g: Graph, perm: Permutation) -> bool:
@@ -95,16 +97,17 @@ def _invariant_classes(g: Graph) -> list[tuple]:
     return classes
 
 
-def automorphism_group(g: Graph, *, bound: int = MAX_AUT_VERTICES) -> AutGroup:
+def automorphism_group(g: Graph) -> AutGroup:
     """Enumerate Aut(g) by backtracking.
 
-    Raises ValueError when g has more than ``bound`` vertices.  Results
-    are deterministic: elements are found in lexicographic order of
-    their one-line form.
+    Raises ValueError when g has more than MAX_AUT_VERTICES vertices,
+    or more than MAX_AUT_ORDER automorphisms.  Results are
+    deterministic: elements are found in lexicographic order of their
+    one-line form.
     """
-    if g.n > bound:
+    if g.n > MAX_AUT_VERTICES:
         raise ValueError(
-            f"automorphism search supports at most {bound} vertices, got {g.n}"
+            f"automorphism search supports at most {MAX_AUT_VERTICES} vertices, got {g.n}"
         )
     inv = _invariant_classes(g)
     candidates = [
@@ -121,6 +124,10 @@ def automorphism_group(g: Graph, *, bound: int = MAX_AUT_VERTICES) -> AutGroup:
 
     def extend(u: int):
         if u > n:
+            if len(found) == MAX_AUT_ORDER:
+                raise ValueError(
+                    f"automorphism group has more than {MAX_AUT_ORDER} elements"
+                )
             found.append(Permutation(tuple(img[1:])))
             return
         row = adj1[u]
@@ -137,9 +144,9 @@ def automorphism_group(g: Graph, *, bound: int = MAX_AUT_VERTICES) -> AutGroup:
 
     extend(1)
     elements = tuple(found)
-    gens = _generating_subset(elements)
-    listed = elements if n <= MAX_LISTED_VERTICES else None
-    return AutGroup(order=len(elements), generators=gens, elements=listed)
+    return AutGroup(
+        order=len(elements), generators=_generating_subset(elements), elements=elements
+    )
 
 
 def _generating_subset(elements: tuple[Permutation, ...]) -> tuple[Permutation, ...]:

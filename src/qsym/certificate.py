@@ -10,7 +10,13 @@ claim of a cited step, or is that claim renamed under two entries of
 the certificate's table of graph automorphisms.  The verifier module
 rechecks all of it without trusting the producer.
 
-Serialization is JSON with polynomials in their canonical text syntax.
+A step's justification is one of six rules: local_reduce,
+expand_unity, swap, substitution, lemma_com and transport.  A swap
+cites the earlier step that claims the commutation it uses, and
+carries nothing else but the position of the pair.
+
+Serialization is JSON with polynomials in their canonical text syntax,
+format version CERT_VERSION; files of any other version are refused.
 The graph is bound by digest: lowercase hex SHA-256 of its canonical
 text rendering.
 """
@@ -19,25 +25,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .algebra import COL, ROW, Poly, format_poly, gen, parse_poly
 from .graphs import Graph, format_graph_text
-from .relations import (
-    ColOrth,
-    ColSum,
-    Comm,
-    Idem,
-    Relation,
-    RowOrth,
-    RowSum,
-    SelfAdj,
-    VanishA,
-    VanishB,
-)
 
-CERT_VERSION = 3
+CERT_VERSION = 4
 
 COMMUTES = "commutes"
 ZERO_PRODUCT = "zero_product"
@@ -68,10 +62,12 @@ class ExpandUnity:
 
 
 @dataclass(frozen=True, slots=True)
-class RelationApplication:
-    """rhs is lhs with a relation applied at one pair position in every word."""
+class Swap:
+    """rhs is lhs with the generator pair at ``position`` reversed in
+    every word, where that pair is the one whose commutation the earlier
+    step ``step`` claims."""
 
-    relation: Relation
+    step: int
     position: int
 
 
@@ -108,9 +104,7 @@ class Transport:
     cols: tuple[int, ...]
 
 
-Justification = Union[
-    LocalReduce, ExpandUnity, RelationApplication, Substitution, LemmaCom, Transport
-]
+Justification = Union[LocalReduce, ExpandUnity, Swap, Substitution, LemmaCom, Transport]
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,48 +222,12 @@ def graph_digest(g: Graph) -> str:
 
 
 def justification_refs(just: Justification) -> tuple[int, ...]:
-    """Earlier step ids a justification depends on, certification included."""
-    if isinstance(just, (LemmaCom, Transport)):
+    """Earlier step ids a justification depends on."""
+    if isinstance(just, (Swap, LemmaCom, Transport)):
         return (just.step,)
     if isinstance(just, Substitution):
         return (just.base, just.using)
-    if isinstance(just, RelationApplication):
-        rel = just.relation
-        if isinstance(rel, Comm) and rel.certified_by is not None:
-            return (rel.certified_by,)
     return ()
-
-
-_REL_KINDS = {
-    RowOrth: "row_orth",
-    ColOrth: "col_orth",
-    Idem: "idem",
-    SelfAdj: "self_adj",
-    RowSum: "row_sum",
-    ColSum: "col_sum",
-    VanishA: "vanish_a",
-    VanishB: "vanish_b",
-    Comm: "comm",
-}
-
-_REL_FIELDS = {
-    "row_orth": (RowOrth, ("row", "col1", "col2")),
-    "col_orth": (ColOrth, ("row1", "row2", "col")),
-    "idem": (Idem, ("row", "col")),
-    "self_adj": (SelfAdj, ("row", "col")),
-    "row_sum": (RowSum, ("row",)),
-    "col_sum": (ColSum, ("col",)),
-    "vanish_a": (VanishA, ("row1", "col1", "row2", "col2")),
-    "vanish_b": (VanishB, ("row1", "col1", "row2", "col2")),
-    "comm": (Comm, ("row1", "col1", "row2", "col2")),
-}
-
-
-def _relation_to_dict(rel: Relation) -> dict:
-    kind = _REL_KINDS.get(type(rel))
-    if kind is None:
-        raise MalformedCertificate(f"unknown relation {rel!r}")
-    return {"kind": kind, **asdict(rel)}
 
 
 def _require_int(value, what: str) -> int:
@@ -293,24 +251,6 @@ def _require_keys(d: dict, expected: set, what: str):
         )
 
 
-def _relation_from_dict(d) -> Relation:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise MalformedCertificate("relation must be an object with a 'kind'")
-    kind = d["kind"]
-    if kind not in _REL_FIELDS:
-        raise MalformedCertificate(f"unknown relation kind {kind!r}")
-    cls, fields = _REL_FIELDS[kind]
-    expected = {"kind", *fields}
-    if kind == "comm":
-        expected.add("certified_by")
-    _require_keys(d, expected, f"relation {kind!r}")
-    args = {f: _require_int(d[f], f"relation field {f!r}") for f in fields}
-    if kind == "comm":
-        cb = d["certified_by"]
-        args["certified_by"] = None if cb is None else _require_int(cb, "certified_by")
-    return cls(**args)
-
-
 def _justification_to_dict(just: Justification) -> dict:
     if isinstance(just, LocalReduce):
         return {"rule": "local_reduce"}
@@ -321,12 +261,8 @@ def _justification_to_dict(just: Justification) -> dict:
             "index": just.index,
             "side": just.side,
         }
-    if isinstance(just, RelationApplication):
-        return {
-            "rule": "relation",
-            "relation": _relation_to_dict(just.relation),
-            "position": just.position,
-        }
+    if isinstance(just, Swap):
+        return {"rule": "swap", "step": just.step, "position": just.position}
     if isinstance(just, Substitution):
         return {"rule": "substitution", "base": just.base, "using": just.using, "sign": just.sign}
     if isinstance(just, LemmaCom):
@@ -358,10 +294,10 @@ def _justification_from_dict(d) -> Justification:
             index=_require_int(d["index"], "index"),
             side=side,
         )
-    if rule == "relation":
-        _require_keys(d, {"rule", "relation", "position"}, "relation justification")
-        return RelationApplication(
-            relation=_relation_from_dict(d["relation"]),
+    if rule == "swap":
+        _require_keys(d, {"rule", "step", "position"}, "swap justification")
+        return Swap(
+            step=_require_int(d["step"], "step"),
             position=_require_int(d["position"], "position"),
         )
     if rule == "substitution":

@@ -14,7 +14,7 @@ from collections import Counter
 
 from . import graphs
 from .algebra import PolyParseError, format_poly, parse_poly
-from .autgroup import MAX_LISTED_VERTICES, automorphism_group
+from .autgroup import MAX_AUT_VERTICES, automorphism_group
 from .certificate import MalformedCertificate, load_certificate, save_certificate
 from .graphs import Graph, GraphFormatError, check_moore_conditions, srg_params
 from .prover import (
@@ -187,10 +187,10 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    if args.fuzz and g.n > MAX_LISTED_VERTICES:
+    if args.fuzz and g.n > MAX_AUT_VERTICES:
         print(
             f"cannot fuzz: automorphisms are sampled only for graphs of at most"
-            f" {MAX_LISTED_VERTICES} vertices, this one has {g.n}",
+            f" {MAX_AUT_VERTICES} vertices, this one has {g.n}",
             file=sys.stderr,
         )
         return EXIT_INVALID
@@ -218,7 +218,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f" {report.conclusions_checked} conclusions"
     )
     if args.fuzz:
-        sanity = sanity_eval(g, cert, args.fuzz, seed=args.seed)
+        try:
+            sanity = sanity_eval(g, cert, args.fuzz, seed=args.seed)
+        except ValueError as exc:  # a group too large to list
+            print(f"cannot fuzz: {exc}", file=sys.stderr)
+            return EXIT_INVALID
         print(
             f"sanity: {sanity.trials} trials, {sanity.checks} checks,"
             f" {len(sanity.failures)} failures"

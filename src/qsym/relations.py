@@ -1,248 +1,41 @@
-"""Quotient relations of the magic-unitary algebra as checkable rewrite rules.
+"""Local reduction by the defining relations, and the swap of a commuting pair.
 
-Every instance carries concrete generator indices.  An instance can
-validate its side conditions against a graph, rewrite an adjacent
-generator pair inside a word, or render itself as explicit polynomial
-equations for soundness testing.  Commutation instances are special:
-they are only admissible once certified by an earlier proof step, which
-the certificate checker enforces.
+local_reduce normalizes a polynomial by the defining relations that act
+on two adjacent generators of a word: idempotence, row and column
+orthogonality, and the two adjacency vanishing families.  swap_pair
+reverses one generator pair in every word of a polynomial; commutation
+is not a defining relation, so the verifier applies it only for a pair
+whose commutation an earlier step claims.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
-from .algebra import Gen, Poly, Word, gen, star, u
+from .algebra import Gen, Poly, Word
 from .graphs import Graph
 
 
-class RelationError(ValueError):
-    """Raised when a relation instance is invalid or inapplicable."""
+def swap_pair(p: Poly, position: int, a: Gen, b: Gen) -> Poly:
+    """p with the generator pair at ``position`` reversed in every word.
 
-
-@dataclass(frozen=True, slots=True)
-class RowOrth:
-    """u[row,col1]u[row,col2] = 0 for col1 != col2."""
-
-    row: int
-    col1: int
-    col2: int
-
-
-@dataclass(frozen=True, slots=True)
-class ColOrth:
-    """u[row1,col]u[row2,col] = 0 for row1 != row2."""
-
-    row1: int
-    row2: int
-    col: int
-
-
-@dataclass(frozen=True, slots=True)
-class Idem:
-    """u[row,col]u[row,col] = u[row,col]."""
-
-    row: int
-    col: int
-
-
-@dataclass(frozen=True, slots=True)
-class SelfAdj:
-    """u[row,col]* = u[row,col]."""
-
-    row: int
-    col: int
-
-
-@dataclass(frozen=True, slots=True)
-class RowSum:
-    """The entries of one row sum to 1."""
-
-    row: int
-
-
-@dataclass(frozen=True, slots=True)
-class ColSum:
-    """The entries of one column sum to 1."""
-
-    col: int
-
-
-@dataclass(frozen=True, slots=True)
-class VanishA:
-    """u[row1,col1]u[row2,col2] = 0 = reversed, rows adjacent, columns not."""
-
-    row1: int
-    col1: int
-    row2: int
-    col2: int
-
-
-@dataclass(frozen=True, slots=True)
-class VanishB:
-    """u[row1,col1]u[row2,col2] = 0 = reversed, columns adjacent, rows not."""
-
-    row1: int
-    col1: int
-    row2: int
-    col2: int
-
-
-@dataclass(frozen=True, slots=True)
-class Comm:
-    """u[row1,col1]u[row2,col2] = u[row2,col2]u[row1,col1], both pairs adjacent.
-
-    Not a defining relation: it must be derived.  ``certified_by``
-    names the proof step whose claim is exactly this commutation; the
-    verifier refuses the instance without a matching certified step.
-    """
-
-    row1: int
-    col1: int
-    row2: int
-    col2: int
-    certified_by: int | None = None
-
-
-Relation = Union[
-    RowOrth, ColOrth, Idem, SelfAdj, RowSum, ColSum, VanishA, VanishB, Comm
-]
-
-
-class _Killed:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "KILLED"
-
-
-# Sentinel result of a rewrite that annihilates the whole word.
-KILLED = _Killed()
-
-
-def _check_range(g: Graph, **indices):
-    for name, value in indices.items():
-        if not (isinstance(value, int) and 1 <= value <= g.n):
-            raise RelationError(f"{name}={value!r} out of range 1..{g.n}")
-
-
-def validate_relation(rel: Relation, g: Graph) -> None:
-    """Check index bounds and adjacency side conditions of rel against g.
-
-    Raises RelationError if the instance does not denote a valid
-    relation for g.  Whether a Comm instance is actually certified is a
-    certificate-level question, checked by the verifier, not here.
-    """
-    if isinstance(rel, RowOrth):
-        _check_range(g, row=rel.row, col1=rel.col1, col2=rel.col2)
-        if rel.col1 == rel.col2:
-            raise RelationError("row orthogonality needs two distinct columns")
-    elif isinstance(rel, ColOrth):
-        _check_range(g, row1=rel.row1, row2=rel.row2, col=rel.col)
-        if rel.row1 == rel.row2:
-            raise RelationError("column orthogonality needs two distinct rows")
-    elif isinstance(rel, (Idem, SelfAdj)):
-        _check_range(g, row=rel.row, col=rel.col)
-    elif isinstance(rel, RowSum):
-        _check_range(g, row=rel.row)
-    elif isinstance(rel, ColSum):
-        _check_range(g, col=rel.col)
-    elif isinstance(rel, VanishA):
-        _check_range(g, row1=rel.row1, col1=rel.col1, row2=rel.row2, col2=rel.col2)
-        if not g.adj1[rel.row1][rel.row2]:
-            raise RelationError(f"rows {rel.row1}, {rel.row2} must be adjacent")
-        if g.adj1[rel.col1][rel.col2]:
-            raise RelationError(f"columns {rel.col1}, {rel.col2} must be non-adjacent")
-    elif isinstance(rel, VanishB):
-        _check_range(g, row1=rel.row1, col1=rel.col1, row2=rel.row2, col2=rel.col2)
-        if g.adj1[rel.row1][rel.row2]:
-            raise RelationError(f"rows {rel.row1}, {rel.row2} must be non-adjacent")
-        if not g.adj1[rel.col1][rel.col2]:
-            raise RelationError(f"columns {rel.col1}, {rel.col2} must be adjacent")
-    elif isinstance(rel, Comm):
-        _check_range(g, row1=rel.row1, col1=rel.col1, row2=rel.row2, col2=rel.col2)
-        if not g.adj1[rel.row1][rel.row2]:
-            raise RelationError(f"rows {rel.row1}, {rel.row2} must be adjacent")
-        if not g.adj1[rel.col1][rel.col2]:
-            raise RelationError(f"columns {rel.col1}, {rel.col2} must be adjacent")
-        if rel.certified_by is not None:
-            if isinstance(rel.certified_by, bool) or not isinstance(rel.certified_by, int):
-                raise RelationError("certified_by must be a step id")
-            if rel.certified_by < 0:
-                raise RelationError("certified_by must be a nonnegative step id")
-    else:
-        raise RelationError(f"unknown relation {rel!r}")
-
-
-def rewrite_pair(rel: Relation, a: Gen, b: Gen):
-    """Rewrite the adjacent generator pair (a, b) under rel.
-
-    Returns None when the pair does not match, KILLED when the product
-    vanishes, or the replacement generator tuple.  Vanishing and
-    commutation instances match either orientation of their product.
-    Sum and self-adjointness relations never match a pair.
-    """
-    if isinstance(rel, RowOrth):
-        if a.row == rel.row == b.row and a.col == rel.col1 and b.col == rel.col2:
-            return KILLED
-        return None
-    if isinstance(rel, ColOrth):
-        if a.col == rel.col == b.col and a.row == rel.row1 and b.row == rel.row2:
-            return KILLED
-        return None
-    if isinstance(rel, Idem):
-        t = gen(rel.row, rel.col)
-        if a == t and b == t:
-            return (t,)
-        return None
-    if isinstance(rel, (VanishA, VanishB)):
-        x = gen(rel.row1, rel.col1)
-        y = gen(rel.row2, rel.col2)
-        if (a, b) == (x, y) or (a, b) == (y, x):
-            return KILLED
-        return None
-    if isinstance(rel, Comm):
-        x = gen(rel.row1, rel.col1)
-        y = gen(rel.row2, rel.col2)
-        if (a, b) == (x, y):
-            return (y, x)
-        if (a, b) == (y, x):
-            return (x, y)
-        return None
-    if isinstance(rel, (SelfAdj, RowSum, ColSum)):
-        return None
-    raise RelationError(f"unknown relation {rel!r}")
-
-
-def apply_relation(p: Poly, rel: Relation, position: int) -> Poly:
-    """Apply rel at the generator pair starting at ``position`` in every word of p.
-
-    Every word must be long enough and must match the relation there;
-    matched pairs are replaced in place and vanishing products drop
-    their term.
+    Raises ValueError unless that pair is (a, b) or (b, a) in every
+    word.  Reversal is an involution on such words, so no two terms
+    merge and the result has the terms of p.
     """
     if isinstance(position, bool) or not isinstance(position, int) or position < 0:
-        raise RelationError(f"position must be a nonnegative integer, got {position!r}")
+        raise ValueError(f"position must be a nonnegative integer, got {position!r}")
     data: dict[Word, object] = {}
     for w, c in p.terms.items():
         if len(w) < position + 2:
-            raise RelationError(
+            raise ValueError(
                 f"word of length {len(w)} has no generator pair at position {position}"
             )
-        res = rewrite_pair(rel, w[position], w[position + 1])
-        if res is None:
-            raise RelationError(
-                f"{rel!r} does not match the pair at position {position}"
+        x, y = w[position], w[position + 1]
+        if (x, y) != (a, b) and (x, y) != (b, a):
+            raise ValueError(
+                f"the pair at position {position} is not u[{a.row},{a.col}]"
+                f" and u[{b.row},{b.col}]"
             )
-        if res is KILLED:
-            continue
-        nw = w[:position] + res + w[position + 2 :]
-        s = data.get(nw, 0) + c
-        if s:
-            data[nw] = s
-        else:
-            del data[nw]
+        data[w[:position] + (y, x) + w[position + 2 :]] = c
     return Poly._from_dict(data)
 
 
@@ -294,73 +87,3 @@ def local_reduce(g: Graph, p: Poly) -> Poly:
         else:
             del data[r]
     return Poly._from_dict(data)
-
-
-def relation_instances(g: Graph):
-    """Yield every valid non-commutation relation instance for g.
-
-    Deterministic order.  Comm instances are excluded since they are
-    only admissible once certified.
-    """
-    adj1 = g.adj1
-    for r in g.vertices():
-        for c in g.vertices():
-            yield Idem(r, c)
-            yield SelfAdj(r, c)
-    for r in g.vertices():
-        yield RowSum(r)
-    for c in g.vertices():
-        yield ColSum(c)
-    for r in g.vertices():
-        for c1 in g.vertices():
-            for c2 in g.vertices():
-                if c1 != c2:
-                    yield RowOrth(r, c1, c2)
-    for r1 in g.vertices():
-        for r2 in g.vertices():
-            if r1 != r2:
-                for c in g.vertices():
-                    yield ColOrth(r1, r2, c)
-    for r1, r2 in g.directed_edges():
-        for c1 in g.vertices():
-            for c2 in g.vertices():
-                if not adj1[c1][c2]:
-                    yield VanishA(r1, c1, r2, c2)
-    for c1, c2 in g.directed_edges():
-        for r1 in g.vertices():
-            for r2 in g.vertices():
-                if not adj1[r1][r2]:
-                    yield VanishB(r1, c1, r2, c2)
-
-
-def equations(rel: Relation, n: int) -> list[tuple[Poly, Poly]]:
-    """The explicit equations asserted by rel on an n-vertex graph."""
-    if isinstance(rel, RowOrth):
-        return [(u(rel.row, rel.col1) * u(rel.row, rel.col2), Poly.zero())]
-    if isinstance(rel, ColOrth):
-        return [(u(rel.row1, rel.col) * u(rel.row2, rel.col), Poly.zero())]
-    if isinstance(rel, Idem):
-        x = u(rel.row, rel.col)
-        return [(x * x, x)]
-    if isinstance(rel, SelfAdj):
-        x = u(rel.row, rel.col)
-        return [(star(x), x)]
-    if isinstance(rel, RowSum):
-        s = Poly.zero()
-        for c in range(1, n + 1):
-            s = s + u(rel.row, c)
-        return [(s, Poly.one())]
-    if isinstance(rel, ColSum):
-        s = Poly.zero()
-        for r in range(1, n + 1):
-            s = s + u(r, rel.col)
-        return [(s, Poly.one())]
-    if isinstance(rel, (VanishA, VanishB)):
-        x = u(rel.row1, rel.col1)
-        y = u(rel.row2, rel.col2)
-        return [(x * y, Poly.zero()), (y * x, Poly.zero())]
-    if isinstance(rel, Comm):
-        x = u(rel.row1, rel.col1)
-        y = u(rel.row2, rel.col2)
-        return [(x * y, y * x)]
-    raise RelationError(f"unknown relation {rel!r}")

@@ -21,6 +21,18 @@ certificate's scope in lexicographic order, each exactly once, so a
 valid full certificate classifies every ordered generator pair and
 proves the quantum automorphism algebra commutative.
 
+A swap step uses a commutation that an earlier step claims.  That step
+is checked first, and its claim, decoded by claim_quadruple, must be
+u[a,b]u[c,d] = u[c,d]u[a,b]: it holds in the quotient.  Multiplying it
+on the left and right by the rest of a word, and summing with the
+coefficients of lhs, gives lhs = rhs exactly when rhs is lhs with the
+pair at the swap's position reversed in every word, and that pair is
+u[a,b]u[c,d] or u[c,d]u[a,b] in every word.  That is all the rule
+checks.  Format version 3 wrote the pair out again as a commutation
+instance and required its rows and its columns to be adjacent; those
+side conditions never carried soundness, the certifying step did, so
+citing the step alone weakens no check on "valid".
+
 Renaming under the table is sound because every entry is checked, once
 and before any step, to be a permutation of 1..n that is an
 automorphism of the graph; the transport step rule checks its own
@@ -30,14 +42,15 @@ by letter, so it is an algebra map of the free *-algebra that commutes
 with star, and it is invertible.  It sends each defining relation
 instance to another: orthogonality, idempotence and self-adjointness
 to their renamed instances, and a row or column unity sum to another
-such sum, since a permutation only reorders its terms.  VanishA and
-VanishB are picked out by adjacency of the two rows and non-adjacency
-of the two columns, or the reverse; automorphisms preserve both, so
-the renamed instance meets the same side conditions.  Commutation is
-not a defining relation: each use cites an earlier step whose claim
-holds in the quotient.  The renaming therefore maps the ideal of
-relations onto itself and is a *-automorphism of the quotient algebra,
-so a claim that holds there still holds after renaming.  Under a
+such sum, since a permutation only reorders its terms.  The two
+adjacency vanishing families are picked out by adjacency of the two
+rows and non-adjacency of the two columns, or the reverse;
+automorphisms preserve both, so the renamed instance meets the same
+side conditions.  Commutation is not a defining relation: each swap
+cites an earlier step whose claim holds in the quotient.  The renaming
+therefore maps the ideal of relations onto itself and is a
+*-automorphism of the quotient algebra, so a claim that holds there
+still holds after renaming.  Under a
 permutation that is not an automorphism the renamed claim can be
 false, and the entry is refused.
 
@@ -60,10 +73,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import check_gen_bounds, expand_unity, perm_images, relabel, star, u
+from .algebra import check_gen_bounds, expand_unity, gen, perm_images, relabel, star
 from .autgroup import Permutation, is_automorphism
 from .certificate import (
     CERT_VERSION,
+    COMMUTES,
     FULL,
     SCOPES,
     Certificate,
@@ -73,15 +87,15 @@ from .certificate import (
     LocalReduce,
     MalformedCertificate,
     ProofStep,
-    RelationApplication,
     Substitution,
+    Swap,
     Transport,
     claim_quadruple,
     graph_digest,
     justification_refs,
 )
 from .graphs import Graph
-from .relations import Comm, apply_relation, local_reduce, validate_relation
+from .relations import local_reduce, swap_pair
 
 
 class DigestMismatch(ValueError):
@@ -146,21 +160,14 @@ def _check_step(g: Graph, steps: Sequence[ProofStep], step: ProofStep) -> Option
         if step.rhs != expected:
             return "right side is not the stated unity expansion of the left"
         return None
-    if isinstance(just, RelationApplication):
-        rel = just.relation
-        validate_relation(rel, g)
-        if isinstance(rel, Comm):
-            if rel.certified_by is None:
-                return "commutation instance lacks a certifying step"
-            ref = steps[rel.certified_by]
-            lhs = u(rel.row1, rel.col1) * u(rel.row2, rel.col2)
-            if ref.lhs != lhs or ref.rhs != u(rel.row2, rel.col2) * u(rel.row1, rel.col1):
-                return (
-                    f"step {rel.certified_by} does not certify commutation of"
-                    f" u[{rel.row1},{rel.col1}] and u[{rel.row2},{rel.col2}]"
-                )
-        if step.rhs != apply_relation(step.lhs, rel, just.position):
-            return "right side does not follow from applying the relation"
+    if isinstance(just, Swap):
+        ref = steps[just.step]
+        cited = claim_quadruple(ref.lhs, ref.rhs)
+        if cited is None or cited[0] != COMMUTES:
+            return f"step {just.step} claims no commutation of two generators"
+        _, a, b, c, d = cited
+        if step.rhs != swap_pair(step.lhs, just.position, gen(a, b), gen(c, d)):
+            return f"right side is not the left side with the pair at {just.position} reversed"
         return None
     if isinstance(just, Substitution):
         base = steps[just.base]

@@ -9,9 +9,12 @@ a citation is guarded to produce a combination that differs from the
 claim.  A Transport is checked as an exact equality with the renamed
 sides of the cited step: a new citation, or rows and cols swapped, is
 guarded so that the renamed claim differs, and a rows permutation that
-is not an automorphism is refused whatever the claim.  The left side of
-a relation application stays excluded: a killed term can change there
-without changing the result.
+is not an automorphism is refused whatever the claim.  A Swap is
+checked as an exact equality with its left side, pair reversed; that
+reversal kills no term and is injective on the polynomials it accepts,
+so any change to either side is rejected, and a new citation or
+position is guarded so that the reversed left side differs from the
+right or cannot be formed.
 
 A conclusion is checked for its place in the scope's quadruple order
 and for its claim: moving, dropping or duplicating one puts a wrong
@@ -30,19 +33,18 @@ from qsym import (
     COL,
     ROW,
     Certificate,
-    Comm,
     ExpandUnity,
     LemmaCom,
     LocalReduce,
     Permutation,
     Poly,
     ProofStep,
-    RelationApplication,
     Substitution,
+    Swap,
     Transport,
     ZERO_PRODUCT,
     COMMUTES,
-    apply_relation,
+    claim_quadruple,
     expand_unity,
     from_edge_list,
     gen,
@@ -50,7 +52,7 @@ from qsym import (
     local_reduce,
     relabel,
     star,
-    u,
+    swap_pair,
 )
 
 
@@ -157,14 +159,24 @@ def _tweak_expand_params(g, step, steps, rng):
     return dataclasses.replace(step, justification=just2)
 
 
-def _tweak_relation_position(g, step, steps, rng):
+def _swapped(lhs, ref, position):
+    """lhs with the pair whose commutation ref claims reversed at
+    position, or None where the verifier refuses the citation."""
+    cited = claim_quadruple(ref.lhs, ref.rhs)
+    if cited is None or cited[0] != COMMUTES:
+        return None
+    _, a, b, c, d = cited
+    try:
+        return swap_pair(lhs, position, gen(a, b), gen(c, d))
+    except ValueError:
+        return None
+
+
+def _tweak_swap_position(g, step, steps, rng):
     just = step.justification
     position = just.position + (1 if just.position == 0 or rng.random() < 0.5 else -1)
-    try:
-        if apply_relation(step.lhs, just.relation, position) == step.rhs:
-            return None
-    except ValueError:
-        pass
+    if _swapped(step.lhs, steps[just.step], position) == step.rhs:
+        return None
     return dataclasses.replace(
         step, justification=dataclasses.replace(just, position=position)
     )
@@ -266,18 +278,16 @@ def _swap_rows_cols(g, step, steps, rng):
     )
 
 
-def _retarget_comm(g, step, steps, rng):
-    rel = step.justification.relation
-    want_lhs = u(rel.row1, rel.col1) * u(rel.row2, rel.col2)
-    want_rhs = u(rel.row2, rel.col2) * u(rel.row1, rel.col1)
+def _retarget_swap(g, step, steps, rng):
+    just = step.justification
     ref = _retarget(
-        rng, step, steps, lambda r: r.lhs != want_lhs or r.rhs != want_rhs
+        rng, step, steps, lambda r: _swapped(step.lhs, r, just.position) != step.rhs
     )
     if ref is None:
         return None
-    rel2 = dataclasses.replace(rel, certified_by=ref)
-    just2 = dataclasses.replace(step.justification, relation=rel2)
-    return dataclasses.replace(step, justification=just2)
+    return dataclasses.replace(
+        step, justification=dataclasses.replace(just, step=ref)
+    )
 
 
 def _side_op(fn, side):
@@ -299,11 +309,8 @@ def eligible_ops(step):
         return _RHS_OPS + [_JUNK_RHS]
     if isinstance(just, ExpandUnity):
         return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _tweak_expand_params]
-    if isinstance(just, RelationApplication):
-        ops = _RHS_OPS + [_JUNK_RHS, _tweak_relation_position]
-        if isinstance(just.relation, Comm):
-            ops.append(_retarget_comm)
-        return ops
+    if isinstance(just, Swap):
+        return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _tweak_swap_position, _retarget_swap]
     if isinstance(just, Substitution):
         return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _flip_sign, _retarget_substitution]
     if isinstance(just, LemmaCom):

@@ -16,6 +16,7 @@ from qsym import (
     verify_s5_action,
 )
 from helpers import hoffman_singleton
+from qsym import autgroup
 
 perms5 = st.permutations(list(range(1, 6))).map(lambda xs: Permutation(tuple(xs)))
 
@@ -92,6 +93,18 @@ def test_group_elements_and_generators(petersen_aut):
 def test_group_bound_rejected():
     with pytest.raises(ValueError):
         automorphism_group(hoffman_singleton())
+
+
+def test_group_order_bound(monkeypatch):
+    # The search keeps every element, so it stops past MAX_AUT_ORDER of
+    # them; a group of exactly that order is still listed in full.
+    monkeypatch.setattr(autgroup, "MAX_AUT_ORDER", 24)
+    group = automorphism_group(empty(4))
+    assert group.order == len(group.elements) == 24
+    monkeypatch.setattr(autgroup, "MAX_AUT_ORDER", 23)
+    with pytest.raises(ValueError, match="more than 23 elements"):
+        automorphism_group(empty(4))
+    assert automorphism_group(cycle(5)).order == 10
 
 
 def test_induced_two_subset_map_oracle():

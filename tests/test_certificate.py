@@ -11,20 +11,16 @@ from qsym import (
     FULL,
     ZERO_PRODUCT,
     Certificate,
-    Comm,
     Conclusion,
     ExpandUnity,
-    Idem,
     LemmaCom,
     LocalReduce,
     MalformedCertificate,
     Poly,
     ProofStep,
-    RelationApplication,
     Substitution,
+    Swap,
     Transport,
-    RowOrth,
-    VanishB,
     certificate_from_dict,
     certificate_to_dict,
     claim_quadruple,
@@ -55,12 +51,12 @@ def _sample_cert():
     steps = (
         ProofStep(0, x, x, LocalReduce()),
         ProofStep(1, x, x, ExpandUnity(0, 3, "row")),
-        ProofStep(2, x, x, RelationApplication(RowOrth(1, 1, 2), 0)),
-        ProofStep(3, x, x, RelationApplication(Comm(1, 1, 2, 2, certified_by=0), 0)),
+        ProofStep(2, x, x, Swap(0, 0)),
+        ProofStep(3, x, x, Swap(1, 1)),
         ProofStep(4, x, x, Substitution(0, 2)),
         ProofStep(5, x, star(x), LemmaCom(0)),
-        ProofStep(6, u(1, 2) - u(2, 1), monomial((), 2), RelationApplication(VanishB(1, 1, 3, 2), 0)),
-        ProofStep(7, x, x, RelationApplication(Idem(2, 2), 0)),
+        ProofStep(6, u(1, 2) - u(2, 1), monomial((), 2), Swap(5, 2)),
+        ProofStep(7, x, x, Swap(3, 0)),
         ProofStep(8, x, x, Substitution(4, 7, -1)),
         ProofStep(9, y, y, Transport(8, ROTATION, REFLECTION)),
     )
@@ -124,6 +120,7 @@ def test_polys_round_trip_in_text_form():
     d = certificate_to_dict(cert)
     assert d["steps"][0]["lhs"] == "u[1,1]u[2,2]"
     assert d["steps"][6]["rhs"] == "2"
+    assert d["steps"][2]["justification"] == {"rule": "swap", "step": 0, "position": 0}
     assert d["conclusions"][0]["kind"] == "commutes"
     # A conclusion stores only the fields its justification needs.
     assert d["conclusions"][1] == {"kind": "zero_product", "i": 1, "j": 1, "k": 1, "l": 2}
@@ -157,7 +154,14 @@ def test_from_dict_rejects_bad_shapes():
     corrupt(lambda d: d["steps"][1]["justification"].update(side="diag"))
     corrupt(lambda d: d["steps"][1]["justification"].update(rule="nonsense"))
     corrupt(lambda d: d["steps"][1]["justification"].pop("index"))
-    corrupt(lambda d: d["steps"][2]["justification"]["relation"].update(kind="bogus"))
+    # A swap names its step and position as integers; the version 3
+    # relation rule is gone.
+    for field in ("step", "position"):
+        corrupt(lambda d: d["steps"][2]["justification"].pop(field))
+        for bad_value in (True, "0", None, 0.0):
+            corrupt(lambda d: d["steps"][2]["justification"].update({field: bad_value}))
+    corrupt(lambda d: d["steps"][2]["justification"].update(relation={"kind": "comm"}))
+    corrupt(lambda d: d["steps"][2].update(justification={"rule": "relation", "position": 0}))
     corrupt(lambda d: d["steps"][4]["justification"].update(base="0"))
     # sign is an integer, exactly 1 or -1: bool, float and str are refused
     # before the membership test, which would accept True and 1.0.

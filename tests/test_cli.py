@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 from qsym import (
+    CERT_VERSION,
     certificate_to_dict,
     cycle,
     format_graph_text,
@@ -13,6 +14,8 @@ from qsym import (
     prove_no_quantum_symmetry,
     save_certificate,
 )
+from qsym import prover
+from qsym.autgroup import MAX_AUT_ORDER
 from qsym.cli import main
 
 
@@ -223,7 +226,37 @@ def test_verify_refuses_version_2(tmp_path, capsys):
     path.write_text(json.dumps(v2))
     code, _, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1
-    assert "unsupported certificate version 2, expected 3" in err
+    assert "unsupported certificate version 2, expected 4" in err
+
+
+def test_verify_refuses_version_3(tmp_path, capsys):
+    # Format version 3 restated each certified commutation as a "comm"
+    # relation instance with a certified_by field; there is no loader
+    # for it.
+    v3 = dict(C5_PROOF, version=3)
+    v3["steps"] = [
+        {
+            "id": 0,
+            "lhs": "u[1,1]u[2,3]",
+            "rhs": "u[2,3]u[1,1]",
+            "justification": {"rule": "local_reduce"},
+        },
+        {
+            "id": 1,
+            "lhs": "u[4,4]u[1,1]u[2,3]",
+            "rhs": "u[4,4]u[2,3]u[1,1]",
+            "justification": {
+                "rule": "relation",
+                "relation": {"kind": "comm", "row1": 1, "col1": 1, "row2": 2, "col2": 3, "certified_by": 0},
+                "position": 1,
+            },
+        },
+    ]
+    path = tmp_path / "v3.json"
+    path.write_text(json.dumps(v3))
+    code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
+    assert code == 1 and not out
+    assert err == "malformed certificate: unsupported certificate version 3, expected 4\n"
 
 
 @pytest.mark.parametrize(
@@ -251,7 +284,7 @@ def test_verify_fuzz_refuses_unlistable_graph(tmp_path, capsys):
     graph_path = tmp_path / "hs.graph"
     graph_path.write_text(format_graph_text(g))
     cert = {
-        "version": 3,
+        "version": CERT_VERSION,
         "graph_digest": graph_digest(g),
         "scope": "full",
         "automorphisms": [],
@@ -322,6 +355,30 @@ def test_aut_bound(tmp_path, capsys):
     code, _, err = run_cli(["aut", "--file", str(graph_path)], capsys)
     assert code == 1
     assert err.strip()
+
+
+def test_aut_refuses_a_group_too_large_to_list(tmp_path, capsys):
+    # The empty graph on 10 vertices has 10! = 3,628,800 automorphisms;
+    # the search stops once it has found more than MAX_AUT_ORDER.
+    graph_path = tmp_path / "empty10.graph"
+    graph_path.write_text("10 0\n")
+    code, out, err = run_cli(["aut", "--file", str(graph_path)], capsys)
+    assert code == 1 and not out
+    assert err == f"automorphism group has more than {MAX_AUT_ORDER} elements\n"
+
+
+def test_verify_fuzz_refuses_a_group_too_large_to_list(tmp_path, capsys, monkeypatch):
+    # No graph within the vertex bound that qsym can certify has such a
+    # group, so the refusal is simulated where sanity_eval meets it.
+    def refuse(g):
+        raise ValueError(f"automorphism group has more than {MAX_AUT_ORDER} elements")
+
+    out_path = str(tmp_path / "c5.cert.json")
+    assert run_cli(["prove", "--graph", "c5", "--out", out_path], capsys)[0] == 0
+    monkeypatch.setattr(prover, "automorphism_group", refuse)
+    code, out, err = run_cli(["verify", "--graph", "c5", out_path, "--fuzz", "1"], capsys)
+    assert code == 1 and out.startswith("valid:")
+    assert err == f"cannot fuzz: automorphism group has more than {MAX_AUT_ORDER} elements\n"
 
 
 def test_graph_file_round_trip(tmp_path, capsys):
@@ -429,5 +486,5 @@ def test_certificate_json_shape(tmp_path, capsys):
     run_cli(["prove", "--graph", "c5", "--out", str(out_path)], capsys)
     data = json.loads(out_path.read_text())
     assert set(data) == {"version", "graph_digest", "scope", "automorphisms", "steps", "conclusions"}
-    assert data["version"] == 3 and data["scope"] == "full"
+    assert data["version"] == 4 and data["scope"] == "full"
     assert len(data["conclusions"]) == 625

@@ -8,16 +8,16 @@ import pytest
 from qsym import (
     COMMUTES,
     ZERO_PRODUCT,
-    Comm,
     Conclusion,
     ConditionsNotMet,
     LemmaCom,
     LocalReduce,
     Permutation,
     ProofBuilder,
-    RelationApplication,
+    Swap,
     UnsupportedDegree,
     automorphism_group,
+    claim_quadruple,
     complement,
     complete,
     complete_bipartite,
@@ -25,6 +25,7 @@ from qsym import (
     derive_qa5,
     empty,
     evaluate_perm,
+    gen,
     graph_digest,
     monomial,
     petersen,
@@ -171,20 +172,22 @@ def test_prove_k2_smallest_case():
 
 
 def test_prove_uses_certified_commutations(petersen_full_cert):
-    # Every Comm instance inside a justification points at an earlier
-    # step claiming exactly that commutation.
+    # Every Swap cites an earlier step claiming the commutation of the
+    # pair it reverses, and that pair sits at its position in every word.
     steps = petersen_full_cert.steps
     seen = 0
     for step in steps:
         just = step.justification
-        if isinstance(just, RelationApplication) and isinstance(just.relation, Comm):
-            rel = just.relation
-            ref = steps[rel.certified_by]
-            assert rel.certified_by < step.id
-            assert ref.lhs == u(rel.row1, rel.col1) * u(rel.row2, rel.col2)
-            assert ref.rhs == u(rel.row2, rel.col2) * u(rel.row1, rel.col1)
+        if isinstance(just, Swap):
+            ref = steps[just.step]
+            assert just.step < step.id
+            kind, a, b, c, d = claim_quadruple(ref.lhs, ref.rhs)
+            assert kind == COMMUTES
+            pair = {(gen(a, b), gen(c, d)), (gen(c, d), gen(a, b))}
+            for w in step.lhs.terms:
+                assert w[just.position : just.position + 2] in pair
             seen += 1
-    assert seen > 0
+    assert seen == 4
 
 
 @pytest.mark.parametrize(

@@ -5,33 +5,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsym import (
-    ColOrth,
-    ColSum,
-    Comm,
-    Idem,
-    KILLED,
     Poly,
-    RelationError,
-    RowOrth,
-    RowSum,
-    SelfAdj,
-    VanishA,
-    VanishB,
-    apply_relation,
     automorphism_group,
     cycle,
-    equations,
     evaluate_perm,
     gen,
     local_reduce,
     monomial,
     petersen,
-    relation_instances,
-    rewrite_pair,
+    swap_pair,
     u,
-    validate_relation,
 )
 from qsym.relations import _reduce_word
+from relation_reference import (
+    KILLED,
+    ColOrth,
+    Idem,
+    RowOrth,
+    RowSum,
+    SelfAdj,
+    VanishA,
+    equations,
+    relation_instances,
+    rewrite_pair,
+)
 
 gens10 = st.tuples(st.integers(1, 10), st.integers(1, 10)).map(lambda t: gen(*t))
 words10 = st.lists(gens10, max_size=5).map(tuple)
@@ -39,28 +36,6 @@ polys10 = st.lists(
     st.tuples(words10, st.integers(min_value=-2, max_value=2).filter(bool)),
     max_size=5,
 ).map(Poly)
-
-
-def test_validate_relation_side_conditions():
-    g = petersen()
-    validate_relation(RowOrth(1, 2, 3), g)
-    validate_relation(Idem(10, 10), g)
-    validate_relation(VanishA(1, 1, 8, 3), g)  # rows 1,8 adjacent; cols 1,3 not
-    validate_relation(VanishB(1, 1, 2, 8), g)  # rows 1,2 non-adjacent; cols 1,8 adjacent
-    validate_relation(VanishA(1, 4, 8, 4), g)  # equal columns count as non-adjacent
-    validate_relation(Comm(1, 1, 8, 8, certified_by=7), g)
-    with pytest.raises(RelationError):
-        validate_relation(RowOrth(1, 2, 2), g)  # columns must differ
-    with pytest.raises(RelationError):
-        validate_relation(RowOrth(1, 2, 11), g)  # out of range
-    with pytest.raises(RelationError):
-        validate_relation(VanishA(1, 1, 2, 3), g)  # rows 1,2 not adjacent
-    with pytest.raises(RelationError):
-        validate_relation(VanishA(1, 1, 8, 9), g)  # cols 1,9 adjacent
-    with pytest.raises(RelationError):
-        validate_relation(VanishB(1, 1, 8, 8), g)  # rows adjacent
-    with pytest.raises(RelationError):
-        validate_relation(Comm(1, 1, 8, 8, certified_by=-1), g)
 
 
 def test_rewrite_pair_cases():
@@ -76,31 +51,32 @@ def test_rewrite_pair_cases():
     v = VanishA(1, 1, 8, 3)
     assert rewrite_pair(v, gen(1, 1), gen(8, 3)) is KILLED
     assert rewrite_pair(v, gen(8, 3), gen(1, 1)) is KILLED  # both orientations
-    c = Comm(1, 1, 8, 8)
-    assert rewrite_pair(c, gen(1, 1), gen(8, 8)) == (gen(8, 8), gen(1, 1))
-    assert rewrite_pair(c, gen(8, 8), gen(1, 1)) == (gen(1, 1), gen(8, 8))
-    assert rewrite_pair(c, gen(1, 1), gen(8, 7)) is None
     # Sum and star relations are not pair rewrites.
     assert rewrite_pair(RowSum(1), a, b) is None
     assert rewrite_pair(SelfAdj(1, 2), a, a) is None
 
 
-def test_apply_relation_semantics():
-    g = petersen()
-    p = monomial(((1, 1), (1, 1), (2, 2)))
-    assert apply_relation(p, Idem(1, 1), 0) == monomial(((1, 1), (2, 2)))
-    killed = monomial(((1, 1), (1, 2)))
-    assert apply_relation(killed, RowOrth(1, 1, 2), 0).is_zero
-    swapped = apply_relation(monomial(((1, 1), (8, 8))), Comm(1, 1, 8, 8), 0)
-    assert swapped == monomial(((8, 8), (1, 1)))
-    # Mixed sums: every term must match at the position.
-    q = monomial(((1, 1), (1, 1))) + monomial(((1, 1), (3, 3)))
-    with pytest.raises(ValueError):
-        apply_relation(q, Idem(1, 1), 0)
-    with pytest.raises(ValueError):
-        apply_relation(p, Idem(1, 1), 5)  # position past the pair window
-    with pytest.raises(ValueError):
-        apply_relation(p, Idem(1, 1), -1)
+def test_swap_pair_semantics():
+    a, b = gen(1, 1), gen(8, 8)
+    p = monomial(((1, 1), (8, 8), (2, 2)))
+    assert swap_pair(p, 0, a, b) == monomial(((8, 8), (1, 1), (2, 2)))
+    # Either orientation of the pair is reversed, word by word, keeping
+    # every coefficient.
+    q = 3 * monomial(((2, 2), (1, 1), (8, 8))) - monomial(((3, 3), (8, 8), (1, 1)))
+    assert swap_pair(q, 1, a, b) == 3 * monomial(((2, 2), (8, 8), (1, 1))) - monomial(
+        ((3, 3), (1, 1), (8, 8))
+    )
+    assert swap_pair(swap_pair(q, 1, a, b), 1, b, a) == q
+    assert swap_pair(Poly.zero(), 4, a, b).is_zero
+    # Every term must hold the pair at the position.
+    mixed = p + monomial(((1, 1), (3, 3)))
+    with pytest.raises(ValueError, match="is not u\\[1,1\\] and u\\[8,8\\]"):
+        swap_pair(mixed, 0, a, b)
+    with pytest.raises(ValueError, match="no generator pair at position 2"):
+        swap_pair(p, 2, a, b)  # position past the pair window
+    for bad in (-1, True, "0"):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            swap_pair(p, bad, a, b)
 
 
 def test_local_reduce_frozen_examples():
@@ -169,9 +145,11 @@ def test_relation_instances_counts():
     non_adj_ordered = n * n - 2 * m
     assert len(by_kind["VanishA"]) == 2 * m * non_adj_ordered
     assert len(by_kind["VanishB"]) == 2 * m * non_adj_ordered
-    assert "Comm" not in by_kind
-    for rel in instances:
-        validate_relation(rel, g)
+    # The side conditions that pick out the two vanishing families.
+    for rel in by_kind["VanishA"]:
+        assert g.adjacent(rel.row1, rel.row2) and not g.adjacent(rel.col1, rel.col2)
+    for rel in by_kind["VanishB"]:
+        assert not g.adjacent(rel.row1, rel.row2) and g.adjacent(rel.col1, rel.col2)
 
 
 @settings(max_examples=30)

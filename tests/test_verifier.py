@@ -14,7 +14,6 @@ from qsym import (
     FULL,
     QA5,
     Certificate,
-    Comm,
     Conclusion,
     DigestMismatch,
     ExpandUnity,
@@ -24,9 +23,8 @@ from qsym import (
     Poly,
     ProofStep,
     ROW,
-    RelationApplication,
-    RowOrth,
     Substitution,
+    Swap,
     Transport,
     ZERO_PRODUCT,
     certificate_from_dict,
@@ -104,11 +102,17 @@ def test_self_reference_rejected():
 
 
 def test_dangling_certification_rejected():
-    just = RelationApplication(Comm(1, 2, 2, 3, certified_by=5), 0)
-    steps = (ProofStep(0, u(1, 2) * u(2, 3), u(2, 3) * u(1, 2), just),)
+    step = ProofStep(0, u(1, 2) * u(2, 3), u(2, 3) * u(1, 2), Swap(5, 0))
     with pytest.raises(MalformedCertificate) as exc:
-        verify_certificate(G5, _cert(steps))
+        verify_certificate(G5, _cert((step,)))
     assert "references step 5" in str(exc.value)
+    # A swap may not cite a later step, even one that certifies its pair.
+    later = (
+        dataclasses.replace(COMM_STEP, id=0, justification=Swap(1, 0)),
+        dataclasses.replace(COMM_STEP, id=1),
+    )
+    with pytest.raises(MalformedCertificate, match="step 0 references step 1, which is not earlier"):
+        verify_certificate(G5, _cert(later))
 
 
 def test_conclusion_step_out_of_range_rejected():
@@ -173,35 +177,67 @@ def test_every_rule_checks_generator_bounds():
         assert "u[6,1] out of range" in report.reason
 
 
-def test_invalid_relation_instance_fails_step():
-    just = RelationApplication(RowOrth(1, 2, 2), 0)
-    step = ProofStep(0, u(1, 2) * u(1, 2), Poly.zero(), just)
-    report = _first_failure((step,))
-    assert "distinct columns" in report.reason
+# u[1,1]u[2,3] = u[2,3]u[1,1] on C5: both sides vanish, since rows 1, 2
+# are adjacent and columns 1, 3 are not, so the commutation reduces.
+COMM_STEP = ProofStep(0, u(1, 1) * u(2, 3), u(2, 3) * u(1, 1), LocalReduce())
+# Step 1 reverses that pair at position 1 of a three-letter word.
+SWAP_LHS = u(4, 4) * u(1, 1) * u(2, 3)
+SWAP_STEP = ProofStep(1, SWAP_LHS, u(4, 4) * u(2, 3) * u(1, 1), Swap(0, 1))
 
 
 def test_relation_application_recomputed():
-    lhs = u(1, 2) * u(1, 3)
-    good = ProofStep(0, lhs, Poly.zero(), RelationApplication(RowOrth(1, 2, 3), 0))
-    assert _steps_pass((good,))
-    bad = ProofStep(0, lhs, lhs, RelationApplication(RowOrth(1, 2, 3), 0))
-    report = _first_failure((bad,))
-    assert "does not follow" in report.reason
-
-
-def test_uncertified_commutation_rejected():
-    just = RelationApplication(Comm(1, 2, 2, 3), 0)
-    step = ProofStep(0, u(1, 2) * u(2, 3), u(2, 3) * u(1, 2), just)
-    report = _first_failure((step,))
-    assert "lacks a certifying step" in report.reason
+    assert _steps_pass((COMM_STEP, SWAP_STEP))
+    # Both orientations, and a sum whose every word holds the pair.
+    back = ProofStep(1, SWAP_STEP.rhs, SWAP_LHS, Swap(0, 1))
+    mixed_lhs = 2 * SWAP_LHS - u(5, 5) * u(2, 3) * u(1, 1)
+    mixed_rhs = 2 * SWAP_STEP.rhs - u(5, 5) * u(1, 1) * u(2, 3)
+    mixed = ProofStep(1, mixed_lhs, mixed_rhs, Swap(0, 1))
+    assert _steps_pass((COMM_STEP, back)) and _steps_pass((COMM_STEP, mixed))
+    bad = dataclasses.replace(SWAP_STEP, rhs=SWAP_LHS)
+    report = _first_failure((COMM_STEP, bad))
+    assert report.first_failure == 1
+    assert "not the left side with the pair at 1 reversed" in report.reason
 
 
 def test_miscertified_commutation_rejected():
-    just = RelationApplication(Comm(1, 2, 2, 3, certified_by=0), 1)
-    bad = ProofStep(1, u(1, 2) * u(2, 3), u(2, 3) * u(1, 2), just)
+    # Step 0 claims u[1,1]u[1,1] = u[1,1], which is no commutation.
+    bad = dataclasses.replace(SWAP_STEP, justification=Swap(0, 1))
     report = _first_failure((IDEM_STEP, bad))
     assert report.first_failure == 1
-    assert "does not certify commutation" in report.reason
+    assert "step 0 claims no commutation of two generators" in report.reason
+
+
+# Steps the swap at the end may cite: a zero product, an ExpandUnity
+# and a Substitution, each true; none claims a commutation.
+ZERO_STEP = ProofStep(1, u(1, 1) * u(2, 3), Poly.zero(), LocalReduce())
+EXPAND_STEP = ProofStep(
+    2, u(1, 1), expand_unity(u(1, 1), 1, 2, ROW, 5), ExpandUnity(1, 2, ROW)
+)
+SUBST_STEP = ProofStep(3, u(1, 1) * u(2, 3), u(1, 1) * u(2, 3), Substitution(0, 0, -1))
+
+
+@pytest.mark.parametrize(
+    "just, reason",
+    [
+        (Swap(1, 1), "step 1 claims no commutation"),
+        (Swap(2, 1), "step 2 claims no commutation"),
+        (Swap(3, 1), "step 3 claims no commutation"),
+        (Swap(0, 2), "word of length 3 has no generator pair at position 2"),
+        (Swap(0, 7), "has no generator pair at position 7"),
+        (Swap(0, 0), "the pair at position 0 is not u[1,1] and u[2,3]"),
+    ],
+    ids=["zero-product", "expand-unity", "substitution", "past-the-word", "far-past", "pair"],
+)
+def test_swap_refused_at_its_own_step(just, reason):
+    prefix = (COMM_STEP, ZERO_STEP, EXPAND_STEP, SUBST_STEP)
+    assert _steps_pass(prefix)
+    assert [claim_quadruple(s.lhs, s.rhs) for s in prefix] == [
+        (COMMUTES, 1, 1, 2, 3), (ZERO_PRODUCT, 1, 1, 2, 3), None, None
+    ]
+    swap = dataclasses.replace(SWAP_STEP, id=4, justification=just)
+    report = _first_failure(prefix + (swap,))
+    assert report.first_failure == 4 and report.steps_checked == 4
+    assert reason in report.reason
 
 
 def test_star_of_step_checked():
@@ -525,7 +561,7 @@ _JSON = st.recursive(
     | st.booleans()
     | st.integers(-2, 700)
     | st.sampled_from(["", "u[1,1]", "u[1,2]u[2,1]", "0", "commutes", "zero_product", "full", "qa5"])
-    | st.sampled_from(["local_reduce", "transport", "lemma_com", "substitution", "row"]),
+    | st.sampled_from(["local_reduce", "transport", "lemma_com", "substitution", "swap", "row"]),
     lambda inner: st.lists(inner, max_size=5)
     | st.dictionaries(st.sampled_from(["id", "step", "rows", "cols", "kind", "i", "rule"]), inner, max_size=3),
     max_leaves=8,
