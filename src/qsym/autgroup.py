@@ -150,26 +150,37 @@ def automorphism_group(g: Graph) -> AutGroup:
 
 
 def _generating_subset(elements: tuple[Permutation, ...]) -> tuple[Permutation, ...]:
-    """Greedy generating set: adjoin the first element not yet generated."""
+    """Greedy generating set: adjoin the first element not yet generated.
+
+    The closure of the generators so far is a group H, kept between
+    adjunctions.  Every product of generators that leaves H is h g w
+    with h in H, g the new generator and w a product of generators, so
+    the new closure is H, the products h g, and what breadth-first
+    search reaches from those by multiplying on the right by every
+    generator.  Permutations are one-line tuples: p after q is
+    ``tuple(p[v - 1] for v in q)``, here indexed by q shifted to 0.
+    """
     if not elements:
         return ()
-    n = elements[0].degree
-    ident = Permutation.identity(n)
     gens: list[Permutation] = []
-    closure = {ident.images}
+    shifted: list[tuple[int, ...]] = []  # each generator's images minus 1
+    closure = {tuple(range(1, elements[0].degree + 1))}
     for elem in elements:
         if elem.images in closure:
             continue
         gens.append(elem)
-        frontier = [ident]
-        closure = {ident.images}
+        new = tuple(v - 1 for v in elem.images)
+        shifted.append(new)
+        # h g lies in H for no h, since g does not.
+        frontier = [tuple([p[v] for v in new]) for p in closure]
+        closure.update(frontier)
         while frontier:
             nxt = []
             for p in frontier:
-                for q in gens:
-                    r = p.compose(q)
-                    if r.images not in closure:
-                        closure.add(r.images)
+                for q in shifted:
+                    r = tuple([p[v] for v in q])
+                    if r not in closure:
+                        closure.add(r)
                         nxt.append(r)
             frontier = nxt
     return tuple(gens)

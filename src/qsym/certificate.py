@@ -10,6 +10,12 @@ claim of a cited step, or is that claim renamed under two entries of
 the certificate's table of graph automorphisms.  The verifier module
 rechecks all of it without trusting the producer.
 
+A conclusion is held as a Conclusion, a validated NamedTuple of its
+kind, its quadruple and up to three integer citations.  The loader
+builds it straight from the JSON object, and the verifier and the
+spot check read its integers without building a polynomial; only
+Conclusion.claim does, for callers that want the equation.
+
 A step's justification is one of six rules: local_reduce,
 expand_unity, swap, substitution, lemma_com and transport.  A swap
 cites the earlier step that claims the commutation it uses, and
@@ -26,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .algebra import COL, ROW, Poly, format_poly, gen, parse_poly
 from .graphs import Graph, format_graph_text
@@ -128,18 +134,24 @@ def _check_optional_index(value, what: str) -> None:
         raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Conclusion:
-    """Classification of one ordered generator pair (u[i,j], u[k,l]).
+def _check_conclusion_fields(kind, i, j, k, l, step, rows, cols) -> None:
+    """Raise ValueError, naming the first bad field, unless the fields
+    make a conclusion."""
+    if kind not in (COMMUTES, ZERO_PRODUCT):
+        raise ValueError(f"unknown conclusion kind {kind!r}")
+    for v in (i, j, k, l):
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ValueError(f"conclusion index must be a positive integer, got {v!r}")
+    _check_optional_index(step, "conclusion step")
+    _check_optional_index(rows, "conclusion rows")
+    _check_optional_index(cols, "conclusion cols")
+    if (rows is None) != (cols is None):
+        raise ValueError("conclusion rows and cols come together")
+    if rows is not None and step is None:
+        raise ValueError("conclusion rows and cols need a step to rename")
 
-    The claim justifies itself in one of three ways.  With no ``step``,
-    its two sides reduce to the same normal form.  With a ``step``
-    alone, it is exactly that step's claim.  With ``rows`` and ``cols``
-    as well, it is that step's claim with every u[a,b] renamed to
-    u[rho(a),kappa(b)], where rho and kappa are the certificate's
-    automorphisms at those two indices.
-    """
 
+class _ConclusionFields(NamedTuple):
     kind: str
     i: int
     j: int
@@ -149,19 +161,48 @@ class Conclusion:
     rows: Optional[int] = None
     cols: Optional[int] = None
 
-    def __post_init__(self):
-        if self.kind not in (COMMUTES, ZERO_PRODUCT):
-            raise ValueError(f"unknown conclusion kind {self.kind!r}")
-        for v in (self.i, self.j, self.k, self.l):
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ValueError(f"conclusion index must be a positive integer, got {v!r}")
-        _check_optional_index(self.step, "conclusion step")
-        _check_optional_index(self.rows, "conclusion rows")
-        _check_optional_index(self.cols, "conclusion cols")
-        if (self.rows is None) != (self.cols is None):
-            raise ValueError("conclusion rows and cols come together")
-        if self.rows is not None and self.step is None:
-            raise ValueError("conclusion rows and cols need a step to rename")
+
+class Conclusion(_ConclusionFields):
+    """Classification of one ordered generator pair (u[i,j], u[k,l]).
+
+    The claim justifies itself in one of three ways.  With no ``step``,
+    its two sides reduce to the same normal form.  With a ``step``
+    alone, it is exactly that step's claim.  With ``rows`` and ``cols``
+    as well, it is that step's claim with every u[a,b] renamed to
+    u[rho(a),kappa(b)], where rho and kappa are the certificate's
+    automorphisms at those two indices.
+
+    A validated record: a tuple of the eight fields, so the verifier
+    unpacks it in one step.  Every way of building one, the constructor,
+    ``_make`` and so ``_replace``, checks the fields, and refuses a bad
+    one with ValueError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind, i, j, k, l, step=None, rows=None, cols=None):
+        # Fast path for exact ints, the only indices a JSON decoder
+        # gives; anything else gets the field-by-field checks.
+        if not (
+            (kind == COMMUTES or kind == ZERO_PRODUCT)
+            and type(i) is type(j) is type(k) is type(l) is int
+            and i >= 1 and j >= 1 and k >= 1 and l >= 1
+            and (
+                step is rows is cols is None
+                or type(step) is int
+                and step >= 0
+                and (
+                    rows is cols is None
+                    or type(rows) is type(cols) is int and rows >= 0 and cols >= 0
+                )
+            )
+        ):
+            _check_conclusion_fields(kind, i, j, k, l, step, rows, cols)
+        return tuple.__new__(cls, (kind, i, j, k, l, step, rows, cols))
+
+    @classmethod
+    def _make(cls, iterable) -> "Conclusion":
+        return cls(*iterable)
 
     def claim(self) -> tuple[Poly, Poly]:
         """The equation this conclusion asserts: u[i,j]u[k,l] equals
@@ -170,9 +211,7 @@ class Conclusion:
         lhs = Poly._from_dict({(a, b): 1})
         if self.kind == COMMUTES:
             return lhs, Poly._from_dict({(b, a): 1})
-        if self.kind == ZERO_PRODUCT:
-            return lhs, Poly.zero()
-        raise MalformedCertificate(f"unknown conclusion kind {self.kind!r}")
+        return lhs, Poly.zero()
 
 
 def claim_quadruple(lhs: Poly, rhs: Poly) -> Optional[tuple[str, int, int, int, int]]:
@@ -404,9 +443,9 @@ def _conclusion_from_dict(cd, idx: int) -> Conclusion:
             cd["j"],
             cd["k"],
             cd["l"],
-            step=cd.get("step"),
-            rows=cd.get("rows"),
-            cols=cd.get("cols"),
+            cd.get("step"),
+            cd.get("rows"),
+            cd.get("cols"),
         )
     except ValueError as exc:
         raise MalformedCertificate(f"conclusion {idx}: {exc}") from None

@@ -32,10 +32,8 @@ from dataclasses import dataclass
 
 from .algebra import (
     ROW,
-    Coeff,
     Poly,
     Word,
-    check_gen_bounds,
     expand_unity,
     gen,
     monomial,
@@ -494,28 +492,33 @@ def sanity_eval(g: Graph, cert: Certificate, trials: int, seed: int = 0) -> Sani
 
     At sigma a word is 1 exactly when each of its letters u[i,j] has
     sigma(j) = i, and only the n generators u[sigma(j),j] do.  Every
-    claim word is a product of two generators, so each term is filed
-    once under its whole word, with its coefficient negated when it
-    stands on the right side; a trial then looks up the n^2 ordered
-    pairs of those generators, a generator paired with itself included,
-    and visits only the terms filed there.  Every other term is 0.
+    claim is the word u[i,j]u[k,l] with coefficient 1, against its
+    reverse with coefficient 1 or against zero, so the index is built
+    from each conclusion's (kind, i, j, k, l) with no polynomial: the
+    word is filed with +1, and a commutation's reverse with -1.  A
+    trial then looks up the n^2 ordered pairs of those generators, a
+    generator paired with itself included, and visits only the terms
+    filed there.  Every other term is 0.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     group = automorphism_group(g)
-    by_word: dict[Word, list[tuple[int, Coeff]]] = {}
-    for idx, c in enumerate(cert.conclusions):
-        lhs, rhs = c.claim()
-        for side, sign in ((lhs, 1), (rhs, -1)):
-            check_gen_bounds(side, g.n)
-            for w, coeff in side.terms.items():
-                by_word.setdefault(w, []).append((idx, sign * coeff))
+    n = g.n
+    by_word: dict[Word, list[tuple[int, int]]] = {}
+    for idx, (kind, i, j, k, l, *_) in enumerate(cert.conclusions):
+        if max(i, j, k, l) > n:
+            r, c = (i, j) if max(i, j) > n else (k, l)
+            raise ValueError(f"generator u[{r},{c}] out of range for n={n}")
+        a, b = gen(i, j), gen(k, l)
+        by_word.setdefault((a, b), []).append((idx, 1))
+        if kind == COMMUTES:
+            by_word.setdefault((b, a), []).append((idx, -1))
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
         sigma = rng.choice(group.elements)
         ones = [gen(i, j) for j, i in enumerate(perm_images(g, sigma), 1)]
-        totals: dict[int, Coeff] = {}
+        totals: dict[int, int] = {}
         for a in ones:
             for b in ones:
                 for idx, coeff in by_word.get((a, b), ()):

@@ -54,6 +54,22 @@ still holds after renaming.  Under a
 permutation that is not an automorphism the renamed claim can be
 false, and the entry is refused.
 
+A conclusion with no step is decided on words.  Its claim is the word
+u[i,j]u[k,l] with coefficient 1 against its reverse u[k,l]u[i,j] with
+coefficient 1 (a commutation), or against zero (a zero product).
+local_reduce rewrites each word of lhs - rhs to its normal form, or
+drops it when it rewrites to zero, and adds the coefficients of equal
+normal forms.  A zero product's difference therefore reduces to zero
+exactly when its word rewrites to zero.  A commutation's difference
+reduces to zero exactly when the word and its reverse have the same
+normal form or both rewrite to zero: the coefficients 1 and -1 then
+cancel or vanish, and otherwise a term survives; when i = k and j = l
+the word is its own reverse and the difference is zero already.
+_reduce_word gives that normal form of one word, or None for zero, so
+comparing its results for (u[i,j], u[k,l]) and (u[k,l], u[i,j]), or
+testing the first for None, is the check local_reduce makes, without
+building either polynomial.
+
 A cited conclusion is compared on integers.  Each step's claim is
 decoded once per check by claim_quadruple into the (kind, a, b, c, d)
 whose claim it is, or None; the conclusion's own (kind, i, j, k, l)
@@ -80,6 +96,7 @@ from .certificate import (
     COMMUTES,
     FULL,
     SCOPES,
+    ZERO_PRODUCT,
     Certificate,
     Conclusion,
     ExpandUnity,
@@ -95,7 +112,7 @@ from .certificate import (
     justification_refs,
 )
 from .graphs import Graph
-from .relations import local_reduce, swap_pair
+from .relations import _reduce_word, local_reduce, swap_pair
 
 
 class DigestMismatch(ValueError):
@@ -208,37 +225,40 @@ def _check_conclusion(
     read for a step that was checked, so every index a claim names lies
     in 1..n, and every table entry is a permutation of 1..n.
     """
-    if (concl.i, concl.j, concl.k, concl.l) != quad:
+    kind, i, j, k, l, step, rows, cols = concl
+    if (i, j, k, l) != quad:
         return "is out of place: quadruple {},{},{},{} belongs here".format(*quad)
-    if concl.step is None:
-        lhs, rhs = concl.claim()
-        if not local_reduce(g, lhs - rhs).is_zero:
+    if step is None:
+        a, b = gen(i, j), gen(k, l)
+        ab = _reduce_word(g.adj1, g.n, (a, b))
+        if kind == ZERO_PRODUCT:
+            holds = ab is None
+        else:
+            holds = ab == _reduce_word(g.adj1, g.n, (b, a))
+        if not holds:
             return "does not reduce to zero"
         return None
-    if concl.step >= len(claims):
-        return f"cites missing step {concl.step}"
-    cited = claims[concl.step]
-    own = (concl.kind, *quad)
-    if concl.rows is None:
+    if step >= len(claims):
+        return f"cites missing step {step}"
+    cited = claims[step]
+    own = (kind, i, j, k, l)
+    if rows is None:
         if cited != own:
-            return f"is not the claim of step {concl.step}"
+            return f"is not the claim of step {step}"
         return None
     table = cert.automorphisms
-    for t in (concl.rows, concl.cols):
+    for t in (rows, cols):
         if t >= len(table):
             return f"cites missing automorphism {t}"
-    rows, cols = table[concl.rows], table[concl.cols]
+    rho, kappa = table[rows], table[cols]
     if cited is None or (
         cited[0],
-        rows[cited[1] - 1],
-        cols[cited[2] - 1],
-        rows[cited[3] - 1],
-        cols[cited[4] - 1],
+        rho[cited[1] - 1],
+        kappa[cited[2] - 1],
+        rho[cited[3] - 1],
+        kappa[cited[4] - 1],
     ) != own:
-        return (
-            f"is not the renaming of step {concl.step}"
-            f" under automorphisms {concl.rows} and {concl.cols}"
-        )
+        return f"is not the renaming of step {step} under automorphisms {rows} and {cols}"
     return None
 
 

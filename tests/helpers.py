@@ -354,7 +354,7 @@ def _retarget_conclusion(g, cert, idx, rng):
     if c.step is None:
         return None
     for _ in range(40):
-        mutated = dataclasses.replace(c, step=rng.randrange(len(cert.steps)))
+        mutated = c._replace(step=rng.randrange(len(cert.steps)))
         found = _if_false(g, cert, idx, mutated)
         if found is not None:
             return found
@@ -365,7 +365,7 @@ def _swap_table_indices(g, cert, idx, rng):
     c = cert.conclusions[idx]
     if c.rows is None:
         return None
-    return _if_false(g, cert, idx, dataclasses.replace(c, rows=c.cols, cols=c.rows))
+    return _if_false(g, cert, idx, c._replace(rows=c.cols, cols=c.rows))
 
 
 def _table_index_out_of_range(g, cert, idx, rng):
@@ -374,14 +374,14 @@ def _table_index_out_of_range(g, cert, idx, rng):
         return None
     field = "rows" if rng.random() < 0.5 else "cols"
     bad = len(cert.automorphisms) + rng.randrange(3)
-    return _replaced(cert, idx, dataclasses.replace(c, **{field: bad}))
+    return _replaced(cert, idx, c._replace(**{field: bad}))
 
 
 def _claim_local_reduce(g, cert, idx, rng):
     c = cert.conclusions[idx]
     if c.step is None:
         return None
-    return _if_false(g, cert, idx, dataclasses.replace(c, step=None, rows=None, cols=None))
+    return _if_false(g, cert, idx, c._replace(step=None, rows=None, cols=None))
 
 
 def _flip_kind(g, cert, idx, rng):
@@ -389,14 +389,14 @@ def _flip_kind(g, cert, idx, rng):
     # zero_product still follows; the guard leaves such flips out.
     c = cert.conclusions[idx]
     kind = ZERO_PRODUCT if c.kind == COMMUTES else COMMUTES
-    return _if_false(g, cert, idx, dataclasses.replace(c, kind=kind))
+    return _if_false(g, cert, idx, c._replace(kind=kind))
 
 
 def _move_quadruple(g, cert, idx, rng):
     c = cert.conclusions[idx]
     field = "ijkl"[rng.randrange(4)]
     value = getattr(c, field) % g.n + 1
-    return _replaced(cert, idx, dataclasses.replace(c, **{field: value}))
+    return _replaced(cert, idx, c._replace(**{field: value}))
 
 
 def _drop_conclusion(g, cert, idx, rng):

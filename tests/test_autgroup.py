@@ -17,6 +17,7 @@ from qsym import (
 )
 from helpers import hoffman_singleton
 from qsym import autgroup
+from qsym.cli import BUILTIN_GRAPHS
 
 perms5 = st.permutations(list(range(1, 6))).map(lambda xs: Permutation(tuple(xs)))
 
@@ -128,3 +129,40 @@ def test_verify_s5_action():
     assert verify_s5_action(petersen()) is True
     with pytest.raises(ValueError):
         verify_s5_action(cycle(5))
+
+
+def _reference_generating_subset(elements):
+    """The greedy generating set as first written: the closure is
+    rebuilt from the identity, through Permutation.compose, each time a
+    generator is adjoined."""
+    if not elements:
+        return ()
+    ident = Permutation.identity(elements[0].degree)
+    gens = []
+    closure = {ident.images}
+    for elem in elements:
+        if elem.images in closure:
+            continue
+        gens.append(elem)
+        frontier = [ident]
+        closure = {ident.images}
+        while frontier:
+            nxt = []
+            for p in frontier:
+                for q in gens:
+                    r = p.compose(q)
+                    if r.images not in closure:
+                        closure.add(r.images)
+                        nxt.append(r)
+            frontier = nxt
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GRAPHS) + ["k8"])
+def test_generators_match_the_rebuilt_closure_reference(name):
+    # The kept closure must pick the very generators that rebuilding it
+    # from the identity picks; K8's 40,320 elements take 7 of them.
+    g = complete(8) if name == "k8" else BUILTIN_GRAPHS[name]()
+    group = automorphism_group(g)
+    assert group.generators == _reference_generating_subset(group.elements)
+    assert autgroup._generating_subset(()) == ()

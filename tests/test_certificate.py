@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -236,6 +237,49 @@ def test_step_and_conclusion_validation():
     )
     zero = Conclusion(ZERO_PRODUCT, 1, 2, 3, 4, 0).claim()
     assert zero == (monomial(((1, 2), (3, 4))), monomial((), 1) - monomial((), 1))
+
+
+# A valid renamed conclusion, and one change of it per refusal, with
+# the message each refusal gives whichever way the record is built.
+_RENAMED = Conclusion(COMMUTES, 1, 2, 3, 4, 5, 0, 1)
+_REFUSALS = [
+    pytest.param(dict(kind="maybe"), "unknown conclusion kind 'maybe'", id="kind"),
+    pytest.param(
+        dict(j=True), "conclusion index must be a positive integer, got True", id="bool-index"
+    ),
+    pytest.param(dict(l=0), "conclusion index must be a positive integer, got 0", id="zero-index"),
+    pytest.param(
+        dict(i=1.0), "conclusion index must be a positive integer, got 1.0", id="float-index"
+    ),
+    pytest.param(
+        dict(step=-1), "conclusion step must be a nonnegative integer, got -1", id="negative-step"
+    ),
+    pytest.param(
+        dict(rows=True), "conclusion rows must be a nonnegative integer, got True", id="bool-rows"
+    ),
+    pytest.param(dict(cols=None), "conclusion rows and cols come together", id="rows-no-cols"),
+    pytest.param(
+        dict(step=None), "conclusion rows and cols need a step to rename", id="rows-no-step"
+    ),
+]
+
+
+def _build(how, fields):
+    if how == "constructor":
+        return Conclusion(*fields.values())
+    if how == "_make":
+        return Conclusion._make(fields.values())
+    return _RENAMED._replace(**fields)
+
+
+@pytest.mark.parametrize("how", ["constructor", "_make", "_replace"])
+@pytest.mark.parametrize("change, message", _REFUSALS)
+def test_every_way_of_building_a_conclusion_checks_it(how, change, message):
+    fields = _RENAMED._asdict()
+    assert type(_build(how, fields)) is Conclusion and _build(how, fields) == _RENAMED
+    fields.update(change)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _build(how, fields)
 
 
 def test_claim_quadruple_inverts_claim():

@@ -37,6 +37,7 @@ from qsym import (
     expand_unity,
     graph_digest,
     load_certificate,
+    local_reduce,
     petersen,
     prove_no_quantum_symmetry,
     relabel,
@@ -469,7 +470,7 @@ def test_conclusion_justification_checked(c5_graph, c5_full_cert, change, reason
     c = cert.conclusions[idx]
     assert c.rows != c.cols
     conclusions = list(cert.conclusions)
-    conclusions[idx] = dataclasses.replace(c, **change(c, len(cert.automorphisms)))
+    conclusions[idx] = c._replace(**change(c, len(cert.automorphisms)))
     report = verify_certificate(c5_graph, dataclasses.replace(cert, conclusions=tuple(conclusions)))
     assert not report.valid and report.location == f"conclusion {idx}"
     assert reason in report.reason
@@ -545,6 +546,27 @@ def test_conclusion_verdicts_match_the_relabel_reference(request, graph, scope):
                 agree(c, (c.i, c.j, c.k, c.l))
             made[op.__name__] += 1
     assert all(made.values()), made
+
+
+@pytest.mark.parametrize("graph", ["c5", "petersen"])
+def test_reduced_conclusions_decided_on_words_match_local_reduce(request, graph):
+    # A conclusion with no step is decided by comparing the reduced
+    # words of u[i,j]u[k,l] and its reverse; local_reduce of the claim's
+    # difference is the reference, for every quadruple and both kinds.
+    g = request.getfixturevalue(f"{graph}_graph")
+    cert = request.getfixturevalue(f"{graph}_full_cert")
+    claims = [claim_quadruple(s.lhs, s.rhs) for s in cert.steps]
+    verdicts = {True: 0, False: 0}
+    for kind in (COMMUTES, ZERO_PRODUCT):
+        for quad in itertools.product(g.vertices(), repeat=4):
+            c = Conclusion(kind, *quad)
+            lhs, rhs = c.claim()
+            expected = local_reduce(g, lhs - rhs).is_zero
+            reason = verifier._check_conclusion(g, cert, claims, c, quad)
+            assert (reason is None) == expected, (kind, quad)
+            assert expected or reason == "does not reduce to zero"
+            verdicts[expected] += 1
+    assert sum(verdicts.values()) == 2 * g.n**4 and all(verdicts.values())
 
 
 # Hypothesis: hostile edits of a valid C5 certificate, as JSON data and
