@@ -3,6 +3,10 @@
 Exit codes: 0 for success, 1 for a failed verification or validation,
 2 for graphs that do not meet the hypotheses, 3 for usage and parse
 errors.
+
+Each command imports the layers it runs inside its handler, so
+``conditions`` and ``info`` load only the graph code, and ``verify``
+loads the checker only once the certificate has loaded.
 """
 
 from __future__ import annotations
@@ -13,19 +17,7 @@ import sys
 from collections import Counter
 
 from . import graphs
-from .algebra import PolyParseError, format_poly, parse_poly
-from .autgroup import MAX_AUT_VERTICES, automorphism_group
-from .certificate import MalformedCertificate, load_certificate, save_certificate
 from .graphs import Graph, GraphFormatError, check_moore_conditions, srg_params
-from .prover import (
-    ConditionsNotMet,
-    UnsupportedDegree,
-    derive_qa5,
-    prove_no_quantum_symmetry,
-    sanity_eval,
-)
-from .relations import local_reduce
-from .verifier import DigestMismatch, verify_certificate
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -129,6 +121,8 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_aut(args: argparse.Namespace) -> int:
+    from .autgroup import automorphism_group
+
     g = _load_graph(args)
     try:
         group = automorphism_group(g)
@@ -153,6 +147,15 @@ def cmd_conditions(args: argparse.Namespace) -> int:
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
+    from .certificate import save_certificate
+    from .prover import (
+        ConditionsNotMet,
+        UnsupportedDegree,
+        derive_qa5,
+        prove_no_quantum_symmetry,
+    )
+    from .verifier import verify_certificate
+
     g = _load_graph(args)
     try:
         if args.qa5_only:
@@ -186,14 +189,19 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .certificate import MalformedCertificate, load_certificate
+
     g = _load_graph(args)
-    if args.fuzz and g.n > MAX_AUT_VERTICES:
-        print(
-            f"cannot fuzz: automorphisms are sampled only for graphs of at most"
-            f" {MAX_AUT_VERTICES} vertices, this one has {g.n}",
-            file=sys.stderr,
-        )
-        return EXIT_INVALID
+    if args.fuzz:
+        from .autgroup import MAX_AUT_VERTICES
+
+        if g.n > MAX_AUT_VERTICES:
+            print(
+                f"cannot fuzz: automorphisms are sampled only for graphs of at"
+                f" most {MAX_AUT_VERTICES} vertices, this one has {g.n}",
+                file=sys.stderr,
+            )
+            return EXIT_INVALID
     try:
         cert = load_certificate(args.certificate)
     except OSError as exc:
@@ -202,6 +210,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except MalformedCertificate as exc:
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    from .verifier import DigestMismatch, verify_certificate
+
     try:
         report = verify_certificate(g, cert)
     except DigestMismatch as exc:
@@ -218,6 +228,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f" {report.conclusions_checked} conclusions"
     )
     if args.fuzz:
+        from .sanity import sanity_eval
+
         try:
             sanity = sanity_eval(g, cert, args.fuzz, seed=args.seed)
         except ValueError as exc:  # a group too large to list
@@ -233,6 +245,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    from .algebra import PolyParseError, format_poly, parse_poly
+    from .relations import local_reduce
+
     g = _load_graph(args)
     try:
         p = parse_poly(args.poly)

@@ -14,7 +14,7 @@ from qsym import (
     prove_no_quantum_symmetry,
     save_certificate,
 )
-from qsym import prover
+from qsym import sanity
 from qsym.autgroup import MAX_AUT_ORDER
 from qsym.cli import main
 
@@ -375,7 +375,7 @@ def test_verify_fuzz_refuses_a_group_too_large_to_list(tmp_path, capsys, monkeyp
 
     out_path = str(tmp_path / "c5.cert.json")
     assert run_cli(["prove", "--graph", "c5", "--out", out_path], capsys)[0] == 0
-    monkeypatch.setattr(prover, "automorphism_group", refuse)
+    monkeypatch.setattr(sanity, "automorphism_group", refuse)
     code, out, err = run_cli(["verify", "--graph", "c5", out_path, "--fuzz", "1"], capsys)
     assert code == 1 and out.startswith("valid:")
     assert err == f"cannot fuzz: automorphism group has more than {MAX_AUT_ORDER} elements\n"

@@ -1,0 +1,199 @@
+"""The lazy package namespace, and which modules each command loads.
+
+The import closures are taken in a new interpreter: in this process the
+earlier tests have already imported every qsym module, which would hide
+a command that loads more than it runs.  Only ``qsym.*`` modules are
+pinned, because the standard library's own imports vary across Python
+versions.
+"""
+
+import importlib
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qsym
+from qsym import save_certificate
+
+# Today's public names, by the submodule that defines them.
+EXPORTS = {
+    "algebra": [
+        "COL", "ROW", "Gen", "Poly", "PolyParseError", "Word", "commutator",
+        "evaluate_perm", "expand_unity", "format_poly", "gen", "monomial",
+        "parse_poly", "relabel", "star", "u", "word",
+    ],
+    "autgroup": [
+        "AutGroup", "Permutation", "automorphism_group", "induced_two_subset_map",
+        "is_automorphism", "verify_s5_action",
+    ],
+    "certificate": [
+        "CERT_VERSION", "COMMUTES", "FULL", "QA5", "ZERO_PRODUCT", "Certificate",
+        "Conclusion", "ExpandUnity", "LemmaCom", "LocalReduce",
+        "MalformedCertificate", "ProofStep", "Substitution", "Swap", "Transport",
+        "certificate_from_dict", "certificate_to_dict", "claim_quadruple",
+        "dumps_certificate", "graph_digest", "load_certificate",
+        "loads_certificate", "save_certificate",
+    ],
+    "graphs": [
+        "Graph", "GraphFormatError", "MooreReport", "SrgParams",
+        "check_moore_conditions", "complement", "complete", "complete_bipartite",
+        "cycle", "empty", "format_graph_text", "from_edge_list", "kneser",
+        "kneser_vertices", "parse_graph_text", "petersen", "srg_params",
+    ],
+    "prover": [
+        "ConditionsNotMet", "ProofBuilder", "UnsupportedDegree", "derive_qa5",
+        "prove_no_quantum_symmetry",
+    ],
+    "relations": ["local_reduce", "swap_pair"],
+    "sanity": ["SanityReport", "sanity_eval"],
+    "verifier": ["DigestMismatch", "VerificationReport", "verify_certificate"],
+}
+NAMES = sorted(name for names in EXPORTS.values() for name in names)
+
+ALL_MODULES = {
+    "qsym",
+    "qsym.algebra",
+    "qsym.autgroup",
+    "qsym.certificate",
+    "qsym.cli",
+    "qsym.graphs",
+    "qsym.prover",
+    "qsym.relations",
+    "qsym.sanity",
+    "qsym.verifier",
+}
+GRAPH_ONLY = {"qsym", "qsym.cli", "qsym.graphs"}
+
+# Runs its arguments as a qsym command line, then prints the exit code
+# and the qsym modules loaded as the last line of output.
+_CLI_SCRIPT = """
+import sys
+import qsym.cli
+try:
+    code = qsym.cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+import json
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "qsym")]))
+"""
+
+
+def _fresh(script: str, *args: str):
+    """Run script in a new interpreter that imports this qsym; return its
+    last line of output, read as JSON."""
+    src = str(Path(qsym.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_public_names_are_todays():
+    assert sorted(qsym.__all__) == NAMES
+    assert len(NAMES) == 75
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_each_name_is_the_defining_modules_object(module):
+    mod = importlib.import_module(f"qsym.{module}")
+    for name in EXPORTS[module]:
+        value = getattr(qsym, name)
+        assert value is getattr(mod, name), name
+        # Word is an alias of tuple; every other class or function is
+        # defined where the table says.
+        if value is not tuple and (inspect.isclass(value) or inspect.isfunction(value)):
+            assert value.__module__ == mod.__name__, name
+
+
+def test_star_import_and_dir_list_every_name():
+    namespace = {}
+    exec("from qsym import *", namespace)
+    assert set(NAMES) <= namespace.keys()
+    assert set(NAMES) <= set(dir(qsym))
+
+
+def test_unknown_names_are_refused():
+    with pytest.raises(AttributeError, match="module 'qsym' has no attribute 'nope'"):
+        qsym.nope
+    with pytest.raises(ImportError):
+        from qsym import nope  # noqa: F401
+
+
+def test_import_qsym_loads_no_submodule():
+    script = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "qsym")
+import qsym
+steps = [loaded()]
+from qsym import verifier
+steps.append([verifier is sys.modules["qsym.verifier"], loaded()])
+from qsym import Graph
+steps.append(loaded())
+print(json.dumps(steps))
+"""
+    bare, (is_module, submodule), library = _fresh(script)
+    assert bare == ["qsym"]
+    # A submodule loads alone, with what it imports: not the prover.
+    assert is_module
+    assert set(submodule) == ALL_MODULES - {"qsym.cli", "qsym.prover", "qsym.sanity"}
+    # The first public name loads the whole library.
+    assert set(library) == ALL_MODULES - {"qsym.cli"}
+
+
+@pytest.fixture(scope="module")
+def c5_cert_path(tmp_path_factory, c5_full_cert):
+    path = tmp_path_factory.mktemp("imports") / "c5.cert.json"
+    save_certificate(c5_full_cert, path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules",
+    [
+        (["conditions", "--graph", "c5"], 0, GRAPH_ONLY),
+        (["conditions", "--graph", "k33"], 2, GRAPH_ONLY),
+        (["info", "--graph", "petersen"], 0, GRAPH_ONLY),
+        (["aut", "--graph", "c5"], 0, GRAPH_ONLY | {"qsym.autgroup"}),
+        (
+            ["reduce", "--graph", "c5", "u[1,1]u[1,2]"],
+            0,
+            GRAPH_ONLY | {"qsym.algebra", "qsym.relations"},
+        ),
+    ],
+)
+def test_graph_commands_import_only_what_they_run(argv, code, modules):
+    assert _fresh(_CLI_SCRIPT, *argv) == [code, sorted(modules)]
+
+
+def test_verify_of_a_truncated_file_stops_at_the_loader(tmp_path, c5_cert_path):
+    truncated = tmp_path / "truncated.json"
+    text = c5_cert_path.read_text()
+    truncated.write_text(text[: len(text) // 2])
+    loaded = GRAPH_ONLY | {"qsym.algebra", "qsym.certificate"}
+    assert _fresh(_CLI_SCRIPT, "verify", "--graph", "c5", str(truncated)) == [
+        1,
+        sorted(loaded),
+    ]
+
+
+def test_verify_with_fuzz_skips_the_prover(c5_cert_path):
+    argv = ["verify", "--graph", "c5", str(c5_cert_path), "--fuzz", "1"]
+    assert _fresh(_CLI_SCRIPT, *argv) == [0, sorted(ALL_MODULES - {"qsym.prover"})]
+
+
+def test_prove_skips_the_spot_check(tmp_path):
+    argv = ["prove", "--graph", "c5", "--out", str(tmp_path / "c5.cert.json")]
+    assert _fresh(_CLI_SCRIPT, *argv) == [0, sorted(ALL_MODULES - {"qsym.sanity"})]
