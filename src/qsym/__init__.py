@@ -42,10 +42,8 @@ _EXPORTS = {
         ),
         "autgroup": (
             "AutGroup",
-            "Permutation",
             "automorphism_group",
             "induced_two_subset_map",
-            "is_automorphism",
             "verify_s5_action",
         ),
         "certificate": (
@@ -86,6 +84,7 @@ _EXPORTS = {
             "empty",
             "format_graph_text",
             "from_edge_list",
+            "is_automorphism",
             "kneser",
             "kneser_vertices",
             "parse_graph_text",

@@ -15,6 +15,8 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Union
 
+from .graphs import _permutation
+
 ROW = "row"
 COL = "col"
 
@@ -260,31 +262,15 @@ def check_gen_bounds(p: Poly, n: int) -> None:
                 raise ValueError(f"generator u[{f.row},{f.col}] out of range for n={n}")
 
 
-def perm_images(g, sigma) -> tuple[int, ...]:
-    """The one-line images of sigma, checked to permute the vertices of g.
-
-    ``sigma`` is anything with an ``images`` tuple in one-line notation,
-    or such a sequence itself.
-    """
-    images = tuple(getattr(sigma, "images", sigma))
-    n = g.n
-    if len(images) != n:
-        raise ValueError(f"permutation has degree {len(images)}, graph has {n} vertices")
-    if sorted(images) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {images}")
-    return images
-
-
 def evaluate_perm(g, sigma, p: Poly) -> Fraction:
     """Evaluate p at the permutation matrix of sigma on the vertices of g.
 
     The generator u[i,j] becomes 1 when sigma maps j to i and 0
-    otherwise; the empty word evaluates to 1.  ``sigma`` is anything
-    with an ``images`` tuple in one-line notation, or such a sequence
-    itself.  Raises ValueError if sigma does not permute the vertices
+    otherwise; the empty word evaluates to 1.  ``sigma`` is in one-line
+    notation.  Raises ValueError if sigma does not permute the vertices
     or p names a generator outside them.
     """
-    images = perm_images(g, sigma)
+    images = _permutation(g, sigma)
     check_gen_bounds(p, g.n)
     total = 0
     for w, c in p.terms.items():

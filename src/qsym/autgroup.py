@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .graphs import Graph, kneser_vertices
+from .graphs import Graph, is_automorphism, kneser_vertices
 
 # Full enumeration is exponential in the worst case; refuse beyond this.
 MAX_AUT_VERTICES = 16
@@ -21,71 +21,13 @@ MAX_AUT_ORDER = 100_000
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """Permutation of 1..n stored in one-line notation.
-
-    ``images[v - 1]`` is the image of v.
-    """
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, v: int) -> int:
-        if not 1 <= v <= len(self.images):
-            raise ValueError(f"point {v} out of range 1..{len(self.images)}")
-        return self.images[v - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Return self after other: (self.compose(other))(v) == self(other(v))."""
-        if other.degree != self.degree:
-            raise ValueError("cannot compose permutations of different degrees")
-        return Permutation(tuple(self.images[w - 1] for w in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for v, w in enumerate(self.images, start=1):
-            inv[w - 1] = v
-        return Permutation(tuple(inv))
-
-    def one_line(self) -> str:
-        return " ".join(str(w) for w in self.images)
-
-
-@dataclass(frozen=True)
 class AutGroup:
-    """Automorphism group given by order, generators and elements."""
+    """Automorphism group given by order, generators and elements, each
+    permutation a tuple in one-line notation."""
 
     order: int
-    generators: tuple[Permutation, ...]
-    elements: tuple[Permutation, ...]
-
-
-def is_automorphism(g: Graph, perm: Permutation) -> bool:
-    """Check that perm preserves adjacency of g."""
-    if perm.degree != g.n:
-        return False
-    adj1 = g.adj1
-    img = perm.images
-    for u in g.vertices():
-        iu = img[u - 1]
-        row = adj1[u]
-        irow = adj1[iu]
-        for v in range(u + 1, g.n + 1):
-            if row[v] != irow[img[v - 1]]:
-                return False
-    return True
+    generators: tuple[tuple[int, ...], ...]
+    elements: tuple[tuple[int, ...], ...]
 
 
 def _invariant_classes(g: Graph) -> list[tuple]:
@@ -120,7 +62,7 @@ def automorphism_group(g: Graph) -> AutGroup:
     n = g.n
     img = [0] * (n + 1)
     used = [False] * (n + 1)
-    found: list[Permutation] = []
+    found: list[tuple[int, ...]] = []
 
     def extend(u: int):
         if u > n:
@@ -128,7 +70,7 @@ def automorphism_group(g: Graph) -> AutGroup:
                 raise ValueError(
                     f"automorphism group has more than {MAX_AUT_ORDER} elements"
                 )
-            found.append(Permutation(tuple(img[1:])))
+            found.append(tuple(img[1:]))
             return
         row = adj1[u]
         for w in candidates[u]:
@@ -149,7 +91,7 @@ def automorphism_group(g: Graph) -> AutGroup:
     )
 
 
-def _generating_subset(elements: tuple[Permutation, ...]) -> tuple[Permutation, ...]:
+def _generating_subset(elements: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Greedy generating set: adjoin the first element not yet generated.
 
     The closure of the generators so far is a group H, kept between
@@ -157,19 +99,19 @@ def _generating_subset(elements: tuple[Permutation, ...]) -> tuple[Permutation, 
     with h in H, g the new generator and w a product of generators, so
     the new closure is H, the products h g, and what breadth-first
     search reaches from those by multiplying on the right by every
-    generator.  Permutations are one-line tuples: p after q is
-    ``tuple(p[v - 1] for v in q)``, here indexed by q shifted to 0.
+    generator.  p after q is ``tuple(p[v - 1] for v in q)``, here
+    indexed by q shifted to 0.
     """
     if not elements:
         return ()
-    gens: list[Permutation] = []
+    gens: list[tuple[int, ...]] = []
     shifted: list[tuple[int, ...]] = []  # each generator's images minus 1
-    closure = {tuple(range(1, elements[0].degree + 1))}
+    closure = {tuple(range(1, len(elements[0]) + 1))}
     for elem in elements:
-        if elem.images in closure:
+        if elem in closure:
             continue
         gens.append(elem)
-        new = tuple(v - 1 for v in elem.images)
+        new = tuple(v - 1 for v in elem)
         shifted.append(new)
         # h g lies in H for no h, since g does not.
         frontier = [tuple([p[v] for v in new]) for p in closure]
@@ -186,16 +128,13 @@ def _generating_subset(elements: tuple[Permutation, ...]) -> tuple[Permutation, 
     return tuple(gens)
 
 
-def induced_two_subset_map(base: Permutation) -> Permutation:
+def induced_two_subset_map(base: tuple[int, ...]) -> tuple[int, ...]:
     """Map on lexicographically ordered 2-subsets of {1..5} induced by base."""
-    if base.degree != 5:
-        raise ValueError(f"base permutation must act on 1..5, got degree {base.degree}")
+    if sorted(base) != [1, 2, 3, 4, 5]:
+        raise ValueError(f"base must permute 1..5, got {tuple(base)}")
     subsets = kneser_vertices(5, 2)
     index = {s: i + 1 for i, s in enumerate(subsets)}
-    images = tuple(
-        index[tuple(sorted((base(a), base(b))))] for a, b in subsets
-    )
-    return Permutation(images)
+    return tuple(index[tuple(sorted((base[a - 1], base[b - 1])))] for a, b in subsets)
 
 
 def verify_s5_action(g: Graph) -> bool:
@@ -208,12 +147,9 @@ def verify_s5_action(g: Graph) -> bool:
     """
     if g.n != 10:
         raise ValueError(f"expected a 10-vertex graph, got n={g.n}")
-    induced = [
-        induced_two_subset_map(Permutation(p))
-        for p in permutations(range(1, 6))
-    ]
+    induced = [induced_two_subset_map(p) for p in permutations(range(1, 6))]
     if not all(is_automorphism(g, perm) for perm in induced):
         return False
-    if len({perm.images for perm in induced}) != 120:
+    if len(set(induced)) != 120:
         return False
     return automorphism_group(g).order == 120

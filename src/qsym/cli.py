@@ -132,7 +132,7 @@ def cmd_aut(args: argparse.Namespace) -> int:
     print(f"order {group.order}")
     print(f"generators ({len(group.generators)}):")
     for perm in group.generators:
-        print(f"  {perm.one_line()}")
+        print("  " + " ".join(map(str, perm)))
     return EXIT_OK
 
 

@@ -2,7 +2,9 @@
 
 Vertices are the integers 1..n.  Graphs are immutable; adjacency is
 stored as a dense boolean matrix plus precomputed neighbor lists so
-that lookups inside algebraic rewriting loops stay cheap.
+that lookups inside algebraic rewriting loops stay cheap.  A
+permutation of the vertices is a tuple in one-line notation: entry
+v - 1 is the image of v.
 """
 
 from __future__ import annotations
@@ -130,6 +132,32 @@ class Graph:
     def _check_vertex(self, u: int):
         if not (isinstance(u, int) and 1 <= u <= self.n):
             raise ValueError(f"vertex {u!r} out of range 1..{self.n}")
+
+
+def _permutation(g: Graph, images) -> tuple[int, ...]:
+    """The one-line images (entry v - 1 is the image of v) as a tuple,
+    checked to permute the vertices of g; raises ValueError otherwise."""
+    images = tuple(images)
+    n = g.n
+    if len(images) != n:
+        raise ValueError(f"permutation has degree {len(images)}, graph has {n} vertices")
+    if sorted(images) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {images}")
+    return images
+
+
+def is_automorphism(g: Graph, images) -> bool:
+    """Whether the one-line images preserve adjacency of g; raises
+    ValueError when they do not permute the vertices of g."""
+    img = _permutation(g, images)
+    adj1 = g.adj1
+    for u in g.vertices():
+        row = adj1[u]
+        irow = adj1[img[u - 1]]
+        for v in range(u + 1, g.n + 1):
+            if row[v] != irow[img[v - 1]]:
+                return False
+    return True
 
 
 def from_edge_list(n: int, edge_list) -> Graph:

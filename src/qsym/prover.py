@@ -36,7 +36,7 @@ from .algebra import (
     star,
     u,
 )
-from .autgroup import Permutation, automorphism_group
+from .autgroup import automorphism_group
 from .certificate import (
     CERT_VERSION,
     COMMUTES,
@@ -131,19 +131,19 @@ class ProofBuilder:
         q = swap_pair(p, position, a, b)
         return q, self.add(p, q, Swap(sid, position))
 
-    def transport(self, sid: int, rows: Permutation, cols: Permutation) -> int:
+    def transport(self, sid: int, rows: tuple, cols: tuple) -> int:
         """A step claiming the claim of step sid with u[i,j] renamed to
         u[rows(i),cols(j)]: sid itself under two identities, else a
         Transport step, emitted once per renaming."""
-        if rows == cols == Permutation.identity(self.graph.n):
+        if rows == cols == tuple(self.graph.vertices()):
             return sid
-        key = (sid, rows.images, cols.images)
+        key = (sid, rows, cols)
         if key not in self._transports:
             step = self.steps[sid]
             self._transports[key] = self.add(
-                relabel(step.lhs, rows.images, cols.images),
-                relabel(step.rhs, rows.images, cols.images),
-                Transport(sid, rows.images, cols.images),
+                relabel(step.lhs, rows, cols),
+                relabel(step.rhs, rows, cols),
+                Transport(sid, rows, cols),
             )
         return self._transports[key]
 
@@ -218,7 +218,7 @@ def _orbit_maps(pairs, symmetries) -> dict:
         if p in out:
             continue
         for sigma in symmetries:
-            out.setdefault((sigma(p[0]), sigma(p[1])), (p, sigma))
+            out.setdefault((sigma[p[0] - 1], sigma[p[1] - 1]), (p, sigma))
     return out
 
 
@@ -262,14 +262,14 @@ class _Conclusions:
         self.items: list[Conclusion] = []
         self.table: dict[tuple[int, ...], int] = {}
 
-    def commutes(self, quad, sid: int, rows: Permutation, cols: Permutation) -> None:
+    def commutes(self, quad, sid: int, rows: tuple, cols: tuple) -> None:
         """Cite step sid for quad, renamed under rows and cols unless both
         are the identity."""
-        if rows == cols == Permutation.identity(rows.degree):
+        if rows == cols == tuple(range(1, len(rows) + 1)):
             self.items.append(Conclusion(COMMUTES, *quad, sid))
         else:
-            r = self.table.setdefault(rows.images, len(self.table))
-            c = self.table.setdefault(cols.images, len(self.table))
+            r = self.table.setdefault(rows, len(self.table))
+            c = self.table.setdefault(cols, len(self.table))
             self.items.append(Conclusion(COMMUTES, *quad, sid, r, c))
 
     def certificate(self, bld: ProofBuilder, scope: str) -> Certificate:

@@ -1,17 +1,18 @@
 """Independent rechecking of commutativity certificates.
 
-The checker shares only the algebra primitives, and autgroup's
-permutation type and automorphism test, with the prover: each step is
-reverified from its justification and earlier steps, never from how
-the prover happened to emit it.  Every rule is a lookup, not
-a search: the justification names the cited steps and, for a
-substitution, the sign of the combination, so each check is an exact
-recomputation or polynomial equality.  Structural defects (wrong
-version or scope, non-sequential ids, dangling or forward references
-between steps) raise MalformedCertificate; a certificate for a
-different graph raises DigestMismatch; defects of content produce an
-invalid report naming the first failing table entry, step or
-conclusion, in that order of checking.
+The checker shares only the algebra primitives, and the graph's
+automorphism test from graphs, with the prover; it imports nothing of
+the automorphism search.  Each step is reverified from its
+justification and earlier steps, never from how the prover happened
+to emit it.  Every rule is a lookup, not a search: the justification
+names the cited steps and, for a substitution, the sign of the
+combination, so each check is an exact recomputation or polynomial
+equality.  Structural defects (wrong version or scope, non-sequential
+ids, dangling or forward references between steps) raise
+MalformedCertificate; a certificate for a different graph raises
+DigestMismatch; defects of content produce an invalid report whose
+location names the first failing table entry, step or conclusion, in
+that order of checking.
 
 Each conclusion's claim is rechecked from its own justification: its
 difference reduces to zero, or it equals the claim of the cited step,
@@ -28,10 +29,7 @@ on the left and right by the rest of a word, and summing with the
 coefficients of lhs, gives lhs = rhs exactly when rhs is lhs with the
 pair at the swap's position reversed in every word, and that pair is
 u[a,b]u[c,d] or u[c,d]u[a,b] in every word.  That is all the rule
-checks.  Format version 3 wrote the pair out again as a commutation
-instance and required its rows and its columns to be adjacent; those
-side conditions never carried soundness, the certifying step did, so
-citing the step alone weakens no check on "valid".
+checks.
 
 Renaming under the table is sound because every entry is checked, once
 and before any step, to be a permutation of 1..n that is an
@@ -89,8 +87,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import check_gen_bounds, expand_unity, gen, perm_images, relabel, star
-from .autgroup import Permutation, is_automorphism
+from .algebra import check_gen_bounds, expand_unity, gen, relabel, star
 from .certificate import (
     CERT_VERSION,
     COMMUTES,
@@ -111,7 +108,7 @@ from .certificate import (
     graph_digest,
     justification_refs,
 )
-from .graphs import Graph
+from .graphs import Graph, is_automorphism
 from .relations import _reduce_word, local_reduce, swap_pair
 
 
@@ -128,19 +125,8 @@ class VerificationReport:
     conclusions_checked: int
     first_failure: Optional[int] = None  # id of the failing step
     reason: Optional[str] = None
-    failed_conclusion: Optional[int] = None
-    failed_automorphism: Optional[int] = None
-
-    @property
-    def location(self) -> Optional[str]:
-        """Where the check failed: "step s", "conclusion c" or "automorphism a"."""
-        if self.first_failure is not None:
-            return f"step {self.first_failure}"
-        if self.failed_conclusion is not None:
-            return f"conclusion {self.failed_conclusion}"
-        if self.failed_automorphism is not None:
-            return f"automorphism {self.failed_automorphism}"
-        return None
+    # Where the check failed: "step s", "conclusion c" or "automorphism a".
+    location: Optional[str] = None
 
 
 def scope_quadruples(g: Graph, scope: str) -> list[tuple[int, int, int, int]]:
@@ -151,12 +137,6 @@ def scope_quadruples(g: Graph, scope: str) -> list[tuple[int, int, int, int]]:
         return list(itertools.product(g.vertices(), repeat=4))
     edges = g.directed_edges()
     return sorted((i, j, k, l) for i, k in edges for j, l in edges)
-
-
-def _is_automorphism(g: Graph, images) -> bool:
-    """Whether the one-line images preserve adjacency; raises ValueError
-    when they do not permute the vertices of g."""
-    return is_automorphism(g, Permutation(perm_images(g, images)))
 
 
 def _check_step(g: Graph, steps: Sequence[ProofStep], step: ProofStep) -> Optional[str]:
@@ -205,7 +185,7 @@ def _check_step(g: Graph, steps: Sequence[ProofStep], step: ProofStep) -> Option
         return None
     if isinstance(just, Transport):
         for name, images in (("rows", just.rows), ("cols", just.cols)):
-            if not _is_automorphism(g, images):
+            if not is_automorphism(g, images):
                 return f"{name} is not an automorphism of the graph"
         ref = steps[just.step]
         lhs = relabel(ref.lhs, just.rows, just.cols)
@@ -285,7 +265,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
 
     for idx, images in enumerate(cert.automorphisms):
         try:
-            reason = None if _is_automorphism(g, images) else "not an automorphism of the graph"
+            reason = None if is_automorphism(g, images) else "not an automorphism of the graph"
         except ValueError as exc:
             reason = str(exc)
         if reason is not None:
@@ -293,7 +273,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
                 valid=False,
                 steps_checked=0,
                 conclusions_checked=0,
-                failed_automorphism=idx,
+                location=f"automorphism {idx}",
                 reason=reason,
             )
 
@@ -308,6 +288,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
                 steps_checked=step.id,
                 conclusions_checked=0,
                 first_failure=step.id,
+                location=f"step {step.id}",
                 reason=reason,
             )
 
@@ -324,7 +305,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
                 valid=False,
                 steps_checked=len(steps),
                 conclusions_checked=idx,
-                failed_conclusion=idx,
+                location=f"conclusion {idx}",
                 reason=(
                     f"conclusion {idx} ({concl.kind} {concl.i},{concl.j},"
                     f"{concl.k},{concl.l}) {reason}"
@@ -336,7 +317,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
             valid=False,
             steps_checked=len(steps),
             conclusions_checked=idx,
-            failed_conclusion=idx,
+            location=f"conclusion {idx}",
             reason=(
                 f"{len(conclusions)} conclusions for the {len(quads)}"
                 f" quadruples of the {cert.scope} scope"

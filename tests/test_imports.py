@@ -28,8 +28,7 @@ EXPORTS = {
         "parse_poly", "relabel", "star", "u", "word",
     ],
     "autgroup": [
-        "AutGroup", "Permutation", "automorphism_group", "induced_two_subset_map",
-        "is_automorphism", "verify_s5_action",
+        "AutGroup", "automorphism_group", "induced_two_subset_map", "verify_s5_action",
     ],
     "certificate": [
         "CERT_VERSION", "COMMUTES", "FULL", "QA5", "ZERO_PRODUCT", "Certificate",
@@ -42,8 +41,8 @@ EXPORTS = {
     "graphs": [
         "Graph", "GraphFormatError", "MooreReport", "SrgParams",
         "check_moore_conditions", "complement", "complete", "complete_bipartite",
-        "cycle", "empty", "format_graph_text", "from_edge_list", "kneser",
-        "kneser_vertices", "parse_graph_text", "petersen", "srg_params",
+        "cycle", "empty", "format_graph_text", "from_edge_list", "is_automorphism",
+        "kneser", "kneser_vertices", "parse_graph_text", "petersen", "srg_params",
     ],
     "prover": [
         "ConditionsNotMet", "ProofBuilder", "UnsupportedDegree", "derive_qa5",
@@ -102,7 +101,7 @@ def _fresh(script: str, *args: str):
 
 def test_public_names_are_todays():
     assert sorted(qsym.__all__) == NAMES
-    assert len(NAMES) == 75
+    assert len(NAMES) == 74
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))
@@ -146,9 +145,15 @@ print(json.dumps(steps))
 """
     bare, (is_module, submodule), library = _fresh(script)
     assert bare == ["qsym"]
-    # A submodule loads alone, with what it imports: not the prover.
+    # A submodule loads alone, with what it imports: not the prover, and
+    # not the automorphism search.
     assert is_module
-    assert set(submodule) == ALL_MODULES - {"qsym.cli", "qsym.prover", "qsym.sanity"}
+    assert set(submodule) == ALL_MODULES - {
+        "qsym.autgroup",
+        "qsym.cli",
+        "qsym.prover",
+        "qsym.sanity",
+    }
     # The first public name loads the whole library.
     assert set(library) == ALL_MODULES - {"qsym.cli"}
 
@@ -187,6 +192,17 @@ def test_verify_of_a_truncated_file_stops_at_the_loader(tmp_path, c5_cert_path):
         1,
         sorted(loaded),
     ]
+
+
+def test_verify_without_fuzz_skips_the_automorphism_search(c5_cert_path):
+    argv = ["verify", "--graph", "c5", str(c5_cert_path)]
+    loaded = GRAPH_ONLY | {
+        "qsym.algebra",
+        "qsym.certificate",
+        "qsym.relations",
+        "qsym.verifier",
+    }
+    assert _fresh(_CLI_SCRIPT, *argv) == [0, sorted(loaded)]
 
 
 def test_verify_with_fuzz_skips_the_prover(c5_cert_path):

@@ -349,7 +349,7 @@ def test_conclusion_must_match_step_claim():
     # u[1,1]u[1,1] commutes with itself, but step 0 claims u[1,1]u[1,1] = u[1,1].
     concl = Conclusion(COMMUTES, 1, 1, 1, 1, 0)
     report = _first_failure((IDEM_STEP,), (concl,))
-    assert report.first_failure is None and report.failed_conclusion == 0
+    assert report.first_failure is None and report.location == "conclusion 0"
     assert report.steps_checked == 1
     assert report.conclusions_checked == 0
     assert "not the claim of step 0" in report.reason
