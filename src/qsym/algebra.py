@@ -330,6 +330,13 @@ _TOKEN = re.compile(
 )
 
 
+def _parse_int(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # more digits than Python converts
+        raise PolyParseError(str(exc), pos) from None
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens = []
     pos = 0
@@ -339,21 +346,21 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
         kind = m.lastgroup
         if kind == "gen":
-            r, c = int(m.group("row")), int(m.group("col"))
+            r, c = _parse_int(m.group("row"), pos), _parse_int(m.group("col"), pos)
             if r < 1 or c < 1:
                 raise PolyParseError("generator indices start at 1", pos)
             tokens.append(("gen", gen(r, c), pos))
         elif kind == "num":
             text_num = m.group("num")
             if "/" in text_num:
-                a, b = text_num.split("/")
-                if int(b) == 0:
+                a, b = (_parse_int(t, pos) for t in text_num.split("/"))
+                if b == 0:
                     raise PolyParseError("zero denominator", pos)
-                value: Coeff = Fraction(int(a), int(b))
+                value: Coeff = Fraction(a, b)
                 if value.denominator == 1:
                     value = int(value)
             else:
-                value = int(text_num)
+                value = _parse_int(text_num, pos)
             tokens.append(("num", value, pos))
         elif kind in ("plus", "minus", "times"):
             tokens.append((kind, None, pos))

@@ -17,9 +17,10 @@ spot check read its integers without building a polynomial; only
 Conclusion.claim does, for callers that want the equation.
 
 A step's justification is one of six rules: local_reduce,
-expand_unity, swap, substitution, lemma_com and transport.  A swap
-cites the earlier step that claims the commutation it uses, and
-carries nothing else but the position of the pair.
+expand_unity, swap, substitution, lemma_com and transport.  The rule
+table, _RULES, is where a rule's wire form is defined.  A swap cites
+the earlier step that claims the commutation it uses, and carries
+nothing else but the position of the pair.
 
 Serialization is JSON with polynomials in their canonical text syntax,
 format version CERT_VERSION; files of any other version are refused.
@@ -30,11 +31,12 @@ text rendering.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .algebra import COL, ROW, Poly, format_poly, gen, parse_poly
+from .algebra import COL, ROW, Poly, PolyParseError, format_poly, gen, parse_poly
 from .graphs import Graph, format_graph_text
 
 CERT_VERSION = 4
@@ -42,11 +44,19 @@ CERT_VERSION = 4
 COMMUTES = "commutes"
 ZERO_PRODUCT = "zero_product"
 
-# Scopes: every ordered quadruple (i, j, k, l), or only those with i
-# adjacent to k and j adjacent to l.
 FULL = "full"
 QA5 = "qa5"
 SCOPES = (FULL, QA5)
+
+
+def scope_quadruples(g: Graph, scope: str) -> list[tuple[int, int, int, int]]:
+    """The quadruples (i, j, k, l) a certificate of this scope concludes
+    on, in lexicographic order: all of them, or for QA5 those with i
+    adjacent to k and j adjacent to l."""
+    if scope == FULL:
+        return list(itertools.product(g.vertices(), repeat=4))
+    edges = g.directed_edges()
+    return sorted((i, j, k, l) for i, k in edges for j, l in edges)
 
 
 class MalformedCertificate(ValueError):
@@ -123,13 +133,10 @@ class ProofStep:
     justification: Justification
 
     def __post_init__(self):
-        if isinstance(self.id, bool) or not isinstance(self.id, int) or self.id < 0:
-            raise ValueError(f"step id must be a nonnegative integer, got {self.id!r}")
+        _check_index(self.id, "step id")
 
 
-def _check_optional_index(value, what: str) -> None:
-    if value is None:
-        return
+def _check_index(value, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
 
@@ -142,9 +149,9 @@ def _check_conclusion_fields(kind, i, j, k, l, step, rows, cols) -> None:
     for v in (i, j, k, l):
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise ValueError(f"conclusion index must be a positive integer, got {v!r}")
-    _check_optional_index(step, "conclusion step")
-    _check_optional_index(rows, "conclusion rows")
-    _check_optional_index(cols, "conclusion cols")
+    for name, v in (("step", step), ("rows", rows), ("cols", cols)):
+        if v is not None:
+            _check_index(v, f"conclusion {name}")
     if (rows is None) != (cols is None):
         raise ValueError("conclusion rows and cols come together")
     if rows is not None and step is None:
@@ -260,15 +267,6 @@ def graph_digest(g: Graph) -> str:
     return hashlib.sha256(format_graph_text(g).encode("ascii")).hexdigest()
 
 
-def justification_refs(just: Justification) -> tuple[int, ...]:
-    """Earlier step ids a justification depends on."""
-    if isinstance(just, (Swap, LemmaCom, Transport)):
-        return (just.step,)
-    if isinstance(just, Substitution):
-        return (just.base, just.using)
-    return ()
-
-
 def _require_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise MalformedCertificate(f"{what} must be an integer, got {value!r}")
@@ -290,76 +288,63 @@ def _require_keys(d: dict, expected: set, what: str):
         )
 
 
+def _require_side(value, what: str) -> str:
+    if value not in (ROW, COL):
+        raise MalformedCertificate(f"{what} must be {ROW!r} or {COL!r}, got {value!r}")
+    return value
+
+
+def _require_sign(value, what: str) -> int:
+    if _require_int(value, what) not in (1, -1):
+        raise MalformedCertificate(f"{what} must be 1 or -1, got {value!r}")
+    return value
+
+
+# The rule table: each justification's rule name and the fields citing
+# earlier steps.  Its wire form is the rule name, then its fields in
+# class order, each checked on loading by _FIELD_CHECKS or as an integer.
+_RULES = {
+    LocalReduce: ("local_reduce", ()),
+    ExpandUnity: ("expand_unity", ()),
+    Swap: ("swap", ("step",)),
+    Substitution: ("substitution", ("base", "using")),
+    LemmaCom: ("lemma_com", ("step",)),
+    Transport: ("transport", ("step",)),
+}
+_RULE_CLASSES = {name: cls for cls, (name, _) in _RULES.items()}
+_FIELD_CHECKS = {
+    "side": _require_side, "sign": _require_sign,
+    "rows": _require_int_array, "cols": _require_int_array,
+}
+
+
+def justification_refs(just: Justification) -> tuple[int, ...]:
+    """Earlier step ids a justification depends on."""
+    _, refs = _RULES.get(type(just), (None, ()))
+    return tuple(getattr(just, f) for f in refs)
+
+
 def _justification_to_dict(just: Justification) -> dict:
-    if isinstance(just, LocalReduce):
-        return {"rule": "local_reduce"}
-    if isinstance(just, ExpandUnity):
-        return {
-            "rule": "expand_unity",
-            "position": just.position,
-            "index": just.index,
-            "side": just.side,
-        }
-    if isinstance(just, Swap):
-        return {"rule": "swap", "step": just.step, "position": just.position}
-    if isinstance(just, Substitution):
-        return {"rule": "substitution", "base": just.base, "using": just.using, "sign": just.sign}
-    if isinstance(just, LemmaCom):
-        return {"rule": "lemma_com", "step": just.step}
-    if isinstance(just, Transport):
-        return {
-            "rule": "transport",
-            "step": just.step,
-            "rows": list(just.rows),
-            "cols": list(just.cols),
-        }
-    raise MalformedCertificate(f"unknown justification {just!r}")
+    rule = _RULES.get(type(just))
+    if rule is None:
+        raise MalformedCertificate(f"unknown justification {just!r}")
+    d = {"rule": rule[0]}
+    for f in type(just).__match_args__:
+        v = getattr(just, f)
+        d[f] = list(v) if isinstance(v, tuple) else v
+    return d
 
 
 def _justification_from_dict(d) -> Justification:
     if not isinstance(d, dict) or "rule" not in d:
         raise MalformedCertificate("justification must be an object with a 'rule'")
     rule = d["rule"]
-    if rule == "local_reduce":
-        _require_keys(d, {"rule"}, "local_reduce justification")
-        return LocalReduce()
-    if rule == "expand_unity":
-        _require_keys(d, {"rule", "position", "index", "side"}, "expand_unity justification")
-        side = d["side"]
-        if side not in (ROW, COL):
-            raise MalformedCertificate(f"side must be {ROW!r} or {COL!r}, got {side!r}")
-        return ExpandUnity(
-            position=_require_int(d["position"], "position"),
-            index=_require_int(d["index"], "index"),
-            side=side,
-        )
-    if rule == "swap":
-        _require_keys(d, {"rule", "step", "position"}, "swap justification")
-        return Swap(
-            step=_require_int(d["step"], "step"),
-            position=_require_int(d["position"], "position"),
-        )
-    if rule == "substitution":
-        _require_keys(d, {"rule", "base", "using", "sign"}, "substitution justification")
-        sign = _require_int(d["sign"], "sign")
-        if sign not in (1, -1):
-            raise MalformedCertificate(f"sign must be 1 or -1, got {sign!r}")
-        return Substitution(
-            base=_require_int(d["base"], "base"),
-            using=_require_int(d["using"], "using"),
-            sign=sign,
-        )
-    if rule == "lemma_com":
-        _require_keys(d, {"rule", "step"}, "lemma_com justification")
-        return LemmaCom(step=_require_int(d["step"], "step"))
-    if rule == "transport":
-        _require_keys(d, {"rule", "step", "rows", "cols"}, "transport justification")
-        return Transport(
-            step=_require_int(d["step"], "step"),
-            rows=_require_int_array(d["rows"], "rows"),
-            cols=_require_int_array(d["cols"], "cols"),
-        )
-    raise MalformedCertificate(f"unknown justification rule {rule!r}")
+    cls = _RULE_CLASSES.get(rule) if isinstance(rule, str) else None
+    if cls is None:
+        raise MalformedCertificate(f"unknown justification rule {rule!r}")
+    fields = cls.__match_args__
+    _require_keys(d, {"rule", *fields}, f"{rule} justification")
+    return cls(*(_FIELD_CHECKS.get(f, _require_int)(d[f], f) for f in fields))
 
 
 def _parse_poly_field(text, what: str, parsed: dict[str, Poly]) -> Poly:
@@ -374,7 +359,7 @@ def _parse_poly_field(text, what: str, parsed: dict[str, Poly]) -> Poly:
     if p is None:
         try:
             p = parse_poly(text)
-        except ValueError as exc:  # PolyParseError, or an integer over Python's digit limit
+        except PolyParseError as exc:
             raise MalformedCertificate(f"{what}: {exc}") from None
         parsed[text] = p
     return p

@@ -53,6 +53,7 @@ from .certificate import (
     Swap,
     Transport,
     graph_digest,
+    scope_quadruples,
 )
 from .graphs import Graph, MooreReport, check_moore_conditions
 from .relations import local_reduce, swap_pair
@@ -254,51 +255,6 @@ def _derive_all_edge_edge(bld: ProofBuilder, symmetries) -> dict:
     return _derive_family(bld, bld.graph.directed_edges(), symmetries, _derive_edge_edge)
 
 
-class _Conclusions:
-    """Conclusions in the order given, and the automorphism table they
-    cite, each permutation listed once in order of first use."""
-
-    def __init__(self):
-        self.items: list[Conclusion] = []
-        self.table: dict[tuple[int, ...], int] = {}
-
-    def commutes(self, quad, sid: int, rows: tuple, cols: tuple) -> None:
-        """Cite step sid for quad, renamed under rows and cols unless both
-        are the identity."""
-        if rows == cols == tuple(range(1, len(rows) + 1)):
-            self.items.append(Conclusion(COMMUTES, *quad, sid))
-        else:
-            r = self.table.setdefault(rows, len(self.table))
-            c = self.table.setdefault(cols, len(self.table))
-            self.items.append(Conclusion(COMMUTES, *quad, sid, r, c))
-
-    def certificate(self, bld: ProofBuilder, scope: str) -> Certificate:
-        return Certificate(
-            CERT_VERSION,
-            graph_digest(bld.graph),
-            scope,
-            tuple(self.table),
-            tuple(bld.steps),
-            tuple(self.items),
-        )
-
-
-def derive_qa5(g: Graph) -> Certificate:
-    """Certify commutation of u[i,j] and u[k,l] for all edges (i,k), (j,l).
-
-    Requires the regularity and common-neighbor hypotheses and common
-    degree at most 3; raises ConditionsNotMet or UnsupportedDegree
-    otherwise.  Conclusions are sorted by quadruple.
-    """
-    _require_hypotheses(g)
-    bld = ProofBuilder(g)
-    family = _derive_all_edge_edge(bld, automorphism_group(g).elements)
-    out = _Conclusions()
-    for quad in sorted(family):
-        out.commutes(quad, *family[quad])
-    return out.certificate(bld, QA5)
-
-
 def _kill_extra_neighbor(
     bld: ProofBuilder,
     r1: int,
@@ -413,6 +369,60 @@ def _derive_nonedge(
     return bld.lemma_com(final)
 
 
+def _prove(g: Graph, scope: str) -> Certificate:
+    """The certificate of either scope: derive the edge-edge family, and
+    for FULL the non-edge family, then conclude on each quadruple of the
+    scope in order, listing each cited automorphism once, by first use."""
+    _require_hypotheses(g)
+    bld = ProofBuilder(g)
+    symmetries = automorphism_group(g).elements
+    adj1 = g.adj1
+    commuting = edge_edge = _derive_all_edge_edge(bld, symmetries)
+    if scope == FULL:
+
+        def certify(quad):
+            return bld.transport(*edge_edge[quad])
+
+        vs = g.vertices()
+        nonedges = [(a, b) for a in vs for b in vs if a != b and not adj1[a][b]]
+        commuting = edge_edge | _derive_family(
+            bld,
+            nonedges,
+            symmetries,
+            lambda bld, r1, c1, r2, c2: _derive_nonedge(bld, r1, c1, r2, c2, certify),
+        )
+    identity = tuple(g.vertices())
+    table: dict[tuple[int, ...], int] = {}
+    conclusions = []
+    for quad in scope_quadruples(g, scope):
+        i, j, k, l = quad
+        if i == k and j == l:
+            conclusions.append(Conclusion(COMMUTES, *quad))
+        elif i == k or j == l or bool(adj1[i][k]) != bool(adj1[j][l]):
+            conclusions.append(Conclusion(ZERO_PRODUCT, *quad))
+        else:
+            sid, rows, cols = commuting[quad]
+            if rows == cols == identity:
+                conclusions.append(Conclusion(COMMUTES, *quad, sid))
+            else:
+                r = table.setdefault(rows, len(table))
+                c = table.setdefault(cols, len(table))
+                conclusions.append(Conclusion(COMMUTES, *quad, sid, r, c))
+    return Certificate(
+        CERT_VERSION, graph_digest(g), scope, tuple(table), tuple(bld.steps), tuple(conclusions)
+    )
+
+
+def derive_qa5(g: Graph) -> Certificate:
+    """Certify commutation of u[i,j] and u[k,l] for all edges (i,k), (j,l).
+
+    Requires the regularity and common-neighbor hypotheses and common
+    degree at most 3; raises ConditionsNotMet or UnsupportedDegree
+    otherwise.  Conclusions are sorted by quadruple.
+    """
+    return _prove(g, QA5)
+
+
 def prove_no_quantum_symmetry(g: Graph) -> Certificate:
     """Certify that every ordered generator pair commutes or vanishes.
 
@@ -422,32 +432,4 @@ def prove_no_quantum_symmetry(g: Graph) -> Certificate:
     common degree at most 3; raises ConditionsNotMet or
     UnsupportedDegree otherwise.
     """
-    _require_hypotheses(g)
-    bld = ProofBuilder(g)
-    symmetries = automorphism_group(g).elements
-    adj1 = g.adj1
-    edge_edge = _derive_all_edge_edge(bld, symmetries)
-
-    def certify(quad):
-        return bld.transport(*edge_edge[quad])
-
-    nonedges = [(a, b) for a in g.vertices() for b in g.vertices() if a != b and not adj1[a][b]]
-    commuting = edge_edge | _derive_family(
-        bld,
-        nonedges,
-        symmetries,
-        lambda bld, r1, c1, r2, c2: _derive_nonedge(bld, r1, c1, r2, c2, certify),
-    )
-    out = _Conclusions()
-    for i in g.vertices():
-        for j in g.vertices():
-            for k2 in g.vertices():
-                for l in g.vertices():
-                    if i == k2 and j == l:
-                        out.items.append(Conclusion(COMMUTES, i, j, k2, l))
-                    elif i == k2 or j == l or bool(adj1[i][k2]) != bool(adj1[j][l]):
-                        out.items.append(Conclusion(ZERO_PRODUCT, i, j, k2, l))
-                    else:
-                        quad = (i, j, k2, l)
-                        out.commutes(quad, *commuting[quad])
-    return out.certificate(bld, FULL)
+    return _prove(g, FULL)

@@ -1,15 +1,15 @@
 """Independent rechecking of commutativity certificates.
 
-The checker shares only the algebra primitives, and the graph's
-automorphism test from graphs, with the prover; it imports nothing of
-the automorphism search.  Each step is reverified from its
-justification and earlier steps, never from how the prover happened
-to emit it.  Every rule is a lookup, not a search: the justification
-names the cited steps and, for a substitution, the sign of the
-combination, so each check is an exact recomputation or polynomial
-equality.  Structural defects (wrong version or scope, non-sequential
-ids, dangling or forward references between steps) raise
-MalformedCertificate; a certificate for a different graph raises
+The checker shares only the algebra primitives, the certificate's
+scope order and the graph's automorphism test with the prover; it
+imports nothing of the automorphism search.  Each step is reverified
+from its justification and earlier steps, never from how the prover
+happened to emit it.  Every rule is a lookup, not a search: the
+justification names the cited steps and, for a substitution, the sign
+of the combination, so each check is an exact recomputation or
+polynomial equality.  Structural defects (wrong version or scope,
+non-sequential ids, dangling or forward references between steps)
+raise MalformedCertificate; a certificate for a different graph raises
 DigestMismatch; defects of content produce an invalid report whose
 location names the first failing table entry, step or conclusion, in
 that order of checking.
@@ -48,9 +48,8 @@ side conditions.  Commutation is not a defining relation: each swap
 cites an earlier step whose claim holds in the quotient.  The renaming
 therefore maps the ideal of relations onto itself and is a
 *-automorphism of the quotient algebra, so a claim that holds there
-still holds after renaming.  Under a
-permutation that is not an automorphism the renamed claim can be
-false, and the entry is refused.
+still holds after renaming.  Under a permutation that is not an
+automorphism the renamed claim can be false, and the entry is refused.
 
 A conclusion with no step is decided on words.  Its claim is the word
 u[i,j]u[k,l] with coefficient 1 against its reverse u[k,l]u[i,j] with
@@ -83,7 +82,6 @@ quadruple), so two claims are equal exactly when their tuples are.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -91,7 +89,6 @@ from .algebra import check_gen_bounds, expand_unity, gen, relabel, star
 from .certificate import (
     CERT_VERSION,
     COMMUTES,
-    FULL,
     SCOPES,
     ZERO_PRODUCT,
     Certificate,
@@ -107,6 +104,7 @@ from .certificate import (
     claim_quadruple,
     graph_digest,
     justification_refs,
+    scope_quadruples,
 )
 from .graphs import Graph, is_automorphism
 from .relations import _reduce_word, local_reduce, swap_pair
@@ -127,16 +125,6 @@ class VerificationReport:
     reason: Optional[str] = None
     # Where the check failed: "step s", "conclusion c" or "automorphism a".
     location: Optional[str] = None
-
-
-def scope_quadruples(g: Graph, scope: str) -> list[tuple[int, int, int, int]]:
-    """The quadruples (i, j, k, l) a certificate of this scope concludes
-    on, in lexicographic order: all of them, or for QA5 those with i
-    adjacent to k and j adjacent to l."""
-    if scope == FULL:
-        return list(itertools.product(g.vertices(), repeat=4))
-    edges = g.directed_edges()
-    return sorted((i, j, k, l) for i, k in edges for j, l in edges)
 
 
 def _check_step(g: Graph, steps: Sequence[ProofStep], step: ProofStep) -> Optional[str]:

@@ -24,6 +24,11 @@ def petersen_full_cert(petersen_graph):
 
 
 @pytest.fixture(scope="session")
+def c5_qa5_cert(c5_graph):
+    return derive_qa5(c5_graph)
+
+
+@pytest.fixture(scope="session")
 def c5_full_cert(c5_graph):
     return prove_no_quantum_symmetry(c5_graph)
 

@@ -212,6 +212,17 @@ def test_parse_poly_errors():
             parse_poly(bad)
 
 
+def test_parse_poly_refuses_integers_over_the_digit_limit():
+    # Python refuses to convert integer strings over 4300 digits: a
+    # number, a denominator or a generator index that long is a parse
+    # error at its token.
+    huge = "7" * 5000
+    for bad in (huge, "2/" + huge, "u[" + huge + ",1]", "u[2," + huge + "]"):
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly("u[1,1] + 3*" + bad)
+        assert exc.value.position == 11
+
+
 @given(polys)
 def test_format_parse_round_trip(p):
     assert parse_poly(format_poly(p)) == p

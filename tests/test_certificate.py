@@ -155,6 +155,13 @@ def test_from_dict_rejects_bad_shapes():
     corrupt(lambda d: d["steps"][1]["justification"].update(side="diag"))
     corrupt(lambda d: d["steps"][1]["justification"].update(rule="nonsense"))
     corrupt(lambda d: d["steps"][1]["justification"].pop("index"))
+    # A rule is looked up by its wire name alone: a value that is no
+    # string, hashable or not, is refused, and so is a class name, even
+    # on a step whose fields that class has.
+    for bad_rule in ([], ["swap"], {"rule": "swap"}, 0, 1.5, None):
+        corrupt(lambda d: d["steps"][1]["justification"].update(rule=bad_rule))
+    corrupt(lambda d: d["steps"][0]["justification"].update(rule="LocalReduce"))
+    corrupt(lambda d: d["steps"][2]["justification"].update(rule="Swap"))
     # A swap names its step and position as integers; the version 3
     # relation rule is gone.
     for field in ("step", "position"):
@@ -186,6 +193,40 @@ def test_from_dict_rejects_bad_shapes():
     corrupt(lambda d: d["conclusions"][0].update(step=None))
     corrupt(lambda d: d["conclusions"][0].update(extra=1))
     corrupt(lambda d: d["conclusions"].append([1, 1, 1, 1]))
+
+
+# What `qsym prove` writes, dumps_certificate plus a newline, pinned by
+# SHA-256 and length.  A change of format must update these on purpose.
+@pytest.mark.parametrize(
+    "cert_fixture, sha256, size",
+    [
+        (
+            "petersen_full_cert",
+            "1a104d0dd19f65c7389fc126697f822f93936a41aec1135aef43167649598706",
+            611_371,
+        ),
+        (
+            "c5_full_cert",
+            "c740ab40f7860a0db7b570010dccacb9918450bd68b370addd375d0894f3e786",
+            39_525,
+        ),
+        (
+            "petersen_qa5_cert",
+            "2022d18f0a676275e56a7f192696c825f769c3878b5df1db0896274c7459aa43",
+            70_262,
+        ),
+        (
+            "c5_qa5_cert",
+            "aecf9f6e27f5069efb50b8c35069c24588f3ff18f5130094cc4ebba46ae65492",
+            8_873,
+        ),
+    ],
+    ids=["petersen-full", "c5-full", "petersen-qa5", "c5-qa5"],
+)
+def test_certificate_bytes_are_pinned(cert_fixture, sha256, size, request):
+    data = (dumps_certificate(request.getfixturevalue(cert_fixture)) + "\n").encode("ascii")
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == sha256
 
 
 def test_repeated_malformed_poly_names_its_first_field():

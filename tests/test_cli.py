@@ -441,6 +441,17 @@ def test_reduce_parse_error(capsys):
     assert "cannot parse polynomial" in err
 
 
+@pytest.mark.parametrize(
+    "poly", ["1" * 5000, "u[" + "1" * 5000 + ",1]"], ids=["number", "generator-index"]
+)
+def test_reduce_refuses_integers_over_the_digit_limit(capsys, poly):
+    # Python refuses to convert integer strings over 4300 digits; the
+    # parser reports that as a parse error, not a traceback.
+    code, _, err = run_cli(["reduce", "--graph", "c5", poly], capsys)
+    assert code == 3
+    assert _one_line_refusal(err) and "cannot parse polynomial" in err
+
+
 def test_reduce_out_of_range_generator(capsys):
     code, _, err = run_cli(["reduce", "--graph", "petersen", "u[11,1]"], capsys)
     assert code == 1

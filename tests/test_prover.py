@@ -387,6 +387,26 @@ def test_sanity_eval_rejects_negative_trials(c5_graph, c5_full_cert):
     assert sanity_eval(c5_graph, c5_full_cert, trials=0).checks == 0
 
 
+@pytest.mark.parametrize("graph", ["c5", "petersen"])
+def test_qa5_certificate_is_the_start_of_the_full_proof(request, graph):
+    # Both scopes share one derivation: the qa5 steps are the first
+    # steps of the full certificate, and each qa5 quadruple is concluded
+    # the same way in both.  Table indices differ between the scopes, so
+    # the cited automorphisms are compared as permutations.
+    qa5 = request.getfixturevalue(f"{graph}_qa5_cert")
+    full = request.getfixturevalue(f"{graph}_full_cert")
+    assert qa5.conclusions and full.steps[: len(qa5.steps)] == qa5.steps
+    by_quad = {(c.i, c.j, c.k, c.l): c for c in full.conclusions}
+
+    def citation(cert, c):
+        table = cert.automorphisms
+        renaming = None if c.rows is None else (table[c.rows], table[c.cols])
+        return c.kind, c.step, renaming
+
+    for c in qa5.conclusions:
+        assert citation(full, by_quad[(c.i, c.j, c.k, c.l)]) == citation(qa5, c)
+
+
 def test_certificates_are_deterministic(petersen_graph):
     from qsym import dumps_certificate
 
