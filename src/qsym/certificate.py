@@ -22,8 +22,13 @@ table, _RULES, is where a rule's wire form is defined.  A swap cites
 the earlier step that claims the commutation it uses, and carries
 nothing else but the position of the pair.
 
+A Certificate is well formed however it is built: its scope is known,
+its step ids run 0, 1, ... in order, and each step cites only earlier
+steps.  So the verifier checks only the proof.
+
 Serialization is JSON with polynomials in their canonical text syntax,
-format version CERT_VERSION; files of any other version are refused.
+format version CERT_VERSION, which belongs to the codec alone: the
+writer stamps it and the loader refuses files of any other version.
 The graph is bound by digest: lowercase hex SHA-256 of its canonical
 text rendering.
 """
@@ -34,7 +39,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .algebra import COL, ROW, Poly, PolyParseError, format_poly, gen, parse_poly
 from .graphs import Graph, format_graph_text
@@ -49,12 +54,12 @@ QA5 = "qa5"
 SCOPES = (FULL, QA5)
 
 
-def scope_quadruples(g: Graph, scope: str) -> list[tuple[int, int, int, int]]:
+def scope_quadruples(g: Graph, scope: str) -> Iterable[tuple[int, int, int, int]]:
     """The quadruples (i, j, k, l) a certificate of this scope concludes
-    on, in lexicographic order: all of them, or for QA5 those with i
-    adjacent to k and j adjacent to l."""
+    on, in lexicographic order: all of them, made one at a time, or for
+    QA5 those with i adjacent to k and j adjacent to l."""
     if scope == FULL:
-        return list(itertools.product(g.vertices(), repeat=4))
+        return itertools.product(g.vertices(), repeat=4)
     edges = g.directed_edges()
     return sorted((i, j, k, l) for i, k in edges for j, l in edges)
 
@@ -138,24 +143,24 @@ class ProofStep:
 
 def _check_index(value, what: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{what} must be a nonnegative integer, got {value!r}")
+        raise MalformedCertificate(f"{what} must be a nonnegative integer, got {value!r}")
 
 
 def _check_conclusion_fields(kind, i, j, k, l, step, rows, cols) -> None:
-    """Raise ValueError, naming the first bad field, unless the fields
-    make a conclusion."""
+    """Raise MalformedCertificate, naming the first bad field, unless
+    the fields make a conclusion."""
     if kind not in (COMMUTES, ZERO_PRODUCT):
-        raise ValueError(f"unknown conclusion kind {kind!r}")
+        raise MalformedCertificate(f"unknown conclusion kind {kind!r}")
     for v in (i, j, k, l):
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise ValueError(f"conclusion index must be a positive integer, got {v!r}")
+            raise MalformedCertificate(f"conclusion index must be a positive integer, got {v!r}")
     for name, v in (("step", step), ("rows", rows), ("cols", cols)):
         if v is not None:
             _check_index(v, f"conclusion {name}")
     if (rows is None) != (cols is None):
-        raise ValueError("conclusion rows and cols come together")
+        raise MalformedCertificate("conclusion rows and cols come together")
     if rows is not None and step is None:
-        raise ValueError("conclusion rows and cols need a step to rename")
+        raise MalformedCertificate("conclusion rows and cols need a step to rename")
 
 
 class _ConclusionFields(NamedTuple):
@@ -182,7 +187,7 @@ class Conclusion(_ConclusionFields):
     A validated record: a tuple of the eight fields, so the verifier
     unpacks it in one step.  Every way of building one, the constructor,
     ``_make`` and so ``_replace``, checks the fields, and refuses a bad
-    one with ValueError.
+    one with MalformedCertificate.
     """
 
     __slots__ = ()
@@ -251,15 +256,34 @@ class Certificate:
 
     ``automorphisms`` holds the one-line images of the vertex
     permutations that conclusions cite by index; ``scope`` is FULL or
-    QA5 and fixes which quadruples the conclusions must cover.
+    QA5 and fixes which quadruples the conclusions must cover.  Building
+    one, also by dataclasses.replace, makes ``steps`` and ``conclusions``
+    tuples and raises MalformedCertificate unless the scope is known,
+    step ids run 0, 1, ... in order, and each step cites earlier ones.
     """
 
-    version: int
     graph_digest: str
     scope: str
     automorphisms: tuple[tuple[int, ...], ...]
     steps: tuple[ProofStep, ...]
     conclusions: tuple[Conclusion, ...]
+
+    def __post_init__(self):
+        if self.scope not in SCOPES:
+            raise MalformedCertificate(f"scope must be one of {list(SCOPES)}, got {self.scope!r}")
+        steps = tuple(self.steps)
+        for position, step in enumerate(steps):
+            if step.id != position:
+                raise MalformedCertificate(
+                    f"step ids must be sequential from 0: found {step.id} at position {position}"
+                )
+            for ref in justification_refs(step.justification):
+                if not 0 <= ref < position:
+                    raise MalformedCertificate(
+                        f"step {position} references step {ref}, which is not earlier"
+                    )
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "conclusions", tuple(self.conclusions))
 
 
 def graph_digest(g: Graph) -> str:
@@ -387,7 +411,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
         return t
 
     return {
-        "version": cert.version,
+        "version": CERT_VERSION,
         "graph_digest": cert.graph_digest,
         "scope": cert.scope,
         "automorphisms": [list(images) for images in cert.automorphisms],
@@ -432,7 +456,7 @@ def _conclusion_from_dict(cd, idx: int) -> Conclusion:
             cd.get("rows"),
             cd.get("cols"),
         )
-    except ValueError as exc:
+    except MalformedCertificate as exc:
         raise MalformedCertificate(f"conclusion {idx}: {exc}") from None
 
 
@@ -454,9 +478,6 @@ def certificate_from_dict(d) -> Certificate:
     digest = d["graph_digest"]
     if not isinstance(digest, str):
         raise MalformedCertificate("graph_digest must be a string")
-    scope = d["scope"]
-    if scope not in SCOPES:
-        raise MalformedCertificate(f"scope must be one of {list(SCOPES)}, got {scope!r}")
     if not isinstance(d["automorphisms"], list):
         raise MalformedCertificate("automorphisms must be an array")
     automorphisms = tuple(
@@ -469,28 +490,20 @@ def certificate_from_dict(d) -> Certificate:
     parsed: dict[str, Poly] = {}
     for position, sd in enumerate(d["steps"]):
         _require_keys(sd, {"id", "lhs", "rhs", "justification"}, "step")
-        sid = _require_int(sd["id"], "step id")
-        if sid != position:
-            raise MalformedCertificate(
-                f"step ids must be sequential from 0: found {sid} at position {position}"
-            )
         steps.append(
             ProofStep(
-                id=sid,
-                lhs=_parse_poly_field(sd["lhs"], f"step {sid} lhs", parsed),
-                rhs=_parse_poly_field(sd["rhs"], f"step {sid} rhs", parsed),
+                id=sd["id"],
+                lhs=_parse_poly_field(sd["lhs"], f"step {position} lhs", parsed),
+                rhs=_parse_poly_field(sd["rhs"], f"step {position} rhs", parsed),
                 justification=_justification_from_dict(sd["justification"]),
             )
         )
     return Certificate(
-        version=version,
         graph_digest=digest,
-        scope=scope,
+        scope=d["scope"],
         automorphisms=automorphisms,
-        steps=tuple(steps),
-        conclusions=tuple(
-            _conclusion_from_dict(cd, idx) for idx, cd in enumerate(d["conclusions"])
-        ),
+        steps=steps,
+        conclusions=[_conclusion_from_dict(cd, idx) for idx, cd in enumerate(d["conclusions"])],
     )
 
 

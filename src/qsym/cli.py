@@ -168,11 +168,8 @@ def cmd_prove(args: argparse.Namespace) -> int:
     except UnsupportedDegree as exc:
         print(f"UnsupportedDegree k={exc.k}: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESES
-    try:
-        save_certificate(cert, args.out)
-    except OSError as exc:
-        print(f"cannot write certificate: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    # Checked before it is written, so that a file at --out is always
+    # a certificate that verifies.
     report = verify_certificate(g, cert)
     if not report.valid:
         print(
@@ -180,6 +177,11 @@ def cmd_prove(args: argparse.Namespace) -> int:
             f" {report.reason}",
             file=sys.stderr,
         )
+        return EXIT_INVALID
+    try:
+        save_certificate(cert, args.out)
+    except OSError as exc:
+        print(f"cannot write certificate: {exc}", file=sys.stderr)
         return EXIT_INVALID
     print(
         f"certificate written to {args.out}:"
@@ -216,9 +218,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = verify_certificate(g, cert)
     except DigestMismatch as exc:
         print(f"digest mismatch: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except MalformedCertificate as exc:
-        print(f"malformed certificate: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if not report.valid:
         print(f"INVALID at {report.location}: {report.reason}")

@@ -38,7 +38,6 @@ from .algebra import (
 )
 from .autgroup import automorphism_group
 from .certificate import (
-    CERT_VERSION,
     COMMUTES,
     FULL,
     QA5,
@@ -408,9 +407,7 @@ def _prove(g: Graph, scope: str) -> Certificate:
                 r = table.setdefault(rows, len(table))
                 c = table.setdefault(cols, len(table))
                 conclusions.append(Conclusion(COMMUTES, *quad, sid, r, c))
-    return Certificate(
-        CERT_VERSION, graph_digest(g), scope, tuple(table), tuple(bld.steps), tuple(conclusions)
-    )
+    return Certificate(graph_digest(g), scope, tuple(table), bld.steps, conclusions)
 
 
 def derive_qa5(g: Graph) -> Certificate:

@@ -1,8 +1,9 @@
 """Numeric spot check of certificate conclusions at graph automorphisms.
 
 Independently of the step replay in ``verifier``, ``sanity_eval`` evaluates
-every conclusion of a certificate at randomly sampled automorphisms of
-the graph, each taken as a permutation matrix.  It shares no code with
+the zero-product conclusions of a certificate, the only ones that can
+fail there, at randomly sampled automorphisms of the graph, each taken
+as a permutation matrix.  It shares no code with
 the proof search in ``prover``, so ``qsym verify --fuzz`` loads only
 this module, the checker and what they import.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .algebra import Word, gen
 from .autgroup import automorphism_group
-from .certificate import COMMUTES, Certificate
+from .certificate import ZERO_PRODUCT, Certificate
 from .graphs import Graph
 
 
@@ -35,7 +36,6 @@ def sanity_eval(g: Graph, cert: Certificate, trials: int, seed: int = 0) -> Sani
     """Spot-check conclusions under random automorphism evaluations.
 
     For each sampled automorphism, every zero-product claim must
-    evaluate to 0 and every commutation claim's commutator must
     evaluate to 0.  Failures are reported with the conclusion index and
     the offending permutation; any failure means a bug, since a
     verified certificate holds in every permutation representation.
@@ -45,44 +45,36 @@ def sanity_eval(g: Graph, cert: Certificate, trials: int, seed: int = 0) -> Sani
 
     A commutator evaluates to 0 at every permutation matrix: a word is
     1 exactly when each of its letters u[i,j] has sigma(j) = i, so a
-    word and its reverse hold at the same sigma.  The spot check can
-    therefore only catch false zero-product conclusions; commutations
-    are evaluated all the same, so every conclusion is counted.
+    word and its reverse hold at the same sigma.  A commutation
+    conclusion therefore cannot fail here and is not evaluated, though
+    every conclusion is counted in ``checks``.
 
-    At sigma a word is 1 exactly when each of its letters u[i,j] has
-    sigma(j) = i, and only the n generators u[sigma(j),j] do.  Every
-    claim is the word u[i,j]u[k,l] with coefficient 1, against its
-    reverse with coefficient 1 or against zero, so the index is built
-    from each conclusion's (kind, i, j, k, l) with no polynomial: the
-    word is filed with +1, and a commutation's reverse with -1.  A
-    trial then looks up the n^2 ordered pairs of those generators, a
-    generator paired with itself included, and visits only the terms
-    filed there.  Every other term is 0.
+    At sigma only the n generators u[sigma(j),j] are 1.  A zero-product
+    claim is the word u[i,j]u[k,l] with coefficient 1 against zero, so
+    the index files each zero-product conclusion under its word, built
+    from (i, j, k, l) with no polynomial.  A trial then looks up the n^2
+    ordered pairs of those generators, a generator paired with itself
+    included: every conclusion filed there evaluates to 1 and fails,
+    and every other one evaluates to 0.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     group = automorphism_group(g)
     n = g.n
-    by_word: dict[Word, list[tuple[int, int]]] = {}
+    by_word: dict[Word, list[int]] = {}
     for idx, (kind, i, j, k, l, *_) in enumerate(cert.conclusions):
         if max(i, j, k, l) > n:
             r, c = (i, j) if max(i, j) > n else (k, l)
             raise ValueError(f"generator u[{r},{c}] out of range for n={n}")
-        a, b = gen(i, j), gen(k, l)
-        by_word.setdefault((a, b), []).append((idx, 1))
-        if kind == COMMUTES:
-            by_word.setdefault((b, a), []).append((idx, -1))
+        if kind == ZERO_PRODUCT:
+            by_word.setdefault((gen(i, j), gen(k, l)), []).append(idx)
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
         sigma = rng.choice(group.elements)
         ones = [gen(i, j) for j, i in enumerate(sigma, 1)]
-        totals: dict[int, int] = {}
-        for a in ones:
-            for b in ones:
-                for idx, coeff in by_word.get((a, b), ()):
-                    totals[idx] = totals.get(idx, 0) + coeff
-        failures.extend((idx, sigma) for idx in sorted(totals) if totals[idx])
+        hits = [idx for a in ones for b in ones for idx in by_word.get((a, b), ())]
+        failures.extend((idx, sigma) for idx in sorted(hits))
     return SanityReport(
         trials=trials, checks=trials * len(cert.conclusions), failures=tuple(failures)
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -7,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from qsym import (
-    CERT_VERSION,
     COMMUTES,
     FULL,
     ZERO_PRODUCT,
@@ -66,7 +66,7 @@ def _sample_cert():
         Conclusion(ZERO_PRODUCT, 1, 1, 1, 2),
         Conclusion(COMMUTES, 2, 5, 3, 4, 5, 0, 1),
     )
-    return Certificate(CERT_VERSION, graph_digest(g), FULL, (ROTATION, REFLECTION), steps, conclusions)
+    return Certificate(graph_digest(g), FULL, (ROTATION, REFLECTION), steps, conclusions)
 
 
 def test_graph_digest_is_sha256_of_text():
@@ -193,6 +193,56 @@ def test_from_dict_rejects_bad_shapes():
     corrupt(lambda d: d["conclusions"][0].update(step=None))
     corrupt(lambda d: d["conclusions"][0].update(extra=1))
     corrupt(lambda d: d["conclusions"].append([1, 1, 1, 1]))
+
+
+def test_loads_refuses_a_step_citing_a_later_step():
+    d = certificate_to_dict(_sample_cert())
+    d["steps"][2]["justification"]["step"] = 3
+    with pytest.raises(MalformedCertificate, match="^step 2 references step 3, which is not earlier$"):
+        loads_certificate(json.dumps(d))
+
+
+# One change of the sample certificate per structural refusal, with the
+# message it gives whichever way the certificate is built.
+_X = monomial(((1, 1), (2, 2)))
+_STRUCTURE_REFUSALS = [
+    pytest.param(
+        dict(scope="partial"), "scope must be one of ['full', 'qa5'], got 'partial'", id="scope"
+    ),
+    pytest.param(
+        dict(steps=(ProofStep(0, _X, _X, LocalReduce()), ProofStep(2, _X, _X, LocalReduce()))),
+        "step ids must be sequential from 0: found 2 at position 1",
+        id="ids-out-of-order",
+    ),
+    pytest.param(
+        dict(steps=(ProofStep(0, _X, _X, LemmaCom(0)),)),
+        "step 0 references step 0, which is not earlier",
+        id="self-reference",
+    ),
+    pytest.param(
+        dict(steps=(ProofStep(0, _X, _X, Swap(1, 0)), ProofStep(1, _X, _X, LocalReduce()))),
+        "step 0 references step 1, which is not earlier",
+        id="forward-reference",
+    ),
+    pytest.param(
+        dict(steps=(ProofStep(0, _X, _X, LocalReduce()), ProofStep(1, _X, _X, Substitution(0, 5)))),
+        "step 1 references step 5, which is not earlier",
+        id="dangling-reference",
+    ),
+]
+
+
+@pytest.mark.parametrize("how", ["constructor", "replace"])
+@pytest.mark.parametrize("change, message", _STRUCTURE_REFUSALS)
+def test_every_way_of_building_a_certificate_checks_its_structure(how, change, message):
+    good = _sample_cert()
+    fields = {f.name: getattr(good, f.name) for f in dataclasses.fields(good)}
+    assert Certificate(**fields) == good
+    with pytest.raises(MalformedCertificate, match=f"^{re.escape(message)}$"):
+        if how == "constructor":
+            Certificate(**dict(fields, **change))
+        else:
+            dataclasses.replace(good, **change)
 
 
 # What `qsym prove` writes, dumps_certificate plus a newline, pinned by

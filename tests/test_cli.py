@@ -342,6 +342,22 @@ def test_prove_qa5_only_unsupported_degree(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_prove_writes_no_file_that_fails_its_self_check(tmp_path, capsys, monkeypatch):
+    from qsym import verifier
+
+    def refuse(g, cert):
+        return verifier.VerificationReport(
+            valid=False, steps_checked=0, conclusions_checked=0, location="step 0", reason="planted"
+        )
+
+    monkeypatch.setattr(verifier, "verify_certificate", refuse)
+    out_path = tmp_path / "c5.cert.json"
+    code, _, err = run_cli(["prove", "--graph", "c5", "--out", str(out_path)], capsys)
+    assert code == 1
+    assert "produced certificate failed verification at step 0: planted" in err
+    assert not out_path.exists()
+
+
 def test_prove_unwritable_output(tmp_path, capsys):
     out_path = str(tmp_path / "missing-dir" / "x.json")
     code, _, err = run_cli(["prove", "--graph", "c5", "--out", out_path], capsys)

@@ -194,6 +194,20 @@ def test_verify_of_a_truncated_file_stops_at_the_loader(tmp_path, c5_cert_path):
     ]
 
 
+def test_verify_of_a_forward_reference_stops_at_the_loader(tmp_path, c5_cert_path):
+    # Citing only earlier steps is part of what makes a Certificate, so
+    # the loader refuses the file and the checker is never loaded.
+    d = json.loads(c5_cert_path.read_text())
+    d["steps"][0]["justification"] = {"rule": "lemma_com", "step": 1}
+    forward = tmp_path / "forward.json"
+    forward.write_text(json.dumps(d))
+    loaded = GRAPH_ONLY | {"qsym.algebra", "qsym.certificate"}
+    assert _fresh(_CLI_SCRIPT, "verify", "--graph", "c5", str(forward)) == [
+        1,
+        sorted(loaded),
+    ]
+
+
 def test_verify_without_fuzz_skips_the_automorphism_search(c5_cert_path):
     argv = ["verify", "--graph", "c5", str(c5_cert_path)]
     loaded = GRAPH_ONLY | {

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import helpers
 from qsym import (
-    CERT_VERSION,
     COMMUTES,
     FULL,
     QA5,
@@ -52,9 +51,7 @@ G5 = cycle(5)
 
 
 def _cert(steps, conclusions=(), g=G5, automorphisms=()):
-    return Certificate(
-        CERT_VERSION, graph_digest(g), FULL, tuple(automorphisms), tuple(steps), tuple(conclusions)
-    )
+    return Certificate(graph_digest(g), FULL, tuple(automorphisms), tuple(steps), tuple(conclusions))
 
 
 def _steps_pass(steps):
@@ -74,13 +71,6 @@ def test_valid_certificates_pass(petersen_graph, petersen_qa5_cert, c5_full_cert
     assert report.conclusions_checked == 900
     assert report.first_failure is None and report.reason is None
     assert verify_certificate(G5, c5_full_cert).valid
-
-
-def test_wrong_version_rejected():
-    cert = Certificate(999, graph_digest(G5), FULL, (), (), ())
-    with pytest.raises(MalformedCertificate) as exc:
-        verify_certificate(G5, cert)
-    assert "version" in str(exc.value)
 
 
 def test_digest_mismatch_raises(c5_full_cert):
@@ -524,7 +514,7 @@ def test_conclusion_verdicts_match_the_relabel_reference(request, graph, scope):
     g = request.getfixturevalue(f"{graph}_graph")
     cert = request.getfixturevalue(f"{graph}_full_cert") if scope == FULL else derive_qa5(g)
     claims = [claim_quadruple(s.lhs, s.rhs) for s in cert.steps]
-    quads = scope_quadruples(g, scope)
+    quads = list(scope_quadruples(g, scope))
 
     def agree(c, quad):
         got = verifier._check_conclusion(g, cert, claims, c, quad) is None
