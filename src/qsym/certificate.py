@@ -5,15 +5,16 @@ are equal in the quotient algebra of a fixed graph, plus a list of
 conclusions naming the generator quadruples whose products commute or
 vanish, one per quadruple of the certificate's scope.  Each step
 carries a justification small enough to be rechecked from scratch, and
-so does each conclusion: its claim reduces to zero by itself, is the
-claim of a cited step, or is that claim renamed under two entries of
-the certificate's table of graph automorphisms.  The verifier module
-rechecks all of it without trusting the producer.
+so does each conclusion: its claim reduces to zero by itself, or is the
+claim of a cited step renamed under two entries of the certificate's
+table of graph automorphisms, which a transport step cites the same
+way.  The verifier module rechecks all of it without trusting the
+producer.
 
 A conclusion is held as a Conclusion, a validated NamedTuple of its
-kind, its quadruple and up to three integer citations.  The loader
-builds it straight from the JSON object, and the verifier and the
-spot check read its integers without building a polynomial; only
+kind, its quadruple and the citation step, rows, cols or none.  The
+loader builds it straight from the JSON object, and the verifier and
+the spot check read its integers without building a polynomial; only
 Conclusion.claim does, for callers that want the equation.
 
 A step's justification is one of six rules: local_reduce,
@@ -44,7 +45,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 from .algebra import COL, ROW, Poly, PolyParseError, format_poly, gen, parse_poly
 from .graphs import Graph, format_graph_text
 
-CERT_VERSION = 4
+CERT_VERSION = 5
 
 COMMUTES = "commutes"
 ZERO_PRODUCT = "zero_product"
@@ -113,16 +114,20 @@ class LemmaCom:
 
 @dataclass(frozen=True, slots=True)
 class Transport:
-    """The claim of an earlier step with every u[i,j] renamed to u[rows[i],cols[j]].
-
-    ``rows`` and ``cols`` are one-line images of vertex permutations;
-    the verifier accepts the step only when both are automorphisms of
-    the graph.
+    """The claim of an earlier step, a commutation or zero product of two
+    generators, with every u[i,j] renamed to u[rho(i),kappa(j)], where
+    rho and kappa are the certificate's automorphisms at indices
+    ``rows`` and ``cols``, cited as a Conclusion cites them.  Building
+    one refuses an index that is not a nonnegative integer.
     """
 
     step: int
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+    rows: int
+    cols: int
+
+    def __post_init__(self):
+        _check_index(self.rows, "transport rows")
+        _check_index(self.cols, "transport cols")
 
 
 Justification = Union[LocalReduce, ExpandUnity, Swap, Substitution, LemmaCom, Transport]
@@ -157,10 +162,8 @@ def _check_conclusion_fields(kind, i, j, k, l, step, rows, cols) -> None:
     for name, v in (("step", step), ("rows", rows), ("cols", cols)):
         if v is not None:
             _check_index(v, f"conclusion {name}")
-    if (rows is None) != (cols is None):
-        raise MalformedCertificate("conclusion rows and cols come together")
-    if rows is not None and step is None:
-        raise MalformedCertificate("conclusion rows and cols need a step to rename")
+    if not (step is None) == (rows is None) == (cols is None):
+        raise MalformedCertificate("conclusion step, rows and cols come together")
 
 
 class _ConclusionFields(NamedTuple):
@@ -177,12 +180,12 @@ class _ConclusionFields(NamedTuple):
 class Conclusion(_ConclusionFields):
     """Classification of one ordered generator pair (u[i,j], u[k,l]).
 
-    The claim justifies itself in one of three ways.  With no ``step``,
-    its two sides reduce to the same normal form.  With a ``step``
-    alone, it is exactly that step's claim.  With ``rows`` and ``cols``
-    as well, it is that step's claim with every u[a,b] renamed to
-    u[rho(a),kappa(b)], where rho and kappa are the certificate's
-    automorphisms at those two indices.
+    The claim justifies itself in one of two ways.  With no ``step``,
+    its two sides reduce to the same normal form.  With ``step``,
+    ``rows`` and ``cols``, which come together, it is that step's claim
+    with every u[a,b] renamed to u[rho(a),kappa(b)], where rho and
+    kappa are the certificate's automorphisms at those two indices; the
+    quadruple a step derives cites the identity's entry twice.
 
     A validated record: a tuple of the eight fields, so the verifier
     unpacks it in one step.  Every way of building one, the constructor,
@@ -201,12 +204,8 @@ class Conclusion(_ConclusionFields):
             and i >= 1 and j >= 1 and k >= 1 and l >= 1
             and (
                 step is rows is cols is None
-                or type(step) is int
-                and step >= 0
-                and (
-                    rows is cols is None
-                    or type(rows) is type(cols) is int and rows >= 0 and cols >= 0
-                )
+                or type(step) is type(rows) is type(cols) is int
+                and step >= 0 and rows >= 0 and cols >= 0
             )
         ):
             _check_conclusion_fields(kind, i, j, k, l, step, rows, cols)
@@ -255,11 +254,12 @@ class Certificate:
     """Steps and conclusions for one graph.
 
     ``automorphisms`` holds the one-line images of the vertex
-    permutations that conclusions cite by index; ``scope`` is FULL or
-    QA5 and fixes which quadruples the conclusions must cover.  Building
-    one, also by dataclasses.replace, makes ``steps`` and ``conclusions``
-    tuples and raises MalformedCertificate unless the scope is known,
-    step ids run 0, 1, ... in order, and each step cites earlier ones.
+    permutations that transport steps and conclusions cite by index;
+    ``scope`` is FULL or QA5 and fixes which quadruples the conclusions
+    must cover.  Building one, also by dataclasses.replace, makes
+    ``steps`` and ``conclusions`` tuples and raises MalformedCertificate
+    unless the scope is known, step ids run 0, 1, ... in order, and each
+    step cites earlier ones.
     """
 
     graph_digest: str
@@ -336,10 +336,7 @@ _RULES = {
     Transport: ("transport", ("step",)),
 }
 _RULE_CLASSES = {name: cls for cls, (name, _) in _RULES.items()}
-_FIELD_CHECKS = {
-    "side": _require_side, "sign": _require_sign,
-    "rows": _require_int_array, "cols": _require_int_array,
-}
+_FIELD_CHECKS = {"side": _require_side, "sign": _require_sign}
 
 
 def justification_refs(just: Justification) -> tuple[int, ...]:
@@ -352,11 +349,7 @@ def _justification_to_dict(just: Justification) -> dict:
     rule = _RULES.get(type(just))
     if rule is None:
         raise MalformedCertificate(f"unknown justification {just!r}")
-    d = {"rule": rule[0]}
-    for f in type(just).__match_args__:
-        v = getattr(just, f)
-        d[f] = list(v) if isinstance(v, tuple) else v
-    return d
+    return {"rule": rule[0], **{f: getattr(just, f) for f in type(just).__match_args__}}
 
 
 def _justification_from_dict(d) -> Justification:
@@ -392,10 +385,7 @@ def _parse_poly_field(text, what: str, parsed: dict[str, Poly]) -> Poly:
 def _conclusion_to_dict(c: Conclusion) -> dict:
     d = {"kind": c.kind, "i": c.i, "j": c.j, "k": c.k, "l": c.l}
     if c.step is not None:
-        d["step"] = c.step
-    if c.rows is not None:
-        d["rows"] = c.rows
-        d["cols"] = c.cols
+        d.update(step=c.step, rows=c.rows, cols=c.cols)
     return d
 
 
@@ -428,11 +418,10 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
-# A conclusion justified by local_reduce, by a cited step, or by a
-# cited step renamed under two table entries.
+# A conclusion justified by local_reduce, or by a cited step renamed
+# under two table entries.
 _CONCLUSION_FIELDS = (
     frozenset({"kind", "i", "j", "k", "l"}),
-    frozenset({"kind", "i", "j", "k", "l", "step"}),
     frozenset({"kind", "i", "j", "k", "l", "step", "rows", "cols"}),
 )
 
@@ -443,7 +432,7 @@ def _conclusion_from_dict(cd, idx: int) -> Conclusion:
     if not isinstance(cd, dict) or cd.keys() not in _CONCLUSION_FIELDS or None in cd.values():
         raise MalformedCertificate(
             f"conclusion {idx} must be an object with the fields kind, i, j, k, l"
-            " and optionally step, or step, rows and cols"
+            " and optionally step, rows and cols"
         )
     try:
         return Conclusion(

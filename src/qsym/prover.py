@@ -17,12 +17,15 @@ shuffle factors.  Third, the remaining quadruples, which vanish or
 commute directly by the defining relations.
 
 The first two layers derive one quadruple per orbit of Aut x Aut,
-acting by automorphisms on rows and columns separately.  Every other
-commuting conclusion cites its orbit's derivation and two entries of
-the certificate's automorphism table under which the derived claim is
-renamed to its own; the third layer's conclusions reduce to zero by
-themselves and cite no step.  A Transport step is emitted only where
-a derivation uses a renamed commutation.
+acting by automorphisms on rows and columns separately.  Every
+commuting conclusion of those layers cites its orbit's derivation and
+two entries of the certificate's automorphism table under which the
+derived claim is renamed to its own, the identity's entry twice for
+the derived quadruple itself; the third layer's conclusions reduce to
+zero by themselves and cite no step.  A Transport step, which cites
+the table the same way, is emitted only where a derivation uses a
+renamed commutation.  ProofBuilder lists each table entry once, by
+first use.
 """
 
 from __future__ import annotations
@@ -89,12 +92,14 @@ def _single_word(p: Poly):
 
 
 class ProofBuilder:
-    """Accumulates proof steps with sequential ids for one graph."""
+    """Accumulates proof steps with sequential ids for one graph, and
+    the automorphism table they and the conclusions cite."""
 
     def __init__(self, g: Graph):
         self.graph = g
         self.steps: list[ProofStep] = []
-        self._transports: dict[tuple, int] = {}
+        self.automorphisms: dict[tuple[int, ...], int] = {}
+        self._transports: dict[tuple[int, int, int], int] = {}
 
     def add(self, lhs: Poly, rhs: Poly, justification) -> int:
         sid = len(self.steps)
@@ -131,19 +136,23 @@ class ProofBuilder:
         q = swap_pair(p, position, a, b)
         return q, self.add(p, q, Swap(sid, position))
 
+    def automorphism(self, images: tuple[int, ...]) -> int:
+        """The table index of an automorphism, listing it on first use."""
+        return self.automorphisms.setdefault(images, len(self.automorphisms))
+
     def transport(self, sid: int, rows: tuple, cols: tuple) -> int:
         """A step claiming the claim of step sid with u[i,j] renamed to
         u[rows(i),cols(j)]: sid itself under two identities, else a
         Transport step, emitted once per renaming."""
         if rows == cols == tuple(self.graph.vertices()):
             return sid
-        key = (sid, rows, cols)
+        key = (sid, self.automorphism(rows), self.automorphism(cols))
         if key not in self._transports:
             step = self.steps[sid]
             self._transports[key] = self.add(
                 relabel(step.lhs, rows, cols),
                 relabel(step.rhs, rows, cols),
-                Transport(sid, rows, cols),
+                Transport(*key),
             )
         return self._transports[key]
 
@@ -371,7 +380,7 @@ def _derive_nonedge(
 def _prove(g: Graph, scope: str) -> Certificate:
     """The certificate of either scope: derive the edge-edge family, and
     for FULL the non-edge family, then conclude on each quadruple of the
-    scope in order, listing each cited automorphism once, by first use."""
+    scope in order."""
     _require_hypotheses(g)
     bld = ProofBuilder(g)
     symmetries = automorphism_group(g).elements
@@ -390,8 +399,6 @@ def _prove(g: Graph, scope: str) -> Certificate:
             symmetries,
             lambda bld, r1, c1, r2, c2: _derive_nonedge(bld, r1, c1, r2, c2, certify),
         )
-    identity = tuple(g.vertices())
-    table: dict[tuple[int, ...], int] = {}
     conclusions = []
     for quad in scope_quadruples(g, scope):
         i, j, k, l = quad
@@ -401,13 +408,9 @@ def _prove(g: Graph, scope: str) -> Certificate:
             conclusions.append(Conclusion(ZERO_PRODUCT, *quad))
         else:
             sid, rows, cols = commuting[quad]
-            if rows == cols == identity:
-                conclusions.append(Conclusion(COMMUTES, *quad, sid))
-            else:
-                r = table.setdefault(rows, len(table))
-                c = table.setdefault(cols, len(table))
-                conclusions.append(Conclusion(COMMUTES, *quad, sid, r, c))
-    return Certificate(graph_digest(g), scope, tuple(table), bld.steps, conclusions)
+            r, c = bld.automorphism(rows), bld.automorphism(cols)
+            conclusions.append(Conclusion(COMMUTES, *quad, sid, r, c))
+    return Certificate(graph_digest(g), scope, tuple(bld.automorphisms), bld.steps, conclusions)
 
 
 def derive_qa5(g: Graph) -> Certificate:

@@ -18,12 +18,12 @@ produce an invalid report whose location names the first failing table
 entry, step or conclusion, in that order of checking.
 
 Each conclusion's claim is rechecked from its own justification: its
-difference reduces to zero, or it equals the claim of the cited step,
-or it equals that claim renamed under two entries of the certificate's
-automorphism table.  The conclusions must name the quadruples of the
-certificate's scope in lexicographic order, each exactly once, so a
-valid full certificate classifies every ordered generator pair and
-proves the quantum automorphism algebra commutative.
+difference reduces to zero, or it equals the claim of a cited step
+renamed under two entries of the certificate's automorphism table.
+The conclusions must name the quadruples of the certificate's scope in
+lexicographic order, each exactly once, so a valid full certificate
+classifies every ordered generator pair and proves the quantum
+automorphism algebra commutative.
 
 A swap step uses a commutation that an earlier step claims.  That step
 is checked first, and its claim, decoded by claim_quadruple, must be
@@ -34,25 +34,28 @@ pair at the swap's position reversed in every word, and that pair is
 u[a,b]u[c,d] or u[c,d]u[a,b] in every word.  That is all the rule
 checks.
 
-Renaming under the table is sound because every entry is checked, once
-and before any step, to be a permutation of 1..n that is an
-automorphism of the graph; the transport step rule checks its own
-rows and cols the same way.  Renaming every generator u[i,j] to
-u[rho(i),kappa(j)] under two automorphisms rho and kappa acts letter
-by letter, so it is an algebra map of the free *-algebra that commutes
-with star, and it is invertible.  It sends each defining relation
-instance to another: orthogonality, idempotence and self-adjointness
-to their renamed instances, and a row or column unity sum to another
-such sum, since a permutation only reorders its terms.  The two
-adjacency vanishing families are picked out by adjacency of the two
-rows and non-adjacency of the two columns, or the reverse;
-automorphisms preserve both, so the renamed instance meets the same
-side conditions.  Commutation is not a defining relation: each swap
-cites an earlier step whose claim holds in the quotient.  The renaming
-therefore maps the ideal of relations onto itself and is a
-*-automorphism of the quotient algebra, so a claim that holds there
-still holds after renaming.  Under a permutation that is not an
-automorphism the renamed claim can be false, and the entry is refused.
+A transport step and a conclusion that cites a step both claim a cited
+claim renamed under two entries rho and kappa of the automorphism
+table, and _check_renaming checks both on integers: claim_quadruple
+decodes the cited claim to (kind, a, b, c, d), and the citing claim
+must decode to (kind, rho(a), kappa(b), rho(c), kappa(d)); any other
+cited claim is refused.  Every entry is checked, once and before any
+step, to be a permutation of 1..n that is an automorphism of the graph.
+Renaming every u[i,j] to u[rho(i),kappa(j)] acts letter by letter, so
+it is an invertible algebra map of the free *-algebra that commutes
+with star.  It sends each defining relation instance to another:
+orthogonality, idempotence and self-adjointness to their renamed
+instances, a row or column unity sum to another such sum, and each
+adjacency vanishing instance, picked out by adjacency of its rows and
+non-adjacency of its columns or the reverse, to another, since
+automorphisms preserve both.  Commutation is not a defining relation:
+a swap cites a step whose claim holds.  So the renaming is a
+*-automorphism of the quotient, and a claim that holds there holds
+renamed; under a permutation that is not an automorphism it can fail,
+and the entry is refused.  Comparing tuples is comparing the renamed
+polynomials: renaming is injective on words, keeps coefficients,
+commutes with reversal and fixes zero, and Conclusion.claim is
+injective in (kind, quadruple).
 
 A conclusion with no step is decided on words.  Its claim is the word
 u[i,j]u[k,l] with coefficient 1 against its reverse u[k,l]u[i,j] with
@@ -69,18 +72,6 @@ _reduce_word gives that normal form of one word, or None for zero, so
 comparing its results for (u[i,j], u[k,l]) and (u[k,l], u[i,j]), or
 testing the first for None, is the check local_reduce makes, without
 building either polynomial.
-
-A cited conclusion is compared on integers.  Each step's claim is
-decoded once per check by claim_quadruple into the (kind, a, b, c, d)
-whose claim it is, or None; the conclusion's own (kind, i, j, k, l)
-must equal that tuple, or (kind, rho(a), kappa(b), rho(c), kappa(d))
-when it is renamed.  This is the same as renaming and comparing the
-polynomials.  Renaming under two permutations acts letter by letter,
-is injective on words, keeps every coefficient, commutes with reversal
-and fixes zero, so it sends the claim of a quadruple to the claim of
-the renamed quadruple, and an equation that is no conclusion's claim
-to another such equation.  Conclusion.claim is injective in (kind,
-quadruple), so two claims are equal exactly when their tuples are.
 """
 
 from __future__ import annotations
@@ -88,7 +79,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import check_gen_bounds, expand_unity, gen, relabel, star
+from .algebra import check_gen_bounds, expand_unity, gen, star
 from .certificate import (
     COMMUTES,
     ZERO_PRODUCT,
@@ -126,14 +117,34 @@ class VerificationReport:
     location: Optional[str] = None
 
 
-def _check_step(g: Graph, steps: Sequence[ProofStep], step: ProofStep) -> Optional[str]:
-    """Recheck one step; returns a failure reason or None.
+def _check_renaming(table, cited, step: int, rows: int, cols: int, own) -> Optional[str]:
+    """Whether ``own`` is ``cited``, the decoded claim of step ``step``,
+    renamed under table entries ``rows`` and ``cols``; returns a failure
+    reason or None.  Both decode checked claims, so name only 1..n."""
+    for t in (rows, cols):
+        if t >= len(table):
+            return f"cites missing automorphism {t}"
+    rho, kappa = table[rows], table[cols]
+    if cited is None or (
+        cited[0],
+        rho[cited[1] - 1],
+        kappa[cited[2] - 1],
+        rho[cited[3] - 1],
+        kappa[cited[4] - 1],
+    ) != own:
+        return f"is not the renaming of step {step} under automorphisms {rows} and {cols}"
+    return None
+
+
+def _check_step(g: Graph, cert: Certificate, step: ProofStep) -> Optional[str]:
+    """Recheck one step of cert; returns a failure reason or None.
 
     Raises ValueError, which the caller reports as the reason, for a
     side naming a generator outside u[1..n,1..n], whatever the rule.
     """
     check_gen_bounds(step.lhs, g.n)
     check_gen_bounds(step.rhs, g.n)
+    steps = cert.steps
     just = step.justification
     if isinstance(just, LocalReduce):
         if not local_reduce(g, step.lhs - step.rhs).is_zero:
@@ -171,14 +182,9 @@ def _check_step(g: Graph, steps: Sequence[ProofStep], step: ProofStep) -> Option
             return f"claim is not the star transport of step {just.step}"
         return None
     if isinstance(just, Transport):
-        for name, images in (("rows", just.rows), ("cols", just.cols)):
-            if not is_automorphism(g, images):
-                return f"{name} is not an automorphism of the graph"
         ref = steps[just.step]
-        lhs = relabel(ref.lhs, just.rows, just.cols)
-        if step.lhs != lhs or step.rhs != relabel(ref.rhs, just.rows, just.cols):
-            return f"claim is not the renaming of step {just.step} under rows and cols"
-        return None
+        cited, own = claim_quadruple(ref.lhs, ref.rhs), claim_quadruple(step.lhs, step.rhs)
+        return _check_renaming(cert.automorphisms, cited, just.step, just.rows, just.cols, own)
     return f"unknown justification {type(just).__name__}"
 
 
@@ -189,8 +195,7 @@ def _check_conclusion(
     ``quad``; returns a failure reason or None.
 
     ``claims`` holds claim_quadruple of every step, by id.  It is only
-    read for a step that was checked, so every index a claim names lies
-    in 1..n, and every table entry is a permutation of 1..n.
+    read for a step that was checked.
     """
     kind, i, j, k, l, step, rows, cols = concl
     if (i, j, k, l) != quad:
@@ -207,26 +212,7 @@ def _check_conclusion(
         return None
     if step >= len(claims):
         return f"cites missing step {step}"
-    cited = claims[step]
-    own = (kind, i, j, k, l)
-    if rows is None:
-        if cited != own:
-            return f"is not the claim of step {step}"
-        return None
-    table = cert.automorphisms
-    for t in (rows, cols):
-        if t >= len(table):
-            return f"cites missing automorphism {t}"
-    rho, kappa = table[rows], table[cols]
-    if cited is None or (
-        cited[0],
-        rho[cited[1] - 1],
-        kappa[cited[2] - 1],
-        rho[cited[3] - 1],
-        kappa[cited[4] - 1],
-    ) != own:
-        return f"is not the renaming of step {step} under automorphisms {rows} and {cols}"
-    return None
+    return _check_renaming(cert.automorphisms, claims[step], step, rows, cols, (kind, i, j, k, l))
 
 
 def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
@@ -252,7 +238,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
     steps = cert.steps
     for step in steps:
         try:
-            reason = _check_step(g, steps, step)
+            reason = _check_step(g, cert, step)
         except ValueError as exc:
             reason = str(exc)
         if reason is not None:

@@ -6,10 +6,11 @@ a correct checker must reject every mutant at exactly that place.  A Substitutio
 equality, lhs - rhs == d_base + sign * d_using, so any change to either
 side changes lhs - rhs and is rejected; flipping the sign or retargeting
 a citation is guarded to produce a combination that differs from the
-claim.  A Transport is checked as an exact equality with the renamed
-sides of the cited step: a new citation, or rows and cols swapped, is
-guarded so that the renamed claim differs, and a rows permutation that
-is not an automorphism is refused whatever the claim.  A Swap is
+claim.  A Transport and a conclusion that cites a step both cite it
+under two automorphism table indices, and share the citation operators:
+a new step, or the two indices swapped, is guarded so that the renamed
+claim differs, and a table index past the end is refused whatever the
+claim.  A Swap is
 checked as an exact equality with its left side, pair reversed; that
 reversal kills no term and is injective on the polynomials it accepts,
 so any change to either side is rejected, and a new citation or
@@ -18,11 +19,14 @@ right or cannot be formed.
 
 A conclusion is checked for its place in the scope's quadruple order
 and for its claim: moving, dropping or duplicating one puts a wrong
-quadruple at a known position, and a new citation, swapped table
-indices, a flipped kind or a bare local_reduce justification is
-guarded so that the claim no longer follows.  A table index past the
-end is refused whatever the claim, and so is a table entry that is
-not an automorphism.
+quadruple at a known position, and a flipped kind or a bare
+local_reduce justification is guarded so that the claim no longer
+follows.  A table entry that is not an automorphism is refused
+whatever cites it.
+
+A step operator takes the graph, the step, the certificate whose steps
+and table it may cite, and a random source, as the verifier's
+_check_step does.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ def _pick_word(rng, p: Poly):
     return words[rng.randrange(len(words))]
 
 
-def _double_coeff(g, step, steps, rng, side):
+def _double_coeff(g, step, cert, rng, side):
     p = getattr(step, side)
     if p.is_zero:
         return None
@@ -97,7 +101,7 @@ def _double_coeff(g, step, steps, rng, side):
     return dataclasses.replace(step, **{side: _with_coeff(p, w, 2 * p.terms[w])})
 
 
-def _tweak_index(g, step, steps, rng, side):
+def _tweak_index(g, step, cert, rng, side):
     p = getattr(step, side)
     if p.is_zero:
         return None
@@ -119,7 +123,7 @@ def _tweak_index(g, step, steps, rng, side):
     return dataclasses.replace(step, **{side: p2})
 
 
-def _drop_term(g, step, steps, rng, side):
+def _drop_term(g, step, cert, rng, side):
     p = getattr(step, side)
     if p.is_zero:
         return None
@@ -127,7 +131,7 @@ def _drop_term(g, step, steps, rng, side):
     return dataclasses.replace(step, **{side: _with_coeff(p, w, 0)})
 
 
-def _add_junk_term(g, step, steps, rng, side):
+def _add_junk_term(g, step, cert, rng, side):
     # A one-generator word: certificates built here never contain any,
     # so it can neither cancel nor match a recomputation, and it is
     # irreducible, outside every two-step rational span.
@@ -138,7 +142,7 @@ def _add_junk_term(g, step, steps, rng, side):
     return dataclasses.replace(step, **{side: _with_coeff(p, w, 1)})
 
 
-def _tweak_expand_params(g, step, steps, rng):
+def _tweak_expand_params(g, step, cert, rng):
     just = step.justification
     choices = [
         dataclasses.replace(just, position=just.position + 1),
@@ -171,22 +175,22 @@ def _swapped(lhs, ref, position):
         return None
 
 
-def _tweak_swap_position(g, step, steps, rng):
+def _tweak_swap_position(g, step, cert, rng):
     just = step.justification
     position = just.position + (1 if just.position == 0 or rng.random() < 0.5 else -1)
-    if _swapped(step.lhs, steps[just.step], position) == step.rhs:
+    if _swapped(step.lhs, cert.steps[just.step], position) == step.rhs:
         return None
     return dataclasses.replace(
         step, justification=dataclasses.replace(just, position=position)
     )
 
 
-def _retarget(rng, step, steps, bad):
+def _retarget(rng, step, cert, bad):
     """A random earlier step for which ``bad`` says the check must fail."""
     if step.id < 2:
         return None
     for _ in range(40):
-        ref = steps[rng.randrange(step.id)]
+        ref = cert.steps[rng.randrange(step.id)]
         if bad(ref):
             return ref.id
     return None
@@ -196,9 +200,9 @@ def _diff(s):
     return s.lhs - s.rhs
 
 
-def _flip_sign(g, step, steps, rng):
+def _flip_sign(g, step, cert, rng):
     just = step.justification
-    using = steps[just.using]
+    using = cert.steps[just.using]
     if using.lhs == using.rhs:
         return None
     # The flip moves the combination by 2 * d_using, which is nonzero.
@@ -207,16 +211,16 @@ def _flip_sign(g, step, steps, rng):
     )
 
 
-def _retarget_substitution(g, step, steps, rng):
+def _retarget_substitution(g, step, cert, rng):
     just = step.justification
     field = "base" if rng.random() < 0.5 else "using"
 
     def bad(r):
-        cited = {"base": steps[just.base], "using": steps[just.using], field: r}
+        cited = {"base": cert.steps[just.base], "using": cert.steps[just.using], field: r}
         combo = _diff(cited["base"]) + just.sign * _diff(cited["using"])
         return combo != _diff(step)
 
-    ref = _retarget(rng, step, steps, bad)
+    ref = _retarget(rng, step, cert, bad)
     if ref is None:
         return None
     return dataclasses.replace(
@@ -224,26 +228,22 @@ def _retarget_substitution(g, step, steps, rng):
     )
 
 
-def _retarget_lemma(g, step, steps, rng):
+def _retarget_lemma(g, step, cert, rng):
     def bad(r):
         return not (
             r.lhs == step.lhs and star(r.rhs) == r.rhs and star(r.lhs) == step.rhs
         )
 
-    ref = _retarget(rng, step, steps, bad)
+    ref = _retarget(rng, step, cert, bad)
     if ref is None:
         return None
     return dataclasses.replace(step, justification=LemmaCom(ref))
 
 
-def _renamed_claim_differs(step, ref, rows, cols):
-    return relabel(ref.lhs, rows, cols) != step.lhs or relabel(ref.rhs, rows, cols) != step.rhs
-
-
-def _retarget_transport(g, step, steps, rng):
+def _retarget_swap(g, step, cert, rng):
     just = step.justification
     ref = _retarget(
-        rng, step, steps, lambda r: _renamed_claim_differs(step, r, just.rows, just.cols)
+        rng, step, cert, lambda r: _swapped(step.lhs, r, just.position) != step.rhs
     )
     if ref is None:
         return None
@@ -252,46 +252,72 @@ def _retarget_transport(g, step, steps, rng):
     )
 
 
-def _non_automorphism_rows(g, step, steps, rng):
-    # Swap two images: still a permutation, refused only for not
-    # preserving adjacency.
-    just = step.justification
-    rows = list(just.rows)
-    a, b = rng.sample(range(len(rows)), 2)
-    rows[a], rows[b] = rows[b], rows[a]
-    if is_automorphism(g, rows):
-        return None
-    return dataclasses.replace(
-        step, justification=dataclasses.replace(just, rows=tuple(rows))
-    )
+def _renaming_follows(cert, cite, lhs, rhs):
+    """Whether lhs = rhs is the claim of step s renamed under the table
+    entries r and c, where cite is (s, r, c), by relabel."""
+    step, rows, cols = cite
+    table = cert.automorphisms
+    if max(rows, cols) >= len(table):
+        return False
+    ref = cert.steps[step]
+    rho, kappa = table[rows], table[cols]
+    return (relabel(ref.lhs, rho, kappa), relabel(ref.rhs, rho, kappa)) == (lhs, rhs)
 
 
-def _swap_rows_cols(g, step, steps, rng):
-    # Both are automorphisms, so only the renamed claim can catch the
-    # swap: require that it differs, which implies rows != cols.
-    just = step.justification
-    if not _renamed_claim_differs(step, steps[just.step], just.cols, just.rows):
-        return None
-    return dataclasses.replace(
-        step, justification=dataclasses.replace(just, rows=just.cols, cols=just.rows)
-    )
+# Citation operators, shared by transport steps and conclusions: each
+# takes a citation (step, rows, cols), the number of steps it may cite,
+# the table, whether a citation follows for the same claim, and a random
+# source; it returns the mutated citation, or None where it finds none
+# that must be refused.
 
 
-def _retarget_swap(g, step, steps, rng):
-    just = step.justification
-    ref = _retarget(
-        rng, step, steps, lambda r: _swapped(step.lhs, r, just.position) != step.rhs
-    )
-    if ref is None:
-        return None
-    return dataclasses.replace(
-        step, justification=dataclasses.replace(just, step=ref)
-    )
+def _retarget_citation(cite, n_steps, table, follows, rng):
+    _, rows, cols = cite
+    for _ in range(40):
+        mutated = (rng.randrange(n_steps), rows, cols)
+        if not follows(mutated):
+            return mutated
+    return None
+
+
+def _swap_table_indices(cite, n_steps, table, follows, rng):
+    # Both entries are automorphisms, so only the renamed claim can
+    # catch the swap: require that it differs, which implies rows != cols.
+    step, rows, cols = cite
+    mutated = (step, cols, rows)
+    return None if follows(mutated) else mutated
+
+
+def _table_index_out_of_range(cite, n_steps, table, follows, rng):
+    step, rows, cols = cite
+    bad = len(table) + rng.randrange(3)
+    return (step, bad, cols) if rng.random() < 0.5 else (step, rows, bad)
+
+
+CITATION_OPS = [_retarget_citation, _swap_table_indices, _table_index_out_of_range]
+
+
+def _transport_op(op):
+    def step_op(g, step, cert, rng):
+        just = step.justification
+        mutated = op(
+            (just.step, just.rows, just.cols),
+            step.id,
+            cert.automorphisms,
+            lambda t: _renaming_follows(cert, t, step.lhs, step.rhs),
+            rng,
+        )
+        if mutated is None:
+            return None
+        return dataclasses.replace(step, justification=Transport(*mutated))
+
+    step_op.__name__ = f"{op.__name__}_transport"
+    return step_op
 
 
 def _side_op(fn, side):
-    def op(g, step, steps, rng):
-        return fn(g, step, steps, rng, side)
+    def op(g, step, cert, rng):
+        return fn(g, step, cert, rng, side)
 
     op.__name__ = f"{fn.__name__}_{side}"
     return op
@@ -300,6 +326,7 @@ def _side_op(fn, side):
 _RHS_OPS = [_side_op(f, "rhs") for f in (_double_coeff, _tweak_index, _drop_term)]
 _LHS_OPS = [_side_op(f, "lhs") for f in (_double_coeff, _tweak_index, _drop_term)]
 _JUNK_RHS = _side_op(_add_junk_term, "rhs")
+_TRANSPORT_OPS = [_transport_op(op) for op in CITATION_OPS]
 
 
 def eligible_ops(step):
@@ -315,12 +342,7 @@ def eligible_ops(step):
     if isinstance(just, LemmaCom):
         return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _retarget_lemma]
     if isinstance(just, Transport):
-        return _RHS_OPS + _LHS_OPS + [
-            _JUNK_RHS,
-            _retarget_transport,
-            _non_automorphism_rows,
-            _swap_rows_cols,
-        ]
+        return _RHS_OPS + _LHS_OPS + [_JUNK_RHS] + _TRANSPORT_OPS
     raise AssertionError(f"unknown justification {just!r}")
 
 
@@ -329,11 +351,7 @@ def _conclusion_follows(g, cert, c) -> bool:
     lhs, rhs = c.claim()
     if c.step is None:
         return local_reduce(g, lhs - rhs).is_zero
-    ref = cert.steps[c.step]
-    if c.rows is None:
-        return (ref.lhs, ref.rhs) == (lhs, rhs)
-    rows, cols = cert.automorphisms[c.rows], cert.automorphisms[c.cols]
-    return (relabel(ref.lhs, rows, cols), relabel(ref.rhs, rows, cols)) == (lhs, rhs)
+    return _renaming_follows(cert, (c.step, c.rows, c.cols), lhs, rhs)
 
 
 def _replaced(cert, idx, c):
@@ -348,32 +366,25 @@ def _if_false(g, cert, idx, c):
     return _replaced(cert, idx, c)
 
 
-def _retarget_conclusion(g, cert, idx, rng):
-    c = cert.conclusions[idx]
-    if c.step is None:
-        return None
-    for _ in range(40):
-        mutated = c._replace(step=rng.randrange(len(cert.steps)))
-        found = _if_false(g, cert, idx, mutated)
-        if found is not None:
-            return found
-    return None
+def _conclusion_op(op):
+    def conclusion_op(g, cert, idx, rng):
+        c = cert.conclusions[idx]
+        if c.step is None:
+            return None
+        mutated = op(
+            (c.step, c.rows, c.cols),
+            len(cert.steps),
+            cert.automorphisms,
+            lambda t: _renaming_follows(cert, t, *c.claim()),
+            rng,
+        )
+        if mutated is None:
+            return None
+        step, rows, cols = mutated
+        return _replaced(cert, idx, c._replace(step=step, rows=rows, cols=cols))
 
-
-def _swap_table_indices(g, cert, idx, rng):
-    c = cert.conclusions[idx]
-    if c.rows is None:
-        return None
-    return _if_false(g, cert, idx, c._replace(rows=c.cols, cols=c.rows))
-
-
-def _table_index_out_of_range(g, cert, idx, rng):
-    c = cert.conclusions[idx]
-    if c.rows is None:
-        return None
-    field = "rows" if rng.random() < 0.5 else "cols"
-    bad = len(cert.automorphisms) + rng.randrange(3)
-    return _replaced(cert, idx, c._replace(**{field: bad}))
+    conclusion_op.__name__ = op.__name__
+    return conclusion_op
 
 
 def _claim_local_reduce(g, cert, idx, rng):
@@ -409,10 +420,7 @@ def _duplicate_conclusion(g, cert, idx, rng):
     return conclusions[: idx + 1] + conclusions[idx:], idx + 1
 
 
-CONCLUSION_OPS = [
-    _retarget_conclusion,
-    _swap_table_indices,
-    _table_index_out_of_range,
+CONCLUSION_OPS = [_conclusion_op(op) for op in CITATION_OPS] + [
     _claim_local_reduce,
     _flip_kind,
     _move_quadruple,
@@ -446,7 +454,7 @@ def mutate_certificate(g, cert: Certificate, rng):
             step = cert.steps[rng.randrange(len(cert.steps))]
             ops = eligible_ops(step)
             op = ops[rng.randrange(len(ops))]
-            mutated = op(g, step, cert.steps, rng)
+            mutated = op(g, step, cert, rng)
             if mutated is None:
                 continue
             new_steps = list(cert.steps)

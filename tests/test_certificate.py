@@ -40,9 +40,10 @@ from qsym import (
 )
 
 
-# Two automorphisms of C5.
+# Three automorphisms of C5.
 ROTATION = (2, 3, 4, 5, 1)
 REFLECTION = (5, 4, 3, 2, 1)
+IDENTITY = (1, 2, 3, 4, 5)
 
 
 def _sample_cert():
@@ -59,14 +60,16 @@ def _sample_cert():
         ProofStep(6, u(1, 2) - u(2, 1), monomial((), 2), Swap(5, 2)),
         ProofStep(7, x, x, Swap(3, 0)),
         ProofStep(8, x, x, Substitution(4, 7, -1)),
-        ProofStep(9, y, y, Transport(8, ROTATION, REFLECTION)),
+        ProofStep(9, y, star(y), Transport(5, 0, 1)),
     )
     conclusions = (
-        Conclusion(COMMUTES, 1, 1, 2, 2, 5),
+        Conclusion(COMMUTES, 1, 1, 2, 2, 5, 2, 2),
         Conclusion(ZERO_PRODUCT, 1, 1, 1, 2),
         Conclusion(COMMUTES, 2, 5, 3, 4, 5, 0, 1),
     )
-    return Certificate(graph_digest(g), FULL, (ROTATION, REFLECTION), steps, conclusions)
+    return Certificate(
+        graph_digest(g), FULL, (ROTATION, REFLECTION, IDENTITY), steps, conclusions
+    )
 
 
 def test_graph_digest_is_sha256_of_text():
@@ -122,13 +125,15 @@ def test_polys_round_trip_in_text_form():
     assert d["steps"][0]["lhs"] == "u[1,1]u[2,2]"
     assert d["steps"][6]["rhs"] == "2"
     assert d["steps"][2]["justification"] == {"rule": "swap", "step": 0, "position": 0}
+    # A transport cites a step and two table entries, as a conclusion does.
+    assert d["steps"][9]["justification"] == {"rule": "transport", "step": 5, "rows": 0, "cols": 1}
     assert d["conclusions"][0]["kind"] == "commutes"
     # A conclusion stores only the fields its justification needs.
     assert d["conclusions"][1] == {"kind": "zero_product", "i": 1, "j": 1, "k": 1, "l": 2}
     assert d["conclusions"][2] == {
         "kind": "commutes", "i": 2, "j": 5, "k": 3, "l": 4, "step": 5, "rows": 0, "cols": 1
     }
-    assert d["automorphisms"] == [list(ROTATION), list(REFLECTION)]
+    assert d["automorphisms"] == [list(ROTATION), list(REFLECTION), list(IDENTITY)]
 
 
 def test_from_dict_rejects_bad_shapes():
@@ -141,8 +146,8 @@ def test_from_dict_rejects_bad_shapes():
             certificate_from_dict(d)
 
     corrupt(lambda d: d.pop("version"))
-    corrupt(lambda d: d.update(version=1))
-    corrupt(lambda d: d.update(version=2))
+    for old_version in (1, 2, 3, 4):
+        corrupt(lambda d: d.update(version=old_version))
     corrupt(lambda d: d.pop("scope"))
     corrupt(lambda d: d.update(scope="partial"))
     corrupt(lambda d: d.pop("automorphisms"))
@@ -176,18 +181,22 @@ def test_from_dict_rejects_bad_shapes():
     for bad_sign in (True, 1.0, "1", 0, 2):
         corrupt(lambda d: d["steps"][8]["justification"].update(sign=bad_sign))
     corrupt(lambda d: d["steps"][8]["justification"].pop("sign"))
-    # rows and cols are arrays of integers; that they permute the
-    # graph's vertices is the verifier's check.
-    for bad_rows in (5, "23451", {"1": 2}, [True, 3, 4, 5, 1], ["2", 3, 4, 5, 1], [2.0, 3, 4, 5, 1]):
+    # A transport's rows and cols are table indices, nonnegative
+    # integers; that the table has them is the verifier's check.  The
+    # version 4 arrays of images are refused.
+    for bad_rows in (-1, True, "0", 1.0, None, [2, 3, 4, 5, 1], {"1": 2}):
         corrupt(lambda d: d["steps"][9]["justification"].update(rows=bad_rows))
     corrupt(lambda d: d["steps"][9]["justification"].pop("cols"))
     corrupt(lambda d: d["steps"][9]["justification"].update(step="8"))
     corrupt(lambda d: d["conclusions"][0].update(kind="maybe"))
-    # A conclusion without a step is justified by local_reduce; rows and
-    # cols come together, and only with a step.
+    # A conclusion without a step is justified by local_reduce; step,
+    # rows and cols come together, so the version 4 step-alone form is
+    # refused.
     corrupt(lambda d: d["conclusions"][2].pop("step"))
     corrupt(lambda d: d["conclusions"][2].pop("cols"))
-    corrupt(lambda d: d["conclusions"][0].update(rows=0))
+    corrupt(lambda d: (d["conclusions"][2].pop("rows"), d["conclusions"][2].pop("cols")))
+    corrupt(lambda d: d["conclusions"][1].update(rows=0))
+    corrupt(lambda d: d["conclusions"][1].update(step=0))
     for bad_index in (-1, True, "0", 1.0, None):
         corrupt(lambda d: d["conclusions"][2].update(rows=bad_index))
     corrupt(lambda d: d["conclusions"][0].update(step=None))
@@ -229,6 +238,16 @@ _STRUCTURE_REFUSALS = [
         "step 1 references step 5, which is not earlier",
         id="dangling-reference",
     ),
+    pytest.param(
+        dict(steps=(ProofStep(0, _X, _X, Swap(5, 0)),)),
+        "step 0 references step 5, which is not earlier",
+        id="dangling-swap",
+    ),
+    pytest.param(
+        dict(steps=(ProofStep(0, _X, _X, Transport(0, 0, 0)),)),
+        "step 0 references step 0, which is not earlier",
+        id="transport-self-reference",
+    ),
 ]
 
 
@@ -252,23 +271,23 @@ def test_every_way_of_building_a_certificate_checks_its_structure(how, change, m
     [
         (
             "petersen_full_cert",
-            "1a104d0dd19f65c7389fc126697f822f93936a41aec1135aef43167649598706",
-            611_371,
+            "7ea6f14eb69d66685b031b74494b2ff95b537538fb9611d721bbfea38c8f3f1a",
+            611_341,
         ),
         (
             "c5_full_cert",
-            "c740ab40f7860a0db7b570010dccacb9918450bd68b370addd375d0894f3e786",
-            39_525,
+            "3a6dcf9e42e3d3b1032c8b96edffeff36afb6e011da3bfbff6515945eb8599d0",
+            39_541,
         ),
         (
             "petersen_qa5_cert",
-            "2022d18f0a676275e56a7f192696c825f769c3878b5df1db0896274c7459aa43",
-            70_262,
+            "62d4c08b31908fbcf0da345775fbba8a30e4d5dde67ed2dc4664f6c9531f2f87",
+            70_280,
         ),
         (
             "c5_qa5_cert",
-            "aecf9f6e27f5069efb50b8c35069c24588f3ff18f5130094cc4ebba46ae65492",
-            8_873,
+            "acde87d60f6f4ca9135b719d5ff8754e2213583397a073912cd235bb7956ef6d",
+            8_891,
         ),
     ],
     ids=["petersen-full", "c5-full", "petersen-qa5", "c5-qa5"],
@@ -317,16 +336,15 @@ def test_step_and_conclusion_validation():
         ProofStep(-1, x, x, LocalReduce())
     with pytest.raises(ValueError):
         Conclusion("commutes", 1, 1, 2, 2, -1)
-    with pytest.raises(ValueError, match="together"):
-        Conclusion(COMMUTES, 1, 1, 2, 2, 0, 0)
-    with pytest.raises(ValueError, match="need a step"):
-        Conclusion(COMMUTES, 1, 1, 2, 2, None, 0, 0)
-    claim = Conclusion(COMMUTES, 1, 2, 3, 4, 0).claim()
+    for partial in ((0,), (0, 0), (None, 0, 0)):
+        with pytest.raises(ValueError, match="together"):
+            Conclusion(COMMUTES, 1, 1, 2, 2, *partial)
+    claim = Conclusion(COMMUTES, 1, 2, 3, 4).claim()
     assert claim == (
         monomial(((1, 2), (3, 4))),
         monomial(((3, 4), (1, 2))),
     )
-    zero = Conclusion(ZERO_PRODUCT, 1, 2, 3, 4, 0).claim()
+    zero = Conclusion(ZERO_PRODUCT, 1, 2, 3, 4, 0, 0, 0).claim()
     assert zero == (monomial(((1, 2), (3, 4))), monomial((), 1) - monomial((), 1))
 
 
@@ -348,9 +366,14 @@ _REFUSALS = [
     pytest.param(
         dict(rows=True), "conclusion rows must be a nonnegative integer, got True", id="bool-rows"
     ),
-    pytest.param(dict(cols=None), "conclusion rows and cols come together", id="rows-no-cols"),
     pytest.param(
-        dict(step=None), "conclusion rows and cols need a step to rename", id="rows-no-step"
+        dict(cols=None), "conclusion step, rows and cols come together", id="rows-no-cols"
+    ),
+    pytest.param(
+        dict(step=None), "conclusion step, rows and cols come together", id="rows-no-step"
+    ),
+    pytest.param(
+        dict(rows=None, cols=None), "conclusion step, rows and cols come together", id="step-alone"
     ),
 ]
 
@@ -371,6 +394,18 @@ def test_every_way_of_building_a_conclusion_checks_it(how, change, message):
     fields.update(change)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _build(how, fields)
+
+
+@pytest.mark.parametrize("field", ["rows", "cols"])
+def test_transport_refuses_a_negative_table_index(field):
+    # Python would read table[-1] as the last entry; the index is
+    # refused when the justification is built, and so when it is loaded.
+    with pytest.raises(MalformedCertificate, match=f"^transport {field} must be a nonnegative"):
+        Transport(5, **dict(dict(rows=0, cols=1), **{field: -1}))
+    d = certificate_to_dict(_sample_cert())
+    d["steps"][9]["justification"][field] = -1
+    with pytest.raises(MalformedCertificate, match=f"^transport {field} must be a nonnegative"):
+        certificate_from_dict(d)
 
 
 def test_claim_quadruple_inverts_claim():

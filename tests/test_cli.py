@@ -122,11 +122,13 @@ C5_PROOF = certificate_to_dict(prove_no_quantum_symmetry(cycle(5)))
 N = len(C5_PROOF["steps"])
 
 
-def _transport_cert(cite=0, first=("u[1,2]u[1,3]", "0"), **fields) -> bytes:
+def _transport_cert(cite=0, first=("u[1,2]u[1,3]", "0"), entry=None, **fields) -> bytes:
     """The C5 proof followed by three steps, whose second renames step
-    N + ``cite`` under a rotation of the rows.  ``first`` is the claim
-    of step N and ``fields`` override the transport's JSON fields."""
-    transport = {"rule": "transport", "step": N + cite, "rows": [2, 3, 4, 5, 1], "cols": [1, 2, 3, 4, 5]}
+    N + ``cite`` under the rotation of the rows at table entry 0 and the
+    identity at entry 1.  ``first`` is the claim of step N, ``entry``
+    replaces table entry 0, and ``fields`` override the transport's JSON
+    fields."""
+    transport = {"rule": "transport", "step": N + cite, "rows": 0, "cols": 1}
     transport.update(fields)
     steps = [
         (first, {"rule": "local_reduce"}),
@@ -134,6 +136,8 @@ def _transport_cert(cite=0, first=("u[1,2]u[1,3]", "0"), **fields) -> bytes:
         (("u[1,1]", "u[1,1]"), {"rule": "local_reduce"}),
     ]
     cert = dict(C5_PROOF)
+    if entry is not None:
+        cert["automorphisms"] = [entry] + C5_PROOF["automorphisms"][1:]
     cert["steps"] = C5_PROOF["steps"] + [
         {"id": N + i, "lhs": lhs, "rhs": rhs, "justification": just}
         for i, ((lhs, rhs), just) in enumerate(steps)
@@ -150,11 +154,26 @@ MALFORMED = ("err", "malformed certificate")
         (b"[" * 100000 + b"]" * 100000, *MALFORMED),
         (b'{"version":' + b"7" * 5000 + b"}", *MALFORMED),
         (b'{"version":2}\xff', *MALFORMED),
-        (_transport_cert(rows=5), *MALFORMED),
-        (_transport_cert(rows=[2, 3, 4, 5]), "out", f"INVALID at step {N + 1}: permutation has degree 4"),
-        (_transport_cert(rows=[True, 3, 4, 5, 1]), *MALFORMED),
-        (_transport_cert(rows=["2", 3, 4, 5, 1]), *MALFORMED),
-        (_transport_cert(rows=[2, 2, 4, 5, 1]), "out", f"INVALID at step {N + 1}: not a permutation"),
+        (_transport_cert(rows=[2, 3, 4, 5, 1]), *MALFORMED),
+        (_transport_cert(rows=-1), *MALFORMED),
+        (_transport_cert(rows=True), *MALFORMED),
+        (
+            _transport_cert(rows=len(C5_PROOF["automorphisms"])),
+            "out",
+            f"INVALID at step {N + 1}: cites missing automorphism 10",
+        ),
+        (
+            _transport_cert(entry=[2, 3, 4, 5]),
+            "out",
+            "INVALID at automorphism 0: permutation has degree 4",
+        ),
+        (_transport_cert(entry=[True, 3, 4, 5, 1]), *MALFORMED),
+        (_transport_cert(entry=["2", 3, 4, 5, 1]), *MALFORMED),
+        (
+            _transport_cert(entry=[2, 2, 4, 5, 1]),
+            "out",
+            "INVALID at automorphism 0: not a permutation",
+        ),
         (_transport_cert(cite=2), "err", f"references step {N + 2}, which is not earlier"),
         (
             _transport_cert(first=("u[6,1]", "u[6,1]")),
@@ -166,7 +185,10 @@ MALFORMED = ("err", "malformed certificate")
         "deep-nesting",
         "huge-integer",
         "non-ascii",
-        "rows-not-array",
+        "rows-an-array",
+        "rows-negative",
+        "rows-bool",
+        "rows-missing-entry",
         "rows-wrong-length",
         "rows-bool-entry",
         "rows-string-entry",
@@ -184,6 +206,7 @@ def test_verify_hostile_certificate(tmp_path, capsys, data, stream, expected):
 
 
 def test_verify_accepts_a_transport_step(tmp_path, capsys):
+    assert C5_PROOF["automorphisms"][:2] == [[2, 3, 4, 5, 1], [1, 2, 3, 4, 5]]
     path = tmp_path / "transport.json"
     path.write_bytes(_transport_cert())
     code, out, _ = run_cli(["verify", "--graph", "c5", str(path)], capsys)
@@ -226,7 +249,7 @@ def test_verify_refuses_version_2(tmp_path, capsys):
     path.write_text(json.dumps(v2))
     code, _, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1
-    assert "unsupported certificate version 2, expected 4" in err
+    assert "unsupported certificate version 2, expected 5" in err
 
 
 def test_verify_refuses_version_3(tmp_path, capsys):
@@ -256,7 +279,31 @@ def test_verify_refuses_version_3(tmp_path, capsys):
     path.write_text(json.dumps(v3))
     code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1 and not out
-    assert err == "malformed certificate: unsupported certificate version 3, expected 4\n"
+    assert err == "malformed certificate: unsupported certificate version 3, expected 5\n"
+
+
+def test_verify_refuses_version_4(tmp_path, capsys):
+    # Format version 4 carried a transport's two permutations inline as
+    # arrays, and let a conclusion cite a step with no table entries;
+    # there is no loader for it.
+    v4 = dict(C5_PROOF, version=4)
+    v4["steps"] = [
+        {"id": 0, "lhs": "u[1,2]u[1,3]", "rhs": "0", "justification": {"rule": "local_reduce"}},
+        {
+            "id": 1,
+            "lhs": "u[2,2]u[2,3]",
+            "rhs": "0",
+            "justification": {
+                "rule": "transport", "step": 0, "rows": [2, 3, 4, 5, 1], "cols": [1, 2, 3, 4, 5]
+            },
+        },
+    ]
+    v4["conclusions"] = [{"kind": "zero_product", "i": 1, "j": 2, "k": 1, "l": 3, "step": 0}]
+    path = tmp_path / "v4.json"
+    path.write_text(json.dumps(v4))
+    code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
+    assert code == 1 and not out
+    assert err == "malformed certificate: unsupported certificate version 4, expected 5\n"
 
 
 @pytest.mark.parametrize(
@@ -513,5 +560,5 @@ def test_certificate_json_shape(tmp_path, capsys):
     run_cli(["prove", "--graph", "c5", "--out", str(out_path)], capsys)
     data = json.loads(out_path.read_text())
     assert set(data) == {"version", "graph_digest", "scope", "automorphisms", "steps", "conclusions"}
-    assert data["version"] == 4 and data["scope"] == "full"
+    assert data["version"] == 5 and data["scope"] == "full"
     assert len(data["conclusions"]) == 625

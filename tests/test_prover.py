@@ -112,14 +112,9 @@ def test_derive_qa5_petersen_count(petersen_graph, petersen_qa5_cert):
     assert all(c.kind == COMMUTES for c in cert.conclusions)
     # Every conclusion's step claims exactly the stated commutation,
     # once renamed under the two table entries the conclusion cites.
-    identity = tuple(petersen_graph.vertices())
     for c in cert.conclusions[::97]:
         step = cert.steps[c.step]
-        rows, cols = (
-            (identity, identity)
-            if c.rows is None
-            else (cert.automorphisms[c.rows], cert.automorphisms[c.cols])
-        )
+        rows, cols = cert.automorphisms[c.rows], cert.automorphisms[c.cols]
         assert relabel(step.lhs, rows, cols) == u(c.i, c.j) * u(c.k, c.l)
         assert relabel(step.rhs, rows, cols) == u(c.k, c.l) * u(c.i, c.j)
 
@@ -238,11 +233,11 @@ def test_one_lemma_com_per_orbit(graph_fixture, cert_fixture, max_steps, request
     # non-edge family are one orbit each.
     assert orbits == 2
     assert sum(isinstance(s.justification, LemmaCom) for s in steps) == orbits
-    # Every commuting conclusion cites its orbit's LemmaCom step: as it
-    # stands for the derived quadruple, renamed under two table entries
-    # for the rest.
+    # Every commuting conclusion cites its orbit's LemmaCom step under
+    # two table entries: the identity's twice for the derived quadruple.
     assert all(isinstance(steps[c.step].justification, LemmaCom) for c in commuting)
-    assert sum(c.rows is None for c in commuting) == orbits
+    identity = cert.automorphisms.index(tuple(g.vertices()))
+    assert sum(c.rows == c.cols == identity for c in commuting) == orbits
     assert len(steps) <= max_steps
 
 
@@ -297,7 +292,7 @@ def _with_conclusions(cert, conclusions):
 def _forged_cert(cert):
     # Forged zero-product claims u[v,1]u[v,1] = 0: any automorphism
     # sends 1 to exactly one v, so each trial trips exactly one claim.
-    return _with_conclusions(cert, (Conclusion(ZERO_PRODUCT, v, 1, v, 1, 0) for v in range(1, 6)))
+    return _with_conclusions(cert, (Conclusion(ZERO_PRODUCT, v, 1, v, 1) for v in range(1, 6)))
 
 
 def test_sanity_eval_flags_false_conclusions(c5_graph, c5_full_cert):
@@ -335,7 +330,7 @@ def _forged_squares(g, cert):
     # at indices that do not rise with j.
     n = g.n
     squares = (
-        Conclusion(ZERO_PRODUCT, i, j, i, j, 0)
+        Conclusion(ZERO_PRODUCT, i, j, i, j)
         for i in range(n, 0, -1)
         for j in range(n, 0, -1)
     )
@@ -376,7 +371,7 @@ def test_sanity_eval_matches_reference_on_both_graphs(request, graph, forged):
 
 @pytest.mark.parametrize("conclusion", [(6, 1, 1, 1), (1, 1, 1, 6), (1, 1, 7, 1)])
 def test_sanity_eval_rejects_out_of_range_conclusions(c5_graph, c5_full_cert, conclusion):
-    cert = _with_conclusions(c5_full_cert, [Conclusion(ZERO_PRODUCT, *conclusion, 0)])
+    cert = _with_conclusions(c5_full_cert, [Conclusion(ZERO_PRODUCT, *conclusion)])
     with pytest.raises(ValueError, match="out of range"):
         sanity_eval(c5_graph, cert, trials=1, seed=0)
 
@@ -400,8 +395,7 @@ def test_qa5_certificate_is_the_start_of_the_full_proof(request, graph):
 
     def citation(cert, c):
         table = cert.automorphisms
-        renaming = None if c.rows is None else (table[c.rows], table[c.cols])
-        return c.kind, c.step, renaming
+        return c.kind, c.step, table[c.rows], table[c.cols]
 
     for c in qa5.conclusions:
         assert citation(full, by_quad[(c.i, c.j, c.k, c.l)]) == citation(qa5, c)

@@ -48,16 +48,19 @@ from qsym import verifier
 from qsym.verifier import scope_quadruples
 
 G5 = cycle(5)
+IDENTITY = (1, 2, 3, 4, 5)
+ROTATION = (2, 3, 4, 5, 1)
+SWAP_2_3 = (1, 3, 2, 4, 5)  # not in D5: it maps the edge 1-2 to the non-edge 1-3
 
 
 def _cert(steps, conclusions=(), g=G5, automorphisms=()):
     return Certificate(graph_digest(g), FULL, tuple(automorphisms), tuple(steps), tuple(conclusions))
 
 
-def _steps_pass(steps):
+def _steps_pass(steps, automorphisms=()):
     """Whether every step is accepted.  With no conclusions the report
     can only fail for falling short of the scope, at conclusion 0."""
-    report = verify_certificate(G5, _cert(steps))
+    report = verify_certificate(G5, _cert(steps, automorphisms=automorphisms))
     return report.steps_checked == len(steps) and report.location == "conclusion 0"
 
 
@@ -78,39 +81,11 @@ def test_digest_mismatch_raises(c5_full_cert):
         verify_certificate(petersen(), c5_full_cert)
 
 
-def test_nonsequential_ids_rejected():
-    steps = (IDEM_STEP, ProofStep(2, u(2, 2) * u(2, 2), u(2, 2), LocalReduce()))
-    with pytest.raises(MalformedCertificate) as exc:
-        verify_certificate(G5, _cert(steps))
-    assert "sequential" in str(exc.value)
-
-
-def test_self_reference_rejected():
-    steps = (ProofStep(0, u(1, 1), u(1, 1), LemmaCom(0)),)
-    with pytest.raises(MalformedCertificate) as exc:
-        verify_certificate(G5, _cert(steps))
-    assert "not earlier" in str(exc.value)
-
-
-def test_dangling_certification_rejected():
-    step = ProofStep(0, u(1, 2) * u(2, 3), u(2, 3) * u(1, 2), Swap(5, 0))
-    with pytest.raises(MalformedCertificate) as exc:
-        verify_certificate(G5, _cert((step,)))
-    assert "references step 5" in str(exc.value)
-    # A swap may not cite a later step, even one that certifies its pair.
-    later = (
-        dataclasses.replace(COMM_STEP, id=0, justification=Swap(1, 0)),
-        dataclasses.replace(COMM_STEP, id=1),
-    )
-    with pytest.raises(MalformedCertificate, match="step 0 references step 1, which is not earlier"):
-        verify_certificate(G5, _cert(later))
-
-
 def test_conclusion_step_out_of_range_rejected():
     # A conclusion's citations are part of its own check: the report is
     # invalid at that conclusion.
-    concl = Conclusion(COMMUTES, 1, 1, 1, 1, 3)
-    report = verify_certificate(G5, _cert((IDEM_STEP,), (concl,)))
+    concl = Conclusion(COMMUTES, 1, 1, 1, 1, 3, 0, 0)
+    report = verify_certificate(G5, _cert((IDEM_STEP,), (concl,), automorphisms=[IDENTITY]))
     assert not report.valid and report.location == "conclusion 0"
     assert "cites missing step 3" in report.reason
 
@@ -118,14 +93,14 @@ def test_conclusion_step_out_of_range_rejected():
 def test_conclusion_vertex_out_of_range_rejected():
     # Coverage puts quadruple 1,1,1,1 first, so a vertex outside C5 is
     # out of place there.
-    concl = Conclusion(COMMUTES, 6, 1, 1, 1, 0)
-    report = verify_certificate(G5, _cert((IDEM_STEP,), (concl,)))
+    concl = Conclusion(COMMUTES, 6, 1, 1, 1, 0, 0, 0)
+    report = verify_certificate(G5, _cert((IDEM_STEP,), (concl,), automorphisms=[IDENTITY]))
     assert not report.valid and report.location == "conclusion 0"
     assert "(commutes 6,1,1,1) is out of place: quadruple 1,1,1,1 belongs here" in report.reason
 
 
-def _first_failure(steps, conclusions=()):
-    report = verify_certificate(G5, _cert(steps, conclusions))
+def _first_failure(steps, conclusions=(), automorphisms=()):
+    report = verify_certificate(G5, _cert(steps, conclusions, automorphisms=automorphisms))
     assert not report.valid
     return report
 
@@ -291,58 +266,93 @@ def test_lemma_com_checks_transport():
     assert "star transport of step 0" in report.reason
 
 
-IDENTITY = (1, 2, 3, 4, 5)
-ROTATION = (2, 3, 4, 5, 1)
-SWAP_2_3 = (1, 3, 2, 4, 5)  # not in D5: it maps the edge 1-2 to the non-edge 1-3
 # u[1,1]u[2,3] = 0: rows 1, 2 adjacent in C5, columns 1, 3 not.
 VANISH_STEP = ProofStep(0, u(1, 1) * u(2, 3), Poly.zero(), LocalReduce())
+TABLE = (IDENTITY, ROTATION)
 
 
-def _transported(rows, cols, base=VANISH_STEP):
-    """Step 1: the exact renaming of base under rows and cols."""
+def _transported(rows, cols, base=VANISH_STEP, table=TABLE):
+    """Step 1: the exact renaming of base under table entries rows and cols."""
+    rho, kappa = table[rows], table[cols]
     return ProofStep(
-        1, relabel(base.lhs, rows, cols), relabel(base.rhs, rows, cols), Transport(0, rows, cols)
+        1, relabel(base.lhs, rho, kappa), relabel(base.rhs, rho, kappa), Transport(0, rows, cols)
     )
 
 
 def test_transport_needs_automorphisms():
-    good = _transported(ROTATION, IDENTITY)
+    good = _transported(1, 0)
     assert good.lhs == u(2, 1) * u(3, 3)
-    assert _steps_pass((VANISH_STEP, good))
-    bad = _transported(SWAP_2_3, IDENTITY)
-    # The renamed claim u[1,1]u[3,3] = 0 is false: the identity
-    # permutation matrix satisfies every relation and gives 1.
+    assert _steps_pass((VANISH_STEP, good), automorphisms=TABLE)
+    # The transport cites a table entry, and the table is where an entry
+    # is tested: renaming under SWAP_2_3 gives the claim u[1,1]u[3,3] = 0,
+    # which is false, since the identity permutation matrix satisfies
+    # every relation and gives 1.
+    table = (IDENTITY, SWAP_2_3)
+    bad = _transported(1, 0, table=table)
     assert bad.lhs == u(1, 1) * u(3, 3)
     assert evaluate_perm(G5, IDENTITY, bad.lhs - bad.rhs) == 1
-    report = _first_failure((VANISH_STEP, bad))
-    assert report.first_failure == 1
-    assert "rows is not an automorphism" in report.reason
-    report = _first_failure((VANISH_STEP, _transported(IDENTITY, SWAP_2_3)))
-    assert "cols is not an automorphism" in report.reason
+    report = _first_failure((VANISH_STEP, bad), automorphisms=table)
+    assert report.location == "automorphism 1" and report.steps_checked == 0
+    assert "not an automorphism of the graph" in report.reason
 
 
 def test_transport_checks_the_renamed_claim():
-    good = _transported(ROTATION, ROTATION)
+    good = _transported(1, 1)
     for wrong in (
         dataclasses.replace(good, lhs=u(1, 1) * u(2, 3)),
         dataclasses.replace(good, rhs=u(3, 3)),
-        dataclasses.replace(good, justification=Transport(0, ROTATION, IDENTITY)),
+        dataclasses.replace(good, justification=Transport(0, 1, 0)),
     ):
-        report = _first_failure((VANISH_STEP, wrong))
+        report = _first_failure((VANISH_STEP, wrong), automorphisms=TABLE)
         assert report.first_failure == 1
-        assert "not the renaming of step 0" in report.reason
-    short = dataclasses.replace(good, justification=Transport(0, ROTATION[:4], ROTATION))
-    assert "degree 4" in _first_failure((VANISH_STEP, short)).reason
+        assert "is not the renaming of step 0" in report.reason
+
+
+# One fault per case, made in a transport step and in a conclusion
+# that cite the same way; the renaming helper gives both the same reason.
+_CITATION_FAULTS = [
+    pytest.param(0, 2, 0, "cites missing automorphism 2", id="index-equal-to-table-length"),
+    pytest.param(
+        0, 0, 1, "is not the renaming of step 0 under automorphisms 0 and 1", id="swapped"
+    ),
+    pytest.param(
+        1, 1, 0, "is not the renaming of step 1 under automorphisms 1 and 0",
+        id="not-a-conclusion-claim",
+    ),
+]
+
+
+@pytest.mark.parametrize("cited, rows, cols, reason", _CITATION_FAULTS)
+def test_transport_and_conclusion_refuse_a_citation_alike(cited, rows, cols, reason):
+    # Step 0 claims the zero product u[1,1]u[2,3] = 0 and step 1 a unity
+    # expansion, which no conclusion claims.  Renamed under the rotation
+    # of the rows, step 0 gives u[2,1]u[3,3] = 0.
+    prefix = (VANISH_STEP, dataclasses.replace(EXPAND_STEP, id=1))
+    own = u(2, 1) * u(3, 3)
+    good_step = ProofStep(2, own, Poly.zero(), Transport(0, 1, 0))
+    good_concl = Conclusion(ZERO_PRODUCT, 2, 1, 3, 3, 0, 1, 0)
+    cert = _cert(prefix + (good_step,), automorphisms=TABLE)
+    claims = [claim_quadruple(s.lhs, s.rhs) for s in cert.steps]
+    assert verifier._check_step(G5, cert, good_step) is None
+    assert verifier._check_conclusion(G5, cert, claims, good_concl, (2, 1, 3, 3)) is None
+
+    bad_step = ProofStep(2, own, Poly.zero(), Transport(cited, rows, cols))
+    report = _first_failure(prefix + (bad_step,), automorphisms=TABLE)
+    assert report.location == "step 2" and report.reason == reason
+    bad_concl = good_concl._replace(step=cited, rows=rows, cols=cols)
+    assert verifier._check_conclusion(G5, cert, claims, bad_concl, (2, 1, 3, 3)) == reason
 
 
 def test_conclusion_must_match_step_claim():
-    # u[1,1]u[1,1] commutes with itself, but step 0 claims u[1,1]u[1,1] = u[1,1].
-    concl = Conclusion(COMMUTES, 1, 1, 1, 1, 0)
-    report = _first_failure((IDEM_STEP,), (concl,))
+    # u[1,1]u[1,1] commutes with itself, but step 0 claims u[1,1]u[1,1] =
+    # u[1,1], which renames to no conclusion's claim, under the identity
+    # or any other entry.
+    concl = Conclusion(COMMUTES, 1, 1, 1, 1, 0, 0, 0)
+    report = _first_failure((IDEM_STEP,), (concl,), automorphisms=[IDENTITY])
     assert report.first_failure is None and report.location == "conclusion 0"
     assert report.steps_checked == 1
     assert report.conclusions_checked == 0
-    assert "not the claim of step 0" in report.reason
+    assert "is not the renaming of step 0 under automorphisms 0 and 0" in report.reason
 
 
 def test_random_mutations_rejected(c5_graph, c5_full_cert):
@@ -363,13 +373,15 @@ def test_every_derivation_step_mutation_rejected(petersen_graph, petersen_full_c
     # of the certificate that ends at that step.
     rng = random.Random(3)
     tried = 0
+    table = petersen_full_cert.automorphisms
     for step in petersen_full_cert.steps:
         prefix = petersen_full_cert.steps[: step.id + 1]
+        cert = _cert(prefix, g=petersen_graph, automorphisms=table)
         for op in helpers.eligible_ops(step):
-            mutated = op(petersen_graph, step, prefix, rng)
+            mutated = op(petersen_graph, step, cert, rng)
             if mutated is None:
                 continue
-            mutant = _cert(prefix[:-1] + (mutated,), g=petersen_graph)
+            mutant = _cert(prefix[:-1] + (mutated,), g=petersen_graph, automorphisms=table)
             report = verify_certificate(petersen_graph, mutant)
             assert not report.valid and report.first_failure == step.id, op.__name__
             tried += 1
@@ -412,8 +424,6 @@ def test_qa5_scope_is_the_edge_pairs(c5_graph):
     # The same conclusions claimed for the full scope fall short at once.
     report = verify_certificate(c5_graph, dataclasses.replace(cert, scope=FULL))
     assert report.location == "conclusion 0" and "out of place" in report.reason
-    with pytest.raises(MalformedCertificate, match="scope"):
-        verify_certificate(c5_graph, dataclasses.replace(cert, scope="partial"))
 
 
 @pytest.mark.parametrize(
@@ -439,18 +449,23 @@ def test_table_entries_are_checked_before_any_step(c5_graph, c5_full_cert, entry
 
 
 def _first_renamed(cert):
-    return next(idx for idx, c in enumerate(cert.conclusions) if c.rows is not None)
+    return next(
+        idx for idx, c in enumerate(cert.conclusions) if c.step is not None and c.rows != c.cols
+    )
 
 
 @pytest.mark.parametrize(
     "change, reason",
     [
-        (lambda c, n: dict(rows=c.cols, cols=c.rows), "is not the renaming of step"),
-        (lambda c, n: dict(cols=n), "cites missing automorphism"),
-        (lambda c, n: dict(rows=None, cols=None), "is not the claim of step"),
-        (lambda c, n: dict(step=None, rows=None, cols=None), "does not reduce to zero"),
-        (lambda c, n: dict(step=0), "is not the renaming of step 0"),
-        (lambda c, n: dict(kind=ZERO_PRODUCT), "is not the renaming of step"),
+        (lambda c, table: dict(rows=c.cols, cols=c.rows), "is not the renaming of step"),
+        (lambda c, table: dict(cols=len(table)), "cites missing automorphism"),
+        (
+            lambda c, table: dict(rows=table.index(IDENTITY), cols=table.index(IDENTITY)),
+            "is not the renaming of step",
+        ),
+        (lambda c, table: dict(step=None, rows=None, cols=None), "does not reduce to zero"),
+        (lambda c, table: dict(step=0), "is not the renaming of step 0"),
+        (lambda c, table: dict(kind=ZERO_PRODUCT), "is not the renaming of step"),
     ],
     ids=["swapped", "index-out-of-range", "renaming-dropped", "local-reduce", "wrong-step", "kind"],
 )
@@ -458,9 +473,8 @@ def test_conclusion_justification_checked(c5_graph, c5_full_cert, change, reason
     cert = c5_full_cert
     idx = _first_renamed(cert)
     c = cert.conclusions[idx]
-    assert c.rows != c.cols
     conclusions = list(cert.conclusions)
-    conclusions[idx] = c._replace(**change(c, len(cert.automorphisms)))
+    conclusions[idx] = c._replace(**change(c, cert.automorphisms))
     report = verify_certificate(c5_graph, dataclasses.replace(cert, conclusions=tuple(conclusions)))
     assert not report.valid and report.location == f"conclusion {idx}"
     assert reason in report.reason
@@ -497,8 +511,6 @@ def _reference_verdict(g, cert, c, quad):
     if (c.i, c.j, c.k, c.l) != quad:
         return False
     if c.step is not None and c.step >= len(cert.steps):
-        return False
-    if c.rows is not None and max(c.rows, c.cols) >= len(cert.automorphisms):
         return False
     return helpers._conclusion_follows(g, cert, c)
 
