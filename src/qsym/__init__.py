@@ -61,7 +61,6 @@ _EXPORTS = {
             "ProofStep",
             "Substitution",
             "Swap",
-            "Transport",
             "certificate_from_dict",
             "certificate_to_dict",
             "claim_quadruple",

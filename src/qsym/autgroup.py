@@ -9,8 +9,8 @@ its elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 from .graphs import Graph, is_automorphism, kneser_vertices
 
@@ -20,8 +20,7 @@ MAX_AUT_VERTICES = 16
 MAX_AUT_ORDER = 100_000
 
 
-@dataclass(frozen=True)
-class AutGroup:
+class AutGroup(NamedTuple):
     """Automorphism group given by order, generators and elements, each
     permutation a tuple in one-line notation."""
 

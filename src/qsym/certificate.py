@@ -7,9 +7,8 @@ vanish, one per quadruple of the certificate's scope.  Each step
 carries a justification small enough to be rechecked from scratch, and
 so does each conclusion: its claim reduces to zero by itself, or is the
 claim of a cited step renamed under two entries of the certificate's
-table of graph automorphisms, which a transport step cites the same
-way.  The verifier module rechecks all of it without trusting the
-producer.
+table of graph automorphisms, which a swap cites the same way.  The
+verifier module rechecks all of it without trusting the producer.
 
 A conclusion is held as a Conclusion, a validated NamedTuple of its
 kind, its quadruple and the citation step, rows, cols or none.  The
@@ -17,11 +16,11 @@ loader builds it straight from the JSON object, and the verifier and
 the spot check read its integers without building a polynomial; only
 Conclusion.claim does, for callers that want the equation.
 
-A step's justification is one of six rules: local_reduce,
-expand_unity, swap, substitution, lemma_com and transport.  The rule
-table, _RULES, is where a rule's wire form is defined.  A swap cites
-the earlier step that claims the commutation it uses, and carries
-nothing else but the position of the pair.
+A step's justification is one of five rules: local_reduce,
+expand_unity, swap, substitution and lemma_com.  The rule table,
+_RULES, is where a rule's wire form is defined.  A swap cites a step
+and two table entries, as a conclusion does, and the position of the
+pair it reverses: the commutation that step claims, renamed.
 
 A Certificate is well formed however it is built: its scope is known,
 its step ids run 0, 1, ... in order, and each step cites only earlier
@@ -39,13 +38,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .algebra import COL, ROW, Poly, PolyParseError, format_poly, gen, parse_poly
 from .graphs import Graph, format_graph_text
 
-CERT_VERSION = 5
+CERT_VERSION = 6
 
 COMMUTES = "commutes"
 ZERO_PRODUCT = "zero_product"
@@ -85,12 +85,19 @@ class ExpandUnity:
 
 @dataclass(frozen=True, slots=True)
 class Swap:
-    """rhs is lhs with the generator pair at ``position`` reversed in
-    every word, where that pair is the one whose commutation the earlier
-    step ``step`` claims."""
+    """rhs is lhs with a generator pair reversed at ``position`` in every
+    word: the pair whose commutation step ``step`` claims, renamed under
+    the automorphisms at table indices ``rows`` and ``cols`` as for a
+    Conclusion.  Building one refuses a negative or non-integer index."""
 
     step: int
+    rows: int
+    cols: int
     position: int
+
+    def __post_init__(self):
+        _check_index(self.rows, "swap rows")
+        _check_index(self.cols, "swap cols")
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,25 +119,7 @@ class LemmaCom:
     step: int
 
 
-@dataclass(frozen=True, slots=True)
-class Transport:
-    """The claim of an earlier step, a commutation or zero product of two
-    generators, with every u[i,j] renamed to u[rho(i),kappa(j)], where
-    rho and kappa are the certificate's automorphisms at indices
-    ``rows`` and ``cols``, cited as a Conclusion cites them.  Building
-    one refuses an index that is not a nonnegative integer.
-    """
-
-    step: int
-    rows: int
-    cols: int
-
-    def __post_init__(self):
-        _check_index(self.rows, "transport rows")
-        _check_index(self.cols, "transport cols")
-
-
-Justification = Union[LocalReduce, ExpandUnity, Swap, Substitution, LemmaCom, Transport]
+Justification = Union[LocalReduce, ExpandUnity, Swap, Substitution, LemmaCom]
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,7 +243,7 @@ class Certificate:
     """Steps and conclusions for one graph.
 
     ``automorphisms`` holds the one-line images of the vertex
-    permutations that transport steps and conclusions cite by index;
+    permutations that swaps and conclusions cite by index;
     ``scope`` is FULL or QA5 and fixes which quadruples the conclusions
     must cover.  Building one, also by dataclasses.replace, makes
     ``steps`` and ``conclusions`` tuples and raises MalformedCertificate
@@ -333,7 +322,6 @@ _RULES = {
     Swap: ("swap", ("step",)),
     Substitution: ("substitution", ("base", "using")),
     LemmaCom: ("lemma_com", ("step",)),
-    Transport: ("transport", ("step",)),
 }
 _RULE_CLASSES = {name: cls for cls, (name, _) in _RULES.items()}
 _FIELD_CHECKS = {"side": _require_side, "sign": _require_sign}
@@ -513,9 +501,18 @@ def loads_certificate(text: str) -> Certificate:
 
 
 def save_certificate(cert: Certificate, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_certificate(cert))
-        fh.write("\n")
+    """Write cert to path whole or not at all: the text goes to a new
+    file beside path, which then replaces it, or on failure is removed."""
+    text = dumps_certificate(cert) + "\n"
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_certificate(path) -> Certificate:

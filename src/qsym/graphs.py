@@ -9,8 +9,8 @@ v - 1 is the image of v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 
 # The most vertices a graph file may declare.  The header is refused
@@ -30,8 +30,7 @@ class GraphFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class SrgParams:
+class SrgParams(NamedTuple):
     """Strong regularity parameters (n, k, lam, mu)."""
 
     n: int
@@ -44,8 +43,7 @@ class SrgParams:
         return self.k * (self.k - self.lam - 1) == (self.n - self.k - 1) * self.mu
 
 
-@dataclass(frozen=True)
-class MooreReport:
+class MooreReport(NamedTuple):
     """Outcome of checking k-regularity with lam=0 and mu=1.
 
     When ``holds`` is False, ``witness`` names a vertex or vertex pair
@@ -58,37 +56,49 @@ class MooreReport:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on vertices 1..n."""
+    """Undirected simple graph on vertices 1..n: immutable, equal to a
+    Graph with the same ``n`` and ``adj``, and refusing an adjacency
+    matrix that is not square, symmetric and loop-free."""
 
-    n: int
-    adj: tuple[tuple[bool, ...], ...]
-    # Row 0 and column 0 are padding so 1-based lookups need no offset.
-    adj1: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _nbrs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # Row 0 and column 0 of adj1 are padding so 1-based lookups need no
+    # offset; _nbrs[u] lists the neighbors of u, ascending.
+    __slots__ = ("n", "adj", "adj1", "_nbrs")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"graph needs at least one vertex, got n={self.n}")
-        if len(self.adj) != self.n or any(len(row) != self.n for row in self.adj):
+    def __init__(self, n: int, adj: tuple[tuple[bool, ...], ...]):
+        if n < 1:
+            raise ValueError(f"graph needs at least one vertex, got n={n}")
+        if len(adj) != n or any(len(row) != n for row in adj):
             raise ValueError("adjacency matrix must be n x n")
-        for i in range(self.n):
-            if self.adj[i][i]:
+        for i in range(n):
+            if adj[i][i]:
                 raise ValueError(f"loop at vertex {i + 1}")
-            for j in range(i + 1, self.n):
-                if self.adj[i][j] != self.adj[j][i]:
+            for j in range(i + 1, n):
+                if adj[i][j] != adj[j][i]:
                     raise ValueError(f"adjacency not symmetric at ({i + 1}, {j + 1})")
-        pad = (0,) * (self.n + 1)
-        adj1 = (pad,) + tuple(
-            (0,) + tuple(int(x) for x in row) for row in self.adj
-        )
-        nbrs = ((),) + tuple(
-            tuple(v for v in range(1, self.n + 1) if self.adj[u - 1][v - 1])
-            for u in range(1, self.n + 1)
-        )
-        object.__setattr__(self, "adj1", adj1)
-        object.__setattr__(self, "_nbrs", nbrs)
+        adj1 = ((0,) * (n + 1),) + tuple((0,) + tuple(int(x) for x in row) for row in adj)
+        nbrs = ((),) + tuple(tuple(v for v in range(1, n + 1) if row[v]) for row in adj1[1:])
+        for name, value in zip(Graph.__slots__, (n, adj, adj1, nbrs)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Graph is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not Graph:
+            return NotImplemented
+        return (self.n, self.adj) == (other.n, other.adj)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, adj={self.adj!r})"
+
+    def __reduce__(self):
+        return Graph, (self.n, self.adj)
 
     def vertices(self) -> range:
         return range(1, self.n + 1)

@@ -22,10 +22,10 @@ commuting conclusion of those layers cites its orbit's derivation and
 two entries of the certificate's automorphism table under which the
 derived claim is renamed to its own, the identity's entry twice for
 the derived quadruple itself; the third layer's conclusions reduce to
-zero by themselves and cite no step.  A Transport step, which cites
-the table the same way, is emitted only where a derivation uses a
-renamed commutation.  ProofBuilder lists each table entry once, by
-first use.
+zero by themselves and cite no step.  A swap cites the commutation it
+uses the same way, so a renamed commutation is never restated as a
+step of its own.  ProofBuilder lists each table entry once, by first
+use.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .algebra import (
     ROW,
     Poly,
     expand_unity,
+    gen,
     monomial,
-    relabel,
     star,
     u,
 )
@@ -53,7 +53,6 @@ from .certificate import (
     ProofStep,
     Substitution,
     Swap,
-    Transport,
     graph_digest,
     scope_quadruples,
 )
@@ -93,13 +92,12 @@ def _single_word(p: Poly):
 
 class ProofBuilder:
     """Accumulates proof steps with sequential ids for one graph, and
-    the automorphism table they and the conclusions cite."""
+    the automorphism table that swaps and conclusions cite."""
 
     def __init__(self, g: Graph):
         self.graph = g
         self.steps: list[ProofStep] = []
         self.automorphisms: dict[tuple[int, ...], int] = {}
-        self._transports: dict[tuple[int, int, int], int] = {}
 
     def add(self, lhs: Poly, rhs: Poly, justification) -> int:
         sid = len(self.steps)
@@ -128,33 +126,21 @@ class ProofBuilder:
             )
         return self.add(step.lhs, star(step.lhs), LemmaCom(sid))
 
-    def swap(self, p: Poly, sid: int, position: int) -> tuple[Poly, int]:
+    def swap(self, p: Poly, cite: tuple, position: int) -> tuple[Poly, int]:
         """Reverse, at ``position`` in every word of p, the pair whose
-        commutation step sid claims; returns the new side and the id of
-        the Swap step claiming that p equals it."""
-        a, b = _single_word(self.steps[sid].lhs)
+        commutation step sid claims with u[i,j] renamed to
+        u[rows(i),cols(j)], where cite is (sid, rows, cols); returns the
+        new side and the id of the Swap step claiming that p equals it."""
+        sid, rows, cols = cite
+        word = _single_word(self.steps[sid].lhs)
+        a, b = (gen(rows[x.row - 1], cols[x.col - 1]) for x in word)
         q = swap_pair(p, position, a, b)
-        return q, self.add(p, q, Swap(sid, position))
+        just = Swap(sid, self.automorphism(rows), self.automorphism(cols), position)
+        return q, self.add(p, q, just)
 
     def automorphism(self, images: tuple[int, ...]) -> int:
         """The table index of an automorphism, listing it on first use."""
         return self.automorphisms.setdefault(images, len(self.automorphisms))
-
-    def transport(self, sid: int, rows: tuple, cols: tuple) -> int:
-        """A step claiming the claim of step sid with u[i,j] renamed to
-        u[rows(i),cols(j)]: sid itself under two identities, else a
-        Transport step, emitted once per renaming."""
-        if rows == cols == tuple(self.graph.vertices()):
-            return sid
-        key = (sid, self.automorphism(rows), self.automorphism(cols))
-        if key not in self._transports:
-            step = self.steps[sid]
-            self._transports[key] = self.add(
-                relabel(step.lhs, rows, cols),
-                relabel(step.rhs, rows, cols),
-                Transport(*key),
-            )
-        return self._transports[key]
 
 
 def _require_hypotheses(g: Graph) -> None:
@@ -272,7 +258,7 @@ def _kill_extra_neighbor(
     s: int,
     t: int,
     q: int,
-    certify,
+    edge_edge: dict,
 ) -> int:
     """Certify u[r1,c1]u[s,t]u[r2,c2]u[r1,q] = 0 for the extra neighbor q of t.
 
@@ -293,26 +279,27 @@ def _kill_extra_neighbor(
     if z2_rhs != a_word + t_word:
         raise AssertionError("inner expansion has unexpected survivors")
     z2 = bld.add(z1_rhs, z2_rhs, LocalReduce())
-    a_swapped, z3 = bld.swap(a_word, certify((s, t, r2, c1)), 1)
+    a_swapped, z3 = bld.swap(a_word, edge_edge[(s, t, r2, c1)], 1)
     z4 = bld.add(a_swapped, Poly.zero(), LocalReduce())
     z5 = bld.add(a_word, Poly.zero(), Substitution(z3, z4))
     z6 = bld.add(z1_rhs, t_word, Substitution(z2, z5))
     z7 = bld.add(g3, t_word, Substitution(z1, z6))
-    g3_swapped, z8 = bld.swap(g3, certify((r1, c1, s, t)), 0)
+    g3_swapped, z8 = bld.swap(g3, edge_edge[(r1, c1, s, t)], 0)
     z9 = bld.add(g3_swapped, Poly.zero(), LocalReduce())
     z10 = bld.add(g3, Poly.zero(), Substitution(z8, z9))
     return bld.add(t_word, Poly.zero(), Substitution(z10, z7, -1))
 
 
 def _derive_nonedge(
-    bld: ProofBuilder, r1: int, c1: int, r2: int, c2: int, certify
+    bld: ProofBuilder, r1: int, c1: int, r2: int, c2: int, edge_edge: dict
 ) -> int:
     """Certify u[r1,c1]u[r2,c2] = u[r2,c2]u[r1,c1] for two non-adjacent pairs.
 
     Uses the unique common neighbor s of the rows and t of the columns.
-    ``certify(quad)`` returns the id of a step claiming the commutation
-    of an edge-edge quadruple.  Returns the id of the final commutation
-    step.
+    ``edge_edge`` maps each edge-edge quadruple to (step id, rows, cols):
+    a step whose claim, renamed under those two automorphisms, is the
+    commutation of that quadruple.  Returns the id of the final
+    commutation step.
     """
     g = bld.graph
     n = g.n
@@ -332,7 +319,7 @@ def _derive_nonedge(
     # Swing u[s,t] to the right, expand a trailing row-r1 unity, and
     # swing it back: x0 equals the sum over the neighbors p of t of
     # u[r1,c1]u[s,t]u[r2,c2]u[r1,p].
-    bridge = certify((s, t, r2, c2))
+    bridge = edge_edge[(s, t, r2, c2)]
     w2, p2a = bld.swap(w1, bridge, 1)
     p2b_rhs = expand_unity(w2, 3, r1, ROW, n)
     p2b = bld.add(w2, p2b_rhs, ExpandUnity(3, r1, ROW))
@@ -355,7 +342,7 @@ def _derive_nonedge(
     for q in g.neighbors(t):
         if q == c1 or q == c2:
             continue
-        zq = _kill_extra_neighbor(bld, r1, c1, r2, c2, s, t, q, certify)
+        zq = _kill_extra_neighbor(bld, r1, c1, r2, c2, s, t, q, edge_edge)
         t_word = monomial(((r1, c1), (s, t), (r2, c2), (r1, q)))
         cur_rhs = cur_rhs - t_word
         cur = bld.add(x0, cur_rhs, Substitution(cur, zq))
@@ -387,17 +374,13 @@ def _prove(g: Graph, scope: str) -> Certificate:
     adj1 = g.adj1
     commuting = edge_edge = _derive_all_edge_edge(bld, symmetries)
     if scope == FULL:
-
-        def certify(quad):
-            return bld.transport(*edge_edge[quad])
-
         vs = g.vertices()
         nonedges = [(a, b) for a in vs for b in vs if a != b and not adj1[a][b]]
         commuting = edge_edge | _derive_family(
             bld,
             nonedges,
             symmetries,
-            lambda bld, r1, c1, r2, c2: _derive_nonedge(bld, r1, c1, r2, c2, certify),
+            lambda bld, r1, c1, r2, c2: _derive_nonedge(bld, r1, c1, r2, c2, edge_edge),
         )
     conclusions = []
     for quad in scope_quadruples(g, scope):

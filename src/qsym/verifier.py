@@ -25,21 +25,12 @@ lexicographic order, each exactly once, so a valid full certificate
 classifies every ordered generator pair and proves the quantum
 automorphism algebra commutative.
 
-A swap step uses a commutation that an earlier step claims.  That step
-is checked first, and its claim, decoded by claim_quadruple, must be
-u[a,b]u[c,d] = u[c,d]u[a,b]: it holds in the quotient.  Multiplying it
-on the left and right by the rest of a word, and summing with the
-coefficients of lhs, gives lhs = rhs exactly when rhs is lhs with the
-pair at the swap's position reversed in every word, and that pair is
-u[a,b]u[c,d] or u[c,d]u[a,b] in every word.  That is all the rule
-checks.
-
-A transport step and a conclusion that cites a step both claim a cited
-claim renamed under two entries rho and kappa of the automorphism
-table, and _check_renaming checks both on integers: claim_quadruple
-decodes the cited claim to (kind, a, b, c, d), and the citing claim
-must decode to (kind, rho(a), kappa(b), rho(c), kappa(d)); any other
-cited claim is refused.  Every entry is checked, once and before any
+A swap reverses a pair whose commutation an earlier step claims,
+renamed under two entries rho and kappa of the automorphism table as a
+conclusion that cites a step is.  _renamed, the checker's only
+renaming, maps a claim decoded by claim_quadruple, (kind, a, b, c, d),
+to (kind, rho(a), kappa(b), rho(c), kappa(d)) on integers, and refuses
+an entry the table lacks.  Every entry is checked, once and before any
 step, to be a permutation of 1..n that is an automorphism of the graph.
 Renaming every u[i,j] to u[rho(i),kappa(j)] acts letter by letter, so
 it is an invertible algebra map of the free *-algebra that commutes
@@ -48,14 +39,21 @@ orthogonality, idempotence and self-adjointness to their renamed
 instances, a row or column unity sum to another such sum, and each
 adjacency vanishing instance, picked out by adjacency of its rows and
 non-adjacency of its columns or the reverse, to another, since
-automorphisms preserve both.  Commutation is not a defining relation:
-a swap cites a step whose claim holds.  So the renaming is a
-*-automorphism of the quotient, and a claim that holds there holds
-renamed; under a permutation that is not an automorphism it can fail,
-and the entry is refused.  Comparing tuples is comparing the renamed
-polynomials: renaming is injective on words, keeps coefficients,
-commutes with reversal and fixes zero, and Conclusion.claim is
-injective in (kind, quadruple).
+automorphisms preserve both.  So the renaming is a *-automorphism of
+the quotient, and a claim that holds there holds renamed; under a
+permutation that is not an automorphism it can fail, and the entry is
+refused.  Comparing tuples is comparing the renamed polynomials:
+renaming is injective on words, keeps coefficients, commutes with
+reversal and fixes zero, and Conclusion.claim is injective in (kind,
+quadruple).
+
+Commutation is not a defining relation: the step a swap cites is
+checked first, and its renamed claim must be u[a,b]u[c,d] =
+u[c,d]u[a,b], so it holds in the quotient.  Multiplying it on the left
+and right by the rest of a word, and summing with the coefficients of
+lhs, gives lhs = rhs exactly when rhs is lhs with the pair at the
+swap's position reversed in every word, and that pair is u[a,b]u[c,d]
+or u[c,d]u[a,b] in every word.  That is all the rule checks.
 
 A conclusion with no step is decided on words.  Its claim is the word
 u[i,j]u[k,l] with coefficient 1 against its reverse u[k,l]u[i,j] with
@@ -76,8 +74,7 @@ building either polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import check_gen_bounds, expand_unity, gen, star
 from .certificate import (
@@ -91,7 +88,6 @@ from .certificate import (
     ProofStep,
     Substitution,
     Swap,
-    Transport,
     claim_quadruple,
     graph_digest,
     scope_quadruples,
@@ -104,8 +100,7 @@ class DigestMismatch(ValueError):
     """The certificate was produced for a different graph."""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of a full certificate check."""
 
     valid: bool
@@ -117,23 +112,18 @@ class VerificationReport:
     location: Optional[str] = None
 
 
-def _check_renaming(table, cited, step: int, rows: int, cols: int, own) -> Optional[str]:
-    """Whether ``own`` is ``cited``, the decoded claim of step ``step``,
-    renamed under table entries ``rows`` and ``cols``; returns a failure
-    reason or None.  Both decode checked claims, so name only 1..n."""
+def _renamed(table, claim, rows: int, cols: int):
+    """A decoded claim, or None, renamed under table entries ``rows``
+    and ``cols``.  Raises ValueError, which callers report as the
+    reason, for an entry the table lacks."""
     for t in (rows, cols):
         if t >= len(table):
-            return f"cites missing automorphism {t}"
+            raise ValueError(f"cites missing automorphism {t}")
+    if claim is None:
+        return None
+    kind, a, b, c, d = claim
     rho, kappa = table[rows], table[cols]
-    if cited is None or (
-        cited[0],
-        rho[cited[1] - 1],
-        kappa[cited[2] - 1],
-        rho[cited[3] - 1],
-        kappa[cited[4] - 1],
-    ) != own:
-        return f"is not the renaming of step {step} under automorphisms {rows} and {cols}"
-    return None
+    return kind, rho[a - 1], kappa[b - 1], rho[c - 1], kappa[d - 1]
 
 
 def _check_step(g: Graph, cert: Certificate, step: ProofStep) -> Optional[str]:
@@ -158,6 +148,7 @@ def _check_step(g: Graph, cert: Certificate, step: ProofStep) -> Optional[str]:
     if isinstance(just, Swap):
         ref = steps[just.step]
         cited = claim_quadruple(ref.lhs, ref.rhs)
+        cited = _renamed(cert.automorphisms, cited, just.rows, just.cols)
         if cited is None or cited[0] != COMMUTES:
             return f"step {just.step} claims no commutation of two generators"
         _, a, b, c, d = cited
@@ -181,10 +172,6 @@ def _check_step(g: Graph, cert: Certificate, step: ProofStep) -> Optional[str]:
         if step.lhs != ref.lhs or step.rhs != star(ref.lhs):
             return f"claim is not the star transport of step {just.step}"
         return None
-    if isinstance(just, Transport):
-        ref = steps[just.step]
-        cited, own = claim_quadruple(ref.lhs, ref.rhs), claim_quadruple(step.lhs, step.rhs)
-        return _check_renaming(cert.automorphisms, cited, just.step, just.rows, just.cols, own)
     return f"unknown justification {type(just).__name__}"
 
 
@@ -194,8 +181,9 @@ def _check_conclusion(
     """Recheck one conclusion, whose place in the scope is that of
     ``quad``; returns a failure reason or None.
 
-    ``claims`` holds claim_quadruple of every step, by id.  It is only
-    read for a step that was checked.
+    ``claims`` holds claim_quadruple of every step, by id, and is only
+    read for a step that was checked.  Raises ValueError, which the
+    caller reports as the reason, for a missing table entry.
     """
     kind, i, j, k, l, step, rows, cols = concl
     if (i, j, k, l) != quad:
@@ -212,7 +200,9 @@ def _check_conclusion(
         return None
     if step >= len(claims):
         return f"cites missing step {step}"
-    return _check_renaming(cert.automorphisms, claims[step], step, rows, cols, (kind, i, j, k, l))
+    if _renamed(cert.automorphisms, claims[step], rows, cols) != (kind, i, j, k, l):
+        return f"is not the renaming of step {step} under automorphisms {rows} and {cols}"
+    return None
 
 
 def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:

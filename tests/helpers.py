@@ -2,20 +2,20 @@
 
 The mutation operators only produce changes that genuinely alter the
 meaning of the chosen step, conclusion or automorphism table entry, so
-a correct checker must reject every mutant at exactly that place.  A Substitution is checked as one exact
-equality, lhs - rhs == d_base + sign * d_using, so any change to either
-side changes lhs - rhs and is rejected; flipping the sign or retargeting
-a citation is guarded to produce a combination that differs from the
-claim.  A Transport and a conclusion that cites a step both cite it
-under two automorphism table indices, and share the citation operators:
-a new step, or the two indices swapped, is guarded so that the renamed
-claim differs, and a table index past the end is refused whatever the
-claim.  A Swap is
-checked as an exact equality with its left side, pair reversed; that
-reversal kills no term and is injective on the polynomials it accepts,
-so any change to either side is rejected, and a new citation or
-position is guarded so that the reversed left side differs from the
-right or cannot be formed.
+a correct checker must reject every mutant at exactly that place.  A
+Substitution is checked as one exact equality, lhs - rhs == d_base +
+sign * d_using, so any change to either side changes lhs - rhs and is
+rejected; flipping the sign or retargeting a citation is guarded to
+produce a combination that differs from the claim.  A Swap and a
+conclusion that cites a step both cite it under two automorphism table
+indices, and share the citation operators: a new step, or the two
+indices swapped, is guarded so that the citation no longer gives the
+claim, and a table index past the end is refused whatever the claim.
+A Swap is checked as an exact equality with its left side, the renamed
+pair reversed; that reversal kills no term and is injective on the
+polynomials it accepts, so any change to either side is rejected, and
+a new position is guarded so that the reversed left side differs from
+the right or cannot be formed.
 
 A conclusion is checked for its place in the scope's quadruple order
 and for its claim: moving, dropping or duplicating one puts a wrong
@@ -26,7 +26,8 @@ whatever cites it.
 
 A step operator takes the graph, the step, the certificate whose steps
 and table it may cite, and a random source, as the verifier's
-_check_step does.
+_check_step does.  The reference for a renamed claim is relabel on
+polynomials, not the verifier's renaming of integer quadruples.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from qsym import (
     ProofStep,
     Substitution,
     Swap,
-    Transport,
     ZERO_PRODUCT,
     COMMUTES,
     claim_quadruple,
@@ -162,10 +162,23 @@ def _tweak_expand_params(g, step, cert, rng):
     return dataclasses.replace(step, justification=just2)
 
 
-def _swapped(lhs, ref, position):
-    """lhs with the pair whose commutation ref claims reversed at
-    position, or None where the verifier refuses the citation."""
-    cited = claim_quadruple(ref.lhs, ref.rhs)
+def _renamed_claim(cert, cite):
+    """The claim of step s renamed under the table entries r and c, where
+    cite is (s, r, c), by relabel; None when the table lacks an entry."""
+    step, rows, cols = cite
+    table = cert.automorphisms
+    if max(rows, cols) >= len(table):
+        return None
+    ref = cert.steps[step]
+    rho, kappa = table[rows], table[cols]
+    return relabel(ref.lhs, rho, kappa), relabel(ref.rhs, rho, kappa)
+
+
+def _swapped(cert, cite, lhs, position):
+    """lhs with the pair reversed at position whose commutation the
+    citation gives, or None where the verifier refuses the citation."""
+    claim = _renamed_claim(cert, cite)
+    cited = None if claim is None else claim_quadruple(*claim)
     if cited is None or cited[0] != COMMUTES:
         return None
     _, a, b, c, d = cited
@@ -175,10 +188,14 @@ def _swapped(lhs, ref, position):
         return None
 
 
+def _citation(just):
+    return just.step, just.rows, just.cols
+
+
 def _tweak_swap_position(g, step, cert, rng):
     just = step.justification
     position = just.position + (1 if just.position == 0 or rng.random() < 0.5 else -1)
-    if _swapped(step.lhs, cert.steps[just.step], position) == step.rhs:
+    if _swapped(cert, _citation(just), step.lhs, position) == step.rhs:
         return None
     return dataclasses.replace(
         step, justification=dataclasses.replace(just, position=position)
@@ -240,31 +257,12 @@ def _retarget_lemma(g, step, cert, rng):
     return dataclasses.replace(step, justification=LemmaCom(ref))
 
 
-def _retarget_swap(g, step, cert, rng):
-    just = step.justification
-    ref = _retarget(
-        rng, step, cert, lambda r: _swapped(step.lhs, r, just.position) != step.rhs
-    )
-    if ref is None:
-        return None
-    return dataclasses.replace(
-        step, justification=dataclasses.replace(just, step=ref)
-    )
-
-
 def _renaming_follows(cert, cite, lhs, rhs):
-    """Whether lhs = rhs is the claim of step s renamed under the table
-    entries r and c, where cite is (s, r, c), by relabel."""
-    step, rows, cols = cite
-    table = cert.automorphisms
-    if max(rows, cols) >= len(table):
-        return False
-    ref = cert.steps[step]
-    rho, kappa = table[rows], table[cols]
-    return (relabel(ref.lhs, rho, kappa), relabel(ref.rhs, rho, kappa)) == (lhs, rhs)
+    """Whether lhs = rhs is the claim that the citation gives."""
+    return _renamed_claim(cert, cite) == (lhs, rhs)
 
 
-# Citation operators, shared by transport steps and conclusions: each
+# Citation operators, shared by swaps and conclusions: each
 # takes a citation (step, rows, cols), the number of steps it may cite,
 # the table, whether a citation follows for the same claim, and a random
 # source; it returns the mutated citation, or None where it finds none
@@ -297,21 +295,21 @@ def _table_index_out_of_range(cite, n_steps, table, follows, rng):
 CITATION_OPS = [_retarget_citation, _swap_table_indices, _table_index_out_of_range]
 
 
-def _transport_op(op):
+def _swap_citation_op(op):
     def step_op(g, step, cert, rng):
         just = step.justification
         mutated = op(
-            (just.step, just.rows, just.cols),
+            _citation(just),
             step.id,
             cert.automorphisms,
-            lambda t: _renaming_follows(cert, t, step.lhs, step.rhs),
+            lambda cite: _swapped(cert, cite, step.lhs, just.position) == step.rhs,
             rng,
         )
         if mutated is None:
             return None
-        return dataclasses.replace(step, justification=Transport(*mutated))
+        return dataclasses.replace(step, justification=Swap(*mutated, just.position))
 
-    step_op.__name__ = f"{op.__name__}_transport"
+    step_op.__name__ = f"{op.__name__}_swap"
     return step_op
 
 
@@ -326,7 +324,7 @@ def _side_op(fn, side):
 _RHS_OPS = [_side_op(f, "rhs") for f in (_double_coeff, _tweak_index, _drop_term)]
 _LHS_OPS = [_side_op(f, "lhs") for f in (_double_coeff, _tweak_index, _drop_term)]
 _JUNK_RHS = _side_op(_add_junk_term, "rhs")
-_TRANSPORT_OPS = [_transport_op(op) for op in CITATION_OPS]
+_SWAP_CITATION_OPS = [_swap_citation_op(op) for op in CITATION_OPS]
 
 
 def eligible_ops(step):
@@ -336,13 +334,11 @@ def eligible_ops(step):
     if isinstance(just, ExpandUnity):
         return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _tweak_expand_params]
     if isinstance(just, Swap):
-        return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _tweak_swap_position, _retarget_swap]
+        return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _tweak_swap_position] + _SWAP_CITATION_OPS
     if isinstance(just, Substitution):
         return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _flip_sign, _retarget_substitution]
     if isinstance(just, LemmaCom):
         return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _retarget_lemma]
-    if isinstance(just, Transport):
-        return _RHS_OPS + _LHS_OPS + [_JUNK_RHS] + _TRANSPORT_OPS
     raise AssertionError(f"unknown justification {just!r}")
 
 

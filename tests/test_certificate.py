@@ -21,7 +21,6 @@ from qsym import (
     ProofStep,
     Substitution,
     Swap,
-    Transport,
     certificate_from_dict,
     certificate_to_dict,
     claim_quadruple,
@@ -53,14 +52,14 @@ def _sample_cert():
     steps = (
         ProofStep(0, x, x, LocalReduce()),
         ProofStep(1, x, x, ExpandUnity(0, 3, "row")),
-        ProofStep(2, x, x, Swap(0, 0)),
-        ProofStep(3, x, x, Swap(1, 1)),
+        ProofStep(2, x, x, Swap(0, 2, 2, 0)),
+        ProofStep(3, x, x, Swap(1, 2, 2, 1)),
         ProofStep(4, x, x, Substitution(0, 2)),
         ProofStep(5, x, star(x), LemmaCom(0)),
-        ProofStep(6, u(1, 2) - u(2, 1), monomial((), 2), Swap(5, 2)),
-        ProofStep(7, x, x, Swap(3, 0)),
+        ProofStep(6, u(1, 2) - u(2, 1), monomial((), 2), Swap(5, 2, 2, 2)),
+        ProofStep(7, x, x, Swap(3, 2, 2, 0)),
         ProofStep(8, x, x, Substitution(4, 7, -1)),
-        ProofStep(9, y, star(y), Transport(5, 0, 1)),
+        ProofStep(9, y, star(y), Swap(5, 0, 1, 0)),
     )
     conclusions = (
         Conclusion(COMMUTES, 1, 1, 2, 2, 5, 2, 2),
@@ -124,9 +123,14 @@ def test_polys_round_trip_in_text_form():
     d = certificate_to_dict(cert)
     assert d["steps"][0]["lhs"] == "u[1,1]u[2,2]"
     assert d["steps"][6]["rhs"] == "2"
-    assert d["steps"][2]["justification"] == {"rule": "swap", "step": 0, "position": 0}
-    # A transport cites a step and two table entries, as a conclusion does.
-    assert d["steps"][9]["justification"] == {"rule": "transport", "step": 5, "rows": 0, "cols": 1}
+    assert d["steps"][2]["justification"] == {
+        "rule": "swap", "step": 0, "rows": 2, "cols": 2, "position": 0
+    }
+    # A swap cites a step and two table entries, as a conclusion does,
+    # then the position of the pair.
+    swap = d["steps"][9]["justification"]
+    assert swap == {"rule": "swap", "step": 5, "rows": 0, "cols": 1, "position": 0}
+    assert list(swap) == ["rule", "step", "rows", "cols", "position"]
     assert d["conclusions"][0]["kind"] == "commutes"
     # A conclusion stores only the fields its justification needs.
     assert d["conclusions"][1] == {"kind": "zero_product", "i": 1, "j": 1, "k": 1, "l": 2}
@@ -146,7 +150,7 @@ def test_from_dict_rejects_bad_shapes():
             certificate_from_dict(d)
 
     corrupt(lambda d: d.pop("version"))
-    for old_version in (1, 2, 3, 4):
+    for old_version in (1, 2, 3, 4, 5):
         corrupt(lambda d: d.update(version=old_version))
     corrupt(lambda d: d.pop("scope"))
     corrupt(lambda d: d.update(scope="partial"))
@@ -167,9 +171,9 @@ def test_from_dict_rejects_bad_shapes():
         corrupt(lambda d: d["steps"][1]["justification"].update(rule=bad_rule))
     corrupt(lambda d: d["steps"][0]["justification"].update(rule="LocalReduce"))
     corrupt(lambda d: d["steps"][2]["justification"].update(rule="Swap"))
-    # A swap names its step and position as integers; the version 3
-    # relation rule is gone.
-    for field in ("step", "position"):
+    # A swap names its step, table entries and position as integers;
+    # the version 3 relation rule is gone.
+    for field in ("step", "rows", "cols", "position"):
         corrupt(lambda d: d["steps"][2]["justification"].pop(field))
         for bad_value in (True, "0", None, 0.0):
             corrupt(lambda d: d["steps"][2]["justification"].update({field: bad_value}))
@@ -181,13 +185,17 @@ def test_from_dict_rejects_bad_shapes():
     for bad_sign in (True, 1.0, "1", 0, 2):
         corrupt(lambda d: d["steps"][8]["justification"].update(sign=bad_sign))
     corrupt(lambda d: d["steps"][8]["justification"].pop("sign"))
-    # A transport's rows and cols are table indices, nonnegative
-    # integers; that the table has them is the verifier's check.  The
-    # version 4 arrays of images are refused.
+    # A swap's rows and cols are table indices, nonnegative integers;
+    # that the table has them is the verifier's check.  Arrays of
+    # images, as a version 4 transport carried, are refused, and so is
+    # the version 5 transport rule and a swap without its citation.
     for bad_rows in (-1, True, "0", 1.0, None, [2, 3, 4, 5, 1], {"1": 2}):
         corrupt(lambda d: d["steps"][9]["justification"].update(rows=bad_rows))
     corrupt(lambda d: d["steps"][9]["justification"].pop("cols"))
     corrupt(lambda d: d["steps"][9]["justification"].update(step="8"))
+    corrupt(lambda d: d["steps"][9]["justification"].update(rule="transport"))
+    corrupt(lambda d: d["steps"][9]["justification"].pop("position"))
+    corrupt(lambda d: [d["steps"][9]["justification"].pop(f) for f in ("rows", "cols")])
     corrupt(lambda d: d["conclusions"][0].update(kind="maybe"))
     # A conclusion without a step is justified by local_reduce; step,
     # rows and cols come together, so the version 4 step-alone form is
@@ -229,7 +237,7 @@ _STRUCTURE_REFUSALS = [
         id="self-reference",
     ),
     pytest.param(
-        dict(steps=(ProofStep(0, _X, _X, Swap(1, 0)), ProofStep(1, _X, _X, LocalReduce()))),
+        dict(steps=(ProofStep(0, _X, _X, Swap(1, 0, 0, 0)), ProofStep(1, _X, _X, LocalReduce()))),
         "step 0 references step 1, which is not earlier",
         id="forward-reference",
     ),
@@ -239,12 +247,13 @@ _STRUCTURE_REFUSALS = [
         id="dangling-reference",
     ),
     pytest.param(
-        dict(steps=(ProofStep(0, _X, _X, Swap(5, 0)),)),
+        dict(steps=(ProofStep(0, _X, _X, Swap(5, 0, 0, 0)),)),
         "step 0 references step 5, which is not earlier",
         id="dangling-swap",
     ),
     pytest.param(
-        dict(steps=(ProofStep(0, _X, _X, Transport(0, 0, 0)),)),
+        # A swap that transports its own claim under two table entries.
+        dict(steps=(ProofStep(0, _X, _X, Swap(0, 0, 1, 0)),)),
         "step 0 references step 0, which is not earlier",
         id="transport-self-reference",
     ),
@@ -271,22 +280,22 @@ def test_every_way_of_building_a_certificate_checks_its_structure(how, change, m
     [
         (
             "petersen_full_cert",
-            "7ea6f14eb69d66685b031b74494b2ff95b537538fb9611d721bbfea38c8f3f1a",
-            611_341,
+            "5ece90001470883dc89775aa65b47d76036e5de6671d144ecdc4350f3bad3773",
+            611_050,
         ),
         (
             "c5_full_cert",
-            "3a6dcf9e42e3d3b1032c8b96edffeff36afb6e011da3bfbff6515945eb8599d0",
-            39_541,
+            "50f3287467452888d8e1c896d9a984552e7683654788448b4fcbcc72981e9e0c",
+            39_459,
         ),
         (
             "petersen_qa5_cert",
-            "62d4c08b31908fbcf0da345775fbba8a30e4d5dde67ed2dc4664f6c9531f2f87",
+            "1bbfac0da9e43d86501488bf055a7619d23a2bebe43146f1ebb38ba8d4add6d0",
             70_280,
         ),
         (
             "c5_qa5_cert",
-            "acde87d60f6f4ca9135b719d5ff8754e2213583397a073912cd235bb7956ef6d",
+            "72edfd5961bb128253d2728234007913ae54450118867cf9695d8e70841506e3",
             8_891,
         ),
     ],
@@ -397,14 +406,14 @@ def test_every_way_of_building_a_conclusion_checks_it(how, change, message):
 
 
 @pytest.mark.parametrize("field", ["rows", "cols"])
-def test_transport_refuses_a_negative_table_index(field):
+def test_swap_refuses_a_negative_table_index(field):
     # Python would read table[-1] as the last entry; the index is
     # refused when the justification is built, and so when it is loaded.
-    with pytest.raises(MalformedCertificate, match=f"^transport {field} must be a nonnegative"):
-        Transport(5, **dict(dict(rows=0, cols=1), **{field: -1}))
+    with pytest.raises(MalformedCertificate, match=f"^swap {field} must be a nonnegative"):
+        Swap(5, **dict(dict(rows=0, cols=1, position=0), **{field: -1}))
     d = certificate_to_dict(_sample_cert())
     d["steps"][9]["justification"][field] = -1
-    with pytest.raises(MalformedCertificate, match=f"^transport {field} must be a nonnegative"):
+    with pytest.raises(MalformedCertificate, match=f"^swap {field} must be a nonnegative"):
         certificate_from_dict(d)
 
 

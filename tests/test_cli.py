@@ -1,3 +1,4 @@
+import errno
 import json
 import random
 
@@ -14,7 +15,7 @@ from qsym import (
     prove_no_quantum_symmetry,
     save_certificate,
 )
-from qsym import sanity
+from qsym import certificate, sanity
 from qsym.autgroup import MAX_AUT_ORDER
 from qsym.cli import main
 
@@ -108,6 +109,35 @@ def test_verify_tampered_certificate(tmp_path, capsys, c5_graph):
         assert f"INVALID at {where}:" in out
 
 
+@pytest.mark.parametrize("fails", ["write", "replace"])
+def test_prove_keeps_the_file_at_out_when_writing_fails(tmp_path, capsys, monkeypatch, fails):
+    # The certificate goes to a new file beside --out, which replaces it
+    # only once written whole; a failure on the way leaves the earlier
+    # file as it was, and nothing else behind.
+    out = tmp_path / "cert.json"
+    out.write_bytes(b"an earlier certificate\n")
+
+    def no_space(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    if fails == "write":
+        real_open = open
+
+        def full_disk_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            fh.write = no_space
+            return fh
+
+        monkeypatch.setattr(certificate, "open", full_disk_open, raising=False)
+    else:
+        monkeypatch.setattr(certificate.os, "replace", no_space)
+    code, out_text, err = run_cli(["prove", "--graph", "c5", "--out", str(out)], capsys)
+    assert code == 1 and not out_text
+    assert err == "cannot write certificate: [Errno 28] No space left on device\n"
+    assert out.read_bytes() == b"an earlier certificate\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_verify_malformed_certificate(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("not a certificate")
@@ -122,17 +152,17 @@ C5_PROOF = certificate_to_dict(prove_no_quantum_symmetry(cycle(5)))
 N = len(C5_PROOF["steps"])
 
 
-def _transport_cert(cite=0, first=("u[1,2]u[1,3]", "0"), entry=None, **fields) -> bytes:
-    """The C5 proof followed by three steps, whose second renames step
-    N + ``cite`` under the rotation of the rows at table entry 0 and the
-    identity at entry 1.  ``first`` is the claim of step N, ``entry``
-    replaces table entry 0, and ``fields`` override the transport's JSON
-    fields."""
-    transport = {"rule": "transport", "step": N + cite, "rows": 0, "cols": 1}
-    transport.update(fields)
+def _swap_cert(cite=0, first=("u[1,1]u[2,3]", "u[2,3]u[1,1]"), entry=None, **fields) -> bytes:
+    """The C5 proof followed by three steps, whose second swaps the
+    commutation that step N + ``cite`` claims, renamed under the
+    rotation of the rows at table entry 0 and the identity at entry 1.
+    ``first`` is the claim of step N, ``entry`` replaces table entry 0,
+    and ``fields`` override the swap's JSON fields."""
+    swap = {"rule": "swap", "step": N + cite, "rows": 0, "cols": 1, "position": 0}
+    swap.update(fields)
     steps = [
         (first, {"rule": "local_reduce"}),
-        (("u[2,2]u[2,3]", "0"), transport),
+        (("u[2,1]u[3,3]u[4,4]", "u[3,3]u[2,1]u[4,4]"), swap),
         (("u[1,1]", "u[1,1]"), {"rule": "local_reduce"}),
     ]
     cert = dict(C5_PROOF)
@@ -154,29 +184,29 @@ MALFORMED = ("err", "malformed certificate")
         (b"[" * 100000 + b"]" * 100000, *MALFORMED),
         (b'{"version":' + b"7" * 5000 + b"}", *MALFORMED),
         (b'{"version":2}\xff', *MALFORMED),
-        (_transport_cert(rows=[2, 3, 4, 5, 1]), *MALFORMED),
-        (_transport_cert(rows=-1), *MALFORMED),
-        (_transport_cert(rows=True), *MALFORMED),
+        (_swap_cert(rows=[2, 3, 4, 5, 1]), *MALFORMED),
+        (_swap_cert(rows=-1), *MALFORMED),
+        (_swap_cert(rows=True), *MALFORMED),
         (
-            _transport_cert(rows=len(C5_PROOF["automorphisms"])),
+            _swap_cert(rows=len(C5_PROOF["automorphisms"])),
             "out",
             f"INVALID at step {N + 1}: cites missing automorphism 10",
         ),
         (
-            _transport_cert(entry=[2, 3, 4, 5]),
+            _swap_cert(entry=[2, 3, 4, 5]),
             "out",
             "INVALID at automorphism 0: permutation has degree 4",
         ),
-        (_transport_cert(entry=[True, 3, 4, 5, 1]), *MALFORMED),
-        (_transport_cert(entry=["2", 3, 4, 5, 1]), *MALFORMED),
+        (_swap_cert(entry=[True, 3, 4, 5, 1]), *MALFORMED),
+        (_swap_cert(entry=["2", 3, 4, 5, 1]), *MALFORMED),
         (
-            _transport_cert(entry=[2, 2, 4, 5, 1]),
+            _swap_cert(entry=[2, 2, 4, 5, 1]),
             "out",
             "INVALID at automorphism 0: not a permutation",
         ),
-        (_transport_cert(cite=2), "err", f"references step {N + 2}, which is not earlier"),
+        (_swap_cert(cite=2), "err", f"references step {N + 2}, which is not earlier"),
         (
-            _transport_cert(first=("u[6,1]", "u[6,1]")),
+            _swap_cert(first=("u[6,1]", "u[6,1]")),
             "out",
             f"INVALID at step {N}: generator u[6,1] out of range",
         ),
@@ -193,6 +223,8 @@ MALFORMED = ("err", "malformed certificate")
         "rows-bool-entry",
         "rows-string-entry",
         "rows-not-permutation",
+        # The swap transports the claim of a later step, or of a step
+        # that names a generator outside C5.
         "transport-of-later-step",
         "transport-of-generator-beyond-n",
     ],
@@ -205,10 +237,10 @@ def test_verify_hostile_certificate(tmp_path, capsys, data, stream, expected):
     assert expected in {"out": out, "err": err}[stream]
 
 
-def test_verify_accepts_a_transport_step(tmp_path, capsys):
+def test_verify_accepts_a_swap_of_a_renamed_commutation(tmp_path, capsys):
     assert C5_PROOF["automorphisms"][:2] == [[2, 3, 4, 5, 1], [1, 2, 3, 4, 5]]
-    path = tmp_path / "transport.json"
-    path.write_bytes(_transport_cert())
+    path = tmp_path / "swap.json"
+    path.write_bytes(_swap_cert())
     code, out, _ = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 0 and f"valid: {N + 3} steps" in out
 
@@ -249,7 +281,7 @@ def test_verify_refuses_version_2(tmp_path, capsys):
     path.write_text(json.dumps(v2))
     code, _, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1
-    assert "unsupported certificate version 2, expected 5" in err
+    assert "unsupported certificate version 2, expected 6" in err
 
 
 def test_verify_refuses_version_3(tmp_path, capsys):
@@ -279,7 +311,7 @@ def test_verify_refuses_version_3(tmp_path, capsys):
     path.write_text(json.dumps(v3))
     code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1 and not out
-    assert err == "malformed certificate: unsupported certificate version 3, expected 5\n"
+    assert err == "malformed certificate: unsupported certificate version 3, expected 6\n"
 
 
 def test_verify_refuses_version_4(tmp_path, capsys):
@@ -303,7 +335,39 @@ def test_verify_refuses_version_4(tmp_path, capsys):
     path.write_text(json.dumps(v4))
     code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1 and not out
-    assert err == "malformed certificate: unsupported certificate version 4, expected 5\n"
+    assert err == "malformed certificate: unsupported certificate version 4, expected 6\n"
+
+
+def test_verify_refuses_version_5(tmp_path, capsys):
+    # Format version 5 restated a renamed commutation as a transport
+    # step, which a swap then cited by its id and position alone; there
+    # is no loader for it.
+    v5 = dict(C5_PROOF, version=5)
+    v5["steps"] = [
+        {
+            "id": 0,
+            "lhs": "u[1,1]u[2,3]",
+            "rhs": "u[2,3]u[1,1]",
+            "justification": {"rule": "local_reduce"},
+        },
+        {
+            "id": 1,
+            "lhs": "u[2,1]u[3,3]",
+            "rhs": "u[3,3]u[2,1]",
+            "justification": {"rule": "transport", "step": 0, "rows": 0, "cols": 1},
+        },
+        {
+            "id": 2,
+            "lhs": "u[2,1]u[3,3]u[4,4]",
+            "rhs": "u[3,3]u[2,1]u[4,4]",
+            "justification": {"rule": "swap", "step": 1, "position": 0},
+        },
+    ]
+    path = tmp_path / "v5.json"
+    path.write_text(json.dumps(v5))
+    code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
+    assert code == 1 and not out
+    assert err == "malformed certificate: unsupported certificate version 5, expected 6\n"
 
 
 @pytest.mark.parametrize(
@@ -560,5 +624,5 @@ def test_certificate_json_shape(tmp_path, capsys):
     run_cli(["prove", "--graph", "c5", "--out", str(out_path)], capsys)
     data = json.loads(out_path.read_text())
     assert set(data) == {"version", "graph_digest", "scope", "automorphisms", "steps", "conclusions"}
-    assert data["version"] == 5 and data["scope"] == "full"
+    assert data["version"] == 6 and data["scope"] == "full"
     assert len(data["conclusions"]) == 625

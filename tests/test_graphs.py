@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -95,6 +98,22 @@ def test_graph_invariants_rejected():
         Graph(2, ((1, 0), (0, 0)))  # loop
     with pytest.raises(ValueError):
         Graph(2, ((0,), (0, 0)))  # ragged
+
+
+def test_graph_is_an_immutable_value():
+    g = cycle(5)
+    for name in ("n", "adj", "adj1", "_nbrs", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(g, name, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(g, name)
+    # Equal, with one hash, exactly when n and adj are; a copy and a
+    # pickled copy are built again through the checks.
+    same = Graph(5, tuple(tuple(row) for row in g.adj))
+    assert same == g and hash(same) == hash(g) and same is not g
+    assert g != cycle(6) and g != complement(g) and g != (g.n, g.adj)
+    assert copy.copy(g) == g and pickle.loads(pickle.dumps(g)) == g
+    assert repr(Graph(1, ((0,),))) == "Graph(n=1, adj=((0,),))"
 
 
 def test_common_neighbors_oracles():

@@ -10,8 +10,8 @@ turns the model into a non-model is one the checker must refuse.
 import itertools
 
 import model_reference as model
-from qsym import cycle, from_edge_list, gen, is_automorphism
-from qsym.relations import _reduce_word
+from qsym import COL, ROW, Poly, cycle, expand_unity, from_edge_list, gen, is_automorphism
+from qsym.relations import _reduce_word, local_reduce, swap_pair
 
 TWO_K2 = from_edge_list(4, [(1, 2), (3, 4)])
 GENS = [gen(i, j) for i in range(1, 5) for j in range(1, 5)]
@@ -61,7 +61,7 @@ def test_the_model_does_not_commute():
 def test_renaming_gives_a_model_exactly_under_automorphisms():
     # Renaming the rows of a model under a permutation keeps it magic;
     # it commutes with the adjacency again exactly when the permutation
-    # is an automorphism.  So a transport step or a renamed conclusion
+    # is an automorphism.  So a swap or a conclusion that cites a renaming
     # is sound only because its table entries are checked automorphisms.
     identity = (1, 2, 3, 4)
     perms = list(itertools.permutations(identity))
@@ -71,3 +71,75 @@ def test_renaming_gives_a_model_exactly_under_automorphisms():
     models = [rho for rho, u in renamings.items() if model.commutes_with_adjacency(u)]
     assert models == [rho for rho in perms if is_automorphism(TWO_K2, rho)]
     assert len(models) == 8
+
+
+# Every entry of a word of length at most 3 is a multiple of 1/8, so
+# the polynomial checks below add 8 times the values, as integers.
+SCALED = {w: tuple(int(8 * x) for x in v) for w, v in VALUES.items()}
+assert all(8 * x == t for w, v in VALUES.items() for x, t in zip(v, SCALED[w]))
+
+
+def _value(p):
+    """8 times the matrix of p, whose words have length at most 3 and
+    whose coefficients are integers."""
+    total = [0, 0, 0, 0]
+    for w, c in p.terms.items():
+        for i, t in enumerate(SCALED[w]):
+            total[i] += c * t
+    return tuple(total)
+
+
+def test_local_reduce_is_sound_in_the_model():
+    # Each word alone, then with its normal form, where local_reduce
+    # must add the coefficients of the two, to a sum or to zero.
+    merged = 0
+    for w in WORDS:
+        assert _value(local_reduce(TWO_K2, Poly({w: 1}))) == SCALED[w], w
+        normal = _reduce_word(TWO_K2.adj1, 4, w)
+        if normal is None or normal == w:
+            continue
+        for c in (1, -2):
+            p = Poly({w: 2, normal: c})
+            assert _value(local_reduce(TWO_K2, p)) == _value(p), (w, c)
+        merged += 1
+    assert merged
+
+
+def test_expand_unity_is_sound_in_the_model():
+    # Every row and column sum, at every position of every word of
+    # length 0 to 2, and of a sum of such words.
+    short = [w for length in (0, 1, 2) for w in itertools.product(GENS, repeat=length)]
+    for w in short:
+        for position in range(len(w) + 1):
+            for index, side in itertools.product(range(1, 5), (ROW, COL)):
+                p = expand_unity(Poly({w: 1}), position, index, side, 4)
+                assert _value(p) == SCALED[w], (w, position, index, side)
+    pairs = Poly({w: k for k, w in enumerate(itertools.product(GENS, repeat=2), 1)})
+    for index, side in itertools.product(range(1, 5), (ROW, COL)):
+        assert _value(expand_unity(pairs, 1, index, side, 4)) == _value(pairs)
+
+
+# The pairs of distinct generators whose matrices commute.
+COMMUTING = {(a, b) for a in GENS for b in GENS if a != b and VALUES[a, b] == VALUES[b, a]}
+
+
+def test_swap_pair_is_sound_for_pairs_that_commute_in_the_model():
+    # A swap is sound only for a pair whose commutation holds, as a
+    # certified one does in the quotient; in the model that means the
+    # two matrices commute.  Each word of length 2 or 3, at each position
+    # holding two distinct generators that commute there, and a sum of
+    # words holding the pair in both orders.
+    swapped = 0
+    for w in WORDS:
+        for position in range(len(w) - 1):
+            a, b = w[position], w[position + 1]
+            if (a, b) not in COMMUTING:
+                continue
+            q = swap_pair(Poly({w: 1}), position, a, b)
+            assert q != Poly({w: 1}) and _value(q) == SCALED[w], (w, position)
+            rev = w[:position] + (b, a) + w[position + 2 :]
+            p = Poly({w: 2, rev: -3})
+            assert _value(swap_pair(p, position, a, b)) == _value(p), (w, position)
+            swapped += 1
+    # The model has pairs that do not commute, which no swap may use.
+    assert swapped and (gen(1, 1), gen(3, 3)) not in COMMUTING

@@ -36,7 +36,7 @@ from qsym import (
     verify_certificate,
 )
 from qsym.certificate import justification_refs
-from qsym.prover import _derive_all_edge_edge
+from qsym.prover import _derive_all_edge_edge, _derive_family, _derive_nonedge
 from helpers import hoffman_singleton
 
 
@@ -166,22 +166,32 @@ def test_prove_k2_smallest_case():
 
 
 def test_prove_uses_certified_commutations(petersen_full_cert):
-    # Every Swap cites an earlier step claiming the commutation of the
-    # pair it reverses, and that pair sits at its position in every word.
+    # Every Swap cites an earlier step claiming a commutation which,
+    # renamed under the two table entries it cites, is that of the pair
+    # it reverses, and that pair sits at its position in every word.
     steps = petersen_full_cert.steps
+    table = petersen_full_cert.automorphisms
     seen = 0
     for step in steps:
         just = step.justification
         if isinstance(just, Swap):
             ref = steps[just.step]
             assert just.step < step.id
-            kind, a, b, c, d = claim_quadruple(ref.lhs, ref.rhs)
+            rho, kappa = table[just.rows], table[just.cols]
+            renamed = relabel(ref.lhs, rho, kappa), relabel(ref.rhs, rho, kappa)
+            kind, a, b, c, d = claim_quadruple(*renamed)
             assert kind == COMMUTES
             pair = {(gen(a, b), gen(c, d)), (gen(c, d), gen(a, b))}
             for w in step.lhs.terms:
                 assert w[just.position : just.position + 2] in pair
             seen += 1
     assert seen == 4
+    # Every swap uses a derived commutation, and some use it renamed
+    # under an entry other than the identity: no step restates it first.
+    identity = table.index(tuple(range(1, 11)))
+    swaps = [s.justification for s in steps if isinstance(s.justification, Swap)]
+    assert all(isinstance(steps[j.step].justification, LemmaCom) for j in swaps)
+    assert any((j.rows, j.cols) != (identity, identity) for j in swaps)
 
 
 @pytest.mark.parametrize(
@@ -248,13 +258,23 @@ def test_symmetry_fallback_transports_nothing():
     with pytest.raises(UnsupportedDegree):
         derive_qa5(hoffman_singleton())
     # Under the identity alone every quadruple is its own orbit, so each
-    # is derived and none is renamed.
-    bld = ProofBuilder(cycle(5))
+    # is derived and none is renamed: every swap of the non-edge family
+    # cites the identity's table entry twice.
+    g = cycle(5)
+    bld = ProofBuilder(g)
     identity = (1, 2, 3, 4, 5)
     family = _derive_all_edge_edge(bld, (identity,))
     kinds = Counter(type(s.justification).__name__ for s in bld.steps)
-    assert len(family) == 100 and kinds["LemmaCom"] == 100 and "Transport" not in kinds
+    assert len(family) == 100 and kinds["LemmaCom"] == 100 and "Swap" not in kinds
     assert all(rows == cols == identity for _, rows, cols in family.values())
+    vs = g.vertices()
+    nonedges = [(a, b) for a in vs for b in vs if a != b and not g.adjacent(a, b)]
+    _derive_family(
+        bld, nonedges, (identity,), lambda bld, *quad: _derive_nonedge(bld, *quad, family)
+    )
+    swaps = [s.justification for s in bld.steps if isinstance(s.justification, Swap)]
+    assert swaps and bld.automorphisms == {identity: 0}
+    assert all(j.rows == j.cols == 0 for j in swaps)
 
 
 def test_conditions_not_met_carries_witness():

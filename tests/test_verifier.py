@@ -24,7 +24,6 @@ from qsym import (
     ROW,
     Substitution,
     Swap,
-    Transport,
     ZERO_PRODUCT,
     certificate_from_dict,
     certificate_to_dict,
@@ -39,7 +38,6 @@ from qsym import (
     local_reduce,
     petersen,
     prove_no_quantum_symmetry,
-    relabel,
     star,
     u,
     verify_certificate,
@@ -51,13 +49,15 @@ G5 = cycle(5)
 IDENTITY = (1, 2, 3, 4, 5)
 ROTATION = (2, 3, 4, 5, 1)
 SWAP_2_3 = (1, 3, 2, 4, 5)  # not in D5: it maps the edge 1-2 to the non-edge 1-3
+# The table a hand-made C5 certificate cites unless it says otherwise.
+TABLE = (IDENTITY, ROTATION)
 
 
-def _cert(steps, conclusions=(), g=G5, automorphisms=()):
+def _cert(steps, conclusions=(), g=G5, automorphisms=TABLE):
     return Certificate(graph_digest(g), FULL, tuple(automorphisms), tuple(steps), tuple(conclusions))
 
 
-def _steps_pass(steps, automorphisms=()):
+def _steps_pass(steps, automorphisms=TABLE):
     """Whether every step is accepted.  With no conclusions the report
     can only fail for falling short of the scope, at conclusion 0."""
     report = verify_certificate(G5, _cert(steps, automorphisms=automorphisms))
@@ -99,7 +99,7 @@ def test_conclusion_vertex_out_of_range_rejected():
     assert "(commutes 6,1,1,1) is out of place: quadruple 1,1,1,1 belongs here" in report.reason
 
 
-def _first_failure(steps, conclusions=(), automorphisms=()):
+def _first_failure(steps, conclusions=(), automorphisms=TABLE):
     report = verify_certificate(G5, _cert(steps, conclusions, automorphisms=automorphisms))
     assert not report.valid
     return report
@@ -146,18 +146,19 @@ def test_every_rule_checks_generator_bounds():
 # u[1,1]u[2,3] = u[2,3]u[1,1] on C5: both sides vanish, since rows 1, 2
 # are adjacent and columns 1, 3 are not, so the commutation reduces.
 COMM_STEP = ProofStep(0, u(1, 1) * u(2, 3), u(2, 3) * u(1, 1), LocalReduce())
-# Step 1 reverses that pair at position 1 of a three-letter word.
+# Step 1 reverses that pair, cited under the identity's table entry
+# twice, at position 1 of a three-letter word.
 SWAP_LHS = u(4, 4) * u(1, 1) * u(2, 3)
-SWAP_STEP = ProofStep(1, SWAP_LHS, u(4, 4) * u(2, 3) * u(1, 1), Swap(0, 1))
+SWAP_STEP = ProofStep(1, SWAP_LHS, u(4, 4) * u(2, 3) * u(1, 1), Swap(0, 0, 0, 1))
 
 
 def test_relation_application_recomputed():
     assert _steps_pass((COMM_STEP, SWAP_STEP))
     # Both orientations, and a sum whose every word holds the pair.
-    back = ProofStep(1, SWAP_STEP.rhs, SWAP_LHS, Swap(0, 1))
+    back = ProofStep(1, SWAP_STEP.rhs, SWAP_LHS, Swap(0, 0, 0, 1))
     mixed_lhs = 2 * SWAP_LHS - u(5, 5) * u(2, 3) * u(1, 1)
     mixed_rhs = 2 * SWAP_STEP.rhs - u(5, 5) * u(1, 1) * u(2, 3)
-    mixed = ProofStep(1, mixed_lhs, mixed_rhs, Swap(0, 1))
+    mixed = ProofStep(1, mixed_lhs, mixed_rhs, Swap(0, 0, 0, 1))
     assert _steps_pass((COMM_STEP, back)) and _steps_pass((COMM_STEP, mixed))
     bad = dataclasses.replace(SWAP_STEP, rhs=SWAP_LHS)
     report = _first_failure((COMM_STEP, bad))
@@ -167,7 +168,7 @@ def test_relation_application_recomputed():
 
 def test_miscertified_commutation_rejected():
     # Step 0 claims u[1,1]u[1,1] = u[1,1], which is no commutation.
-    bad = dataclasses.replace(SWAP_STEP, justification=Swap(0, 1))
+    bad = dataclasses.replace(SWAP_STEP, justification=Swap(0, 0, 0, 1))
     report = _first_failure((IDEM_STEP, bad))
     assert report.first_failure == 1
     assert "step 0 claims no commutation of two generators" in report.reason
@@ -185,14 +186,30 @@ SUBST_STEP = ProofStep(3, u(1, 1) * u(2, 3), u(1, 1) * u(2, 3), Substitution(0, 
 @pytest.mark.parametrize(
     "just, reason",
     [
-        (Swap(1, 1), "step 1 claims no commutation"),
-        (Swap(2, 1), "step 2 claims no commutation"),
-        (Swap(3, 1), "step 3 claims no commutation"),
-        (Swap(0, 2), "word of length 3 has no generator pair at position 2"),
-        (Swap(0, 7), "has no generator pair at position 7"),
-        (Swap(0, 0), "the pair at position 0 is not u[1,1] and u[2,3]"),
+        (Swap(1, 0, 0, 1), "step 1 claims no commutation"),
+        (Swap(2, 0, 0, 1), "step 2 claims no commutation"),
+        (Swap(3, 0, 0, 1), "step 3 claims no commutation"),
+        (Swap(0, 0, 0, 2), "word of length 3 has no generator pair at position 2"),
+        (Swap(0, 0, 0, 7), "has no generator pair at position 7"),
+        (Swap(0, 0, 0, 0), "the pair at position 0 is not u[1,1] and u[2,3]"),
+        # Renamed under the rotation of the rows, step 1 still claims a
+        # zero product, u[2,1]u[3,3] = 0, and step 0 the commutation of
+        # u[2,1] and u[3,3], which is not the pair at position 1.
+        (Swap(1, 1, 0, 1), "step 1 claims no commutation"),
+        (Swap(0, 1, 0, 1), "the pair at position 1 is not u[2,1] and u[3,3]"),
+        (Swap(0, 0, 2, 1), "cites missing automorphism 2"),
     ],
-    ids=["zero-product", "expand-unity", "substitution", "past-the-word", "far-past", "pair"],
+    ids=[
+        "zero-product",
+        "expand-unity",
+        "substitution",
+        "past-the-word",
+        "far-past",
+        "pair",
+        "renamed-zero-product",
+        "renamed-pair",
+        "missing-entry",
+    ],
 )
 def test_swap_refused_at_its_own_step(just, reason):
     prefix = (COMM_STEP, ZERO_STEP, EXPAND_STEP, SUBST_STEP)
@@ -268,79 +285,93 @@ def test_lemma_com_checks_transport():
 
 # u[1,1]u[2,3] = 0: rows 1, 2 adjacent in C5, columns 1, 3 not.
 VANISH_STEP = ProofStep(0, u(1, 1) * u(2, 3), Poly.zero(), LocalReduce())
-TABLE = (IDENTITY, ROTATION)
+# A swap transports the commutation it cites: COMM_STEP renamed under
+# the rotation of the rows (entry 1) and the identity (entry 0) claims
+# that u[2,1] and u[3,3] commute, and step 1 reverses them at position 1.
+RENAMED_LHS = u(4, 4) * u(2, 1) * u(3, 3)
+RENAMED_SWAP = ProofStep(1, RENAMED_LHS, u(4, 4) * u(3, 3) * u(2, 1), Swap(0, 1, 0, 1))
 
 
-def _transported(rows, cols, base=VANISH_STEP, table=TABLE):
-    """Step 1: the exact renaming of base under table entries rows and cols."""
-    rho, kappa = table[rows], table[cols]
-    return ProofStep(
-        1, relabel(base.lhs, rho, kappa), relabel(base.rhs, rho, kappa), Transport(0, rows, cols)
-    )
+def _conclusion_reason(g, cert, claims, c, quad):
+    """_check_conclusion's verdict as verify_certificate reports it: a
+    ValueError it raises is the reason."""
+    try:
+        return verifier._check_conclusion(g, cert, claims, c, quad)
+    except ValueError as exc:
+        return str(exc)
 
 
 def test_transport_needs_automorphisms():
-    good = _transported(1, 0)
-    assert good.lhs == u(2, 1) * u(3, 3)
-    assert _steps_pass((VANISH_STEP, good), automorphisms=TABLE)
-    # The transport cites a table entry, and the table is where an entry
-    # is tested: renaming under SWAP_2_3 gives the claim u[1,1]u[3,3] = 0,
-    # which is false, since the identity permutation matrix satisfies
-    # every relation and gives 1.
+    assert _steps_pass((COMM_STEP, RENAMED_SWAP))
+    # A swap and a conclusion cite a table entry, and the table is where
+    # an entry is tested.  Renaming under SWAP_2_3 turns the zero product
+    # of VANISH_STEP into u[1,1]u[3,3] = 0, which is false, since the
+    # identity permutation matrix satisfies every relation and gives 1.
     table = (IDENTITY, SWAP_2_3)
-    bad = _transported(1, 0, table=table)
-    assert bad.lhs == u(1, 1) * u(3, 3)
-    assert evaluate_perm(G5, IDENTITY, bad.lhs - bad.rhs) == 1
-    report = _first_failure((VANISH_STEP, bad), automorphisms=table)
-    assert report.location == "automorphism 1" and report.steps_checked == 0
-    assert "not an automorphism of the graph" in report.reason
+    concl = Conclusion(ZERO_PRODUCT, 1, 1, 3, 3, 0, 1, 0)
+    lhs, rhs = concl.claim()
+    assert evaluate_perm(G5, IDENTITY, lhs - rhs) == 1
+    for steps, conclusions in (((COMM_STEP, RENAMED_SWAP), ()), ((VANISH_STEP,), (concl,))):
+        report = _first_failure(steps, conclusions, automorphisms=table)
+        assert report.location == "automorphism 1" and report.steps_checked == 0
+        assert "not an automorphism of the graph" in report.reason
 
 
 def test_transport_checks_the_renamed_claim():
-    good = _transported(1, 1)
-    for wrong in (
-        dataclasses.replace(good, lhs=u(1, 1) * u(2, 3)),
-        dataclasses.replace(good, rhs=u(3, 3)),
-        dataclasses.replace(good, justification=Transport(0, 1, 0)),
+    assert _steps_pass((COMM_STEP, RENAMED_SWAP))
+    for change, reason in (
+        (dict(rhs=RENAMED_LHS), "not the left side with the pair at 1 reversed"),
+        (dict(lhs=SWAP_LHS), "the pair at position 1 is not u[2,1] and u[3,3]"),
+        # The entries swapped, and the identity's entry twice.
+        (dict(justification=Swap(0, 0, 1, 1)), "the pair at position 1 is not u[1,2] and u[2,4]"),
+        (dict(justification=Swap(0, 0, 0, 1)), "the pair at position 1 is not u[1,1] and u[2,3]"),
     ):
-        report = _first_failure((VANISH_STEP, wrong), automorphisms=TABLE)
-        assert report.first_failure == 1
-        assert "is not the renaming of step 0" in report.reason
+        report = _first_failure((COMM_STEP, dataclasses.replace(RENAMED_SWAP, **change)))
+        assert report.first_failure == 1 and reason in report.reason, change
 
 
-# One fault per case, made in a transport step and in a conclusion
-# that cite the same way; the renaming helper gives both the same reason.
+# One fault per case, made in a swap and in a conclusion that cite the
+# same way, with the reason each gives; the renaming helper refuses a
+# missing entry for both alike.
 _CITATION_FAULTS = [
-    pytest.param(0, 2, 0, "cites missing automorphism 2", id="index-equal-to-table-length"),
     pytest.param(
-        0, 0, 1, "is not the renaming of step 0 under automorphisms 0 and 1", id="swapped"
+        0, 2, 0, "cites missing automorphism 2", "cites missing automorphism 2",
+        id="index-equal-to-table-length",
     ),
     pytest.param(
-        1, 1, 0, "is not the renaming of step 1 under automorphisms 1 and 0",
+        0, 0, 1,
+        "the pair at position 1 is not u[1,2] and u[2,4]",
+        "is not the renaming of step 0 under automorphisms 0 and 1",
+        id="swapped",
+    ),
+    pytest.param(
+        1, 1, 0,
+        "step 1 claims no commutation of two generators",
+        "is not the renaming of step 1 under automorphisms 1 and 0",
         id="not-a-conclusion-claim",
     ),
 ]
 
 
-@pytest.mark.parametrize("cited, rows, cols, reason", _CITATION_FAULTS)
-def test_transport_and_conclusion_refuse_a_citation_alike(cited, rows, cols, reason):
-    # Step 0 claims the zero product u[1,1]u[2,3] = 0 and step 1 a unity
-    # expansion, which no conclusion claims.  Renamed under the rotation
-    # of the rows, step 0 gives u[2,1]u[3,3] = 0.
-    prefix = (VANISH_STEP, dataclasses.replace(EXPAND_STEP, id=1))
-    own = u(2, 1) * u(3, 3)
-    good_step = ProofStep(2, own, Poly.zero(), Transport(0, 1, 0))
-    good_concl = Conclusion(ZERO_PRODUCT, 2, 1, 3, 3, 0, 1, 0)
-    cert = _cert(prefix + (good_step,), automorphisms=TABLE)
+@pytest.mark.parametrize("cited, rows, cols, step_reason, reason", _CITATION_FAULTS)
+def test_transport_and_conclusion_refuse_a_citation_alike(cited, rows, cols, step_reason, reason):
+    # Step 0 claims the commutation u[1,1]u[2,3] = u[2,3]u[1,1] and step
+    # 1 a unity expansion, which no conclusion claims.  Renamed under the
+    # rotation of the rows, step 0 gives the commutation of u[2,1] and
+    # u[3,3], which the swap at step 2 uses and the conclusion claims.
+    prefix = (COMM_STEP, dataclasses.replace(EXPAND_STEP, id=1))
+    good_step = dataclasses.replace(RENAMED_SWAP, id=2)
+    good_concl = Conclusion(COMMUTES, 2, 1, 3, 3, 0, 1, 0)
+    cert = _cert(prefix + (good_step,))
     claims = [claim_quadruple(s.lhs, s.rhs) for s in cert.steps]
     assert verifier._check_step(G5, cert, good_step) is None
-    assert verifier._check_conclusion(G5, cert, claims, good_concl, (2, 1, 3, 3)) is None
+    assert _conclusion_reason(G5, cert, claims, good_concl, (2, 1, 3, 3)) is None
 
-    bad_step = ProofStep(2, own, Poly.zero(), Transport(cited, rows, cols))
-    report = _first_failure(prefix + (bad_step,), automorphisms=TABLE)
-    assert report.location == "step 2" and report.reason == reason
+    bad_step = dataclasses.replace(good_step, justification=Swap(cited, rows, cols, 1))
+    report = _first_failure(prefix + (bad_step,))
+    assert report.location == "step 2" and report.reason == step_reason
     bad_concl = good_concl._replace(step=cited, rows=rows, cols=cols)
-    assert verifier._check_conclusion(G5, cert, claims, bad_concl, (2, 1, 3, 3)) == reason
+    assert _conclusion_reason(G5, cert, claims, bad_concl, (2, 1, 3, 3)) == reason
 
 
 def test_conclusion_must_match_step_claim():
@@ -529,7 +560,7 @@ def test_conclusion_verdicts_match_the_relabel_reference(request, graph, scope):
     quads = list(scope_quadruples(g, scope))
 
     def agree(c, quad):
-        got = verifier._check_conclusion(g, cert, claims, c, quad) is None
+        got = _conclusion_reason(g, cert, claims, c, quad) is None
         assert got == _reference_verdict(g, cert, c, quad), (c, quad)
         return got
 
@@ -564,7 +595,7 @@ def test_reduced_conclusions_decided_on_words_match_local_reduce(request, graph)
             c = Conclusion(kind, *quad)
             lhs, rhs = c.claim()
             expected = local_reduce(g, lhs - rhs).is_zero
-            reason = verifier._check_conclusion(g, cert, claims, c, quad)
+            reason = _conclusion_reason(g, cert, claims, c, quad)
             assert (reason is None) == expected, (kind, quad)
             assert expected or reason == "does not reduce to zero"
             verdicts[expected] += 1
