@@ -53,13 +53,12 @@ _EXPORTS = {
             "QA5",
             "ZERO_PRODUCT",
             "Certificate",
+            "Combine",
             "Conclusion",
             "ExpandUnity",
             "LemmaCom",
-            "LocalReduce",
             "MalformedCertificate",
             "ProofStep",
-            "Substitution",
             "Swap",
             "certificate_from_dict",
             "certificate_to_dict",

@@ -16,11 +16,11 @@ loader builds it straight from the JSON object, and the verifier and
 the spot check read its integers without building a polynomial; only
 Conclusion.claim does, for callers that want the equation.
 
-A step's justification is one of five rules: local_reduce,
-expand_unity, swap, substitution and lemma_com.  The rule table,
-_RULES, is where a rule's wire form is defined.  A swap cites a step
-and two table entries, as a conclusion does, and the position of the
-pair it reverses: the commutation that step claims, renamed.
+A step's justification is one of four rules: expand_unity, swap,
+combine and lemma_com.  The rule table, _RULES, is where a rule's wire
+form is defined.  A swap cites a step and two table entries, as a
+conclusion does, and the position of the pair it reverses: the
+commutation that step claims, renamed.  A combine cites signed steps.
 
 A Certificate is well formed however it is built: its scope is known,
 its step ids run 0, 1, ... in order, and each step cites only earlier
@@ -45,7 +45,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 from .algebra import COL, ROW, Poly, PolyParseError, format_poly, gen, parse_poly
 from .graphs import Graph, format_graph_text
 
-CERT_VERSION = 6
+CERT_VERSION = 7
 
 COMMUTES = "commutes"
 ZERO_PRODUCT = "zero_product"
@@ -67,11 +67,6 @@ def scope_quadruples(g: Graph, scope: str) -> Iterable[tuple[int, int, int, int]
 
 class MalformedCertificate(ValueError):
     """Raised when certificate data is structurally invalid."""
-
-
-@dataclass(frozen=True, slots=True)
-class LocalReduce:
-    """Both sides share a normal form: local_reduce(lhs - rhs) = 0."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,15 +96,12 @@ class Swap:
 
 
 @dataclass(frozen=True, slots=True)
-class Substitution:
-    """lhs - rhs equals base's difference plus sign times using's difference.
+class Combine:
+    """lhs - rhs, less the sum of c times the difference lhs - rhs of
+    step s over the pairs (s, c) of ``terms``, has local_reduce zero.
+    Each c is 1 or -1; with no terms, both sides share a normal form."""
 
-    ``sign`` is 1 or -1, so the check is one exact polynomial equality.
-    """
-
-    base: int
-    using: int
-    sign: int = 1
+    terms: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +111,7 @@ class LemmaCom:
     step: int
 
 
-Justification = Union[LocalReduce, ExpandUnity, Swap, Substitution, LemmaCom]
+Justification = Union[ExpandUnity, Swap, Combine, LemmaCom]
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,31 +305,41 @@ def _require_sign(value, what: str) -> int:
     return value
 
 
-# The rule table: each justification's rule name and the fields citing
-# earlier steps.  Its wire form is the rule name, then its fields in
+def _require_terms(value, what: str) -> tuple[tuple[int, int], ...]:
+    if not isinstance(value, list) or any(not isinstance(t, list) or len(t) != 2 for t in value):
+        raise MalformedCertificate(f"{what} must be an array of [step, coefficient] pairs")
+    return tuple(
+        (_require_int(s, f"{what} step"), _require_sign(c, f"{what} coefficient")) for s, c in value
+    )
+
+
+# The rule table: each justification's rule name and the earlier step
+# ids it cites.  Its wire form is the rule name, then its fields in
 # class order, each checked on loading by _FIELD_CHECKS or as an integer.
 _RULES = {
-    LocalReduce: ("local_reduce", ()),
-    ExpandUnity: ("expand_unity", ()),
-    Swap: ("swap", ("step",)),
-    Substitution: ("substitution", ("base", "using")),
-    LemmaCom: ("lemma_com", ("step",)),
+    ExpandUnity: ("expand_unity", lambda j: ()),
+    Swap: ("swap", lambda j: (j.step,)),
+    Combine: ("combine", lambda j: tuple(s for s, _ in j.terms)),
+    LemmaCom: ("lemma_com", lambda j: (j.step,)),
 }
 _RULE_CLASSES = {name: cls for cls, (name, _) in _RULES.items()}
-_FIELD_CHECKS = {"side": _require_side, "sign": _require_sign}
+_FIELD_CHECKS = {"side": _require_side, "terms": _require_terms}
 
 
 def justification_refs(just: Justification) -> tuple[int, ...]:
     """Earlier step ids a justification depends on."""
-    _, refs = _RULES.get(type(just), (None, ()))
-    return tuple(getattr(just, f) for f in refs)
+    _, refs = _RULES.get(type(just), (None, lambda j: ()))
+    return refs(just)
 
 
 def _justification_to_dict(just: Justification) -> dict:
     rule = _RULES.get(type(just))
     if rule is None:
         raise MalformedCertificate(f"unknown justification {just!r}")
-    return {"rule": rule[0], **{f: getattr(just, f) for f in type(just).__match_args__}}
+    fields = {f: getattr(just, f) for f in type(just).__match_args__}
+    if "terms" in fields:  # JSON arrays, as the loader reads them
+        fields["terms"] = [list(term) for term in fields["terms"]]
+    return {"rule": rule[0], **fields}
 
 
 def _justification_from_dict(d) -> Justification:

@@ -3,9 +3,12 @@
 For graphs that are k-regular with no common neighbors across edges and
 exactly one across non-edges (k at most 3), every ordered generator
 pair (u[i,j], u[k,l]) either commutes or has vanishing products.  This
-module emits certificates whose steps derive exactly that, one small
-justified equation at a time, so the verifier can recheck everything
-independently.
+module emits certificates whose steps derive exactly that, so the
+verifier can recheck everything independently.  A derivation emits
+only the steps that carry information, row unity expansions, swaps of
+certified commutations and the commutation lemma, and one combine that
+cites them: the checker recovers every intermediate sum by local
+reduction.
 
 The derivation has three layers.  First, commutation for every pair of
 directed edges: u[i,j]u[k,l] is pinned against a row unity expansion
@@ -30,15 +33,7 @@ use.
 
 from __future__ import annotations
 
-from .algebra import (
-    ROW,
-    Poly,
-    expand_unity,
-    gen,
-    monomial,
-    star,
-    u,
-)
+from .algebra import ROW, Poly, expand_unity, gen, monomial, star, u
 from .autgroup import automorphism_group
 from .certificate import (
     COMMUTES,
@@ -46,12 +41,11 @@ from .certificate import (
     QA5,
     ZERO_PRODUCT,
     Certificate,
+    Combine,
     Conclusion,
     ExpandUnity,
     LemmaCom,
-    LocalReduce,
     ProofStep,
-    Substitution,
     Swap,
     graph_digest,
     scope_quadruples,
@@ -126,6 +120,13 @@ class ProofBuilder:
             )
         return self.add(step.lhs, star(step.lhs), LemmaCom(sid))
 
+    def expand_row(self, p: Poly, position: int, row: int) -> tuple[Poly, int]:
+        """Insert the row-``row`` unity sum at ``position`` in every word
+        of p; returns the new side and the id of the ExpandUnity step
+        claiming that p equals it."""
+        q = expand_unity(p, position, row, ROW, self.graph.n)
+        return q, self.add(p, q, ExpandUnity(position, row, ROW))
+
     def swap(self, p: Poly, cite: tuple, position: int) -> tuple[Poly, int]:
         """Reverse, at ``position`` in every word of p, the pair whose
         commutation step sid claims with u[i,j] renamed to
@@ -166,39 +167,32 @@ def _unique_common_neighbor(g: Graph, a: int, b: int) -> int:
 def _derive_edge_edge(bld: ProofBuilder, r1: int, c1: int, r2: int, c2: int) -> int:
     """Certify u[r1,c1]u[r2,c2] = u[r2,c2]u[r1,c1] for adjacent rows and columns.
 
-    Expanding a row-r1 unity on the right leaves survivors
-    u[r1,c1]u[r2,c2]u[r1,s] over the neighbors s of c2.  Each survivor
-    with s != c1 dies: expanding a row-r2 unity inside u[r1,c1]u[r1,s]
+    Expanding a row-r1 unity on the right leaves, after local reduction,
+    the palindrome u[r1,c1]u[r2,c2]u[r1,c1] and survivors
+    u[r1,c1]u[r2,c2]u[r1,s] over the other neighbors s of c2.  Each
+    survivor dies: expanding a row-r2 unity inside u[r1,c1]u[r1,s]
     reduces to exactly that survivor, yet the unexpanded product is
-    zero by row orthogonality.  What remains is the palindrome form.
+    zero by row orthogonality.  So one combine of the first expansion,
+    less the inner ones, gives the palindrome form.
     """
     g = bld.graph
-    n = g.n
     x0 = u(r1, c1) * u(r2, c2)
-    a1_rhs = expand_unity(x0, 2, r1, ROW, n)
-    a1 = bld.add(x0, a1_rhs, ExpandUnity(2, r1, ROW))
-    a2_rhs = local_reduce(g, a1_rhs)
-    a2 = bld.add(a1_rhs, a2_rhs, LocalReduce())
-    cur = bld.add(x0, a2_rhs, Substitution(a1, a2))
-    cur_rhs = a2_rhs
+    expanded, first = bld.expand_row(x0, 2, r1)
+    rest = local_reduce(g, expanded)
+    terms = [(first, 1)]
     for s in g.neighbors(c2):
         if s == c1:
             continue
-        y = u(r1, c1) * u(r1, s)
-        b1_rhs = expand_unity(y, 1, r2, ROW, n)
-        b1 = bld.add(y, b1_rhs, ExpandUnity(1, r2, ROW))
+        inner, sid = bld.expand_row(u(r1, c1) * u(r1, s), 1, r2)
         survivor = monomial(((r1, c1), (r2, c2), (r1, s)))
-        if local_reduce(g, b1_rhs) != survivor:
+        if local_reduce(g, inner) != survivor:
             raise AssertionError("inner expansion must reduce to the single survivor")
-        b2 = bld.add(b1_rhs, survivor, LocalReduce())
-        b3 = bld.add(y, Poly.zero(), LocalReduce())
-        b4a = bld.add(y, survivor, Substitution(b2, b1))
-        b4b = bld.add(survivor, Poly.zero(), Substitution(b3, b4a, -1))
-        cur_rhs = cur_rhs - survivor
-        cur = bld.add(x0, cur_rhs, Substitution(cur, b4b))
-    if cur_rhs != monomial(((r1, c1), (r2, c2), (r1, c1))):
+        rest = rest - survivor
+        terms.append((sid, -1))
+    palindrome = monomial(((r1, c1), (r2, c2), (r1, c1)))
+    if rest != palindrome:
         raise AssertionError("edge-edge derivation did not reach the palindrome form")
-    return bld.lemma_com(cur)
+    return bld.lemma_com(bld.add(x0, palindrome, Combine(tuple(terms))))
 
 
 def _orbit_maps(pairs, symmetries) -> dict:
@@ -259,35 +253,26 @@ def _kill_extra_neighbor(
     t: int,
     q: int,
     edge_edge: dict,
-) -> int:
-    """Certify u[r1,c1]u[s,t]u[r2,c2]u[r1,q] = 0 for the extra neighbor q of t.
+) -> list[tuple[int, int]]:
+    """Combine terms whose signed differences reduce to the word
+    u[r1,c1]u[s,t]u[r2,c2]u[r1,q], for the extra neighbor q of t, so
+    that citing them kills that word.
 
-    A row-r2 unity expanded inside u[r1,c1]u[s,t]u[r1,q] survives only
-    with middle columns c1 and c2.  The c1 survivor dies by column
-    orthogonality after one certified swap, identifying the target term
-    with the unexpanded product, which itself dies by row orthogonality
-    after another swap.
+    A row-r2 unity expanded inside g3 = u[r1,c1]u[s,t]u[r1,q] survives
+    only with middle columns c1 and c2.  The c1 survivor dies by column
+    orthogonality after one certified swap, and g3 itself by row
+    orthogonality after another; what is left is the target word.
     """
     g = bld.graph
-    n = g.n
     g3 = monomial(((r1, c1), (s, t), (r1, q)))
-    z1_rhs = expand_unity(g3, 2, r2, ROW, n)
-    z1 = bld.add(g3, z1_rhs, ExpandUnity(2, r2, ROW))
+    expanded, z1 = bld.expand_row(g3, 2, r2)
     a_word = monomial(((r1, c1), (s, t), (r2, c1), (r1, q)))
     t_word = monomial(((r1, c1), (s, t), (r2, c2), (r1, q)))
-    z2_rhs = local_reduce(g, z1_rhs)
-    if z2_rhs != a_word + t_word:
+    if local_reduce(g, expanded) != a_word + t_word:
         raise AssertionError("inner expansion has unexpected survivors")
-    z2 = bld.add(z1_rhs, z2_rhs, LocalReduce())
-    a_swapped, z3 = bld.swap(a_word, edge_edge[(s, t, r2, c1)], 1)
-    z4 = bld.add(a_swapped, Poly.zero(), LocalReduce())
-    z5 = bld.add(a_word, Poly.zero(), Substitution(z3, z4))
-    z6 = bld.add(z1_rhs, t_word, Substitution(z2, z5))
-    z7 = bld.add(g3, t_word, Substitution(z1, z6))
-    g3_swapped, z8 = bld.swap(g3, edge_edge[(r1, c1, s, t)], 0)
-    z9 = bld.add(g3_swapped, Poly.zero(), LocalReduce())
-    z10 = bld.add(g3, Poly.zero(), Substitution(z8, z9))
-    return bld.add(t_word, Poly.zero(), Substitution(z10, z7, -1))
+    _, z2 = bld.swap(a_word, edge_edge[(s, t, r2, c1)], 1)
+    _, z3 = bld.swap(g3, edge_edge[(r1, c1, s, t)], 0)
+    return [(z1, -1), (z2, -1), (z3, 1)]
 
 
 def _derive_nonedge(
@@ -302,66 +287,45 @@ def _derive_nonedge(
     commutation step.
     """
     g = bld.graph
-    n = g.n
     s = _unique_common_neighbor(g, r1, r2)
     t = _unique_common_neighbor(g, c1, c2)
     x0 = u(r1, c1) * u(r2, c2)
 
     # Pin the bridging factor: x0 = u[r1,c1]u[s,t]u[r2,c2].
-    p1a_rhs = expand_unity(x0, 1, s, ROW, n)
-    p1a = bld.add(x0, p1a_rhs, ExpandUnity(1, s, ROW))
+    expanded, p1 = bld.expand_row(x0, 1, s)
     w1 = monomial(((r1, c1), (s, t), (r2, c2)))
-    if local_reduce(g, p1a_rhs) != w1:
+    if local_reduce(g, expanded) != w1:
         raise AssertionError("bridge expansion must reduce to a single word")
-    p1b = bld.add(p1a_rhs, w1, LocalReduce())
-    cur = bld.add(x0, w1, Substitution(p1a, p1b))
 
     # Swing u[s,t] to the right, expand a trailing row-r1 unity, and
     # swing it back: x0 equals the sum over the neighbors p of t of
     # u[r1,c1]u[s,t]u[r2,c2]u[r1,p].
     bridge = edge_edge[(s, t, r2, c2)]
-    w2, p2a = bld.swap(w1, bridge, 1)
-    p2b_rhs = expand_unity(w2, 3, r1, ROW, n)
-    p2b = bld.add(w2, p2b_rhs, ExpandUnity(3, r1, ROW))
-    sum_fwd = local_reduce(g, p2b_rhs)
-    p2c = bld.add(p2b_rhs, sum_fwd, LocalReduce())
-    p2d = bld.add(w2, sum_fwd, Substitution(p2b, p2c))
-    sum_back, p2e = bld.swap(sum_fwd, bridge, 1)
-    cur = bld.add(x0, w2, Substitution(cur, p2a))
-    cur = bld.add(x0, sum_fwd, Substitution(cur, p2d))
-    cur = bld.add(x0, sum_back, Substitution(cur, p2e))
-    cur_rhs = sum_back
+    w2, p2 = bld.swap(w1, bridge, 1)
+    expanded, p3 = bld.expand_row(w2, 3, r1)
+    rest, p4 = bld.swap(local_reduce(g, expanded), bridge, 1)
+    terms = [(p1, 1), (p2, 1), (p3, 1), (p4, 1)]
 
-    # The p = c2 term dies by column orthogonality.
-    v = monomial(((r1, c1), (s, t), (r2, c2), (r1, c2)))
-    p3a = bld.add(v, Poly.zero(), LocalReduce())
-    cur_rhs = cur_rhs - v
-    cur = bld.add(x0, cur_rhs, Substitution(cur, p3a))
-
-    # Any neighbor of t beyond c1 and c2 dies by the swap argument.
+    # The p = c2 term dies by column orthogonality, and any neighbor of
+    # t beyond c1 and c2 by the swap argument.
+    rest = rest - monomial(((r1, c1), (s, t), (r2, c2), (r1, c2)))
     for q in g.neighbors(t):
         if q == c1 or q == c2:
             continue
-        zq = _kill_extra_neighbor(bld, r1, c1, r2, c2, s, t, q, edge_edge)
-        t_word = monomial(((r1, c1), (s, t), (r2, c2), (r1, q)))
-        cur_rhs = cur_rhs - t_word
-        cur = bld.add(x0, cur_rhs, Substitution(cur, zq))
-
+        terms += _kill_extra_neighbor(bld, r1, c1, r2, c2, s, t, q, edge_edge)
+        rest = rest - monomial(((r1, c1), (s, t), (r2, c2), (r1, q)))
     witness = monomial(((r1, c1), (s, t), (r2, c2), (r1, c1)))
-    if cur_rhs != witness:
+    if rest != witness:
         raise AssertionError("non-edge derivation did not isolate the bridge witness")
 
     # Replay the bridge expansion with the trailing factor in place to
     # trade the witness for the palindrome u[r1,c1]u[r2,c2]u[r1,c1].
     y = monomial(((r1, c1), (r2, c2), (r1, c1)))
-    p4a_rhs = expand_unity(y, 1, s, ROW, n)
-    p4a = bld.add(y, p4a_rhs, ExpandUnity(1, s, ROW))
-    if local_reduce(g, p4a_rhs) != witness:
+    expanded, p5 = bld.expand_row(y, 1, s)
+    if local_reduce(g, expanded) != witness:
         raise AssertionError("palindrome expansion must reduce to the bridge witness")
-    p4b = bld.add(p4a_rhs, witness, LocalReduce())
-    p4c = bld.add(y, witness, Substitution(p4a, p4b))
-    final = bld.add(x0, y, Substitution(cur, p4c, -1))
-    return bld.lemma_com(final)
+    terms.append((p5, -1))
+    return bld.lemma_com(bld.add(x0, y, Combine(tuple(terms))))
 
 
 def _prove(g: Graph, scope: str) -> Certificate:

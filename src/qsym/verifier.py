@@ -5,9 +5,8 @@ scope order and the graph's automorphism test with the prover; it
 imports nothing of the automorphism search.  Each step is reverified
 from its justification and earlier steps, never from how the prover
 happened to emit it.  Every rule is a lookup, not a search: the
-justification names the cited steps and, for a substitution, the sign
-of the combination, so each check is an exact recomputation or
-polynomial equality.
+justification names the cited steps and their coefficients, so each
+check is an exact recomputation, an equality or one local reduction.
 
 Steps are checked in id order, and a rule's claim holds in the quotient
 when the claims it cites do, so by induction every checked claim holds.
@@ -55,6 +54,12 @@ lhs, gives lhs = rhs exactly when rhs is lhs with the pair at the
 swap's position reversed in every word, and that pair is u[a,b]u[c,d]
 or u[c,d]u[a,b] in every word.  That is all the rule checks.
 
+A combine is accepted when D = lhs - rhs - sum of c * (lhs_s - rhs_s)
+over its terms (s, c) has local_reduce zero.  local_reduce is linear
+and rewrites only by defining relations, so D - local_reduce(D) lies in
+the ideal they generate, and then so does D; the cited differences lie
+in it since their steps were checked first, and so does lhs - rhs.
+
 A conclusion with no step is decided on words.  Its claim is the word
 u[i,j]u[k,l] with coefficient 1 against its reverse u[k,l]u[i,j] with
 coefficient 1 (a commutation), or against zero (a zero product).
@@ -82,11 +87,10 @@ from .certificate import (
     ZERO_PRODUCT,
     Certificate,
     Conclusion,
+    Combine,
     ExpandUnity,
     LemmaCom,
-    LocalReduce,
     ProofStep,
-    Substitution,
     Swap,
     claim_quadruple,
     graph_digest,
@@ -136,10 +140,6 @@ def _check_step(g: Graph, cert: Certificate, step: ProofStep) -> Optional[str]:
     check_gen_bounds(step.rhs, g.n)
     steps = cert.steps
     just = step.justification
-    if isinstance(just, LocalReduce):
-        if not local_reduce(g, step.lhs - step.rhs).is_zero:
-            return "sides do not reduce to the same normal form"
-        return None
     if isinstance(just, ExpandUnity):
         expected = expand_unity(step.lhs, just.position, just.index, just.side, g.n)
         if step.rhs != expected:
@@ -155,15 +155,13 @@ def _check_step(g: Graph, cert: Certificate, step: ProofStep) -> Optional[str]:
         if step.rhs != swap_pair(step.lhs, just.position, gen(a, b), gen(c, d)):
             return f"right side is not the left side with the pair at {just.position} reversed"
         return None
-    if isinstance(just, Substitution):
-        base = steps[just.base]
-        using = steps[just.using]
-        if step.lhs - step.rhs != base.lhs - base.rhs + just.sign * (using.lhs - using.rhs):
-            op = "plus" if just.sign == 1 else "minus"
-            return (
-                f"claim difference is not that of step {just.base}"
-                f" {op} that of step {just.using}"
-            )
+    if isinstance(just, Combine):
+        d = step.lhs - step.rhs
+        for s, c in just.terms:
+            d = d - c * (steps[s].lhs - steps[s].rhs)
+        if not local_reduce(g, d).is_zero:
+            cited = [s for s, _ in just.terms]
+            return f"lhs - rhs less the combination of steps {cited} does not reduce to zero"
         return None
     if isinstance(just, LemmaCom):
         ref = steps[just.step]

@@ -3,10 +3,12 @@
 The mutation operators only produce changes that genuinely alter the
 meaning of the chosen step, conclusion or automorphism table entry, so
 a correct checker must reject every mutant at exactly that place.  A
-Substitution is checked as one exact equality, lhs - rhs == d_base +
-sign * d_using, so any change to either side changes lhs - rhs and is
-rejected; flipping the sign or retargeting a citation is guarded to
-produce a combination that differs from the claim.  A Swap and a
+Combine is checked modulo local reduction: lhs - rhs, less the sum of
+c * d_s over its terms (s, c), must have local_reduce zero.  That
+reduction drops every word that rewrites to zero, so a change to a side
+can leave it at zero; every Combine operator, a side change, a junk
+term, a retargeted term or a flipped coefficient, is guarded so that
+the mutant's difference no longer reduces to zero.  A Swap and a
 conclusion that cites a step both cite it under two automorphism table
 indices, and share the citation operators: a new step, or the two
 indices swapped, is guarded so that the citation no longer gives the
@@ -38,12 +40,11 @@ from qsym import (
     COL,
     ROW,
     Certificate,
+    Combine,
     ExpandUnity,
     LemmaCom,
-    LocalReduce,
     Poly,
     ProofStep,
-    Substitution,
     Swap,
     ZERO_PRODUCT,
     COMMUTES,
@@ -134,7 +135,7 @@ def _drop_term(g, step, cert, rng, side):
 def _add_junk_term(g, step, cert, rng, side):
     # A one-generator word: certificates built here never contain any,
     # so it can neither cancel nor match a recomputation, and it is
-    # irreducible, outside every two-step rational span.
+    # irreducible, so local reduction keeps it.
     p = getattr(step, side)
     w = (gen(rng.randrange(g.n) + 1, rng.randrange(g.n) + 1),)
     if w in p.terms:
@@ -217,32 +218,49 @@ def _diff(s):
     return s.lhs - s.rhs
 
 
-def _flip_sign(g, step, cert, rng):
-    just = step.justification
-    using = cert.steps[just.using]
-    if using.lhs == using.rhs:
+def _combine_follows(g, cert, step) -> bool:
+    """Whether a Combine step's claim follows from the steps it cites."""
+    d = _diff(step)
+    for s, c in step.justification.terms:
+        d = d - c * _diff(cert.steps[s])
+    return local_reduce(g, d).is_zero
+
+
+def _combine_guarded(op):
+    """op, made on a Combine step, leaving out mutants that still follow."""
+
+    def guarded(g, step, cert, rng):
+        mutated = op(g, step, cert, rng)
+        if mutated is None or _combine_follows(g, cert, mutated):
+            return None
+        return mutated
+
+    guarded.__name__ = f"{op.__name__}_combine"
+    return guarded
+
+
+def _with_term(step, idx, term):
+    terms = list(step.justification.terms)
+    terms[idx] = term
+    return dataclasses.replace(step, justification=Combine(tuple(terms)))
+
+
+def _flip_coefficient(g, step, cert, rng):
+    terms = step.justification.terms
+    if not terms:
         return None
-    # The flip moves the combination by 2 * d_using, which is nonzero.
-    return dataclasses.replace(
-        step, justification=dataclasses.replace(just, sign=-just.sign)
-    )
+    idx = rng.randrange(len(terms))
+    s, c = terms[idx]
+    return _with_term(step, idx, (s, -c))
 
 
-def _retarget_substitution(g, step, cert, rng):
-    just = step.justification
-    field = "base" if rng.random() < 0.5 else "using"
-
-    def bad(r):
-        cited = {"base": cert.steps[just.base], "using": cert.steps[just.using], field: r}
-        combo = _diff(cited["base"]) + just.sign * _diff(cited["using"])
-        return combo != _diff(step)
-
-    ref = _retarget(rng, step, cert, bad)
-    if ref is None:
+def _retarget_term(g, step, cert, rng):
+    terms = step.justification.terms
+    if not terms or step.id < 2:
         return None
-    return dataclasses.replace(
-        step, justification=dataclasses.replace(just, **{field: ref})
-    )
+    idx = rng.randrange(len(terms))
+    s, c = terms[idx]
+    return _with_term(step, idx, (rng.choice([r for r in range(step.id) if r != s]), c))
 
 
 def _retarget_lemma(g, step, cert, rng):
@@ -325,18 +343,20 @@ _RHS_OPS = [_side_op(f, "rhs") for f in (_double_coeff, _tweak_index, _drop_term
 _LHS_OPS = [_side_op(f, "lhs") for f in (_double_coeff, _tweak_index, _drop_term)]
 _JUNK_RHS = _side_op(_add_junk_term, "rhs")
 _SWAP_CITATION_OPS = [_swap_citation_op(op) for op in CITATION_OPS]
+_COMBINE_OPS = [
+    _combine_guarded(op)
+    for op in _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _flip_coefficient, _retarget_term]
+]
 
 
 def eligible_ops(step):
     just = step.justification
-    if isinstance(just, LocalReduce):
-        return _RHS_OPS + [_JUNK_RHS]
     if isinstance(just, ExpandUnity):
         return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _tweak_expand_params]
     if isinstance(just, Swap):
         return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _tweak_swap_position] + _SWAP_CITATION_OPS
-    if isinstance(just, Substitution):
-        return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _flip_sign, _retarget_substitution]
+    if isinstance(just, Combine):
+        return _COMBINE_OPS
     if isinstance(just, LemmaCom):
         return _RHS_OPS + _LHS_OPS + [_JUNK_RHS, _retarget_lemma]
     raise AssertionError(f"unknown justification {just!r}")

@@ -12,14 +12,13 @@ from qsym import (
     FULL,
     ZERO_PRODUCT,
     Certificate,
+    Combine,
     Conclusion,
     ExpandUnity,
     LemmaCom,
-    LocalReduce,
     MalformedCertificate,
     Poly,
     ProofStep,
-    Substitution,
     Swap,
     certificate_from_dict,
     certificate_to_dict,
@@ -50,15 +49,15 @@ def _sample_cert():
     x = monomial(((1, 1), (2, 2)))
     y = relabel(x, ROTATION, REFLECTION)
     steps = (
-        ProofStep(0, x, x, LocalReduce()),
+        ProofStep(0, x, x, Combine(())),
         ProofStep(1, x, x, ExpandUnity(0, 3, "row")),
         ProofStep(2, x, x, Swap(0, 2, 2, 0)),
         ProofStep(3, x, x, Swap(1, 2, 2, 1)),
-        ProofStep(4, x, x, Substitution(0, 2)),
+        ProofStep(4, x, x, Combine(((0, 1), (2, 1)))),
         ProofStep(5, x, star(x), LemmaCom(0)),
         ProofStep(6, u(1, 2) - u(2, 1), monomial((), 2), Swap(5, 2, 2, 2)),
         ProofStep(7, x, x, Swap(3, 2, 2, 0)),
-        ProofStep(8, x, x, Substitution(4, 7, -1)),
+        ProofStep(8, x, x, Combine(((4, 1), (7, -1), (1, 1)))),
         ProofStep(9, y, star(y), Swap(5, 0, 1, 0)),
     )
     conclusions = (
@@ -131,6 +130,15 @@ def test_polys_round_trip_in_text_form():
     swap = d["steps"][9]["justification"]
     assert swap == {"rule": "swap", "step": 5, "rows": 0, "cols": 1, "position": 0}
     assert list(swap) == ["rule", "step", "rows", "cols", "position"]
+    # A combine cites [step, coefficient] pairs; with none it is local
+    # reduction alone.
+    assert d["steps"][0]["justification"] == {"rule": "combine", "terms": []}
+    assert d["steps"][8]["justification"] == {
+        "rule": "combine", "terms": [[4, 1], [7, -1], [1, 1]]
+    }
+    assert json.dumps(d["steps"][8]["justification"], separators=(",", ":")) == (
+        '{"rule":"combine","terms":[[4,1],[7,-1],[1,1]]}'
+    )
     assert d["conclusions"][0]["kind"] == "commutes"
     # A conclusion stores only the fields its justification needs.
     assert d["conclusions"][1] == {"kind": "zero_product", "i": 1, "j": 1, "k": 1, "l": 2}
@@ -150,7 +158,7 @@ def test_from_dict_rejects_bad_shapes():
             certificate_from_dict(d)
 
     corrupt(lambda d: d.pop("version"))
-    for old_version in (1, 2, 3, 4, 5):
+    for old_version in (1, 2, 3, 4, 5, 6):
         corrupt(lambda d: d.update(version=old_version))
     corrupt(lambda d: d.pop("scope"))
     corrupt(lambda d: d.update(scope="partial"))
@@ -169,7 +177,7 @@ def test_from_dict_rejects_bad_shapes():
     # on a step whose fields that class has.
     for bad_rule in ([], ["swap"], {"rule": "swap"}, 0, 1.5, None):
         corrupt(lambda d: d["steps"][1]["justification"].update(rule=bad_rule))
-    corrupt(lambda d: d["steps"][0]["justification"].update(rule="LocalReduce"))
+    corrupt(lambda d: d["steps"][0]["justification"].update(rule="Combine"))
     corrupt(lambda d: d["steps"][2]["justification"].update(rule="Swap"))
     # A swap names its step, table entries and position as integers;
     # the version 3 relation rule is gone.
@@ -179,12 +187,25 @@ def test_from_dict_rejects_bad_shapes():
             corrupt(lambda d: d["steps"][2]["justification"].update({field: bad_value}))
     corrupt(lambda d: d["steps"][2]["justification"].update(relation={"kind": "comm"}))
     corrupt(lambda d: d["steps"][2].update(justification={"rule": "relation", "position": 0}))
-    corrupt(lambda d: d["steps"][4]["justification"].update(base="0"))
-    # sign is an integer, exactly 1 or -1: bool, float and str are refused
-    # before the membership test, which would accept True and 1.0.
-    for bad_sign in (True, 1.0, "1", 0, 2):
-        corrupt(lambda d: d["steps"][8]["justification"].update(sign=bad_sign))
-    corrupt(lambda d: d["steps"][8]["justification"].pop("sign"))
+    # A combine's terms are an array of [step, coefficient] pairs of
+    # integers, each coefficient exactly 1 or -1: bool, float and str
+    # are refused before the membership test, which would accept True
+    # and 1.0.  The version 6 rules and their fields are gone.
+    for bad_terms in (None, 5, "0,1", {"0": 1}, [[4, 1], 7], [[4]], [[4, 1, 1]], [{"4": 1}]):
+        corrupt(lambda d: d["steps"][8]["justification"].update(terms=bad_terms))
+    for bad_step in (True, "4", 4.0, None, [4]):
+        corrupt(lambda d: d["steps"][8]["justification"]["terms"][0].__setitem__(0, bad_step))
+    for bad_coeff in (True, 1.0, "1", 0, 2, -2, None):
+        corrupt(lambda d: d["steps"][8]["justification"]["terms"][1].__setitem__(1, bad_coeff))
+    corrupt(lambda d: d["steps"][8]["justification"].pop("terms"))
+    for old_field in (dict(sign=1), dict(base=4), dict(using=7)):
+        corrupt(lambda d: d["steps"][8]["justification"].update(old_field))
+    corrupt(lambda d: d["steps"][0].update(justification={"rule": "local_reduce"}))
+    corrupt(
+        lambda d: d["steps"][8].update(
+            justification={"rule": "substitution", "base": 4, "using": 7, "sign": -1}
+        )
+    )
     # A swap's rows and cols are table indices, nonnegative integers;
     # that the table has them is the verifier's check.  Arrays of
     # images, as a version 4 transport carried, are refused, and so is
@@ -227,7 +248,7 @@ _STRUCTURE_REFUSALS = [
         dict(scope="partial"), "scope must be one of ['full', 'qa5'], got 'partial'", id="scope"
     ),
     pytest.param(
-        dict(steps=(ProofStep(0, _X, _X, LocalReduce()), ProofStep(2, _X, _X, LocalReduce()))),
+        dict(steps=(ProofStep(0, _X, _X, Combine(())), ProofStep(2, _X, _X, Combine(())))),
         "step ids must be sequential from 0: found 2 at position 1",
         id="ids-out-of-order",
     ),
@@ -237,14 +258,24 @@ _STRUCTURE_REFUSALS = [
         id="self-reference",
     ),
     pytest.param(
-        dict(steps=(ProofStep(0, _X, _X, Swap(1, 0, 0, 0)), ProofStep(1, _X, _X, LocalReduce()))),
+        dict(steps=(ProofStep(0, _X, _X, Swap(1, 0, 0, 0)), ProofStep(1, _X, _X, Combine(())))),
         "step 0 references step 1, which is not earlier",
         id="forward-reference",
     ),
     pytest.param(
-        dict(steps=(ProofStep(0, _X, _X, LocalReduce()), ProofStep(1, _X, _X, Substitution(0, 5)))),
+        dict(
+            steps=(
+                ProofStep(0, _X, _X, Combine(())),
+                ProofStep(1, _X, _X, Combine(((0, 1), (5, -1)))),
+            )
+        ),
         "step 1 references step 5, which is not earlier",
         id="dangling-reference",
+    ),
+    pytest.param(
+        dict(steps=(ProofStep(0, _X, _X, Combine(())), ProofStep(1, _X, _X, Combine(((1, 1),))))),
+        "step 1 references step 1, which is not earlier",
+        id="combine-self-reference",
     ),
     pytest.param(
         dict(steps=(ProofStep(0, _X, _X, Swap(5, 0, 0, 0)),)),
@@ -280,23 +311,23 @@ def test_every_way_of_building_a_certificate_checks_its_structure(how, change, m
     [
         (
             "petersen_full_cert",
-            "5ece90001470883dc89775aa65b47d76036e5de6671d144ecdc4350f3bad3773",
-            611_050,
+            "132e57d7d92a8f620a3fc6417c91b3662c359fff608aa3119be04a7afb06e15a",
+            604_254,
         ),
         (
             "c5_full_cert",
-            "50f3287467452888d8e1c896d9a984552e7683654788448b4fcbcc72981e9e0c",
-            39_459,
+            "eda7bff33ec18133ab8e345dbe50d86c4939c561bfd4a21e83810eae1a1f4702",
+            36_811,
         ),
         (
             "petersen_qa5_cert",
-            "1bbfac0da9e43d86501488bf055a7619d23a2bebe43146f1ebb38ba8d4add6d0",
-            70_280,
+            "5af08f1e0588b20b46fe5e672a4a5410fd046fe61e4feec00f12d60194cfda86",
+            67_492,
         ),
         (
             "c5_qa5_cert",
-            "72edfd5961bb128253d2728234007913ae54450118867cf9695d8e70841506e3",
-            8_891,
+            "8743921114d9b0b140628187d8bbde916979b5b05164cb8c35fe416da0c5671d",
+            8_020,
         ),
     ],
     ids=["petersen-full", "c5-full", "petersen-qa5", "c5-qa5"],
@@ -342,7 +373,7 @@ def test_loads_rejects_integers_over_the_digit_limit():
 def test_step_and_conclusion_validation():
     x = u(1, 1)
     with pytest.raises(ValueError):
-        ProofStep(-1, x, x, LocalReduce())
+        ProofStep(-1, x, x, Combine(()))
     with pytest.raises(ValueError):
         Conclusion("commutes", 1, 1, 2, 2, -1)
     for partial in ((0,), (0, 0), (None, 0, 0)):
@@ -443,6 +474,6 @@ def test_claim_quadruple_refuses_other_claims(petersen_full_cert):
     ]
     for lhs, rhs in not_claims:
         assert claim_quadruple(lhs, rhs) is None, (lhs, rhs)
-    subs = [s for s in petersen_full_cert.steps if isinstance(s.justification, Substitution)]
-    assert subs
-    assert all(claim_quadruple(s.lhs, s.rhs) is None for s in subs)
+    combined = [s for s in petersen_full_cert.steps if isinstance(s.justification, Combine)]
+    assert combined
+    assert all(claim_quadruple(s.lhs, s.rhs) is None for s in combined)

@@ -161,9 +161,9 @@ def _swap_cert(cite=0, first=("u[1,1]u[2,3]", "u[2,3]u[1,1]"), entry=None, **fie
     swap = {"rule": "swap", "step": N + cite, "rows": 0, "cols": 1, "position": 0}
     swap.update(fields)
     steps = [
-        (first, {"rule": "local_reduce"}),
+        (first, {"rule": "combine", "terms": []}),
         (("u[2,1]u[3,3]u[4,4]", "u[3,3]u[2,1]u[4,4]"), swap),
-        (("u[1,1]", "u[1,1]"), {"rule": "local_reduce"}),
+        (("u[1,1]", "u[1,1]"), {"rule": "combine", "terms": []}),
     ]
     cert = dict(C5_PROOF)
     if entry is not None:
@@ -281,7 +281,7 @@ def test_verify_refuses_version_2(tmp_path, capsys):
     path.write_text(json.dumps(v2))
     code, _, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1
-    assert "unsupported certificate version 2, expected 6" in err
+    assert "unsupported certificate version 2, expected 7" in err
 
 
 def test_verify_refuses_version_3(tmp_path, capsys):
@@ -311,7 +311,7 @@ def test_verify_refuses_version_3(tmp_path, capsys):
     path.write_text(json.dumps(v3))
     code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1 and not out
-    assert err == "malformed certificate: unsupported certificate version 3, expected 6\n"
+    assert err == "malformed certificate: unsupported certificate version 3, expected 7\n"
 
 
 def test_verify_refuses_version_4(tmp_path, capsys):
@@ -335,7 +335,7 @@ def test_verify_refuses_version_4(tmp_path, capsys):
     path.write_text(json.dumps(v4))
     code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1 and not out
-    assert err == "malformed certificate: unsupported certificate version 4, expected 6\n"
+    assert err == "malformed certificate: unsupported certificate version 4, expected 7\n"
 
 
 def test_verify_refuses_version_5(tmp_path, capsys):
@@ -367,7 +367,29 @@ def test_verify_refuses_version_5(tmp_path, capsys):
     path.write_text(json.dumps(v5))
     code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1 and not out
-    assert err == "malformed certificate: unsupported certificate version 5, expected 6\n"
+    assert err == "malformed certificate: unsupported certificate version 5, expected 7\n"
+
+
+def test_verify_refuses_version_6(tmp_path, capsys):
+    # Format version 6 spread each derivation over local_reduce steps
+    # and signed two-step substitutions, which one combine replaced;
+    # there is no loader for it.
+    v6 = dict(C5_PROOF, version=6)
+    v6["steps"] = [
+        {"id": 0, "lhs": "u[1,1]u[1,1]", "rhs": "u[1,1]", "justification": {"rule": "local_reduce"}},
+        {"id": 1, "lhs": "u[2,2]u[2,2]", "rhs": "u[2,2]", "justification": {"rule": "local_reduce"}},
+        {
+            "id": 2,
+            "lhs": "u[1,1]u[1,1] - u[2,2]u[2,2]",
+            "rhs": "u[1,1] - u[2,2]",
+            "justification": {"rule": "substitution", "base": 0, "using": 1, "sign": -1},
+        },
+    ]
+    path = tmp_path / "v6.json"
+    path.write_text(json.dumps(v6))
+    code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
+    assert code == 1 and not out
+    assert err == "malformed certificate: unsupported certificate version 6, expected 7\n"
 
 
 @pytest.mark.parametrize(
@@ -624,5 +646,5 @@ def test_certificate_json_shape(tmp_path, capsys):
     run_cli(["prove", "--graph", "c5", "--out", str(out_path)], capsys)
     data = json.loads(out_path.read_text())
     assert set(data) == {"version", "graph_digest", "scope", "automorphisms", "steps", "conclusions"}
-    assert data["version"] == 6 and data["scope"] == "full"
+    assert data["version"] == 7 and data["scope"] == "full"
     assert len(data["conclusions"]) == 625

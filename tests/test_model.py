@@ -8,9 +8,26 @@ turns the model into a non-model is one the checker must refuse.
 """
 
 import itertools
+import random
 
 import model_reference as model
-from qsym import COL, ROW, Poly, cycle, expand_unity, from_edge_list, gen, is_automorphism
+from qsym import (
+    COL,
+    FULL,
+    ROW,
+    Certificate,
+    Combine,
+    ExpandUnity,
+    Poly,
+    ProofStep,
+    cycle,
+    expand_unity,
+    from_edge_list,
+    gen,
+    graph_digest,
+    is_automorphism,
+    verifier,
+)
 from qsym.relations import _reduce_word, local_reduce, swap_pair
 
 TWO_K2 = from_edge_list(4, [(1, 2), (3, 4)])
@@ -143,3 +160,64 @@ def test_swap_pair_is_sound_for_pairs_that_commute_in_the_model():
             swapped += 1
     # The model has pairs that do not commute, which no swap may use.
     assert swapped and (gen(1, 1), gen(3, 3)) not in COMMUTING
+
+
+def test_combine_is_sound_in_the_model():
+    # A combine cites earlier claims with coefficients 1 or -1, and its
+    # own difference may exceed that combination by any D whose
+    # local_reduce is zero.  Here the cited claims are unity expansions,
+    # which hold in the model, and D a sum of words less their normal
+    # forms, or of words that rewrite to zero.  Every such claim is
+    # accepted and holds in the model; so does every claim the checker
+    # accepts after one coefficient is flipped or D is replaced by any
+    # word, while the ones it refuses include claims that fail there.
+    rng = random.Random(2)
+    short = [w for length in (0, 1, 2) for w in itertools.product(GENS, repeat=length)]
+    steps = []
+    for sid in range(8):
+        w = rng.choice(short)
+        position, index = rng.randrange(len(w) + 1), rng.randrange(1, 5)
+        side = rng.choice((ROW, COL))
+        lhs = Poly({w: 1})
+        rhs = expand_unity(lhs, position, index, side, 4)
+        steps.append(ProofStep(sid, lhs, rhs, ExpandUnity(position, index, side)))
+    vanishing = []
+    for w in WORDS:
+        normal = _reduce_word(TWO_K2.adj1, 4, w)
+        if normal != w:
+            vanishing.append(Poly({w: 1}) - (Poly.zero() if normal is None else Poly({normal: 1})))
+    digest = graph_digest(TWO_K2)
+
+    def check(lhs, rhs, terms):
+        step = ProofStep(len(steps), lhs, rhs, Combine(terms))
+        cert = Certificate(digest, FULL, (), (*steps, step), ())
+        return verifier._check_step(TWO_K2, cert, step) is None
+
+    refused_false = 0
+    for _ in range(300):
+        terms = tuple((s, rng.choice((1, -1))) for s in rng.sample(range(len(steps)), 3))
+        combination = Poly.zero()
+        for s, c in terms:
+            combination = combination + c * (steps[s].lhs - steps[s].rhs)
+        d = Poly.zero()
+        for v in rng.sample(vanishing, 3):
+            d = d + rng.choice((1, -1)) * v
+        assert local_reduce(TWO_K2, d).is_zero
+        split = Poly({rng.choice(WORDS): 1})
+        lhs = combination + d + split
+        assert check(lhs, split, terms)
+        assert _value(lhs - split) == (0, 0, 0, 0)
+        s, c = terms[0]
+        flipped = ((s, -c),) + terms[1:]
+        junk = lhs + Poly({rng.choice(WORDS): 1})
+        for claim, cited in ((lhs, flipped), (combination + split, terms), (junk, terms)):
+            holds = _value(claim - split) == (0, 0, 0, 0)
+            if check(claim, split, cited):
+                assert holds, (claim, cited)
+            elif not holds:
+                refused_false += 1
+    assert refused_false
+    # The model's own witness: the commutation of u[1,1] and u[3,3]
+    # fails there, and no combine without terms accepts it.
+    a, b = Poly({(gen(1, 1), gen(3, 3)): 1}), Poly({(gen(3, 3), gen(1, 1)): 1})
+    assert _value(a - b) != (0, 0, 0, 0) and not check(a, b, ())

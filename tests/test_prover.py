@@ -8,10 +8,10 @@ import pytest
 from qsym import (
     COMMUTES,
     ZERO_PRODUCT,
+    Combine,
     Conclusion,
     ConditionsNotMet,
     LemmaCom,
-    LocalReduce,
     ProofBuilder,
     Swap,
     UnsupportedDegree,
@@ -24,6 +24,7 @@ from qsym import (
     derive_qa5,
     empty,
     evaluate_perm,
+    from_edge_list,
     gen,
     graph_digest,
     monomial,
@@ -42,8 +43,8 @@ from helpers import hoffman_singleton
 
 def test_proof_builder_ids_sequential():
     bld = ProofBuilder(cycle(5))
-    a = bld.add(u(1, 1), u(1, 1), LocalReduce())
-    b = bld.add(u(2, 2), u(2, 2), LocalReduce())
+    a = bld.add(u(1, 1), u(1, 1), Combine(()))
+    b = bld.add(u(2, 2), u(2, 2), Combine(()))
     assert (a, b) == (0, 1)
     assert [s.id for s in bld.steps] == [0, 1]
 
@@ -52,7 +53,7 @@ def test_lemma_com_emits_star_then_commutation():
     bld = ProofBuilder(cycle(5))
     x = monomial(((1, 1), (2, 2)))
     y = monomial(((1, 1), (2, 2), (1, 1)))
-    base = bld.add(x, y, LocalReduce())  # justification irrelevant here
+    base = bld.add(x, y, Combine(()))  # justification irrelevant here
     final = bld.lemma_com(base)
     # One LemmaCom step and nothing else: no star step is emitted.
     assert final == base + 1 == len(bld.steps) - 1
@@ -65,23 +66,23 @@ def test_lemma_com_accepts_selfpair_shape():
     bld = ProofBuilder(cycle(5))
     x = monomial(((1, 1), (1, 1)))
     y = monomial(((1, 1), (1, 1), (1, 1)))
-    final = bld.lemma_com(bld.add(x, y, LocalReduce()))
+    final = bld.lemma_com(bld.add(x, y, Combine(())))
     assert bld.steps[final].rhs == star(x)
 
 
 def test_lemma_com_rejects_wrong_shapes():
     bld = ProofBuilder(cycle(5))
-    bad_len = bld.add(u(1, 1), monomial(((1, 1), (1, 1))), LocalReduce())
+    bad_len = bld.add(u(1, 1), monomial(((1, 1), (1, 1))), Combine(()))
     with pytest.raises(ValueError):
         bld.lemma_com(bad_len)
     two = monomial(((1, 1), (2, 2)))
-    not_palindrome = bld.add(two, monomial(((1, 1), (2, 2), (2, 2))), LocalReduce())
+    not_palindrome = bld.add(two, monomial(((1, 1), (2, 2), (2, 2))), Combine(()))
     with pytest.raises(ValueError):
         bld.lemma_com(not_palindrome)
-    not_monic = bld.add(2 * two, 2 * monomial(((1, 1), (2, 2), (1, 1))), LocalReduce())
+    not_monic = bld.add(2 * two, 2 * monomial(((1, 1), (2, 2), (1, 1))), Combine(()))
     with pytest.raises(ValueError):
         bld.lemma_com(not_monic)
-    sum_side = bld.add(two + u(1, 1), two, LocalReduce())
+    sum_side = bld.add(two + u(1, 1), two, Combine(()))
     with pytest.raises(ValueError):
         bld.lemma_com(sum_side)
 
@@ -419,6 +420,26 @@ def test_qa5_certificate_is_the_start_of_the_full_proof(request, graph):
 
     for c in qa5.conclusions:
         assert citation(full, by_quad[(c.i, c.j, c.k, c.l)]) == citation(qa5, c)
+
+
+@pytest.mark.parametrize(
+    "graph, images, steps",
+    [
+        ("petersen", (7, 9, 10, 8, 6, 4, 1, 5, 2, 3), 15),
+        ("petersen", (6, 10, 4, 5, 7, 8, 3, 9, 2, 1), 15),
+        ("c5", (1, 3, 5, 2, 4), 11),
+        ("c5", (3, 2, 4, 5, 1), 11),
+    ],
+)
+def test_relabelled_graphs_prove_and_verify(request, graph, images, steps):
+    # The same graph with its vertices renamed by a fixed permutation,
+    # which moves its edges: the proof does not depend on the labelling.
+    g = request.getfixturevalue(f"{graph}_graph")
+    relabelled = from_edge_list(g.n, [(images[a - 1], images[b - 1]) for a, b in g.edges()])
+    assert set(relabelled.edges()) != set(g.edges())
+    cert = prove_no_quantum_symmetry(relabelled)
+    assert len(cert.steps) == steps
+    assert verify_certificate(relabelled, cert).valid
 
 
 def test_certificates_are_deterministic(petersen_graph):

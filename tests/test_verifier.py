@@ -13,16 +13,15 @@ from qsym import (
     FULL,
     QA5,
     Certificate,
+    Combine,
     Conclusion,
     DigestMismatch,
     ExpandUnity,
     LemmaCom,
-    LocalReduce,
     MalformedCertificate,
     Poly,
     ProofStep,
     ROW,
-    Substitution,
     Swap,
     ZERO_PRODUCT,
     certificate_from_dict,
@@ -64,7 +63,9 @@ def _steps_pass(steps, automorphisms=TABLE):
     return report.steps_checked == len(steps) and report.location == "conclusion 0"
 
 
-IDEM_STEP = ProofStep(0, u(1, 1) * u(1, 1), u(1, 1), LocalReduce())
+# A combine that cites no step: both sides share a normal form.
+REDUCED = Combine(())
+IDEM_STEP = ProofStep(0, u(1, 1) * u(1, 1), u(1, 1), REDUCED)
 
 
 def test_valid_certificates_pass(petersen_graph, petersen_qa5_cert, c5_full_cert):
@@ -106,9 +107,10 @@ def _first_failure(steps, conclusions=(), automorphisms=TABLE):
 
 
 def test_local_reduce_failure():
-    report = _first_failure((ProofStep(0, u(1, 1), u(2, 2), LocalReduce()),))
+    # A combine with no terms is local reduction alone.
+    report = _first_failure((ProofStep(0, u(1, 1), u(2, 2), REDUCED),))
     assert report.first_failure == 0
-    assert "normal form" in report.reason
+    assert "less the combination of steps [] does not reduce to zero" in report.reason
 
 
 def test_expand_unity_checks_recompute():
@@ -128,13 +130,14 @@ def test_generator_bounds_enforced():
 
 def test_every_rule_checks_generator_bounds():
     # Each step names u[6,1], outside C5, and is refused for that at its
-    # own step.  The LocalReduce and Substitution claims have equal sides
-    # and would otherwise pass their rules; a LemmaCom claim about u[6,1]
-    # cannot transport an in-range step, so there the reason is the test.
+    # own step.  The Combine claims have equal sides and would otherwise
+    # pass their rule, with or without terms; a LemmaCom claim about
+    # u[6,1] cannot transport an in-range step, so there the reason is
+    # the test.
     beyond = u(6, 1) * u(1, 1)
     cases = (
-        (ProofStep(0, beyond, beyond, LocalReduce()),),
-        (IDEM_STEP, ProofStep(1, beyond, beyond, Substitution(0, 0))),
+        (ProofStep(0, beyond, beyond, REDUCED),),
+        (IDEM_STEP, ProofStep(1, beyond, beyond, Combine(((0, 1), (0, -1))))),
         (IDEM_STEP, ProofStep(1, beyond, star(beyond), LemmaCom(0))),
     )
     for steps in cases:
@@ -145,14 +148,14 @@ def test_every_rule_checks_generator_bounds():
 
 # u[1,1]u[2,3] = u[2,3]u[1,1] on C5: both sides vanish, since rows 1, 2
 # are adjacent and columns 1, 3 are not, so the commutation reduces.
-COMM_STEP = ProofStep(0, u(1, 1) * u(2, 3), u(2, 3) * u(1, 1), LocalReduce())
+COMM_STEP = ProofStep(0, u(1, 1) * u(2, 3), u(2, 3) * u(1, 1), REDUCED)
 # Step 1 reverses that pair, cited under the identity's table entry
 # twice, at position 1 of a three-letter word.
 SWAP_LHS = u(4, 4) * u(1, 1) * u(2, 3)
 SWAP_STEP = ProofStep(1, SWAP_LHS, u(4, 4) * u(2, 3) * u(1, 1), Swap(0, 0, 0, 1))
 
 
-def test_relation_application_recomputed():
+def test_swap_recomputed():
     assert _steps_pass((COMM_STEP, SWAP_STEP))
     # Both orientations, and a sum whose every word holds the pair.
     back = ProofStep(1, SWAP_STEP.rhs, SWAP_LHS, Swap(0, 0, 0, 1))
@@ -175,12 +178,12 @@ def test_miscertified_commutation_rejected():
 
 
 # Steps the swap at the end may cite: a zero product, an ExpandUnity
-# and a Substitution, each true; none claims a commutation.
-ZERO_STEP = ProofStep(1, u(1, 1) * u(2, 3), Poly.zero(), LocalReduce())
+# and a Combine, each true; none claims a commutation.
+ZERO_STEP = ProofStep(1, u(1, 1) * u(2, 3), Poly.zero(), REDUCED)
 EXPAND_STEP = ProofStep(
     2, u(1, 1), expand_unity(u(1, 1), 1, 2, ROW, 5), ExpandUnity(1, 2, ROW)
 )
-SUBST_STEP = ProofStep(3, u(1, 1) * u(2, 3), u(1, 1) * u(2, 3), Substitution(0, 0, -1))
+COMBINE_STEP = ProofStep(3, u(1, 1) * u(2, 3), u(1, 1) * u(2, 3), Combine(((0, 1), (0, -1))))
 
 
 @pytest.mark.parametrize(
@@ -202,7 +205,7 @@ SUBST_STEP = ProofStep(3, u(1, 1) * u(2, 3), u(1, 1) * u(2, 3), Substitution(0, 
     ids=[
         "zero-product",
         "expand-unity",
-        "substitution",
+        "combine",
         "past-the-word",
         "far-past",
         "pair",
@@ -212,7 +215,7 @@ SUBST_STEP = ProofStep(3, u(1, 1) * u(2, 3), u(1, 1) * u(2, 3), Substitution(0, 
     ],
 )
 def test_swap_refused_at_its_own_step(just, reason):
-    prefix = (COMM_STEP, ZERO_STEP, EXPAND_STEP, SUBST_STEP)
+    prefix = (COMM_STEP, ZERO_STEP, EXPAND_STEP, COMBINE_STEP)
     assert _steps_pass(prefix)
     assert [claim_quadruple(s.lhs, s.rhs) for s in prefix] == [
         (COMMUTES, 1, 1, 2, 3), (ZERO_PRODUCT, 1, 1, 2, 3), None, None
@@ -223,10 +226,10 @@ def test_swap_refused_at_its_own_step(just, reason):
     assert reason in report.reason
 
 
-def test_star_of_step_checked():
+def test_unknown_rule_refused():
     # The star_of rule of format version 1 is gone: a step citing it is
     # refused as an unknown rule.
-    base = ProofStep(0, u(1, 2) * u(1, 3), Poly.zero(), LocalReduce())
+    base = ProofStep(0, u(1, 2) * u(1, 3), Poly.zero(), REDUCED)
     d = certificate_to_dict(_cert((base,)))
     d["steps"].append(
         {
@@ -241,41 +244,53 @@ def test_star_of_step_checked():
     assert "unknown justification rule 'star_of'" in str(exc.value)
 
 
-def test_substitution_accepts_rational_combinations():
-    # Exactly d_base + d_using or d_base - d_using; any other rational
-    # combination, even one in the span, is refused.
-    s0 = IDEM_STEP
-    s1 = ProofStep(1, u(2, 2) * u(2, 2), u(2, 2), LocalReduce())
+def test_combine_accepts_signed_combinations():
+    # Any +1/-1 combination of the cited differences, up to what local
+    # reduction sends to zero, and nothing else.  Unity expansions, so
+    # that no cited difference reduces to zero by itself.
+    s0 = ProofStep(0, u(1, 1), expand_unity(u(1, 1), 1, 2, ROW, 5), ExpandUnity(1, 2, ROW))
+    s1 = ProofStep(1, u(2, 2), expand_unity(u(2, 2), 1, 3, ROW, 5), ExpandUnity(1, 3, ROW))
     d0, d1 = s0.lhs - s0.rhs, s1.lhs - s1.rhs
-    plus = ProofStep(2, d0, -d1, Substitution(0, 1))
-    minus = ProofStep(3, d0, d1, Substitution(0, 1, -1))
-    assert _steps_pass((s0, s1, plus, minus))
-    double = ProofStep(2, 2 * d0 + d1, Poly.zero(), Substitution(0, 1))
-    report = _first_failure((s0, s1, double))
-    assert report.first_failure == 2
-    assert "that of step 0 plus that of step 1" in report.reason
+    assert not local_reduce(G5, d0).is_zero and not local_reduce(G5, d1).is_zero
+    plus = ProofStep(2, d0, -d1, Combine(((0, 1), (1, 1))))
+    minus = ProofStep(3, d0, d1, Combine(((0, 1), (1, -1))))
+    # u[1,2]u[1,3] reduces to zero, so it may be added to either side.
+    vanishing = u(1, 2) * u(1, 3)
+    modulo = ProofStep(4, d0 + vanishing, 3 * vanishing, Combine(((0, 1),)))
+    # The same step twice is twice its difference.
+    twice = ProofStep(5, 2 * d0, Poly.zero(), Combine(((0, 1), (0, 1))))
+    assert _steps_pass((s0, s1, plus, minus, modulo, twice))
+    double = ProofStep(2, 2 * d0 + d1, Poly.zero(), Combine(((0, 1), (1, 1))))
+    flipped = ProofStep(2, d0, d1, Combine(((0, 1), (1, 1))))
+    for bad in (double, flipped):
+        report = _first_failure((s0, s1, bad))
+        assert report.first_failure == 2
+        assert "less the combination of steps [0, 1] does not reduce to zero" in report.reason
 
 
-def test_substitution_rejects_outside_span():
+def test_combine_rejects_outside_the_span():
+    # u[1,1]u[1,1] - u[3,3] less d0 + d1 reduces to u[1,1] - u[3,3] - 0,
+    # and a combination of one cited step must match it exactly too.
     s0 = IDEM_STEP
-    s1 = ProofStep(1, u(2, 2) * u(2, 2), u(2, 2), LocalReduce())
-    s2 = ProofStep(2, u(1, 1) * u(1, 1), u(3, 3), Substitution(0, 1))
-    report = _first_failure((s0, s1, s2))
-    assert report.first_failure == 2
-    assert report.steps_checked == 2
-    assert "not that of step 0 plus that of step 1" in report.reason
+    s1 = ProofStep(1, u(2, 2) * u(2, 2), u(2, 2), REDUCED)
+    for terms in (((0, 1), (1, 1)), ((0, 1),), ((1, -1),)):
+        s2 = ProofStep(2, u(1, 1) * u(1, 1), u(3, 3), Combine(terms))
+        report = _first_failure((s0, s1, s2))
+        assert report.first_failure == 2
+        assert report.steps_checked == 2
+        assert f"combination of steps {[s for s, _ in terms]} does not reduce" in report.reason
 
 
 def test_lemma_com_requires_star_invariant_source():
     w = u(1, 2) * u(2, 3)
-    base = ProofStep(0, w, w, LocalReduce())
+    base = ProofStep(0, w, w, REDUCED)
     bad = ProofStep(1, w, star(w), LemmaCom(0))
     report = _first_failure((base, bad))
     assert "not star-invariant" in report.reason
 
 
 def test_lemma_com_checks_transport():
-    base = ProofStep(0, u(1, 1), u(1, 1), LocalReduce())
+    base = ProofStep(0, u(1, 1), u(1, 1), REDUCED)
     good = ProofStep(1, u(1, 1), star(u(1, 1)), LemmaCom(0))
     assert _steps_pass((base, good))
     bad = ProofStep(1, u(1, 1), u(2, 2), LemmaCom(0))
@@ -284,7 +299,7 @@ def test_lemma_com_checks_transport():
 
 
 # u[1,1]u[2,3] = 0: rows 1, 2 adjacent in C5, columns 1, 3 not.
-VANISH_STEP = ProofStep(0, u(1, 1) * u(2, 3), Poly.zero(), LocalReduce())
+VANISH_STEP = ProofStep(0, u(1, 1) * u(2, 3), Poly.zero(), REDUCED)
 # A swap transports the commutation it cites: COMM_STEP renamed under
 # the rotation of the rows (entry 1) and the identity (entry 0) claims
 # that u[2,1] and u[3,3] commute, and step 1 reverses them at position 1.
@@ -301,7 +316,7 @@ def _conclusion_reason(g, cert, claims, c, quad):
         return str(exc)
 
 
-def test_transport_needs_automorphisms():
+def test_swap_and_conclusion_need_automorphisms():
     assert _steps_pass((COMM_STEP, RENAMED_SWAP))
     # A swap and a conclusion cite a table entry, and the table is where
     # an entry is tested.  Renaming under SWAP_2_3 turns the zero product
@@ -317,7 +332,7 @@ def test_transport_needs_automorphisms():
         assert "not an automorphism of the graph" in report.reason
 
 
-def test_transport_checks_the_renamed_claim():
+def test_swap_checks_the_renamed_claim():
     assert _steps_pass((COMM_STEP, RENAMED_SWAP))
     for change, reason in (
         (dict(rhs=RENAMED_LHS), "not the left side with the pair at 1 reversed"),
@@ -354,7 +369,7 @@ _CITATION_FAULTS = [
 
 
 @pytest.mark.parametrize("cited, rows, cols, step_reason, reason", _CITATION_FAULTS)
-def test_transport_and_conclusion_refuse_a_citation_alike(cited, rows, cols, step_reason, reason):
+def test_swap_and_conclusion_refuse_a_citation_alike(cited, rows, cols, step_reason, reason):
     # Step 0 claims the commutation u[1,1]u[2,3] = u[2,3]u[1,1] and step
     # 1 a unity expansion, which no conclusion claims.  Renamed under the
     # rotation of the rows, step 0 gives the commutation of u[2,1] and
@@ -400,8 +415,9 @@ def test_random_mutations_rejected(c5_graph, c5_full_cert):
 
 def test_every_derivation_step_mutation_rejected(petersen_graph, petersen_full_cert):
     # Random mutation spreads over steps, conclusions and the table:
-    # apply every operator to every step as well, checking the prefix
-    # of the certificate that ends at that step.
+    # apply every operator to every step as well, several times, since
+    # each draws its word, index or citation at random, checking the
+    # prefix of the certificate that ends at that step.
     rng = random.Random(3)
     tried = 0
     table = petersen_full_cert.automorphisms
@@ -409,13 +425,14 @@ def test_every_derivation_step_mutation_rejected(petersen_graph, petersen_full_c
         prefix = petersen_full_cert.steps[: step.id + 1]
         cert = _cert(prefix, g=petersen_graph, automorphisms=table)
         for op in helpers.eligible_ops(step):
-            mutated = op(petersen_graph, step, cert, rng)
-            if mutated is None:
-                continue
-            mutant = _cert(prefix[:-1] + (mutated,), g=petersen_graph, automorphisms=table)
-            report = verify_certificate(petersen_graph, mutant)
-            assert not report.valid and report.first_failure == step.id, op.__name__
-            tried += 1
+            for _ in range(3):
+                mutated = op(petersen_graph, step, cert, rng)
+                if mutated is None:
+                    continue
+                mutant = _cert(prefix[:-1] + (mutated,), g=petersen_graph, automorphisms=table)
+                report = verify_certificate(petersen_graph, mutant)
+                assert not report.valid and report.first_failure == step.id, op.__name__
+                tried += 1
     assert tried >= 200
 
 
@@ -616,9 +633,9 @@ _JSON = st.recursive(
     | st.booleans()
     | st.integers(-2, 700)
     | st.sampled_from(["", "u[1,1]", "u[1,2]u[2,1]", "0", "commutes", "zero_product", "full", "qa5"])
-    | st.sampled_from(["local_reduce", "transport", "lemma_com", "substitution", "swap", "row"]),
+    | st.sampled_from(["local_reduce", "transport", "lemma_com", "combine", "swap", "row"]),
     lambda inner: st.lists(inner, max_size=5)
-    | st.dictionaries(st.sampled_from(["id", "step", "rows", "cols", "kind", "i", "rule"]), inner, max_size=3),
+    | st.dictionaries(st.sampled_from(["id", "step", "rows", "cols", "kind", "i", "rule", "terms"]), inner, max_size=3),
     max_leaves=8,
 )
 
