@@ -1,26 +1,27 @@
 """Proof certificates: justified equation steps and their conclusions.
 
 A certificate is a list of steps, each claiming that two polynomials
-are equal in the quotient algebra of a fixed graph, plus a list of
-conclusions naming the generator quadruples whose products commute or
-vanish, one per quadruple of the certificate's scope.  Each step
-carries a justification small enough to be rechecked from scratch, and
-so does each conclusion: its claim reduces to zero by itself, or is the
-claim of a cited step renamed under two entries of the certificate's
-table of graph automorphisms, which a swap cites the same way.  The
-verifier module rechecks all of it without trusting the producer.
+are equal in the quotient algebra of a fixed graph, a table of graph
+automorphisms, and a list of conclusions naming the generator
+quadruples whose products commute or vanish, one per quadruple of the
+certificate's scope.  Each step carries a justification small enough to
+be rechecked from scratch.  A conclusion carries only its kind and its
+quadruple: the verifier settles it on the orbit of that quadruple under
+the group the table generates, where a step claims it or its words
+reduce to it.  The verifier module rechecks all of it without trusting
+the producer.
 
 A conclusion is held as a Conclusion, a validated NamedTuple of its
-kind, its quadruple and the citation step, rows, cols or none.  The
-loader builds it straight from the JSON object, and the verifier and
-the spot check read its integers without building a polynomial; only
-Conclusion.claim does, for callers that want the equation.
+kind and its quadruple.  The loader builds it straight from the JSON
+object, and the verifier and the spot check read its integers without
+building a polynomial; only Conclusion.claim does, for callers that
+want the equation.
 
 A step's justification is one of four rules: expand_unity, swap,
 combine and lemma_com.  The rule table, _RULES, is where a rule's wire
-form is defined.  A swap cites a step and two table entries, as a
-conclusion does, and the position of the pair it reverses: the
-commutation that step claims, renamed.  A combine cites signed steps.
+form is defined.  A swap cites a step and two table entries, and the
+position of the pair it reverses: the commutation that step claims,
+renamed.  A combine cites signed steps.
 
 A Certificate is well formed however it is built: its scope is known,
 its step ids run 0, 1, ... in order, and each step cites only earlier
@@ -45,7 +46,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 from .algebra import COL, ROW, Poly, PolyParseError, format_poly, gen, parse_poly
 from .graphs import Graph, format_graph_text
 
-CERT_VERSION = 7
+CERT_VERSION = 8
 
 COMMUTES = "commutes"
 ZERO_PRODUCT = "zero_product"
@@ -132,43 +133,22 @@ def _check_index(value, what: str) -> None:
         raise MalformedCertificate(f"{what} must be a nonnegative integer, got {value!r}")
 
 
-def _check_conclusion_fields(kind, i, j, k, l, step, rows, cols) -> None:
-    """Raise MalformedCertificate, naming the first bad field, unless
-    the fields make a conclusion."""
-    if kind not in (COMMUTES, ZERO_PRODUCT):
-        raise MalformedCertificate(f"unknown conclusion kind {kind!r}")
-    for v in (i, j, k, l):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise MalformedCertificate(f"conclusion index must be a positive integer, got {v!r}")
-    for name, v in (("step", step), ("rows", rows), ("cols", cols)):
-        if v is not None:
-            _check_index(v, f"conclusion {name}")
-    if not (step is None) == (rows is None) == (cols is None):
-        raise MalformedCertificate("conclusion step, rows and cols come together")
-
-
 class _ConclusionFields(NamedTuple):
     kind: str
     i: int
     j: int
     k: int
     l: int
-    step: Optional[int] = None
-    rows: Optional[int] = None
-    cols: Optional[int] = None
 
 
 class Conclusion(_ConclusionFields):
     """Classification of one ordered generator pair (u[i,j], u[k,l]).
 
-    The claim justifies itself in one of two ways.  With no ``step``,
-    its two sides reduce to the same normal form.  With ``step``,
-    ``rows`` and ``cols``, which come together, it is that step's claim
-    with every u[a,b] renamed to u[rho(a),kappa(b)], where rho and
-    kappa are the certificate's automorphisms at those two indices; the
-    quadruple a step derives cites the identity's entry twice.
+    A conclusion cites nothing: the verifier settles it by the orbit of
+    its quadruple under the group that the certificate's automorphism
+    table generates.
 
-    A validated record: a tuple of the eight fields, so the verifier
+    A validated record: a tuple of the five fields, so the verifier
     unpacks it in one step.  Every way of building one, the constructor,
     ``_make`` and so ``_replace``, checks the fields, and refuses a bad
     one with MalformedCertificate.
@@ -176,21 +156,23 @@ class Conclusion(_ConclusionFields):
 
     __slots__ = ()
 
-    def __new__(cls, kind, i, j, k, l, step=None, rows=None, cols=None):
+    def __new__(cls, kind, i, j, k, l):
         # Fast path for exact ints, the only indices a JSON decoder
-        # gives; anything else gets the field-by-field checks.
+        # gives; anything else gets the field-by-field checks, which
+        # name the first bad field.
         if not (
             (kind == COMMUTES or kind == ZERO_PRODUCT)
             and type(i) is type(j) is type(k) is type(l) is int
             and i >= 1 and j >= 1 and k >= 1 and l >= 1
-            and (
-                step is rows is cols is None
-                or type(step) is type(rows) is type(cols) is int
-                and step >= 0 and rows >= 0 and cols >= 0
-            )
         ):
-            _check_conclusion_fields(kind, i, j, k, l, step, rows, cols)
-        return tuple.__new__(cls, (kind, i, j, k, l, step, rows, cols))
+            if kind not in (COMMUTES, ZERO_PRODUCT):
+                raise MalformedCertificate(f"unknown conclusion kind {kind!r}")
+            for v in (i, j, k, l):
+                if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                    raise MalformedCertificate(
+                        f"conclusion index must be a positive integer, got {v!r}"
+                    )
+        return tuple.__new__(cls, (kind, i, j, k, l))
 
     @classmethod
     def _make(cls, iterable) -> "Conclusion":
@@ -235,7 +217,8 @@ class Certificate:
     """Steps and conclusions for one graph.
 
     ``automorphisms`` holds the one-line images of the vertex
-    permutations that swaps and conclusions cite by index;
+    permutations that swaps cite by index, and that generate the group
+    whose orbits the conclusions are settled on;
     ``scope`` is FULL or QA5 and fixes which quadruples the conclusions
     must cover.  Building one, also by dataclasses.replace, makes
     ``steps`` and ``conclusions`` tuples and raises MalformedCertificate
@@ -372,13 +355,6 @@ def _parse_poly_field(text, what: str, parsed: dict[str, Poly]) -> Poly:
     return p
 
 
-def _conclusion_to_dict(c: Conclusion) -> dict:
-    d = {"kind": c.kind, "i": c.i, "j": c.j, "k": c.k, "l": c.l}
-    if c.step is not None:
-        d.update(step=c.step, rows=c.rows, cols=c.cols)
-    return d
-
-
 def certificate_to_dict(cert: Certificate) -> dict:
     # The prover shares Poly objects between steps; format each object
     # once.  Keys stay valid because cert keeps every object alive.
@@ -404,37 +380,20 @@ def certificate_to_dict(cert: Certificate) -> dict:
             }
             for s in cert.steps
         ],
-        "conclusions": [_conclusion_to_dict(c) for c in cert.conclusions],
+        "conclusions": [c._asdict() for c in cert.conclusions],
     }
 
 
-# A conclusion justified by local_reduce, or by a cited step renamed
-# under two table entries.
-_CONCLUSION_FIELDS = (
-    frozenset({"kind", "i", "j", "k", "l"}),
-    frozenset({"kind", "i", "j", "k", "l", "step", "rows", "cols"}),
-)
+_CONCLUSION_FIELDS = frozenset(Conclusion._fields)
 
 
 def _conclusion_from_dict(cd, idx: int) -> Conclusion:
-    # A field that is present holds a value: null is never a stand-in
-    # for an absent step.
-    if not isinstance(cd, dict) or cd.keys() not in _CONCLUSION_FIELDS or None in cd.values():
+    if not isinstance(cd, dict) or cd.keys() != _CONCLUSION_FIELDS:
         raise MalformedCertificate(
-            f"conclusion {idx} must be an object with the fields kind, i, j, k, l"
-            " and optionally step, rows and cols"
+            f"conclusion {idx} must be an object with exactly the fields kind, i, j, k, l"
         )
     try:
-        return Conclusion(
-            cd["kind"],
-            cd["i"],
-            cd["j"],
-            cd["k"],
-            cd["l"],
-            cd.get("step"),
-            cd.get("rows"),
-            cd.get("cols"),
-        )
+        return Conclusion(cd["kind"], cd["i"], cd["j"], cd["k"], cd["l"])
     except MalformedCertificate as exc:
         raise MalformedCertificate(f"conclusion {idx}: {exc}") from None
 

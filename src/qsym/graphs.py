@@ -170,6 +170,33 @@ def is_automorphism(g: Graph, images) -> bool:
     return True
 
 
+def pair_orbits(table, n: int) -> dict:
+    """Map each ordered pair of vertices 1..n to (least, via): the least
+    pair of its orbit under the group the permutations of ``table``
+    generate, and None for that pair itself, else (p, t) for an earlier
+    pair p of the orbit that entry t sends to it, so that following
+    ``via`` back spells out an element sending the least pair to it.
+
+    Each entry has finite order, so closing forward under the entries
+    reaches the whole orbit.  Pairs are met in lexicographic order, and
+    only lists are iterated, so the result is independent of hash order.
+    """
+    vs = range(1, n + 1)
+    out: dict = {}
+    for least in [(a, b) for a in vs for b in vs]:
+        if least in out:
+            continue
+        out[least] = (least, None)
+        frontier = [least]
+        for a, b in frontier:  # grows while it is read
+            for t, images in enumerate(table):
+                image = (images[a - 1], images[b - 1])
+                if image not in out:
+                    out[image] = (least, ((a, b), t))
+                    frontier.append(image)
+    return out
+
+
 def from_edge_list(n: int, edge_list) -> Graph:
     """Build a graph on 1..n from an iterable of (u, v) pairs."""
     rows = [[False] * n for _ in range(n)]

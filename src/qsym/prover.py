@@ -20,15 +20,16 @@ shuffle factors.  Third, the remaining quadruples, which vanish or
 commute directly by the defining relations.
 
 The first two layers derive one quadruple per orbit of Aut x Aut,
-acting by automorphisms on rows and columns separately.  Every
-commuting conclusion of those layers cites its orbit's derivation and
-two entries of the certificate's automorphism table under which the
-derived claim is renamed to its own, the identity's entry twice for
-the derived quadruple itself; the third layer's conclusions reduce to
-zero by themselves and cite no step.  A swap cites the commutation it
-uses the same way, so a renamed commutation is never restated as a
-step of its own.  ProofBuilder lists each table entry once, by first
-use.
+acting by automorphisms on rows and columns separately: the orbit of
+(i,j,k,l) is the product of the orbits of the pairs (i,k) and (j,l),
+which graphs.pair_orbits computes from Aut's generators, as the
+verifier does from the certificate's table.  A conclusion is its kind
+and quadruple alone, and the verifier settles it on its orbit.  A swap
+cites the commutation it uses as its orbit's derivation and two group
+elements that rename the derived quadruple to the one it needs, so a
+renamed commutation is never restated as a step of its own.  The table
+lists Aut's generators first, then each element a swap cites, once, by
+first use.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .certificate import (
     graph_digest,
     scope_quadruples,
 )
-from .graphs import Graph, MooreReport, check_moore_conditions
+from .graphs import Graph, MooreReport, check_moore_conditions, pair_orbits
 from .relations import local_reduce, swap_pair
 
 # The cross-term kill in the non-edge derivation relies on at most one
@@ -86,12 +87,17 @@ def _single_word(p: Poly):
 
 class ProofBuilder:
     """Accumulates proof steps with sequential ids for one graph, and
-    the automorphism table that swaps and conclusions cite."""
+    the automorphism table: ``generators`` of a group of automorphisms,
+    then what swaps cite.  The pair orbits are those of that group."""
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, generators=()):
         self.graph = g
         self.steps: list[ProofStep] = []
+        self.generators = tuple(generators)
         self.automorphisms: dict[tuple[int, ...], int] = {}
+        for images in self.generators:
+            self.automorphism(images)
+        self.orbits = pair_orbits(self.generators, g.n)
 
     def add(self, lhs: Poly, rhs: Poly, justification) -> int:
         sid = len(self.steps)
@@ -142,6 +148,24 @@ class ProofBuilder:
     def automorphism(self, images: tuple[int, ...]) -> int:
         """The table index of an automorphism, listing it on first use."""
         return self.automorphisms.setdefault(images, len(self.automorphisms))
+
+    def transversal(self, pair) -> tuple[tuple[int, int], tuple[int, ...]]:
+        """The least pair of pair's orbit, and a group element, in
+        one-line form, that sends the least pair to pair."""
+        least, via = self.orbits[pair]
+        sigma = tuple(self.graph.vertices())
+        while via is not None:  # sigma after the generators that reach pair
+            pair, t = via
+            sigma = tuple(sigma[v - 1] for v in self.generators[t])
+            via = self.orbits[pair][1]
+        return least, sigma
+
+    def cite(self, family: dict, r1: int, c1: int, r2: int, c2: int) -> tuple:
+        """(sid, rows, cols) for a swap of u[r1,c1] and u[r2,c2]: the
+        step of ``family`` that derives the orbit of (r1, c1, r2, c2),
+        and the elements that rename its quadruple to that one."""
+        (rows, rho), (cols, kappa) = self.transversal((r1, r2)), self.transversal((c1, c2))
+        return family[rows, cols], rho, kappa
 
 
 def _require_hypotheses(g: Graph) -> None:
@@ -195,52 +219,24 @@ def _derive_edge_edge(bld: ProofBuilder, r1: int, c1: int, r2: int, c2: int) -> 
     return bld.lemma_com(bld.add(x0, palindrome, Combine(tuple(terms))))
 
 
-def _orbit_maps(pairs, symmetries) -> dict:
-    """Map each vertex pair to the first pair of its orbit and the first
-    symmetry sending that pair onto it.
-
-    ``pairs`` must be closed under ``symmetries``, which must list the
-    identity first, so each first pair maps to itself by the identity.
-    """
-    out = {}
-    for p in sorted(pairs):
-        if p in out:
-            continue
-        for sigma in symmetries:
-            out.setdefault((sigma[p[0] - 1], sigma[p[1] - 1]), (p, sigma))
-    return out
-
-
-def _derive_family(bld: ProofBuilder, pairs, symmetries, derive) -> dict:
-    """How to certify commutation of every quadruple (r1, c1, r2, c2)
-    with (r1, r2) and (c1, c2) in ``pairs``, keyed by the quadruple.
+def _derive_family(bld: ProofBuilder, pairs, derive) -> dict:
+    """Derive the commutation of one quadruple (r1, c1, r2, c2) per
+    orbit of Aut x Aut with (r1, r2) and (c1, c2) in ``pairs``, which
+    must be closed under the builder's group.  Returns the step ids of
+    the derivations keyed by the orbit's least row pair and least column
+    pair, as ProofBuilder.cite reads them.
 
     Aut x Aut acts on the rows and the columns separately, so an orbit
     of quadruples is an orbit of row pairs times an orbit of column
-    pairs.  ``derive(bld, r1, c1, r2, c2)`` certifies the first
-    quadruple of each orbit and returns its step id.  Each quadruple
-    maps to (step id, rho, kappa): the derivation of its orbit and the
-    first symmetries that rename that claim to its own, two identities
-    for the first quadruple itself.
+    pairs.  ``derive(bld, r1, c1, r2, c2)`` certifies the quadruple made
+    of the two least pairs and returns its step id.
     """
-    orbit = _orbit_maps(pairs, symmetries)
-    ordered = sorted(orbit)
-    derived = {}
-    table = {}
-    for r1, r2 in ordered:
-        (q1, q2), sigma = orbit[(r1, r2)]
-        for c1, c2 in ordered:
-            (d1, d2), tau = orbit[(c1, c2)]
-            rep = (q1, d1, q2, d2)
-            if rep not in derived:
-                derived[rep] = derive(bld, *rep)
-            table[(r1, c1, r2, c2)] = (derived[rep], sigma, tau)
-    return table
-
-
-def _derive_all_edge_edge(bld: ProofBuilder, symmetries) -> dict:
-    """How to certify commutation of every quadruple of two directed edges."""
-    return _derive_family(bld, bld.graph.directed_edges(), symmetries, _derive_edge_edge)
+    least = [p for p in sorted(pairs) if bld.orbits[p][0] == p]
+    return {
+        (rows, cols): derive(bld, rows[0], cols[0], rows[1], cols[1])
+        for rows in least
+        for cols in least
+    }
 
 
 def _kill_extra_neighbor(
@@ -270,8 +266,8 @@ def _kill_extra_neighbor(
     t_word = monomial(((r1, c1), (s, t), (r2, c2), (r1, q)))
     if local_reduce(g, expanded) != a_word + t_word:
         raise AssertionError("inner expansion has unexpected survivors")
-    _, z2 = bld.swap(a_word, edge_edge[(s, t, r2, c1)], 1)
-    _, z3 = bld.swap(g3, edge_edge[(r1, c1, s, t)], 0)
+    _, z2 = bld.swap(a_word, bld.cite(edge_edge, s, t, r2, c1), 1)
+    _, z3 = bld.swap(g3, bld.cite(edge_edge, r1, c1, s, t), 0)
     return [(z1, -1), (z2, -1), (z3, 1)]
 
 
@@ -281,10 +277,8 @@ def _derive_nonedge(
     """Certify u[r1,c1]u[r2,c2] = u[r2,c2]u[r1,c1] for two non-adjacent pairs.
 
     Uses the unique common neighbor s of the rows and t of the columns.
-    ``edge_edge`` maps each edge-edge quadruple to (step id, rows, cols):
-    a step whose claim, renamed under those two automorphisms, is the
-    commutation of that quadruple.  Returns the id of the final
-    commutation step.
+    ``edge_edge`` is the edge-edge family, as _derive_family returns it.
+    Returns the id of the final commutation step.
     """
     g = bld.graph
     s = _unique_common_neighbor(g, r1, r2)
@@ -300,7 +294,7 @@ def _derive_nonedge(
     # Swing u[s,t] to the right, expand a trailing row-r1 unity, and
     # swing it back: x0 equals the sum over the neighbors p of t of
     # u[r1,c1]u[s,t]u[r2,c2]u[r1,p].
-    bridge = edge_edge[(s, t, r2, c2)]
+    bridge = bld.cite(edge_edge, s, t, r2, c2)
     w2, p2 = bld.swap(w1, bridge, 1)
     expanded, p3 = bld.expand_row(w2, 3, r1)
     rest, p4 = bld.swap(local_reduce(g, expanded), bridge, 1)
@@ -328,35 +322,27 @@ def _derive_nonedge(
     return bld.lemma_com(bld.add(x0, y, Combine(tuple(terms))))
 
 
+def _kind(adj1, i: int, j: int, k: int, l: int) -> str:
+    """The kind of the quadruple's conclusion, from adjacency alone."""
+    if (i, j) != (k, l) and (i == k or j == l or bool(adj1[i][k]) != bool(adj1[j][l])):
+        return ZERO_PRODUCT
+    return COMMUTES
+
+
 def _prove(g: Graph, scope: str) -> Certificate:
     """The certificate of either scope: derive the edge-edge family, and
     for FULL the non-edge family, then conclude on each quadruple of the
     scope in order."""
     _require_hypotheses(g)
-    bld = ProofBuilder(g)
-    symmetries = automorphism_group(g).elements
-    adj1 = g.adj1
-    commuting = edge_edge = _derive_all_edge_edge(bld, symmetries)
+    bld = ProofBuilder(g, automorphism_group(g).generators)
+    edge_edge = _derive_family(bld, g.directed_edges(), _derive_edge_edge)
     if scope == FULL:
         vs = g.vertices()
-        nonedges = [(a, b) for a in vs for b in vs if a != b and not adj1[a][b]]
-        commuting = edge_edge | _derive_family(
-            bld,
-            nonedges,
-            symmetries,
-            lambda bld, r1, c1, r2, c2: _derive_nonedge(bld, r1, c1, r2, c2, edge_edge),
+        nonedges = [(a, b) for a in vs for b in vs if a != b and not g.adj1[a][b]]
+        _derive_family(
+            bld, nonedges, lambda bld, *quad: _derive_nonedge(bld, *quad, edge_edge)
         )
-    conclusions = []
-    for quad in scope_quadruples(g, scope):
-        i, j, k, l = quad
-        if i == k and j == l:
-            conclusions.append(Conclusion(COMMUTES, *quad))
-        elif i == k or j == l or bool(adj1[i][k]) != bool(adj1[j][l]):
-            conclusions.append(Conclusion(ZERO_PRODUCT, *quad))
-        else:
-            sid, rows, cols = commuting[quad]
-            r, c = bld.automorphism(rows), bld.automorphism(cols)
-            conclusions.append(Conclusion(COMMUTES, *quad, sid, r, c))
+    conclusions = [Conclusion(_kind(g.adj1, *quad), *quad) for quad in scope_quadruples(g, scope)]
     return Certificate(graph_digest(g), scope, tuple(bld.automorphisms), bld.steps, conclusions)
 
 

@@ -52,17 +52,17 @@ def sanity_eval(g: Graph, cert: Certificate, trials: int, seed: int = 0) -> Sani
     At sigma only the n generators u[sigma(j),j] are 1.  A zero-product
     claim is the word u[i,j]u[k,l] with coefficient 1 against zero, so
     the index files each zero-product conclusion under its word, built
-    from (i, j, k, l) with no polynomial.  A trial then looks up the n^2
-    ordered pairs of those generators, a generator paired with itself
-    included: every conclusion filed there evaluates to 1 and fails,
-    and every other one evaluates to 0.
+    from its five fields (kind, i, j, k, l) with no polynomial.  A
+    trial then looks up the n^2 ordered pairs of those generators, a
+    generator paired with itself included: every conclusion filed there
+    evaluates to 1 and fails, and every other one evaluates to 0.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     group = automorphism_group(g)
     n = g.n
     by_word: dict[Word, list[int]] = {}
-    for idx, (kind, i, j, k, l, *_) in enumerate(cert.conclusions):
+    for idx, (kind, i, j, k, l) in enumerate(cert.conclusions):
         if max(i, j, k, l) > n:
             r, c = (i, j) if max(i, j) > n else (k, l)
             raise ValueError(f"generator u[{r},{c}] out of range for n={n}")

@@ -1,92 +1,78 @@
 """Independent rechecking of commutativity certificates.
 
 The checker shares only the algebra primitives, the certificate's
-scope order and the graph's automorphism test with the prover; it
-imports nothing of the automorphism search.  Each step is reverified
-from its justification and earlier steps, never from how the prover
-happened to emit it.  Every rule is a lookup, not a search: the
-justification names the cited steps and their coefficients, so each
-check is an exact recomputation, an equality or one local reduction.
+scope order, the graph's automorphism test and the pair orbit function
+with the prover; it imports nothing of the automorphism search.  Every
+rule is a lookup, not a search: a justification names what it cites,
+so each check is an exact recomputation, an equality or one local
+reduction.  The checker reads the table, then the steps in id order,
+then the conclusions in scope order, and an invalid report names the
+first failing table entry, step or conclusion.  That each step cites
+only earlier ones is a Certificate's invariant; the only exception
+verify_certificate raises is DigestMismatch, for another graph's
+certificate.  A rule's claim holds in the quotient when the claims it
+cites do, so by induction every checked claim holds.
 
-Steps are checked in id order, and a rule's claim holds in the quotient
-when the claims it cites do, so by induction every checked claim holds.
-That each step cites only earlier ones is a Certificate's invariant,
-not a check here; the only exception verify_certificate raises is
-DigestMismatch, for another graph's certificate.  Defects of content
-produce an invalid report whose location names the first failing table
-entry, step or conclusion, in that order of checking.
-
-Each conclusion's claim is rechecked from its own justification: its
-difference reduces to zero, or it equals the claim of a cited step
-renamed under two entries of the certificate's automorphism table.
-The conclusions must name the quadruples of the certificate's scope in
-lexicographic order, each exactly once, so a valid full certificate
-classifies every ordered generator pair and proves the quantum
-automorphism algebra commutative.
-
-A swap reverses a pair whose commutation an earlier step claims,
-renamed under two entries rho and kappa of the automorphism table as a
-conclusion that cites a step is.  _renamed, the checker's only
-renaming, maps a claim decoded by claim_quadruple, (kind, a, b, c, d),
-to (kind, rho(a), kappa(b), rho(c), kappa(d)) on integers, and refuses
-an entry the table lacks.  Every entry is checked, once and before any
-step, to be a permutation of 1..n that is an automorphism of the graph.
-Renaming every u[i,j] to u[rho(i),kappa(j)] acts letter by letter, so
-it is an invertible algebra map of the free *-algebra that commutes
-with star.  It sends each defining relation instance to another:
-orthogonality, idempotence and self-adjointness to their renamed
-instances, a row or column unity sum to another such sum, and each
-adjacency vanishing instance, picked out by adjacency of its rows and
-non-adjacency of its columns or the reverse, to another, since
-automorphisms preserve both.  So the renaming is a *-automorphism of
-the quotient, and a claim that holds there holds renamed; under a
+Every table entry is checked, before any step, to be a permutation of
+1..n that is an automorphism of the graph.  Renaming every u[i,j] to
+u[rho(i),kappa(j)], for automorphisms rho and kappa, acts letter by
+letter, so it is an invertible algebra map of the free *-algebra that
+commutes with star.  It sends each defining relation instance to
+another: orthogonality, idempotence and self-adjointness to their
+renamed instances, a row or column unity sum to another such sum, and
+each adjacency vanishing instance, picked out by adjacency of its rows
+and non-adjacency of its columns or the reverse, to another, since
+automorphisms preserve both.  So it is a *-automorphism of the
+quotient, and a claim that holds there holds renamed; under a
 permutation that is not an automorphism it can fail, and the entry is
-refused.  Comparing tuples is comparing the renamed polynomials:
-renaming is injective on words, keeps coefficients, commutes with
-reversal and fixes zero, and Conclusion.claim is injective in (kind,
-quadruple).
+refused.  Products of entries are automorphisms too, so this holds for
+any two elements of the group G that the table generates.
 
-Commutation is not a defining relation: the step a swap cites is
-checked first, and its renamed claim must be u[a,b]u[c,d] =
-u[c,d]u[a,b], so it holds in the quotient.  Multiplying it on the left
-and right by the rest of a word, and summing with the coefficients of
-lhs, gives lhs = rhs exactly when rhs is lhs with the pair at the
-swap's position reversed in every word, and that pair is u[a,b]u[c,d]
-or u[c,d]u[a,b] in every word.  That is all the rule checks.
+A swap reverses a pair whose commutation an earlier, checked step
+claims, renamed under two table entries: claim_quadruple decodes that
+claim into (kind, a, b, c, d), and the renaming on integers, (kind,
+rho(a), kappa(b), rho(c), kappa(d)), is the polynomial renaming, which
+is injective on words, keeps coefficients, commutes with reversal and
+fixes zero.  Multiplying the renamed commutation on the left and right
+by the rest of a word, and summing with the coefficients of lhs, gives
+lhs = rhs exactly when rhs is lhs with that pair reversed at the swap's
+position in every word.  That is all the rule checks.
 
 A combine is accepted when D = lhs - rhs - sum of c * (lhs_s - rhs_s)
 over its terms (s, c) has local_reduce zero.  local_reduce is linear
 and rewrites only by defining relations, so D - local_reduce(D) lies in
 the ideal they generate, and then so does D; the cited differences lie
-in it since their steps were checked first, and so does lhs - rhs.
+in it since their steps were checked first, and so does lhs - rhs.  D
+is summed in one dictionary, in time linear in the cited terms.
 
-A conclusion with no step is decided on words.  Its claim is the word
-u[i,j]u[k,l] with coefficient 1 against its reverse u[k,l]u[i,j] with
-coefficient 1 (a commutation), or against zero (a zero product).
-local_reduce rewrites each word of lhs - rhs to its normal form, or
-drops it when it rewrites to zero, and adds the coefficients of equal
-normal forms.  A zero product's difference therefore reduces to zero
-exactly when its word rewrites to zero.  A commutation's difference
-reduces to zero exactly when the word and its reverse have the same
-normal form or both rewrite to zero: the coefficients 1 and -1 then
-cancel or vanish, and otherwise a term survives; when i = k and j = l
-the word is its own reverse and the difference is zero already.
-_reduce_word gives that normal form of one word, or None for zero, so
-comparing its results for (u[i,j], u[k,l]) and (u[k,l], u[i,j]), or
-testing the first for None, is the check local_reduce makes, without
-building either polynomial.
+The conclusions must name the quadruples of the scope in lexicographic
+order, each exactly once, so a valid full certificate classifies every
+ordered generator pair and proves the algebra commutative.  A
+conclusion cites nothing.  G x G renames rows and columns separately,
+so the orbit of (i,j,k,l) is orbit(i,k) x orbit(j,l), a product of two
+orbits of G on ordered vertex pairs, and a claim that holds at one
+quadruple of a product holds at all of it.  Each (kind, product) is
+decided once: by a checked step whose claim_quadruple is of that kind
+and lies in the product, or else on words at the product's first
+quadruple.  There the claim is u[i,j]u[k,l] against its reverse (a
+commutation) or against zero (a zero product), and local_reduce of its
+difference is zero exactly when the word rewrites to zero, or when the
+word and its reverse have the same normal form or both rewrite to zero.
+_reduce_word gives a word's normal form, or None for zero, so comparing
+two results, or testing one for None, is that check without building a
+polynomial.  A table that generates only part of Aut gives finer
+orbits, which need more steps and never settle a false claim.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
-from .algebra import check_gen_bounds, expand_unity, gen, star
+from .algebra import Poly, check_gen_bounds, expand_unity, gen, star
 from .certificate import (
     COMMUTES,
     ZERO_PRODUCT,
     Certificate,
-    Conclusion,
     Combine,
     ExpandUnity,
     LemmaCom,
@@ -96,7 +82,7 @@ from .certificate import (
     graph_digest,
     scope_quadruples,
 )
-from .graphs import Graph, is_automorphism
+from .graphs import Graph, is_automorphism, pair_orbits
 from .relations import _reduce_word, local_reduce, swap_pair
 
 
@@ -116,20 +102,6 @@ class VerificationReport(NamedTuple):
     location: Optional[str] = None
 
 
-def _renamed(table, claim, rows: int, cols: int):
-    """A decoded claim, or None, renamed under table entries ``rows``
-    and ``cols``.  Raises ValueError, which callers report as the
-    reason, for an entry the table lacks."""
-    for t in (rows, cols):
-        if t >= len(table):
-            raise ValueError(f"cites missing automorphism {t}")
-    if claim is None:
-        return None
-    kind, a, b, c, d = claim
-    rho, kappa = table[rows], table[cols]
-    return kind, rho[a - 1], kappa[b - 1], rho[c - 1], kappa[d - 1]
-
-
 def _check_step(g: Graph, cert: Certificate, step: ProofStep) -> Optional[str]:
     """Recheck one step of cert; returns a failure reason or None.
 
@@ -146,20 +118,27 @@ def _check_step(g: Graph, cert: Certificate, step: ProofStep) -> Optional[str]:
             return "right side is not the stated unity expansion of the left"
         return None
     if isinstance(just, Swap):
+        table = cert.automorphisms
+        for t in (just.rows, just.cols):
+            if t >= len(table):
+                return f"cites missing automorphism {t}"
         ref = steps[just.step]
         cited = claim_quadruple(ref.lhs, ref.rhs)
-        cited = _renamed(cert.automorphisms, cited, just.rows, just.cols)
         if cited is None or cited[0] != COMMUTES:
             return f"step {just.step} claims no commutation of two generators"
         _, a, b, c, d = cited
-        if step.rhs != swap_pair(step.lhs, just.position, gen(a, b), gen(c, d)):
+        rho, kappa = table[just.rows], table[just.cols]
+        pair = gen(rho[a - 1], kappa[b - 1]), gen(rho[c - 1], kappa[d - 1])
+        if step.rhs != swap_pair(step.lhs, just.position, *pair):
             return f"right side is not the left side with the pair at {just.position} reversed"
         return None
     if isinstance(just, Combine):
-        d = step.lhs - step.rhs
-        for s, c in just.terms:
-            d = d - c * (steps[s].lhs - steps[s].rhs)
-        if not local_reduce(g, d).is_zero:
+        d: dict = {}
+        for ref, k in [(step, 1)] + [(steps[s], -c) for s, c in just.terms]:
+            for side, sign in ((ref.lhs, k), (ref.rhs, -k)):
+                for w, coeff in side.terms.items():
+                    d[w] = d.get(w, 0) + sign * coeff
+        if not local_reduce(g, Poly._from_dict({w: c for w, c in d.items() if c})).is_zero:
             cited = [s for s, _ in just.terms]
             return f"lhs - rhs less the combination of steps {cited} does not reduce to zero"
         return None
@@ -173,34 +152,39 @@ def _check_step(g: Graph, cert: Certificate, step: ProofStep) -> Optional[str]:
     return f"unknown justification {type(just).__name__}"
 
 
-def _check_conclusion(
-    g: Graph, cert: Certificate, claims: Sequence, concl: Conclusion, quad
-) -> Optional[str]:
-    """Recheck one conclusion, whose place in the scope is that of
-    ``quad``; returns a failure reason or None.
+def _coverage(g: Graph, cert: Certificate) -> Callable[..., bool]:
+    """holds(kind, i, j, k, l): whether that claim holds on the product
+    of the orbits of (i, k) and (j, l) under the group cert's table
+    generates, for vertices i, j, k, l of g.  Call it only once the
+    table and every step are checked.
 
-    ``claims`` holds claim_quadruple of every step, by id, and is only
-    read for a step that was checked.  Raises ValueError, which the
-    caller reports as the reason, for a missing table entry.
+    Each (kind, product) is decided once: the products that a step
+    claims are filled in first, and any other is decided on words at
+    its first quadruple when it is first asked for.
     """
-    kind, i, j, k, l, step, rows, cols = concl
-    if (i, j, k, l) != quad:
-        return "is out of place: quadruple {},{},{},{} belongs here".format(*quad)
-    if step is None:
-        a, b = gen(i, j), gen(k, l)
-        ab = _reduce_word(g.adj1, g.n, (a, b))
-        if kind == ZERO_PRODUCT:
-            holds = ab is None
-        else:
-            holds = ab == _reduce_word(g.adj1, g.n, (b, a))
-        if not holds:
-            return "does not reduce to zero"
-        return None
-    if step >= len(claims):
-        return f"cites missing step {step}"
-    if _renamed(cert.automorphisms, claims[step], rows, cols) != (kind, i, j, k, l):
-        return f"is not the renaming of step {step} under automorphisms {rows} and {cols}"
-    return None
+    orbits = pair_orbits(cert.automorphisms, g.n)
+
+    def product(kind, i, j, k, l):
+        return kind, orbits[i, k][0], orbits[j, l][0]
+
+    claims = [claim_quadruple(step.lhs, step.rhs) for step in cert.steps]
+    verdicts = {product(*claim): True for claim in claims if claim is not None}
+
+    def holds(kind, i, j, k, l) -> bool:
+        key = product(kind, i, j, k, l)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            _, (i, k), (j, l) = key  # the product's first quadruple
+            a, b = gen(i, j), gen(k, l)
+            ab = _reduce_word(g.adj1, g.n, (a, b))
+            if kind == ZERO_PRODUCT:
+                verdict = ab is None
+            else:
+                verdict = ab == _reduce_word(g.adj1, g.n, (b, a))
+            verdicts[key] = verdict
+        return verdict
+
+    return holds
 
 
 def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
@@ -239,25 +223,26 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
                 reason=reason,
             )
 
-    claims = [claim_quadruple(step.lhs, step.rhs) for step in steps]
+    holds = _coverage(g, cert)
     quads = scope_quadruples(g, cert.scope)
     conclusions = cert.conclusions
     for idx, (concl, quad) in enumerate(zip(conclusions, quads)):
-        try:
-            reason = _check_conclusion(g, cert, claims, concl, quad)
-        except ValueError as exc:
-            reason = str(exc)
-        if reason is not None:
-            return VerificationReport(
-                valid=False,
-                steps_checked=len(steps),
-                conclusions_checked=idx,
-                location=f"conclusion {idx}",
-                reason=(
-                    f"conclusion {idx} ({concl.kind} {concl.i},{concl.j},"
-                    f"{concl.k},{concl.l}) {reason}"
-                ),
-            )
+        if concl[1:] != quad:
+            reason = "is out of place: quadruple {},{},{},{} belongs here".format(*quad)
+        elif not holds(*concl):
+            reason = "holds neither by a step nor by reduction on its orbit product"
+        else:
+            continue
+        return VerificationReport(
+            valid=False,
+            steps_checked=len(steps),
+            conclusions_checked=idx,
+            location=f"conclusion {idx}",
+            reason=(
+                f"conclusion {idx} ({concl.kind} {concl.i},{concl.j},"
+                f"{concl.k},{concl.l}) {reason}"
+            ),
+        )
     n_quads = sum(1 for _ in scope_quadruples(g, cert.scope))
     if len(conclusions) != n_quads:
         idx = min(len(conclusions), n_quads)

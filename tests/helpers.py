@@ -1,4 +1,5 @@
-"""Shared test utilities: an independent big graph and certificate mutation.
+"""Shared test utilities: an independent big graph, certificate
+mutation, and a Poly reference for the verdicts on conclusions.
 
 The mutation operators only produce changes that genuinely alter the
 meaning of the chosen step, conclusion or automorphism table entry, so
@@ -8,28 +9,29 @@ c * d_s over its terms (s, c), must have local_reduce zero.  That
 reduction drops every word that rewrites to zero, so a change to a side
 can leave it at zero; every Combine operator, a side change, a junk
 term, a retargeted term or a flipped coefficient, is guarded so that
-the mutant's difference no longer reduces to zero.  A Swap and a
-conclusion that cites a step both cite it under two automorphism table
-indices, and share the citation operators: a new step, or the two
-indices swapped, is guarded so that the citation no longer gives the
-claim, and a table index past the end is refused whatever the claim.
-A Swap is checked as an exact equality with its left side, the renamed
-pair reversed; that reversal kills no term and is injective on the
-polynomials it accepts, so any change to either side is rejected, and
-a new position is guarded so that the reversed left side differs from
+the mutant's difference no longer reduces to zero.  A Swap cites a step
+under two automorphism table indices: a new step, or the two indices
+swapped, is guarded so that the citation no longer gives the claim, and
+a table index past the end is refused whatever the claim.  A Swap is
+checked as an exact equality with its left side, the renamed pair
+reversed; that reversal kills no term and is injective on the
+polynomials it accepts, so any change to either side is rejected, and a
+new position is guarded so that the reversed left side differs from
 the right or cannot be formed.
 
-A conclusion is checked for its place in the scope's quadruple order
-and for its claim: moving, dropping or duplicating one puts a wrong
-quadruple at a known position, and a flipped kind or a bare
-local_reduce justification is guarded so that the claim no longer
-follows.  A table entry that is not an automorphism is refused
-whatever cites it.
+A conclusion is its kind and quadruple alone, checked for its place in
+the scope's quadruple order and for its claim: moving, dropping or
+duplicating one puts a wrong quadruple at a known position, and a
+flipped kind is guarded so that the claim no longer holds by the
+reference, conclusion_follows.  A table entry that is not an
+automorphism is refused whatever cites it.
 
 A step operator takes the graph, the step, the certificate whose steps
 and table it may cite, and a random source, as the verifier's
 _check_step does.  The reference for a renamed claim is relabel on
-polynomials, not the verifier's renaming of integer quadruples.
+polynomials, not the verifier's renaming of integer quadruples, and
+the reference group is the closure of the table under composition,
+not the verifier's pair orbits.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from qsym import (
     ExpandUnity,
     LemmaCom,
     Poly,
-    ProofStep,
     Swap,
     ZERO_PRODUCT,
     COMMUTES,
@@ -275,12 +276,7 @@ def _retarget_lemma(g, step, cert, rng):
     return dataclasses.replace(step, justification=LemmaCom(ref))
 
 
-def _renaming_follows(cert, cite, lhs, rhs):
-    """Whether lhs = rhs is the claim that the citation gives."""
-    return _renamed_claim(cert, cite) == (lhs, rhs)
-
-
-# Citation operators, shared by swaps and conclusions: each
+# Citation operators for swaps: each
 # takes a citation (step, rows, cols), the number of steps it may cite,
 # the table, whether a citation follows for the same claim, and a random
 # source; it returns the mutated citation, or None where it finds none
@@ -362,12 +358,62 @@ def eligible_ops(step):
     raise AssertionError(f"unknown justification {just!r}")
 
 
-def _conclusion_follows(g, cert, c) -> bool:
-    """Whether c's claim follows from its justification, its place aside."""
+def closure(table, n):
+    """Every element of the group that the permutations of ``table``
+    generate, by closing the identity under composition with them."""
+    elements = [tuple(range(1, n + 1))]
+    seen = set(elements)
+    for sigma in elements:  # grows while it is read
+        for t in table:
+            image = tuple(t[v - 1] for v in sigma)
+            if image not in seen:
+                seen.add(image)
+                elements.append(image)
+    return elements
+
+
+def _key(lhs, rhs):
+    return frozenset(lhs.terms.items()), frozenset(rhs.terms.items())
+
+
+# Certificates by id, kept alive beside the renamed claims of their
+# steps, so that an id is never reused while it is a key.
+_RENAMED_CLAIMS = {}
+
+
+def renamed_step_claims(cert, n):
+    """The claim of every step of cert renamed under every pair of
+    elements of the table's closure, by relabel, as keys.
+
+    relabel is injective on words and keeps coefficients, so only a step
+    whose sides are a one-term and an at most one-term polynomial in
+    words of length 2 can be renamed to a conclusion's claim; the other
+    steps are passed over, for speed alone.
+    """
+    cached = _RENAMED_CLAIMS.get(id(cert))
+    if cached is not None and cached[0] is cert:
+        return cached[1]
+    group = closure(cert.automorphisms, n)
+    claims = set()
+    for s in cert.steps:
+        words = [*s.lhs.terms, *s.rhs.terms]
+        if len(s.lhs.terms) != 1 or len(s.rhs.terms) > 1 or any(len(w) != 2 for w in words):
+            continue
+        for rho in group:
+            for kappa in group:
+                claims.add(_key(relabel(s.lhs, rho, kappa), relabel(s.rhs, rho, kappa)))
+    _RENAMED_CLAIMS[id(cert)] = (cert, claims)
+    return claims
+
+
+def conclusion_follows(g, cert, c) -> bool:
+    """Whether c's claim holds by the reference, its place aside: some
+    step's claim renamed under two elements of the table's closure is
+    c's claim, or the claim's difference has local_reduce zero."""
     lhs, rhs = c.claim()
-    if c.step is None:
-        return local_reduce(g, lhs - rhs).is_zero
-    return _renaming_follows(cert, (c.step, c.rows, c.cols), lhs, rhs)
+    if _key(lhs, rhs) in renamed_step_claims(cert, g.n):
+        return True
+    return local_reduce(g, lhs - rhs).is_zero
 
 
 def _replaced(cert, idx, c):
@@ -377,37 +423,9 @@ def _replaced(cert, idx, c):
 
 
 def _if_false(g, cert, idx, c):
-    if _conclusion_follows(g, cert, c):
+    if conclusion_follows(g, cert, c):
         return None
     return _replaced(cert, idx, c)
-
-
-def _conclusion_op(op):
-    def conclusion_op(g, cert, idx, rng):
-        c = cert.conclusions[idx]
-        if c.step is None:
-            return None
-        mutated = op(
-            (c.step, c.rows, c.cols),
-            len(cert.steps),
-            cert.automorphisms,
-            lambda t: _renaming_follows(cert, t, *c.claim()),
-            rng,
-        )
-        if mutated is None:
-            return None
-        step, rows, cols = mutated
-        return _replaced(cert, idx, c._replace(step=step, rows=rows, cols=cols))
-
-    conclusion_op.__name__ = op.__name__
-    return conclusion_op
-
-
-def _claim_local_reduce(g, cert, idx, rng):
-    c = cert.conclusions[idx]
-    if c.step is None:
-        return None
-    return _if_false(g, cert, idx, c._replace(step=None, rows=None, cols=None))
 
 
 def _flip_kind(g, cert, idx, rng):
@@ -436,13 +454,7 @@ def _duplicate_conclusion(g, cert, idx, rng):
     return conclusions[: idx + 1] + conclusions[idx:], idx + 1
 
 
-CONCLUSION_OPS = [_conclusion_op(op) for op in CITATION_OPS] + [
-    _claim_local_reduce,
-    _flip_kind,
-    _move_quadruple,
-    _drop_conclusion,
-    _duplicate_conclusion,
-]
+CONCLUSION_OPS = [_flip_kind, _move_quadruple, _drop_conclusion, _duplicate_conclusion]
 
 
 def _non_automorphism_entry(g, cert, idx, rng):

@@ -61,9 +61,9 @@ def _sample_cert():
         ProofStep(9, y, star(y), Swap(5, 0, 1, 0)),
     )
     conclusions = (
-        Conclusion(COMMUTES, 1, 1, 2, 2, 5, 2, 2),
+        Conclusion(COMMUTES, 1, 1, 2, 2),
         Conclusion(ZERO_PRODUCT, 1, 1, 1, 2),
-        Conclusion(COMMUTES, 2, 5, 3, 4, 5, 0, 1),
+        Conclusion(COMMUTES, 2, 5, 3, 4),
     )
     return Certificate(
         graph_digest(g), FULL, (ROTATION, REFLECTION, IDENTITY), steps, conclusions
@@ -125,8 +125,8 @@ def test_polys_round_trip_in_text_form():
     assert d["steps"][2]["justification"] == {
         "rule": "swap", "step": 0, "rows": 2, "cols": 2, "position": 0
     }
-    # A swap cites a step and two table entries, as a conclusion does,
-    # then the position of the pair.
+    # A swap cites a step and two table entries, then the position of
+    # the pair.
     swap = d["steps"][9]["justification"]
     assert swap == {"rule": "swap", "step": 5, "rows": 0, "cols": 1, "position": 0}
     assert list(swap) == ["rule", "step", "rows", "cols", "position"]
@@ -140,11 +140,12 @@ def test_polys_round_trip_in_text_form():
         '{"rule":"combine","terms":[[4,1],[7,-1],[1,1]]}'
     )
     assert d["conclusions"][0]["kind"] == "commutes"
-    # A conclusion stores only the fields its justification needs.
+    # A conclusion is its kind and quadruple, and cites nothing.
     assert d["conclusions"][1] == {"kind": "zero_product", "i": 1, "j": 1, "k": 1, "l": 2}
-    assert d["conclusions"][2] == {
-        "kind": "commutes", "i": 2, "j": 5, "k": 3, "l": 4, "step": 5, "rows": 0, "cols": 1
-    }
+    assert d["conclusions"][2] == {"kind": "commutes", "i": 2, "j": 5, "k": 3, "l": 4}
+    assert json.dumps(d["conclusions"][2], separators=(",", ":")) == (
+        '{"kind":"commutes","i":2,"j":5,"k":3,"l":4}'
+    )
     assert d["automorphisms"] == [list(ROTATION), list(REFLECTION), list(IDENTITY)]
 
 
@@ -158,7 +159,7 @@ def test_from_dict_rejects_bad_shapes():
             certificate_from_dict(d)
 
     corrupt(lambda d: d.pop("version"))
-    for old_version in (1, 2, 3, 4, 5, 6):
+    for old_version in (1, 2, 3, 4, 5, 6, 7):
         corrupt(lambda d: d.update(version=old_version))
     corrupt(lambda d: d.pop("scope"))
     corrupt(lambda d: d.update(scope="partial"))
@@ -218,17 +219,16 @@ def test_from_dict_rejects_bad_shapes():
     corrupt(lambda d: d["steps"][9]["justification"].pop("position"))
     corrupt(lambda d: [d["steps"][9]["justification"].pop(f) for f in ("rows", "cols")])
     corrupt(lambda d: d["conclusions"][0].update(kind="maybe"))
-    # A conclusion without a step is justified by local_reduce; step,
-    # rows and cols come together, so the version 4 step-alone form is
-    # refused.
-    corrupt(lambda d: d["conclusions"][2].pop("step"))
-    corrupt(lambda d: d["conclusions"][2].pop("cols"))
-    corrupt(lambda d: (d["conclusions"][2].pop("rows"), d["conclusions"][2].pop("cols")))
-    corrupt(lambda d: d["conclusions"][1].update(rows=0))
-    corrupt(lambda d: d["conclusions"][1].update(step=0))
-    for bad_index in (-1, True, "0", 1.0, None):
-        corrupt(lambda d: d["conclusions"][2].update(rows=bad_index))
+    # A conclusion has exactly the fields kind, i, j, k and l: the
+    # citation of a version 7 conclusion, or any part of it, is refused.
+    corrupt(lambda d: d["conclusions"][2].update(step=5, rows=0, cols=1))
+    for field in ("step", "rows", "cols"):
+        corrupt(lambda d: d["conclusions"][1].update({field: 0}))
     corrupt(lambda d: d["conclusions"][0].update(step=None))
+    for field in ("kind", "i", "j", "k", "l"):
+        corrupt(lambda d: d["conclusions"][2].pop(field))
+    for bad_index in (0, -1, True, "1", 1.0, None):
+        corrupt(lambda d: d["conclusions"][2].update(k=bad_index))
     corrupt(lambda d: d["conclusions"][0].update(extra=1))
     corrupt(lambda d: d["conclusions"].append([1, 1, 1, 1]))
 
@@ -311,23 +311,23 @@ def test_every_way_of_building_a_certificate_checks_its_structure(how, change, m
     [
         (
             "petersen_full_cert",
-            "132e57d7d92a8f620a3fc6417c91b3662c359fff608aa3119be04a7afb06e15a",
-            604_254,
+            "810ce7c2b4c8833e173d9d413a1274de5f8716bdeba328fbccfb568bc6ca947e",
+            469_615,
         ),
         (
             "c5_full_cert",
-            "eda7bff33ec18133ab8e345dbe50d86c4939c561bfd4a21e83810eae1a1f4702",
-            36_811,
+            "d5553ff4fcdafe3577697423db5a4c83a49c2daad5c461edb50ef921646777e3",
+            31_227,
         ),
         (
             "petersen_qa5_cert",
-            "5af08f1e0588b20b46fe5e672a4a5410fd046fe61e4feec00f12d60194cfda86",
-            67_492,
+            "2d77ab4ce9f5adfe4d65a306fab9a908bdb956d648bfe21b390e2fe1d5e2a0a6",
+            41_394,
         ),
         (
             "c5_qa5_cert",
-            "8743921114d9b0b140628187d8bbde916979b5b05164cb8c35fe416da0c5671d",
-            8_020,
+            "2a9deb754a80c2d2f80eca462dedcc0f8174416f9bb23d1bab76454474d85ed8",
+            5_224,
         ),
     ],
     ids=["petersen-full", "c5-full", "petersen-qa5", "c5-qa5"],
@@ -374,23 +374,23 @@ def test_step_and_conclusion_validation():
     x = u(1, 1)
     with pytest.raises(ValueError):
         ProofStep(-1, x, x, Combine(()))
-    with pytest.raises(ValueError):
-        Conclusion("commutes", 1, 1, 2, 2, -1)
-    for partial in ((0,), (0, 0), (None, 0, 0)):
-        with pytest.raises(ValueError, match="together"):
-            Conclusion(COMMUTES, 1, 1, 2, 2, *partial)
+    # A conclusion has five fields, and no citation.
+    assert Conclusion._fields == ("kind", "i", "j", "k", "l")
+    for cited in ((0,), (0, 0, 0)):
+        with pytest.raises(TypeError):
+            Conclusion(COMMUTES, 1, 1, 2, 2, *cited)
     claim = Conclusion(COMMUTES, 1, 2, 3, 4).claim()
     assert claim == (
         monomial(((1, 2), (3, 4))),
         monomial(((3, 4), (1, 2))),
     )
-    zero = Conclusion(ZERO_PRODUCT, 1, 2, 3, 4, 0, 0, 0).claim()
+    zero = Conclusion(ZERO_PRODUCT, 1, 2, 3, 4).claim()
     assert zero == (monomial(((1, 2), (3, 4))), monomial((), 1) - monomial((), 1))
 
 
-# A valid renamed conclusion, and one change of it per refusal, with
-# the message each refusal gives whichever way the record is built.
-_RENAMED = Conclusion(COMMUTES, 1, 2, 3, 4, 5, 0, 1)
+# A valid conclusion, and one change of it per refusal, with the
+# message each refusal gives whichever way the record is built.
+_GOOD = Conclusion(COMMUTES, 1, 2, 3, 4)
 _REFUSALS = [
     pytest.param(dict(kind="maybe"), "unknown conclusion kind 'maybe'", id="kind"),
     pytest.param(
@@ -400,21 +400,6 @@ _REFUSALS = [
     pytest.param(
         dict(i=1.0), "conclusion index must be a positive integer, got 1.0", id="float-index"
     ),
-    pytest.param(
-        dict(step=-1), "conclusion step must be a nonnegative integer, got -1", id="negative-step"
-    ),
-    pytest.param(
-        dict(rows=True), "conclusion rows must be a nonnegative integer, got True", id="bool-rows"
-    ),
-    pytest.param(
-        dict(cols=None), "conclusion step, rows and cols come together", id="rows-no-cols"
-    ),
-    pytest.param(
-        dict(step=None), "conclusion step, rows and cols come together", id="rows-no-step"
-    ),
-    pytest.param(
-        dict(rows=None, cols=None), "conclusion step, rows and cols come together", id="step-alone"
-    ),
 ]
 
 
@@ -423,14 +408,14 @@ def _build(how, fields):
         return Conclusion(*fields.values())
     if how == "_make":
         return Conclusion._make(fields.values())
-    return _RENAMED._replace(**fields)
+    return _GOOD._replace(**fields)
 
 
 @pytest.mark.parametrize("how", ["constructor", "_make", "_replace"])
 @pytest.mark.parametrize("change, message", _REFUSALS)
 def test_every_way_of_building_a_conclusion_checks_it(how, change, message):
-    fields = _RENAMED._asdict()
-    assert type(_build(how, fields)) is Conclusion and _build(how, fields) == _RENAMED
+    fields = _GOOD._asdict()
+    assert type(_build(how, fields)) is Conclusion and _build(how, fields) == _GOOD
     fields.update(change)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _build(how, fields)

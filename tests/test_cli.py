@@ -147,27 +147,31 @@ def test_verify_malformed_certificate(tmp_path, capsys):
 
 
 # The C5 proof; the hand-made steps below follow its N steps, so that
-# the certificate still covers every quadruple.
+# the certificate still covers every quadruple.  Its table, extended by
+# the rotation at entry ROT and the identity after it, still generates
+# the same group.
 C5_PROOF = certificate_to_dict(prove_no_quantum_symmetry(cycle(5)))
 N = len(C5_PROOF["steps"])
+ROT = len(C5_PROOF["automorphisms"])
+TABLE = C5_PROOF["automorphisms"] + [[2, 3, 4, 5, 1], [1, 2, 3, 4, 5]]
 
 
 def _swap_cert(cite=0, first=("u[1,1]u[2,3]", "u[2,3]u[1,1]"), entry=None, **fields) -> bytes:
     """The C5 proof followed by three steps, whose second swaps the
     commutation that step N + ``cite`` claims, renamed under the
-    rotation of the rows at table entry 0 and the identity at entry 1.
+    rotation of the rows at table entry ROT and the identity at ROT + 1.
     ``first`` is the claim of step N, ``entry`` replaces table entry 0,
     and ``fields`` override the swap's JSON fields."""
-    swap = {"rule": "swap", "step": N + cite, "rows": 0, "cols": 1, "position": 0}
+    swap = {"rule": "swap", "step": N + cite, "rows": ROT, "cols": ROT + 1, "position": 0}
     swap.update(fields)
     steps = [
         (first, {"rule": "combine", "terms": []}),
         (("u[2,1]u[3,3]u[4,4]", "u[3,3]u[2,1]u[4,4]"), swap),
         (("u[1,1]", "u[1,1]"), {"rule": "combine", "terms": []}),
     ]
-    cert = dict(C5_PROOF)
+    cert = dict(C5_PROOF, automorphisms=TABLE)
     if entry is not None:
-        cert["automorphisms"] = [entry] + C5_PROOF["automorphisms"][1:]
+        cert["automorphisms"] = [entry] + TABLE[1:]
     cert["steps"] = C5_PROOF["steps"] + [
         {"id": N + i, "lhs": lhs, "rhs": rhs, "justification": just}
         for i, ((lhs, rhs), just) in enumerate(steps)
@@ -188,9 +192,9 @@ MALFORMED = ("err", "malformed certificate")
         (_swap_cert(rows=-1), *MALFORMED),
         (_swap_cert(rows=True), *MALFORMED),
         (
-            _swap_cert(rows=len(C5_PROOF["automorphisms"])),
+            _swap_cert(rows=len(TABLE)),
             "out",
-            f"INVALID at step {N + 1}: cites missing automorphism 10",
+            f"INVALID at step {N + 1}: cites missing automorphism {len(TABLE)}",
         ),
         (
             _swap_cert(entry=[2, 3, 4, 5]),
@@ -238,7 +242,7 @@ def test_verify_hostile_certificate(tmp_path, capsys, data, stream, expected):
 
 
 def test_verify_accepts_a_swap_of_a_renamed_commutation(tmp_path, capsys):
-    assert C5_PROOF["automorphisms"][:2] == [[2, 3, 4, 5, 1], [1, 2, 3, 4, 5]]
+    assert TABLE[ROT:] == [[2, 3, 4, 5, 1], [1, 2, 3, 4, 5]]
     path = tmp_path / "swap.json"
     path.write_bytes(_swap_cert())
     code, out, _ = run_cli(["verify", "--graph", "c5", str(path)], capsys)
@@ -281,7 +285,7 @@ def test_verify_refuses_version_2(tmp_path, capsys):
     path.write_text(json.dumps(v2))
     code, _, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1
-    assert "unsupported certificate version 2, expected 7" in err
+    assert "unsupported certificate version 2, expected 8" in err
 
 
 def test_verify_refuses_version_3(tmp_path, capsys):
@@ -311,7 +315,7 @@ def test_verify_refuses_version_3(tmp_path, capsys):
     path.write_text(json.dumps(v3))
     code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1 and not out
-    assert err == "malformed certificate: unsupported certificate version 3, expected 7\n"
+    assert err == "malformed certificate: unsupported certificate version 3, expected 8\n"
 
 
 def test_verify_refuses_version_4(tmp_path, capsys):
@@ -335,7 +339,7 @@ def test_verify_refuses_version_4(tmp_path, capsys):
     path.write_text(json.dumps(v4))
     code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1 and not out
-    assert err == "malformed certificate: unsupported certificate version 4, expected 7\n"
+    assert err == "malformed certificate: unsupported certificate version 4, expected 8\n"
 
 
 def test_verify_refuses_version_5(tmp_path, capsys):
@@ -367,7 +371,7 @@ def test_verify_refuses_version_5(tmp_path, capsys):
     path.write_text(json.dumps(v5))
     code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1 and not out
-    assert err == "malformed certificate: unsupported certificate version 5, expected 7\n"
+    assert err == "malformed certificate: unsupported certificate version 5, expected 8\n"
 
 
 def test_verify_refuses_version_6(tmp_path, capsys):
@@ -389,7 +393,23 @@ def test_verify_refuses_version_6(tmp_path, capsys):
     path.write_text(json.dumps(v6))
     code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1 and not out
-    assert err == "malformed certificate: unsupported certificate version 6, expected 7\n"
+    assert err == "malformed certificate: unsupported certificate version 6, expected 8\n"
+
+
+def test_verify_refuses_version_7(tmp_path, capsys):
+    # Format version 7 let a conclusion cite a step and two table
+    # entries, which the orbits of the table now settle; there is no
+    # loader for it.
+    v7 = dict(C5_PROOF, version=7)
+    v7["conclusions"] = [
+        dict(c, step=N - 1, rows=0, cols=0) if c["kind"] == "commutes" else c
+        for c in C5_PROOF["conclusions"]
+    ]
+    path = tmp_path / "v7.json"
+    path.write_text(json.dumps(v7))
+    code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
+    assert code == 1 and not out
+    assert err == "malformed certificate: unsupported certificate version 7, expected 8\n"
 
 
 @pytest.mark.parametrize(
@@ -646,5 +666,6 @@ def test_certificate_json_shape(tmp_path, capsys):
     run_cli(["prove", "--graph", "c5", "--out", str(out_path)], capsys)
     data = json.loads(out_path.read_text())
     assert set(data) == {"version", "graph_digest", "scope", "automorphisms", "steps", "conclusions"}
-    assert data["version"] == 7 and data["scope"] == "full"
+    assert data["version"] == 8 and data["scope"] == "full"
+    assert all(list(c) == ["kind", "i", "j", "k", "l"] for c in data["conclusions"])
     assert len(data["conclusions"]) == 625

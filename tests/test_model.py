@@ -28,6 +28,7 @@ from qsym import (
     is_automorphism,
     verifier,
 )
+from qsym.graphs import pair_orbits
 from qsym.relations import _reduce_word, local_reduce, swap_pair
 
 TWO_K2 = from_edge_list(4, [(1, 2), (3, 4)])
@@ -78,8 +79,9 @@ def test_the_model_does_not_commute():
 def test_renaming_gives_a_model_exactly_under_automorphisms():
     # Renaming the rows of a model under a permutation keeps it magic;
     # it commutes with the adjacency again exactly when the permutation
-    # is an automorphism.  So a swap or a conclusion that cites a renaming
-    # is sound only because its table entries are checked automorphisms.
+    # is an automorphism.  So a swap that cites a renaming, and an orbit
+    # of the table's group, are sound only because the table entries are
+    # checked automorphisms.
     identity = (1, 2, 3, 4)
     perms = list(itertools.permutations(identity))
     assert len(perms) == 24
@@ -88,6 +90,30 @@ def test_renaming_gives_a_model_exactly_under_automorphisms():
     models = [rho for rho, u in renamings.items() if model.commutes_with_adjacency(u)]
     assert models == [rho for rho in perms if is_automorphism(TWO_K2, rho)]
     assert len(models) == 8
+
+
+def test_coverage_refuses_a_table_entry_the_model_refutes():
+    # Swapping vertices 2 and 3 permutes the vertices of 2K2 but maps the
+    # edge {1,2} to the non-edge {1,3}.  As a table entry it would put
+    # the row pairs (1,2) and (1,3) into one orbit, and so the claims at
+    # (1,1,2,2) and (1,1,3,3) into one orbit product, settled by either.
+    # The model shows why that must not happen: u[1,1] and u[2,2]
+    # commute there, and renamed under the swap on rows and columns they
+    # become u[1,1] and u[3,3], which do not.  The checker refuses the
+    # entry before it reads any step or conclusion.
+    rho = (1, 3, 2, 4)
+    assert not is_automorphism(TWO_K2, rho)
+    a, b = gen(1, 1), gen(2, 2)
+    assert model.evaluate(model.U, (a, b)) == model.evaluate(model.U, (b, a))
+    renamed = model.renamed(model.U, rho, rho)
+    assert model.evaluate(renamed, (a, b)) != model.evaluate(renamed, (b, a))
+    assert renamed[1, 1] == model.U[1, 1] and renamed[2, 2] == model.U[3, 3]
+    orbits = pair_orbits((rho,), 4)
+    assert orbits[1, 2][0] == orbits[1, 3][0]
+    cert = Certificate(graph_digest(TWO_K2), FULL, (rho,), (), ())
+    report = verifier.verify_certificate(TWO_K2, cert)
+    assert not report.valid and report.location == "automorphism 0"
+    assert report.reason == "not an automorphism of the graph"
 
 
 # Every entry of a word of length at most 3 is a multiple of 1/8, so

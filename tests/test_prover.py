@@ -37,8 +37,8 @@ from qsym import (
     verify_certificate,
 )
 from qsym.certificate import justification_refs
-from qsym.prover import _derive_all_edge_edge, _derive_family, _derive_nonedge
-from helpers import hoffman_singleton
+from qsym.prover import _derive_edge_edge, _derive_family, _derive_nonedge
+from helpers import closure, conclusion_follows, hoffman_singleton
 
 
 def test_proof_builder_ids_sequential():
@@ -111,13 +111,9 @@ def test_derive_qa5_petersen_count(petersen_graph, petersen_qa5_cert):
     cert = petersen_qa5_cert
     assert len(cert.conclusions) == 900
     assert all(c.kind == COMMUTES for c in cert.conclusions)
-    # Every conclusion's step claims exactly the stated commutation,
-    # once renamed under the two table entries the conclusion cites.
-    for c in cert.conclusions[::97]:
-        step = cert.steps[c.step]
-        rows, cols = cert.automorphisms[c.rows], cert.automorphisms[c.cols]
-        assert relabel(step.lhs, rows, cols) == u(c.i, c.j) * u(c.k, c.l)
-        assert relabel(step.rhs, rows, cols) == u(c.k, c.l) * u(c.i, c.j)
+    # Every conclusion's claim is a step's claim renamed under two
+    # elements of the group the table generates.
+    assert all(conclusion_follows(petersen_graph, cert, c) for c in cert.conclusions[::97])
 
 
 def test_derive_qa5_requires_conditions_only():
@@ -189,20 +185,22 @@ def test_prove_uses_certified_commutations(petersen_full_cert):
     assert seen == 4
     # Every swap uses a derived commutation, and some use it renamed
     # under an entry other than the identity: no step restates it first.
-    identity = table.index(tuple(range(1, 11)))
+    identity = tuple(range(1, 11))
     swaps = [s.justification for s in steps if isinstance(s.justification, Swap)]
     assert all(isinstance(steps[j.step].justification, LemmaCom) for j in swaps)
-    assert any((j.rows, j.cols) != (identity, identity) for j in swaps)
+    assert any((table[j.rows], table[j.cols]) != (identity, identity) for j in swaps)
 
 
 @pytest.mark.parametrize(
     "cert_fixture", ["c5_full_cert", "petersen_qa5_cert", "petersen_full_cert"]
 )
 def test_every_step_is_cited(cert_fixture, request):
-    # Each step feeds a later step or a conclusion; nothing is emitted
-    # only for the record.
+    # Each step feeds a later step or claims a conclusion, which settles
+    # that conclusion's orbit product; nothing is emitted only for the
+    # record.
     cert = request.getfixturevalue(cert_fixture)
-    cited = {c.step for c in cert.conclusions}
+    concluded = set(cert.conclusions)
+    cited = {s.id for s in cert.steps if claim_quadruple(s.lhs, s.rhs) in concluded}
     for step in cert.steps:
         cited.update(justification_refs(step.justification))
     unreferenced = [s.id for s in cert.steps if s.id not in cited]
@@ -243,12 +241,14 @@ def test_one_lemma_com_per_orbit(graph_fixture, cert_fixture, max_steps, request
     # Both graphs are distance-transitive: the edge-edge and the
     # non-edge family are one orbit each.
     assert orbits == 2
-    assert sum(isinstance(s.justification, LemmaCom) for s in steps) == orbits
-    # Every commuting conclusion cites its orbit's LemmaCom step under
-    # two table entries: the identity's twice for the derived quadruple.
-    assert all(isinstance(steps[c.step].justification, LemmaCom) for c in commuting)
-    identity = cert.automorphisms.index(tuple(g.vertices()))
-    assert sum(c.rows == c.cols == identity for c in commuting) == orbits
+    # One LemmaCom step per orbit claims a commuting conclusion of it.
+    lemmas = [s for s in steps if isinstance(s.justification, LemmaCom)]
+    derived = [claim_quadruple(s.lhs, s.rhs) for s in lemmas]
+    assert len(derived) == orbits and set(derived) <= set(commuting)
+    (_, i, j, k, l), (_, *other) = derived
+    auts = automorphism_group(g).elements
+    images = {(r[i - 1], c[j - 1], r[k - 1], c[l - 1]) for r in auts for c in auts}
+    assert tuple(other) not in images
     assert len(steps) <= max_steps
 
 
@@ -258,21 +258,21 @@ def test_symmetry_fallback_transports_nothing():
     # K2, C5 and Petersen.
     with pytest.raises(UnsupportedDegree):
         derive_qa5(hoffman_singleton())
-    # Under the identity alone every quadruple is its own orbit, so each
-    # is derived and none is renamed: every swap of the non-edge family
-    # cites the identity's table entry twice.
+    # Under the identity alone every pair is its own orbit, so each
+    # quadruple is derived at its own place and none is renamed: every
+    # swap of the non-edge family cites the identity's table entry twice.
     g = cycle(5)
-    bld = ProofBuilder(g)
     identity = (1, 2, 3, 4, 5)
-    family = _derive_all_edge_edge(bld, (identity,))
+    bld = ProofBuilder(g, (identity,))
+    family = _derive_family(bld, g.directed_edges(), _derive_edge_edge)
     kinds = Counter(type(s.justification).__name__ for s in bld.steps)
     assert len(family) == 100 and kinds["LemmaCom"] == 100 and "Swap" not in kinds
-    assert all(rows == cols == identity for _, rows, cols in family.values())
+    for ((r1, r2), (c1, c2)), sid in family.items():
+        step = bld.steps[sid]
+        assert claim_quadruple(step.lhs, step.rhs) == (COMMUTES, r1, c1, r2, c2)
     vs = g.vertices()
     nonedges = [(a, b) for a in vs for b in vs if a != b and not g.adjacent(a, b)]
-    _derive_family(
-        bld, nonedges, (identity,), lambda bld, *quad: _derive_nonedge(bld, *quad, family)
-    )
+    _derive_family(bld, nonedges, lambda bld, *quad: _derive_nonedge(bld, *quad, family))
     swaps = [s.justification for s in bld.steps if isinstance(s.justification, Swap)]
     assert swaps and bld.automorphisms == {identity: 0}
     assert all(j.rows == j.cols == 0 for j in swaps)
@@ -406,39 +406,35 @@ def test_sanity_eval_rejects_negative_trials(c5_graph, c5_full_cert):
 @pytest.mark.parametrize("graph", ["c5", "petersen"])
 def test_qa5_certificate_is_the_start_of_the_full_proof(request, graph):
     # Both scopes share one derivation: the qa5 steps are the first
-    # steps of the full certificate, and each qa5 quadruple is concluded
-    # the same way in both.  Table indices differ between the scopes, so
-    # the cited automorphisms are compared as permutations.
+    # steps of the full certificate, both tables start with Aut's
+    # generators, and each qa5 quadruple is concluded the same way in
+    # both.
     qa5 = request.getfixturevalue(f"{graph}_qa5_cert")
     full = request.getfixturevalue(f"{graph}_full_cert")
     assert qa5.conclusions and full.steps[: len(qa5.steps)] == qa5.steps
-    by_quad = {(c.i, c.j, c.k, c.l): c for c in full.conclusions}
-
-    def citation(cert, c):
-        table = cert.automorphisms
-        return c.kind, c.step, table[c.rows], table[c.cols]
-
-    for c in qa5.conclusions:
-        assert citation(full, by_quad[(c.i, c.j, c.k, c.l)]) == citation(qa5, c)
+    assert full.automorphisms[: len(qa5.automorphisms)] == qa5.automorphisms
+    assert set(qa5.conclusions) <= set(full.conclusions)
 
 
 @pytest.mark.parametrize(
-    "graph, images, steps",
+    "graph, images, steps, order",
     [
-        ("petersen", (7, 9, 10, 8, 6, 4, 1, 5, 2, 3), 15),
-        ("petersen", (6, 10, 4, 5, 7, 8, 3, 9, 2, 1), 15),
-        ("c5", (1, 3, 5, 2, 4), 11),
-        ("c5", (3, 2, 4, 5, 1), 11),
+        ("petersen", (7, 9, 10, 8, 6, 4, 1, 5, 2, 3), 15, 120),
+        ("petersen", (6, 10, 4, 5, 7, 8, 3, 9, 2, 1), 15, 120),
+        ("c5", (1, 3, 5, 2, 4), 11, 10),
+        ("c5", (3, 2, 4, 5, 1), 11, 10),
     ],
 )
-def test_relabelled_graphs_prove_and_verify(request, graph, images, steps):
+def test_relabelled_graphs_prove_and_verify(request, graph, images, steps, order):
     # The same graph with its vertices renamed by a fixed permutation,
-    # which moves its edges: the proof does not depend on the labelling.
+    # which moves its edges: the proof does not depend on the labelling,
+    # and the table generates all of Aut, whatever its generators.
     g = request.getfixturevalue(f"{graph}_graph")
     relabelled = from_edge_list(g.n, [(images[a - 1], images[b - 1]) for a, b in g.edges()])
     assert set(relabelled.edges()) != set(g.edges())
     cert = prove_no_quantum_symmetry(relabelled)
     assert len(cert.steps) == steps
+    assert len(closure(cert.automorphisms, g.n)) == order
     assert verify_certificate(relabelled, cert).valid
 
 

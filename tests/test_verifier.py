@@ -42,6 +42,7 @@ from qsym import (
     verify_certificate,
 )
 from qsym import verifier
+from qsym.graphs import pair_orbits
 from qsym.verifier import scope_quadruples
 
 G5 = cycle(5)
@@ -82,19 +83,10 @@ def test_digest_mismatch_raises(c5_full_cert):
         verify_certificate(petersen(), c5_full_cert)
 
 
-def test_conclusion_step_out_of_range_rejected():
-    # A conclusion's citations are part of its own check: the report is
-    # invalid at that conclusion.
-    concl = Conclusion(COMMUTES, 1, 1, 1, 1, 3, 0, 0)
-    report = verify_certificate(G5, _cert((IDEM_STEP,), (concl,), automorphisms=[IDENTITY]))
-    assert not report.valid and report.location == "conclusion 0"
-    assert "cites missing step 3" in report.reason
-
-
 def test_conclusion_vertex_out_of_range_rejected():
     # Coverage puts quadruple 1,1,1,1 first, so a vertex outside C5 is
     # out of place there.
-    concl = Conclusion(COMMUTES, 6, 1, 1, 1, 0, 0, 0)
+    concl = Conclusion(COMMUTES, 6, 1, 1, 1)
     report = verify_certificate(G5, _cert((IDEM_STEP,), (concl,), automorphisms=[IDENTITY]))
     assert not report.valid and report.location == "conclusion 0"
     assert "(commutes 6,1,1,1) is out of place: quadruple 1,1,1,1 belongs here" in report.reason
@@ -307,25 +299,20 @@ RENAMED_LHS = u(4, 4) * u(2, 1) * u(3, 3)
 RENAMED_SWAP = ProofStep(1, RENAMED_LHS, u(4, 4) * u(3, 3) * u(2, 1), Swap(0, 1, 0, 1))
 
 
-def _conclusion_reason(g, cert, claims, c, quad):
-    """_check_conclusion's verdict as verify_certificate reports it: a
-    ValueError it raises is the reason."""
-    try:
-        return verifier._check_conclusion(g, cert, claims, c, quad)
-    except ValueError as exc:
-        return str(exc)
-
-
 def test_swap_and_conclusion_need_automorphisms():
     assert _steps_pass((COMM_STEP, RENAMED_SWAP))
-    # A swap and a conclusion cite a table entry, and the table is where
-    # an entry is tested.  Renaming under SWAP_2_3 turns the zero product
-    # of VANISH_STEP into u[1,1]u[3,3] = 0, which is false, since the
-    # identity permutation matrix satisfies every relation and gives 1.
+    # A swap cites a table entry, a conclusion is settled on the orbits
+    # the table generates, and the table is where an entry is tested.
+    # Renaming the columns under SWAP_2_3 turns the zero product of
+    # VANISH_STEP into u[1,1]u[3,3] = 0, which is false, since the
+    # identity permutation matrix satisfies every relation and gives 1;
+    # under SWAP_2_3 the two claims lie in one orbit product.
     table = (IDENTITY, SWAP_2_3)
-    concl = Conclusion(ZERO_PRODUCT, 1, 1, 3, 3, 0, 1, 0)
+    concl = Conclusion(ZERO_PRODUCT, 1, 1, 3, 3)
     lhs, rhs = concl.claim()
     assert evaluate_perm(G5, IDENTITY, lhs - rhs) == 1
+    orbits = pair_orbits(table, 5)
+    assert orbits[1, 2][0] == orbits[1, 3][0] == (1, 2)
     for steps, conclusions in (((COMM_STEP, RENAMED_SWAP), ()), ((VANISH_STEP,), (concl,))):
         report = _first_failure(steps, conclusions, automorphisms=table)
         assert report.location == "automorphism 1" and report.steps_checked == 0
@@ -345,60 +332,31 @@ def test_swap_checks_the_renamed_claim():
         assert report.first_failure == 1 and reason in report.reason, change
 
 
-# One fault per case, made in a swap and in a conclusion that cite the
-# same way, with the reason each gives; the renaming helper refuses a
-# missing entry for both alike.
+# One fault per case in the citation of a swap, with the reason it gives.
 _CITATION_FAULTS = [
+    pytest.param(0, 2, 0, "cites missing automorphism 2", id="index-equal-to-table-length"),
     pytest.param(
-        0, 2, 0, "cites missing automorphism 2", "cites missing automorphism 2",
-        id="index-equal-to-table-length",
+        0, 0, 1, "the pair at position 1 is not u[1,2] and u[2,4]", id="swapped"
     ),
     pytest.param(
-        0, 0, 1,
-        "the pair at position 1 is not u[1,2] and u[2,4]",
-        "is not the renaming of step 0 under automorphisms 0 and 1",
-        id="swapped",
-    ),
-    pytest.param(
-        1, 1, 0,
-        "step 1 claims no commutation of two generators",
-        "is not the renaming of step 1 under automorphisms 1 and 0",
-        id="not-a-conclusion-claim",
+        1, 1, 0, "step 1 claims no commutation of two generators", id="not-a-conclusion-claim"
     ),
 ]
 
 
-@pytest.mark.parametrize("cited, rows, cols, step_reason, reason", _CITATION_FAULTS)
-def test_swap_and_conclusion_refuse_a_citation_alike(cited, rows, cols, step_reason, reason):
+@pytest.mark.parametrize("cited, rows, cols, reason", _CITATION_FAULTS)
+def test_swap_refuses_a_bad_citation(cited, rows, cols, reason):
     # Step 0 claims the commutation u[1,1]u[2,3] = u[2,3]u[1,1] and step
     # 1 a unity expansion, which no conclusion claims.  Renamed under the
     # rotation of the rows, step 0 gives the commutation of u[2,1] and
-    # u[3,3], which the swap at step 2 uses and the conclusion claims.
+    # u[3,3], which the swap at step 2 uses.
     prefix = (COMM_STEP, dataclasses.replace(EXPAND_STEP, id=1))
     good_step = dataclasses.replace(RENAMED_SWAP, id=2)
-    good_concl = Conclusion(COMMUTES, 2, 1, 3, 3, 0, 1, 0)
     cert = _cert(prefix + (good_step,))
-    claims = [claim_quadruple(s.lhs, s.rhs) for s in cert.steps]
     assert verifier._check_step(G5, cert, good_step) is None
-    assert _conclusion_reason(G5, cert, claims, good_concl, (2, 1, 3, 3)) is None
-
     bad_step = dataclasses.replace(good_step, justification=Swap(cited, rows, cols, 1))
     report = _first_failure(prefix + (bad_step,))
-    assert report.location == "step 2" and report.reason == step_reason
-    bad_concl = good_concl._replace(step=cited, rows=rows, cols=cols)
-    assert _conclusion_reason(G5, cert, claims, bad_concl, (2, 1, 3, 3)) == reason
-
-
-def test_conclusion_must_match_step_claim():
-    # u[1,1]u[1,1] commutes with itself, but step 0 claims u[1,1]u[1,1] =
-    # u[1,1], which renames to no conclusion's claim, under the identity
-    # or any other entry.
-    concl = Conclusion(COMMUTES, 1, 1, 1, 1, 0, 0, 0)
-    report = _first_failure((IDEM_STEP,), (concl,), automorphisms=[IDENTITY])
-    assert report.first_failure is None and report.location == "conclusion 0"
-    assert report.steps_checked == 1
-    assert report.conclusions_checked == 0
-    assert "is not the renaming of step 0 under automorphisms 0 and 0" in report.reason
+    assert report.location == "step 2" and report.reason == reason
 
 
 def test_random_mutations_rejected(c5_graph, c5_full_cert):
@@ -484,7 +442,8 @@ def test_qa5_scope_is_the_edge_pairs(c5_graph):
 )
 def test_table_entries_are_checked_before_any_step(c5_graph, c5_full_cert, entry, reason):
     table = list(c5_full_cert.automorphisms)
-    table[3] = entry
+    last = len(table) - 1
+    table[last] = entry
     # Step 0 is broken too, but the table comes first.
     steps = list(c5_full_cert.steps)
     steps[0] = dataclasses.replace(steps[0], rhs=steps[0].rhs + u(1, 1))
@@ -492,40 +451,8 @@ def test_table_entries_are_checked_before_any_step(c5_graph, c5_full_cert, entry
         c5_full_cert, automorphisms=tuple(table), steps=tuple(steps)
     )
     report = verify_certificate(c5_graph, mutant)
-    assert not report.valid and report.location == "automorphism 3"
+    assert not report.valid and report.location == f"automorphism {last}"
     assert reason in report.reason and report.steps_checked == 0
-
-
-def _first_renamed(cert):
-    return next(
-        idx for idx, c in enumerate(cert.conclusions) if c.step is not None and c.rows != c.cols
-    )
-
-
-@pytest.mark.parametrize(
-    "change, reason",
-    [
-        (lambda c, table: dict(rows=c.cols, cols=c.rows), "is not the renaming of step"),
-        (lambda c, table: dict(cols=len(table)), "cites missing automorphism"),
-        (
-            lambda c, table: dict(rows=table.index(IDENTITY), cols=table.index(IDENTITY)),
-            "is not the renaming of step",
-        ),
-        (lambda c, table: dict(step=None, rows=None, cols=None), "does not reduce to zero"),
-        (lambda c, table: dict(step=0), "is not the renaming of step 0"),
-        (lambda c, table: dict(kind=ZERO_PRODUCT), "is not the renaming of step"),
-    ],
-    ids=["swapped", "index-out-of-range", "renaming-dropped", "local-reduce", "wrong-step", "kind"],
-)
-def test_conclusion_justification_checked(c5_graph, c5_full_cert, change, reason):
-    cert = c5_full_cert
-    idx = _first_renamed(cert)
-    c = cert.conclusions[idx]
-    conclusions = list(cert.conclusions)
-    conclusions[idx] = c._replace(**change(c, cert.automorphisms))
-    report = verify_certificate(c5_graph, dataclasses.replace(cert, conclusions=tuple(conclusions)))
-    assert not report.valid and report.location == f"conclusion {idx}"
-    assert reason in report.reason
 
 
 def test_every_conclusion_and_table_mutation_rejected(c5_graph, c5_full_cert):
@@ -555,29 +482,27 @@ def test_every_conclusion_and_table_mutation_rejected(c5_graph, c5_full_cert):
 
 def _reference_verdict(g, cert, c, quad):
     """Whether c holds at the place of quad, by the Poly and relabel
-    reference: in place, its citations present, and its claim following."""
-    if (c.i, c.j, c.k, c.l) != quad:
-        return False
-    if c.step is not None and c.step >= len(cert.steps):
-        return False
-    return helpers._conclusion_follows(g, cert, c)
+    reference: in place, and its claim following."""
+    return (c.i, c.j, c.k, c.l) == quad and helpers.conclusion_follows(g, cert, c)
 
 
 @pytest.mark.parametrize(
     "graph, scope", [("c5", FULL), ("c5", QA5), ("petersen", FULL), ("petersen", QA5)]
 )
 def test_conclusion_verdicts_match_the_relabel_reference(request, graph, scope):
-    # The verifier compares integer quadruples; the reference renames
-    # and compares Polys.  Every conclusion of the certificate, and every
-    # mutated one, must get the same verdict from both, in its scope
-    # place and at its own quadruple.
+    # The verifier compares orbit products of integer pairs; the
+    # reference renames Polys under every element of the table's
+    # closure.  Every conclusion of the certificate, and every mutated
+    # one, must get the same verdict from both, in its scope place and at
+    # its own quadruple; a mutant whose changed conclusion is in place
+    # must also be refused there by verify_certificate.
     g = request.getfixturevalue(f"{graph}_graph")
-    cert = request.getfixturevalue(f"{graph}_full_cert") if scope == FULL else derive_qa5(g)
-    claims = [claim_quadruple(s.lhs, s.rhs) for s in cert.steps]
+    cert = request.getfixturevalue(f"{graph}_{'full' if scope == FULL else 'qa5'}_cert")
+    holds = verifier._coverage(g, cert)
     quads = list(scope_quadruples(g, scope))
 
     def agree(c, quad):
-        got = _conclusion_reason(g, cert, claims, c, quad) is None
+        got = (c.i, c.j, c.k, c.l) == quad and holds(*c)
         assert got == _reference_verdict(g, cert, c, quad), (c, quad)
         return got
 
@@ -593,30 +518,134 @@ def test_conclusion_verdicts_match_the_relabel_reference(request, graph, scope):
             if where < min(len(conclusions), len(quads)):
                 c = conclusions[where]
                 assert not agree(c, quads[where]), (op.__name__, c)
-                agree(c, (c.i, c.j, c.k, c.l))
+                if (c.i, c.j, c.k, c.l) == quads[where]:
+                    mutant = dataclasses.replace(cert, conclusions=conclusions)
+                    report = verify_certificate(g, mutant)
+                    assert report.location == f"conclusion {where}", (op.__name__, c)
+                else:
+                    agree(c, (c.i, c.j, c.k, c.l))
             made[op.__name__] += 1
     assert all(made.values()), made
 
 
 @pytest.mark.parametrize("graph", ["c5", "petersen"])
 def test_reduced_conclusions_decided_on_words_match_local_reduce(request, graph):
-    # A conclusion with no step is decided by comparing the reduced
-    # words of u[i,j]u[k,l] and its reverse; local_reduce of the claim's
+    # Under the identity alone every orbit product is one quadruple, and
+    # with no steps each is decided by comparing the reduced words of
+    # u[i,j]u[k,l] and its reverse; local_reduce of the claim's
     # difference is the reference, for every quadruple and both kinds.
     g = request.getfixturevalue(f"{graph}_graph")
-    cert = request.getfixturevalue(f"{graph}_full_cert")
-    claims = [claim_quadruple(s.lhs, s.rhs) for s in cert.steps]
+    holds = verifier._coverage(g, _cert((), g=g, automorphisms=[tuple(g.vertices())]))
     verdicts = {True: 0, False: 0}
     for kind in (COMMUTES, ZERO_PRODUCT):
         for quad in itertools.product(g.vertices(), repeat=4):
             c = Conclusion(kind, *quad)
             lhs, rhs = c.claim()
             expected = local_reduce(g, lhs - rhs).is_zero
-            reason = _conclusion_reason(g, cert, claims, c, quad)
-            assert (reason is None) == expected, (kind, quad)
-            assert expected or reason == "does not reduce to zero"
+            assert holds(*c) == expected, (kind, quad)
             verdicts[expected] += 1
     assert sum(verdicts.values()) == 2 * g.n**4 and all(verdicts.values())
+
+
+def _first(cert, pred):
+    """The index of the first conclusion of cert that pred holds for,
+    and that conclusion."""
+    return next((idx, c) for idx, c in enumerate(cert.conclusions) if pred(c))
+
+
+def _refused_at(g, cert, idx, c):
+    report = verify_certificate(g, cert)
+    assert not report.valid and report.location == f"conclusion {idx}"
+    assert report.conclusions_checked == idx and report.steps_checked == len(cert.steps)
+    assert f"({c.kind} {c.i},{c.j},{c.k},{c.l})" in report.reason
+
+
+@pytest.mark.parametrize("graph", ["c5", "petersen"])
+def test_coverage_needs_the_table(request, graph):
+    # A qa5 certificate holds no swap, so its table serves only to
+    # generate the orbits.  Cut to the identity, every orbit product is
+    # one quadruple, covered only where a step derives it.
+    g = request.getfixturevalue(f"{graph}_graph")
+    cert = request.getfixturevalue(f"{graph}_qa5_cert")
+    assert not any(isinstance(s.justification, Swap) for s in cert.steps)
+    assert verify_certificate(g, cert).valid
+    derived = [claim_quadruple(s.lhs, s.rhs) for s in cert.steps]
+    idx, c = _first(cert, lambda c: tuple(c) not in derived)
+    assert idx > 0
+    _refused_at(g, dataclasses.replace(cert, automorphisms=(tuple(g.vertices()),)), idx, c)
+
+
+@pytest.mark.parametrize("graph", ["c5", "petersen"])
+def test_coverage_needs_the_non_edge_steps(request, graph):
+    # The full certificate with only the steps of its qa5 prefix: the
+    # table still generates Aut, but nothing covers the product of two
+    # non-edge orbits, so its first conclusion is refused.
+    g = request.getfixturevalue(f"{graph}_graph")
+    full = request.getfixturevalue(f"{graph}_full_cert")
+    qa5 = request.getfixturevalue(f"{graph}_qa5_cert")
+    assert full.steps[: len(qa5.steps)] == qa5.steps
+    idx, c = _first(
+        full,
+        lambda c: c.kind == COMMUTES and c.i != c.k and c.j != c.l and not g.adjacent(c.i, c.k),
+    )
+    _refused_at(g, dataclasses.replace(full, steps=qa5.steps), idx, c)
+
+
+def test_reduce_word_runs_at_most_twice_per_orbit_product(
+    monkeypatch, petersen_graph, petersen_full_cert
+):
+    # 10,000 conclusions fall into 9 products of (kind, orbit of row
+    # pairs, orbit of column pairs).  The 7 that no step covers are each
+    # decided once on words: a commutation reduces two words, a zero
+    # product one.
+    calls = []
+    reduce_word = verifier._reduce_word
+
+    def counted(adj1, n, w):
+        calls.append(w)
+        return reduce_word(adj1, n, w)
+
+    monkeypatch.setattr(verifier, "_reduce_word", counted)
+    g, cert = petersen_graph, petersen_full_cert
+    assert verify_certificate(g, cert).valid
+    orbits = pair_orbits(cert.automorphisms, g.n)
+    products = {(c.kind, orbits[c.i, c.k][0], orbits[c.j, c.l][0]) for c in cert.conclusions}
+    assert len(products) == 9
+    assert len(calls) <= 2 * len(products)
+    assert len(calls) == 8
+
+
+def test_combine_of_many_terms_matches_the_poly_reference():
+    # A combine citing 120 unity expansions, with repeated citations and
+    # pairs that cancel, is accepted or refused exactly as D formed term
+    # by term with Poly arithmetic decides; both verdicts occur.
+    rng = random.Random(4)
+    steps = []
+    for sid in range(40):
+        lhs = u(rng.randint(1, 5), rng.randint(1, 5)) * u(rng.randint(1, 5), rng.randint(1, 5))
+        index = rng.randint(1, 5)
+        rhs = expand_unity(lhs, 1, index, ROW, 5)
+        steps.append(ProofStep(sid, lhs, rhs, ExpandUnity(1, index, ROW)))
+    verdicts = set()
+    for trial in range(30):
+        terms = [(rng.randrange(40), rng.choice((1, -1))) for _ in range(100)]
+        s = rng.randrange(40)
+        terms += [(s, 1), (s, -1)] + terms[:18]
+        rng.shuffle(terms)
+        lhs = Poly.zero()
+        for s, c in terms:
+            lhs = lhs + c * (steps[s].lhs - steps[s].rhs)
+        if trial % 3 == 1:
+            s, c = terms[0]
+            terms[0] = (s, -c)
+        elif trial % 3 == 2:
+            lhs = lhs + u(1, 1)
+        final = ProofStep(40, lhs + u(1, 2) * u(1, 3), Poly.zero(), Combine(tuple(terms)))
+        cert = _cert(steps + [final])
+        accepted = verifier._check_step(G5, cert, final) is None
+        assert accepted == helpers._combine_follows(G5, cert, final), trial
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
 
 
 # Hypothesis: hostile edits of a valid C5 certificate, as JSON data and
