@@ -8,6 +8,7 @@ from qsym import (
     Graph,
     GraphFormatError,
     SrgParams,
+    automorphism_group,
     check_moore_conditions,
     complement,
     complete,
@@ -22,7 +23,8 @@ from qsym import (
     petersen,
     srg_params,
 )
-from qsym.graphs import MAX_FILE_VERTICES
+from qsym.graphs import MAX_FILE_VERTICES, pair_orbits
+from helpers import closure
 
 # Adjacency of the 2-subset construction on {1..5}, worked out by hand:
 # vertex i is the i-th 2-subset in lexicographic order, edges join
@@ -216,3 +218,92 @@ def test_parse_format_random_graphs(n, data):
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     g = from_edge_list(n, sorted(chosen))
     assert parse_graph_text(format_graph_text(g)) == g
+
+
+def _distances(g):
+    """Breadth-first distance of every ordered pair of vertices of g,
+    None for vertices in different components."""
+    dist = {}
+    for s in g.vertices():
+        dist[s, s] = 0
+        frontier = [s]
+        while frontier:
+            reached = []
+            for v in frontier:
+                for w in g.neighbors(v):
+                    if (s, w) not in dist:
+                        dist[s, w] = dist[s, v] + 1
+                        reached.append(w)
+            frontier = reached
+    return {(a, b): dist.get((a, b)) for a in g.vertices() for b in g.vertices()}
+
+
+# Distance-transitive graphs: Aut acts transitively on the ordered pairs
+# at each distance, so its orbits on ordered pairs are the distance
+# classes.  The empty graph has one class at no distance.
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(complete(1), id="k1"),
+        pytest.param(complete(2), id="k2"),
+        pytest.param(complete(4), id="k4"),
+        pytest.param(cycle(5), id="c5"),
+        pytest.param(cycle(6), id="c6"),
+        pytest.param(complete_bipartite(3, 3), id="k33"),
+        pytest.param(petersen(), id="petersen"),
+        pytest.param(complement(petersen()), id="petersen-complement"),
+        pytest.param(empty(3), id="empty3"),
+    ],
+)
+def test_pair_orbits_of_aut_are_the_distance_classes(g):
+    orbits = pair_orbits(automorphism_group(g).generators, g.n)
+    dist = _distances(g)
+    assert sorted(orbits) == sorted(dist)
+    classes: dict = {}
+    for pair in sorted(dist):
+        classes.setdefault(dist[pair], []).append(pair)
+    # Each class is one orbit, named by its least pair.
+    for members in classes.values():
+        assert {orbits[pair][0] for pair in members} == {members[0]}
+    assert len({least for least, _ in orbits.values()}) == len(classes)
+
+
+_ROT5 = (2, 3, 4, 5, 1)
+
+
+@pytest.mark.parametrize(
+    "table, n",
+    [
+        pytest.param((), 3, id="no-entries"),
+        pytest.param(((1, 2, 3),), 3, id="identity"),
+        pytest.param(((4, 3, 2, 1),), 4, id="path-reversal"),
+        pytest.param(((2, 1, 3, 4), (2, 3, 4, 1)), 4, id="s4"),
+        pytest.param(((2, 3, 1, 5, 4, 6),), 6, id="two-cycles-and-a-fixed-point"),
+        pytest.param((_ROT5, _ROT5, (1, 2, 3, 4, 5)), 5, id="repeated-entries"),
+        pytest.param(automorphism_group(cycle(5)).generators, 5, id="c5-aut"),
+        pytest.param(automorphism_group(petersen()).generators, 10, id="petersen-aut"),
+    ],
+)
+def test_pair_orbits_match_the_closure_and_spell_their_elements(table, n):
+    # The reference is the orbit of each pair under every element of
+    # the group the table generates.  Following ``via`` back from a pair
+    # reaches the least pair of its orbit, one table entry per link, so
+    # the entries met spell an element sending the least pair to it.
+    group = closure(table, n)
+    orbits = pair_orbits(table, n)
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+    assert sorted(orbits) == pairs
+    for pair in pairs:
+        least, via = orbits[pair]
+        orbit = {(s[pair[0] - 1], s[pair[1] - 1]) for s in group}
+        assert least == min(orbit)
+        assert (via is None) == (pair == least)
+        links = 0
+        while via is not None:
+            (a, b), t = via
+            assert (table[t][a - 1], table[t][b - 1]) == pair
+            assert orbits[a, b][0] == least
+            pair, via = (a, b), orbits[a, b][1]
+            links += 1
+            assert links <= len(pairs)
+        assert pair == least

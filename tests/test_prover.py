@@ -1,7 +1,13 @@
 import dataclasses
+import hashlib
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +28,7 @@ from qsym import (
     complete_bipartite,
     cycle,
     derive_qa5,
+    dumps_certificate,
     empty,
     evaluate_perm,
     from_edge_list,
@@ -439,9 +446,66 @@ def test_relabelled_graphs_prove_and_verify(request, graph, images, steps, order
 
 
 def test_certificates_are_deterministic(petersen_graph):
-    from qsym import dumps_certificate
-
     for produce in (derive_qa5, prove_no_quantum_symmetry):
         a = dumps_certificate(produce(petersen_graph))
         b = dumps_certificate(produce(petersen_graph))
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "cert_fixture, graph, entries",
+    [
+        ("c5_qa5_cert", "c5", 2),
+        ("c5_full_cert", "c5", 3),
+        ("petersen_qa5_cert", "petersen", 4),
+        ("petersen_full_cert", "petersen", 7),
+    ],
+)
+def test_table_is_aut_generators_then_the_renamings_swaps_cite(
+    request, cert_fixture, graph, entries
+):
+    # The generators come first, as they fix the orbits; an entry after
+    # them is there only because a swap cites it, and none is listed
+    # twice.
+    g = request.getfixturevalue(f"{graph}_graph")
+    cert = request.getfixturevalue(cert_fixture)
+    generators = automorphism_group(g).generators
+    table = cert.automorphisms
+    assert table[: len(generators)] == generators
+    assert len(set(table)) == len(table) == entries
+    swaps = [s.justification for s in cert.steps if isinstance(s.justification, Swap)]
+    cited = {t for j in swaps for t in (j.rows, j.cols)}
+    assert set(range(len(generators), len(table))) <= cited
+
+
+_HASH_SEED_SCRIPT = """
+import hashlib, json
+from qsym import cycle, derive_qa5, dumps_certificate, petersen, prove_no_quantum_symmetry
+print(json.dumps([
+    hashlib.sha256(dumps_certificate(produce(g)).encode()).hexdigest()
+    for g in (cycle(5), petersen())
+    for produce in (derive_qa5, prove_no_quantum_symmetry)
+]))
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "4294967295"])
+def test_certificate_bytes_do_not_depend_on_the_hash_seed(request, seed):
+    # The orbits and the table are built by iterating lists, never sets
+    # or dicts keyed by hash, so a fresh interpreter under any string
+    # hash seed writes the same bytes as this one.
+    names = [f"{g}_{s}_cert" for g in ("c5", "petersen") for s in ("qa5", "full")]
+    certs = [request.getfixturevalue(name) for name in names]
+    expected = [hashlib.sha256(dumps_certificate(c).encode()).hexdigest() for c in certs]
+    src = str(Path(sys.modules["qsym"].__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == expected
