@@ -13,9 +13,10 @@ the producer.
 
 A conclusion is held as a Conclusion, a validated NamedTuple of its
 kind and its quadruple.  The loader builds it straight from the JSON
-object, and the verifier and the spot check read its integers without
-building a polynomial; only Conclusion.claim does, for callers that
-want the equation.
+object, the writer fills one text template with its fields, and the
+verifier and the spot check read its integers without building a
+polynomial; only Conclusion.claim does, for callers that want the
+equation.
 
 A step's justification is one of four rules: expand_unity, swap,
 combine and lemma_com.  The rule table, _RULES, is where a rule's wire
@@ -64,6 +65,14 @@ def scope_quadruples(g: Graph, scope: str) -> Iterable[tuple[int, int, int, int]
         return itertools.product(g.vertices(), repeat=4)
     edges = g.directed_edges()
     return sorted((i, j, k, l) for i, k in edges for j, l in edges)
+
+
+def scope_size(g: Graph, scope: str) -> int:
+    """How many quadruples scope_quadruples(g, scope) gives, counted
+    without making them."""
+    if scope == FULL:
+        return g.n**4
+    return len(g.directed_edges()) ** 2
 
 
 class MalformedCertificate(ValueError):
@@ -355,7 +364,8 @@ def _parse_poly_field(text, what: str, parsed: dict[str, Poly]) -> Poly:
     return p
 
 
-def certificate_to_dict(cert: Certificate) -> dict:
+def _header_to_dict(cert: Certificate) -> dict:
+    """Every field of cert's JSON object but the conclusions, in order."""
     # The prover shares Poly objects between steps; format each object
     # once.  Keys stay valid because cert keeps every object alive.
     texts: dict[int, str] = {}
@@ -380,8 +390,11 @@ def certificate_to_dict(cert: Certificate) -> dict:
             }
             for s in cert.steps
         ],
-        "conclusions": [c._asdict() for c in cert.conclusions],
     }
+
+
+def certificate_to_dict(cert: Certificate) -> dict:
+    return {**_header_to_dict(cert), "conclusions": [c._asdict() for c in cert.conclusions]}
 
 
 _CONCLUSION_FIELDS = frozenset(Conclusion._fields)
@@ -445,9 +458,20 @@ def certificate_from_dict(d) -> Certificate:
     )
 
 
+# One conclusion's compact JSON text, fields in Conclusion order.  Its
+# kind is one of two plain names and its indices are ints, not bools,
+# so %s and %d write what json.dumps would.
+_CONCLUSION_JSON = '{"kind":"%s","i":%d,"j":%d,"k":%d,"l":%d}'
+
+
 def dumps_certificate(cert: Certificate) -> str:
-    """Deterministic compact JSON text for a certificate."""
-    return json.dumps(certificate_to_dict(cert), separators=(",", ":"))
+    """Deterministic compact JSON text for a certificate: the text of
+    json.dumps(certificate_to_dict(cert), separators=(",", ":")), with
+    each conclusion written from one template rather than encoded from
+    a dict."""
+    header = json.dumps(_header_to_dict(cert), separators=(",", ":"))
+    conclusions = ",".join([_CONCLUSION_JSON % c for c in cert.conclusions])
+    return f'{header[:-1]},"conclusions":[{conclusions}]}}'
 
 
 def loads_certificate(text: str) -> Certificate:

@@ -322,11 +322,18 @@ def _derive_nonedge(
     return bld.lemma_com(bld.add(x0, y, Combine(tuple(terms))))
 
 
-def _kind(adj1, i: int, j: int, k: int, l: int) -> str:
-    """The kind of the quadruple's conclusion, from adjacency alone."""
-    if (i, j) != (k, l) and (i == k or j == l or bool(adj1[i][k]) != bool(adj1[j][l])):
-        return ZERO_PRODUCT
-    return COMMUTES
+def _pair_classes(g: Graph) -> list:
+    """classes[i][k] for vertices i, k of g: 0 when i == k, 1 when i is
+    adjacent to k, 2 when they are apart.
+
+    u[i,j]u[k,l] commutes exactly when (i, k) and (j, l) are alike, in
+    one class: both equal, when the two generators are one, or both
+    adjacent or both apart, the two families the derivation covers.
+    Otherwise the generators share a row or a column, or one pair is
+    adjacent and the other apart, and the product vanishes.
+    """
+    vs, adj1 = g.vertices(), g.adj1
+    return [()] + [[None] + [0 if i == k else 1 if adj1[i][k] else 2 for k in vs] for i in vs]
 
 
 def _prove(g: Graph, scope: str) -> Certificate:
@@ -342,7 +349,11 @@ def _prove(g: Graph, scope: str) -> Certificate:
         _derive_family(
             bld, nonedges, lambda bld, *quad: _derive_nonedge(bld, *quad, edge_edge)
         )
-    conclusions = [Conclusion(_kind(g.adj1, *quad), *quad) for quad in scope_quadruples(g, scope)]
+    classes = _pair_classes(g)
+    conclusions = [
+        Conclusion(COMMUTES if classes[i][k] == classes[j][l] else ZERO_PRODUCT, i, j, k, l)
+        for i, j, k, l in scope_quadruples(g, scope)
+    ]
     return Certificate(graph_digest(g), scope, tuple(bld.automorphisms), bld.steps, conclusions)
 
 

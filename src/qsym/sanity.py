@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import Word, gen
 from .autgroup import automorphism_group
 from .certificate import ZERO_PRODUCT, Certificate
 from .graphs import Graph
@@ -50,30 +49,32 @@ def sanity_eval(g: Graph, cert: Certificate, trials: int, seed: int = 0) -> Sani
     every conclusion is counted in ``checks``.
 
     At sigma only the n generators u[sigma(j),j] are 1.  A zero-product
-    claim is the word u[i,j]u[k,l] with coefficient 1 against zero, so
-    the index files each zero-product conclusion under its word, built
-    from its five fields (kind, i, j, k, l) with no polynomial.  A
-    trial then looks up the n^2 ordered pairs of those generators, a
-    generator paired with itself included: every conclusion filed there
-    evaluates to 1 and fails, and every other one evaluates to 0.
+    claim is the word u[i,j]u[k,l] with coefficient 1 against zero, and
+    its word is fixed by its quadruple, so the index files each
+    zero-product conclusion under its integer quadruple (i, j, k, l),
+    with no generator or polynomial built.  A trial takes sigma's ones
+    as integer pairs (sigma(j), j) and looks up the n^2 quadruples that
+    two of them make, a pair with itself included: every conclusion
+    filed there evaluates to 1 and fails, and every other one evaluates
+    to 0.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     group = automorphism_group(g)
     n = g.n
-    by_word: dict[Word, list[int]] = {}
+    by_quad: dict[tuple[int, int, int, int], list[int]] = {}
     for idx, (kind, i, j, k, l) in enumerate(cert.conclusions):
-        if max(i, j, k, l) > n:
+        if i > n or j > n or k > n or l > n:
             r, c = (i, j) if max(i, j) > n else (k, l)
             raise ValueError(f"generator u[{r},{c}] out of range for n={n}")
         if kind == ZERO_PRODUCT:
-            by_word.setdefault((gen(i, j), gen(k, l)), []).append(idx)
+            by_quad.setdefault((i, j, k, l), []).append(idx)
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):
         sigma = rng.choice(group.elements)
-        ones = [gen(i, j) for j, i in enumerate(sigma, 1)]
-        hits = [idx for a in ones for b in ones for idx in by_word.get((a, b), ())]
+        ones = [(i, j) for j, i in enumerate(sigma, 1)]
+        hits = [idx for a in ones for b in ones for idx in by_quad.get(a + b, ())]
         failures.extend((idx, sigma) for idx in sorted(hits))
     return SanityReport(
         trials=trials, checks=trials * len(cert.conclusions), failures=tuple(failures)

@@ -51,9 +51,12 @@ ordered generator pair and proves the algebra commutative.  A
 conclusion cites nothing.  G x G renames rows and columns separately,
 so the orbit of (i,j,k,l) is orbit(i,k) x orbit(j,l), a product of two
 orbits of G on ordered vertex pairs, and a claim that holds at one
-quadruple of a product holds at all of it.  Each (kind, product) is
-decided once: by a checked step whose claim_quadruple is of that kind
-and lies in the product, or else on words at the product's first
+quadruple of a product holds at all of it.  The conclusions are read
+in one pass: each is compared with its scope quadruple, and its
+product is found by indexing rows of least pairs, built once from the
+pair orbits, and looked up among the verdicts.  Each (kind, product)
+is decided once: by a checked step whose claim_quadruple is of that
+kind and lies in the product, or else on words at the product's first
 quadruple.  There the claim is u[i,j]u[k,l] against its reverse (a
 commutation) or against zero (a zero product), and local_reduce of its
 difference is zero exactly when the word rewrites to zero, or when the
@@ -61,7 +64,9 @@ word and its reverse have the same normal form or both rewrite to zero.
 _reduce_word gives a word's normal form, or None for zero, so comparing
 two results, or testing one for None, is that check without building a
 polynomial.  A table that generates only part of Aut gives finer
-orbits, which need more steps and never settle a false claim.
+orbits, which need more steps and never settle a false claim.  The
+scope's size is counted, not walked, so a certificate that falls short
+of a large scope is refused at once.
 """
 
 from __future__ import annotations
@@ -81,6 +86,7 @@ from .certificate import (
     claim_quadruple,
     graph_digest,
     scope_quadruples,
+    scope_size,
 )
 from .graphs import Graph, is_automorphism, pair_orbits
 from .relations import _reduce_word, local_reduce, swap_pair
@@ -152,39 +158,52 @@ def _check_step(g: Graph, cert: Certificate, step: ProofStep) -> Optional[str]:
     return f"unknown justification {type(just).__name__}"
 
 
-def _coverage(g: Graph, cert: Certificate) -> Callable[..., bool]:
-    """holds(kind, i, j, k, l): whether that claim holds on the product
-    of the orbits of (i, k) and (j, l) under the group cert's table
-    generates, for vertices i, j, k, l of g.  Call it only once the
-    table and every step are checked.
+class _Products(dict):
+    """Verdicts on orbit products, keyed by (kind, least pair of the
+    orbit of (i, k), least pair of the orbit of (j, l)) under the group
+    cert's table generates, and ``rows``, where rows[i][k] is the least
+    pair of the orbit of (i, k) for vertices i, k of g.  Build it only
+    once the table and every step are checked.
 
-    Each (kind, product) is decided once: the products that a step
-    claims are filled in first, and any other is decided on words at
-    its first quadruple when it is first asked for.
+    The products that a step claims hold from the start.  Any other key
+    is decided on words at its first quadruple when it is first read,
+    and kept, so each (kind, product) is decided once and a key already
+    decided is read without a Python call.
     """
-    orbits = pair_orbits(cert.automorphisms, g.n)
 
-    def product(kind, i, j, k, l):
-        return kind, orbits[i, k][0], orbits[j, l][0]
+    def __init__(self, g: Graph, cert: Certificate):
+        orbits = pair_orbits(cert.automorphisms, g.n)
+        vs = g.vertices()
+        # Row 0 and column 0 pad 1-based lookups, as in Graph.adj1.
+        self.rows = [()] + [[None] + [orbits[i, k][0] for k in vs] for i in vs]
+        self.adj1, self.n = g.adj1, g.n
+        for step in cert.steps:
+            claim = claim_quadruple(step.lhs, step.rhs)
+            if claim is not None:
+                self[self.key(*claim)] = True
 
-    claims = [claim_quadruple(step.lhs, step.rhs) for step in cert.steps]
-    verdicts = {product(*claim): True for claim in claims if claim is not None}
+    def key(self, kind, i, j, k, l) -> tuple:
+        return kind, self.rows[i][k], self.rows[j][l]
 
-    def holds(kind, i, j, k, l) -> bool:
-        key = product(kind, i, j, k, l)
-        verdict = verdicts.get(key)
-        if verdict is None:
-            _, (i, k), (j, l) = key  # the product's first quadruple
-            a, b = gen(i, j), gen(k, l)
-            ab = _reduce_word(g.adj1, g.n, (a, b))
-            if kind == ZERO_PRODUCT:
-                verdict = ab is None
-            else:
-                verdict = ab == _reduce_word(g.adj1, g.n, (b, a))
-            verdicts[key] = verdict
+    def __missing__(self, key) -> bool:
+        kind, (i, k), (j, l) = key  # the product's first quadruple
+        a, b = gen(i, j), gen(k, l)
+        ab = _reduce_word(self.adj1, self.n, (a, b))
+        if kind == ZERO_PRODUCT:
+            verdict = ab is None
+        else:
+            verdict = ab == _reduce_word(self.adj1, self.n, (b, a))
+        self[key] = verdict
         return verdict
 
-    return holds
+
+def _coverage(g: Graph, cert: Certificate) -> Callable[..., bool]:
+    """holds(kind, i, j, k, l): whether that claim holds on the product
+    of the orbits of (i, k) and (j, l), as verify_certificate decides
+    it, for vertices i, j, k, l of g.  Call it only once the table and
+    every step are checked."""
+    products = _Products(g, cert)
+    return lambda *concl: products[products.key(*concl)]
 
 
 def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
@@ -223,13 +242,17 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
                 reason=reason,
             )
 
-    holds = _coverage(g, cert)
+    products = _Products(g, cert)
+    rows = products.rows
     quads = scope_quadruples(g, cert.scope)
     conclusions = cert.conclusions
+    # The product key is _Products.key's, written out so that a
+    # conclusion costs no Python call.
     for idx, (concl, quad) in enumerate(zip(conclusions, quads)):
-        if concl[1:] != quad:
+        kind, i, j, k, l = concl
+        if (i, j, k, l) != quad:
             reason = "is out of place: quadruple {},{},{},{} belongs here".format(*quad)
-        elif not holds(*concl):
+        elif not products[kind, rows[i][k], rows[j][l]]:
             reason = "holds neither by a step nor by reduction on its orbit product"
         else:
             continue
@@ -238,12 +261,9 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
             steps_checked=len(steps),
             conclusions_checked=idx,
             location=f"conclusion {idx}",
-            reason=(
-                f"conclusion {idx} ({concl.kind} {concl.i},{concl.j},"
-                f"{concl.k},{concl.l}) {reason}"
-            ),
+            reason=f"conclusion {idx} ({kind} {i},{j},{k},{l}) {reason}",
         )
-    n_quads = sum(1 for _ in scope_quadruples(g, cert.scope))
+    n_quads = scope_size(g, cert.scope)
     if len(conclusions) != n_quads:
         idx = min(len(conclusions), n_quads)
         return VerificationReport(

@@ -6,6 +6,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsym import (
     COMMUTES,
@@ -336,6 +338,35 @@ def test_certificate_bytes_are_pinned(cert_fixture, sha256, size, request):
     data = (dumps_certificate(request.getfixturevalue(cert_fixture)) + "\n").encode("ascii")
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == sha256
+
+
+# dumps_certificate writes each conclusion from a template; the dict
+# form, encoded by the json module, is the reference it must match.
+def _json_of_the_dict(cert) -> str:
+    return json.dumps(certificate_to_dict(cert), separators=(",", ":"))
+
+
+@pytest.mark.parametrize(
+    "cert_fixture", ["petersen_full_cert", "c5_full_cert", "petersen_qa5_cert", "c5_qa5_cert"]
+)
+def test_dumps_is_the_json_of_the_dict_form(cert_fixture, request):
+    cert = request.getfixturevalue(cert_fixture)
+    assert dumps_certificate(cert) == _json_of_the_dict(cert)
+
+
+_INDICES = st.one_of(st.integers(1, 10), st.integers(1, 10**40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([COMMUTES, ZERO_PRODUCT]), *[_INDICES] * 4),
+        max_size=8,
+    )
+)
+def test_dumps_of_drawn_conclusions_is_the_json_of_the_dict_form(fields):
+    cert = dataclasses.replace(_sample_cert(), conclusions=[Conclusion(*f) for f in fields])
+    assert dumps_certificate(cert) == _json_of_the_dict(cert)
 
 
 def test_repeated_malformed_poly_names_its_first_field():

@@ -423,26 +423,63 @@ def test_qa5_certificate_is_the_start_of_the_full_proof(request, graph):
     assert set(qa5.conclusions) <= set(full.conclusions)
 
 
-@pytest.mark.parametrize(
-    "graph, images, steps, order",
-    [
-        ("petersen", (7, 9, 10, 8, 6, 4, 1, 5, 2, 3), 15, 120),
-        ("petersen", (6, 10, 4, 5, 7, 8, 3, 9, 2, 1), 15, 120),
-        ("c5", (1, 3, 5, 2, 4), 11, 10),
-        ("c5", (3, 2, 4, 5, 1), 11, 10),
-    ],
-)
+# Two fixed relabellings of each graph, with the steps and the order of
+# Aut that proving it gives.
+RELABELLINGS = [
+    ("petersen", (7, 9, 10, 8, 6, 4, 1, 5, 2, 3), 15, 120),
+    ("petersen", (6, 10, 4, 5, 7, 8, 3, 9, 2, 1), 15, 120),
+    ("c5", (1, 3, 5, 2, 4), 11, 10),
+    ("c5", (3, 2, 4, 5, 1), 11, 10),
+]
+
+
+def _relabelled(g, images):
+    return from_edge_list(g.n, [(images[a - 1], images[b - 1]) for a, b in g.edges()])
+
+
+@pytest.mark.parametrize("graph, images, steps, order", RELABELLINGS)
 def test_relabelled_graphs_prove_and_verify(request, graph, images, steps, order):
     # The same graph with its vertices renamed by a fixed permutation,
     # which moves its edges: the proof does not depend on the labelling,
     # and the table generates all of Aut, whatever its generators.
     g = request.getfixturevalue(f"{graph}_graph")
-    relabelled = from_edge_list(g.n, [(images[a - 1], images[b - 1]) for a, b in g.edges()])
+    relabelled = _relabelled(g, images)
     assert set(relabelled.edges()) != set(g.edges())
     cert = prove_no_quantum_symmetry(relabelled)
     assert len(cert.steps) == steps
     assert len(closure(cert.automorphisms, g.n)) == order
     assert verify_certificate(relabelled, cert).valid
+
+
+def _adjacency_kind(g, i, j, k, l):
+    """The kind of the conclusion on (i, j, k, l), by the adjacency rule:
+    the reference for the prover's alike-pairs rule."""
+    if (i, j) != (k, l) and (i == k or j == l or g.adjacent(i, k) != g.adjacent(j, l)):
+        return ZERO_PRODUCT
+    return COMMUTES
+
+
+@pytest.mark.parametrize(
+    "graph, images",
+    [("petersen", None), ("c5", None)] + [(graph, images) for graph, images, _, _ in RELABELLINGS],
+    ids=["petersen", "c5"] + [f"{g}-relabelled-{n}" for g in ("petersen", "c5") for n in (0, 1)],
+)
+def test_conclusion_kinds_follow_the_adjacency_rule(request, graph, images):
+    # The prover takes each kind from whether (i, k) and (j, l) are
+    # alike: both equal, both adjacent or both apart.  On every
+    # quadruple that must give the kind the adjacency rule gives.
+    g = request.getfixturevalue(f"{graph}_graph")
+    if images is None:
+        cert = request.getfixturevalue(f"{graph}_full_cert")
+    else:
+        g = _relabelled(g, images)
+        cert = prove_no_quantum_symmetry(g)
+    assert [c[1:] for c in cert.conclusions] == list(itertools.product(g.vertices(), repeat=4))
+    kinds = Counter()
+    for c in cert.conclusions:
+        assert c.kind == _adjacency_kind(g, *c[1:]), c
+        kinds[c.kind] += 1
+    assert kinds[COMMUTES] and kinds[ZERO_PRODUCT]
 
 
 def test_certificates_are_deterministic(petersen_graph):

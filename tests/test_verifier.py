@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -30,6 +31,7 @@ from qsym import (
     cycle,
     derive_qa5,
     dumps_certificate,
+    empty,
     evaluate_perm,
     expand_unity,
     graph_digest,
@@ -43,7 +45,7 @@ from qsym import (
 )
 from qsym import verifier
 from qsym.graphs import pair_orbits
-from qsym.verifier import scope_quadruples
+from qsym.verifier import scope_quadruples, scope_size
 
 G5 = cycle(5)
 IDENTITY = (1, 2, 3, 4, 5)
@@ -430,6 +432,31 @@ def test_qa5_scope_is_the_edge_pairs(c5_graph):
     # The same conclusions claimed for the full scope fall short at once.
     report = verify_certificate(c5_graph, dataclasses.replace(cert, scope=FULL))
     assert report.location == "conclusion 0" and "out of place" in report.reason
+
+
+@pytest.mark.parametrize(
+    "g, scope", [(empty(100), FULL), (cycle(100), QA5)], ids=["empty-100-full", "c100-qa5"]
+)
+def test_a_large_scope_is_counted_not_walked(g, scope):
+    # With no conclusions the certificate falls short of its scope at
+    # conclusion 0, and the reason gives the scope's size: 100^4
+    # quadruples for the full scope, 200^2 pairs of directed edges for
+    # qa5.  Walking 10^8 quadruples one by one would take many seconds.
+    n_quads = {FULL: 100**4, QA5: 200**2}[scope]
+    t0 = time.perf_counter()
+    report = verify_certificate(g, Certificate(graph_digest(g), scope, (), (), ()))
+    assert time.perf_counter() - t0 < 5
+    assert not report.valid
+    assert (report.location, report.conclusions_checked) == ("conclusion 0", 0)
+    assert report.reason == f"0 conclusions for the {n_quads} quadruples of the {scope} scope"
+
+
+@pytest.mark.parametrize("scope", [FULL, QA5])
+@pytest.mark.parametrize(
+    "g", [cycle(5), petersen(), empty(3), cycle(6)], ids=["c5", "petersen", "empty3", "c6"]
+)
+def test_scope_size_counts_the_scope_quadruples(g, scope):
+    assert scope_size(g, scope) == len(list(scope_quadruples(g, scope)))
 
 
 @pytest.mark.parametrize(
