@@ -1,5 +1,7 @@
+from itertools import permutations
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qsym import (
     AutGroup,
@@ -9,6 +11,7 @@ from qsym import (
     cycle,
     empty,
     complement,
+    from_edge_list,
     induced_two_subset_map,
     is_automorphism,
     petersen,
@@ -145,4 +148,35 @@ def test_generators_match_the_rebuilt_closure_reference(name):
     g = complete(8) if name == "k8" else BUILTIN_GRAPHS[name]()
     group = automorphism_group(g)
     assert group.generators == _reference_generating_subset(group.elements)
-    assert autgroup._generating_subset(()) == ()
+    k1 = automorphism_group(from_edge_list(1, []))
+    assert k1.generators == () and k1.elements == ((1,),)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return from_edge_list(n, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs(), st.data())
+def test_group_matches_the_brute_force_reference(g, data):
+    # The pruned search must give what filtering every permutation gives:
+    # the same sorted elements, the same greedy generators, and the same
+    # refusal exactly when the group has more than MAX_AUT_ORDER elements.
+    elements = tuple(
+        p for p in permutations(range(1, g.n + 1)) if is_automorphism(g, p)
+    )
+    group = automorphism_group(g)
+    assert group.elements == elements and group.order == len(elements)
+    assert group.generators == _reference_generating_subset(elements)
+    bound = data.draw(st.integers(min_value=0, max_value=len(elements)), label="bound")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autgroup, "MAX_AUT_ORDER", bound)
+        if len(elements) > bound:
+            with pytest.raises(ValueError, match=f"more than {bound} elements$"):
+                automorphism_group(g)
+        else:
+            assert automorphism_group(g) == group
