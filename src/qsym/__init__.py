@@ -70,10 +70,12 @@ _EXPORTS = {
             "save_certificate",
         ),
         "graphs": (
+            "ConditionsNotMet",
             "Graph",
             "GraphFormatError",
             "MooreReport",
             "SrgParams",
+            "UnsupportedDegree",
             "check_moore_conditions",
             "complement",
             "complete",
@@ -90,9 +92,7 @@ _EXPORTS = {
             "srg_params",
         ),
         "prover": (
-            "ConditionsNotMet",
             "ProofBuilder",
-            "UnsupportedDegree",
             "derive_qa5",
             "prove_no_quantum_symmetry",
         ),

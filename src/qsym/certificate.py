@@ -25,8 +25,9 @@ position of the pair it reverses: the commutation that step claims,
 renamed.  A combine cites signed steps.
 
 A Certificate is well formed however it is built: its scope is known,
-its step ids run 0, 1, ... in order, and each step cites only earlier
-steps.  So the verifier checks only the proof.
+its table holds tuples of ints, its steps are ProofSteps with Poly
+sides, ids 0, 1, ... in order and citing only earlier steps, and its
+conclusions are Conclusions.  So the verifier checks only the proof.
 
 Serialization is JSON with polynomials in their canonical text syntax,
 format version CERT_VERSION, which belongs to the codec alone: the
@@ -229,10 +230,9 @@ class Certificate:
     permutations that swaps cite by index, and that generate the group
     whose orbits the conclusions are settled on;
     ``scope`` is FULL or QA5 and fixes which quadruples the conclusions
-    must cover.  Building one, also by dataclasses.replace, makes
-    ``steps`` and ``conclusions`` tuples and raises MalformedCertificate
-    unless the scope is known, step ids run 0, 1, ... in order, and each
-    step cites earlier ones.
+    must cover.  Building one, also by dataclasses.replace, makes all
+    three sequences tuples, and raises MalformedCertificate unless it is
+    well formed, as the module says.
     """
 
     graph_digest: str
@@ -244,8 +244,14 @@ class Certificate:
     def __post_init__(self):
         if self.scope not in SCOPES:
             raise MalformedCertificate(f"scope must be one of {list(SCOPES)}, got {self.scope!r}")
+        table = tuple(self.automorphisms)
+        for idx, images in enumerate(table):
+            if type(images) is not tuple or not set(map(type, images)) <= {int}:
+                raise MalformedCertificate(f"automorphism {idx} must be a tuple of ints")
         steps = tuple(self.steps)
         for position, step in enumerate(steps):
+            if not (type(step) is ProofStep and type(step.lhs) is type(step.rhs) is Poly):
+                raise MalformedCertificate(f"step {position} must be a ProofStep with Poly sides")
             if step.id != position:
                 raise MalformedCertificate(
                     f"step ids must be sequential from 0: found {step.id} at position {position}"
@@ -255,8 +261,13 @@ class Certificate:
                     raise MalformedCertificate(
                         f"step {position} references step {ref}, which is not earlier"
                     )
+        conclusions = tuple(self.conclusions)
+        if not set(map(type, conclusions)) <= {Conclusion}:  # one pass in C over 10^4
+            idx = next(i for i, c in enumerate(conclusions) if type(c) is not Conclusion)
+            raise MalformedCertificate(f"conclusion {idx} must be a Conclusion")
+        object.__setattr__(self, "automorphisms", table)
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "conclusions", tuple(self.conclusions))
+        object.__setattr__(self, "conclusions", conclusions)
 
 
 def graph_digest(g: Graph) -> str:
@@ -268,12 +279,6 @@ def _require_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise MalformedCertificate(f"{what} must be an integer, got {value!r}")
     return value
-
-
-def _require_int_array(value, what: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise MalformedCertificate(f"{what} must be an array of integers")
-    return tuple(_require_int(v, f"{what} entry") for v in value)
 
 
 def _require_keys(d: dict, expected: set, what: str):
@@ -431,10 +436,8 @@ def certificate_from_dict(d) -> Certificate:
         raise MalformedCertificate("graph_digest must be a string")
     if not isinstance(d["automorphisms"], list):
         raise MalformedCertificate("automorphisms must be an array")
-    automorphisms = tuple(
-        _require_int_array(images, f"automorphism {idx}")
-        for idx, images in enumerate(d["automorphisms"])
-    )
+    # An entry that is no array of ints is refused by Certificate.
+    automorphisms = [tuple(x) if isinstance(x, list) else x for x in d["automorphisms"]]
     if not isinstance(d["steps"], list) or not isinstance(d["conclusions"], list):
         raise MalformedCertificate("steps and conclusions must be arrays")
     steps = []

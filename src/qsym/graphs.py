@@ -56,6 +56,27 @@ class MooreReport(NamedTuple):
     reason: str | None = None
 
 
+# The prover's non-edge derivation needs k <= 3.  A k-regular graph with
+# lam=0 and mu=1 has k^2 + 1 vertices, so the class has n <= 10.
+MAX_DEGREE = 3
+
+
+class ConditionsNotMet(ValueError):
+    """The graph fails the regularity or common-neighbor hypotheses."""
+
+    def __init__(self, report: MooreReport):
+        super().__init__(report.reason or "conditions not met")
+        self.report = report
+
+
+class UnsupportedDegree(ValueError):
+    """The graph satisfies the hypotheses but its degree is too large."""
+
+    def __init__(self, k: int):
+        super().__init__(f"common degree k={k} exceeds the supported bound {MAX_DEGREE}")
+        self.k = k
+
+
 class Graph:
     """Undirected simple graph on vertices 1..n: immutable, equal to a
     Graph with the same ``n`` and ``adj``, and refusing an adjacency
@@ -336,6 +357,17 @@ def check_moore_conditions(g: Graph) -> MooreReport:
                     reason=f"non-adjacent pair ({u}, {v}) has {c} common neighbors, expected 1",
                 )
     return MooreReport(holds=True, k=k)
+
+
+def require_hypotheses(g: Graph) -> None:
+    """Raise ConditionsNotMet or UnsupportedDegree unless g meets the
+    hypotheses with k <= MAX_DEGREE: unless it is K1, K2, C5 or Petersen
+    (Hoffman and Singleton), the class that prove and verify take."""
+    report = check_moore_conditions(g)
+    if not report.holds:
+        raise ConditionsNotMet(report)
+    if report.k > MAX_DEGREE:
+        raise UnsupportedDegree(report.k)
 
 
 def format_graph_text(g: Graph) -> str:

@@ -8,7 +8,8 @@ verifier can recheck everything independently.  A derivation emits
 only the steps that carry information, row unity expansions, swaps of
 certified commutations and the commutation lemma, and one combine that
 cites them: the checker recovers every intermediate sum by local
-reduction.
+reduction.  graphs.require_hypotheses defines the class, K1, K2, C5 and
+Petersen, and refuses any other graph for the prover and the CLI.
 
 The derivation has three layers.  First, commutation for every pair of
 directed edges: u[i,j]u[k,l] is pinned against a row unity expansion
@@ -51,29 +52,9 @@ from .certificate import (
     graph_digest,
     scope_quadruples,
 )
-from .graphs import Graph, MooreReport, check_moore_conditions, pair_orbits
+from .graphs import ConditionsNotMet, UnsupportedDegree  # noqa: F401  importable from here
+from .graphs import Graph, pair_orbits, require_hypotheses
 from .relations import local_reduce, swap_pair
-
-# The cross-term kill in the non-edge derivation relies on at most one
-# neighbor of t besides the two column indices; k = 3 is the limit.
-MAX_DEGREE = 3
-
-
-class ConditionsNotMet(ValueError):
-    """The graph fails the regularity or common-neighbor hypotheses."""
-
-    def __init__(self, report: MooreReport):
-        super().__init__(report.reason or "conditions not met")
-        self.report = report
-
-
-class UnsupportedDegree(ValueError):
-    """The graph satisfies the hypotheses but its degree is too large."""
-
-    def __init__(self, k: int):
-        super().__init__(f"common degree k={k} exceeds the supported bound {MAX_DEGREE}")
-        self.k = k
-
 
 def _single_word(p: Poly):
     """The word of a one-term, coefficient-1 polynomial, else None."""
@@ -166,19 +147,6 @@ class ProofBuilder:
         and the elements that rename its quadruple to that one."""
         (rows, rho), (cols, kappa) = self.transversal((r1, r2)), self.transversal((c1, c2))
         return family[rows, cols], rho, kappa
-
-
-def _require_hypotheses(g: Graph) -> None:
-    """Refuse g unless it meets the hypotheses with k <= MAX_DEGREE.
-
-    Such a graph is K1, K2, C5 or Petersen (Hoffman and Singleton), so
-    its automorphism group is small enough to list.
-    """
-    report = check_moore_conditions(g)
-    if not report.holds:
-        raise ConditionsNotMet(report)
-    if report.k > MAX_DEGREE:
-        raise UnsupportedDegree(report.k)
 
 
 def _unique_common_neighbor(g: Graph, a: int, b: int) -> int:
@@ -340,7 +308,7 @@ def _prove(g: Graph, scope: str) -> Certificate:
     """The certificate of either scope: derive the edge-edge family, and
     for FULL the non-edge family, then conclude on each quadruple of the
     scope in order."""
-    _require_hypotheses(g)
+    require_hypotheses(g)
     bld = ProofBuilder(g, automorphism_group(g).generators)
     edge_edge = _derive_family(bld, g.directed_edges(), _derive_edge_edge)
     if scope == FULL:
@@ -360,9 +328,8 @@ def _prove(g: Graph, scope: str) -> Certificate:
 def derive_qa5(g: Graph) -> Certificate:
     """Certify commutation of u[i,j] and u[k,l] for all edges (i,k), (j,l).
 
-    Requires the regularity and common-neighbor hypotheses and common
-    degree at most 3; raises ConditionsNotMet or UnsupportedDegree
-    otherwise.  Conclusions are sorted by quadruple.
+    Raises as graphs.require_hypotheses does for a graph outside the
+    class.  Conclusions are sorted by quadruple.
     """
     return _prove(g, QA5)
 
@@ -372,8 +339,7 @@ def prove_no_quantum_symmetry(g: Graph) -> Certificate:
 
     The conclusions classify all n^2 x n^2 ordered pairs
     (u[i,j], u[k,l]), one conclusion per quadruple in lexicographic
-    order.  Requires the regularity and common-neighbor hypotheses and
-    common degree at most 3; raises ConditionsNotMet or
-    UnsupportedDegree otherwise.
+    order.  Raises as graphs.require_hypotheses does for a graph outside
+    the class.
     """
     return _prove(g, FULL)

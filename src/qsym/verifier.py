@@ -64,14 +64,15 @@ word and its reverse have the same normal form or both rewrite to zero.
 _reduce_word gives a word's normal form, or None for zero, so comparing
 two results, or testing one for None, is that check without building a
 polynomial.  A table that generates only part of Aut gives finer
-orbits, which need more steps and never settle a false claim.  The
-scope's size is counted, not walked, so a certificate that falls short
-of a large scope is refused at once.
+orbits, which need more steps and never settle a false claim.  A graph
+of more than MAX_DEGREE**2 + 1 = 10 vertices, which the prover never
+takes, is refused at "graph" first, so the orbits and the scope stay
+small whatever the file holds.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .algebra import Poly, check_gen_bounds, expand_unity, gen, star
 from .certificate import (
@@ -88,7 +89,7 @@ from .certificate import (
     scope_quadruples,
     scope_size,
 )
-from .graphs import Graph, is_automorphism, pair_orbits
+from .graphs import MAX_DEGREE, Graph, is_automorphism, pair_orbits
 from .relations import _reduce_word, local_reduce, swap_pair
 
 
@@ -104,7 +105,7 @@ class VerificationReport(NamedTuple):
     conclusions_checked: int
     first_failure: Optional[int] = None  # id of the failing step
     reason: Optional[str] = None
-    # Where the check failed: "step s", "conclusion c" or "automorphism a".
+    # Where the check failed: "graph", "automorphism a", "step s" or "conclusion c".
     location: Optional[str] = None
 
 
@@ -197,18 +198,12 @@ class _Products(dict):
         return verdict
 
 
-def _coverage(g: Graph, cert: Certificate) -> Callable[..., bool]:
-    """holds(kind, i, j, k, l): whether that claim holds on the product
-    of the orbits of (i, k) and (j, l), as verify_certificate decides
-    it, for vertices i, j, k, l of g.  Call it only once the table and
-    every step are checked."""
-    products = _Products(g, cert)
-    return lambda *concl: products[products.key(*concl)]
-
-
 def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
     """Recheck every table entry, step and conclusion of cert against g,
     and that the conclusions cover the certificate's scope."""
+    if g.n > MAX_DEGREE**2 + 1:
+        reason = f"the graph has {g.n} vertices; no graph of the class has more than 10"
+        return VerificationReport(False, 0, 0, location="graph", reason=reason)
     if cert.graph_digest != graph_digest(g):
         raise DigestMismatch("certificate digest does not match the graph")
 

@@ -290,6 +290,29 @@ _STRUCTURE_REFUSALS = [
         "step 0 references step 0, which is not earlier",
         id="transport-self-reference",
     ),
+    # Records the checker would misread or crash on: a conclusion that is
+    # a plain tuple, whatever its fields, a table entry of a non-int, and
+    # a step side that is not a Poly.
+    pytest.param(
+        dict(conclusions=(Conclusion(COMMUTES, 1, 1, 2, 2), ("bogus", 1, 1, 1, 2))),
+        "conclusion 1 must be a Conclusion",
+        id="conclusion-bogus-kind",
+    ),
+    pytest.param(
+        dict(conclusions=((COMMUTES, 1.0, 1, 2, 2),)),
+        "conclusion 0 must be a Conclusion",
+        id="conclusion-float-index",
+    ),
+    pytest.param(
+        dict(automorphisms=(ROTATION, (1, 2, 3, 4, 5.0))),
+        "automorphism 1 must be a tuple of ints",
+        id="table-float-image",
+    ),
+    pytest.param(
+        dict(steps=(ProofStep(0, "x", _X, Combine(())),)),
+        "step 0 must be a ProofStep with Poly sides",
+        id="step-side-not-a-poly",
+    ),
 ]
 
 

@@ -6,16 +6,18 @@ import pytest
 
 import helpers
 from qsym import (
-    CERT_VERSION,
+    QA5,
+    Certificate,
     certificate_to_dict,
     cycle,
+    empty,
     format_graph_text,
     graph_digest,
     load_certificate,
     prove_no_quantum_symmetry,
     save_certificate,
 )
-from qsym import certificate, sanity
+from qsym import certificate, cli
 from qsym.autgroup import MAX_AUT_ORDER
 from qsym.cli import main
 
@@ -430,31 +432,40 @@ def test_verify_refuses_incomplete_coverage(tmp_path, capsys, edit, where):
     assert f"INVALID at conclusion {where}:" in out
 
 
-def test_verify_fuzz_refuses_unlistable_graph(tmp_path, capsys):
-    # Hoffman-Singleton has 50 vertices: its automorphisms are not
-    # listed, so there is nothing to sample, and verify says so cleanly.
-    g = helpers.hoffman_singleton()
-    graph_path = tmp_path / "hs.graph"
-    graph_path.write_text(format_graph_text(g))
-    cert = {
-        "version": CERT_VERSION,
-        "graph_digest": graph_digest(g),
-        "scope": "full",
-        "automorphisms": [],
-        "steps": [],
-        "conclusions": [],
-    }
-    cert_path = tmp_path / "hs.cert.json"
-    cert_path.write_text(json.dumps(cert))
-    code, out, err = run_cli(
-        ["verify", "--file", str(graph_path), str(cert_path), "--fuzz", "1"], capsys
-    )
-    assert code == 1
-    assert "cannot fuzz" in err and "50" in err
-    assert "Traceback" not in out + err
-    # Without --fuzz the certificate is checked, and falls short.
-    code, out, _ = run_cli(["verify", "--file", str(graph_path), str(cert_path)], capsys)
-    assert code == 1 and "INVALID at conclusion 0:" in out
+# Every graph outside the class that prove and verify take, as the
+# command line arguments that name it: the built-in graphs, and graph
+# files written by each maker.
+_OUTSIDE_THE_CLASS = [
+    pytest.param(["--graph", name], None, id=name)
+    for name in ("k4", "k5", "empty4", "k33", "copetersen")
+] + [
+    pytest.param(None, helpers.hoffman_singleton, id="hoffman-singleton"),
+    pytest.param(None, lambda: empty(10), id="empty10"),
+]
+
+
+@pytest.mark.parametrize("graph_args, make", _OUTSIDE_THE_CLASS)
+def test_verify_refuses_every_graph_prove_refuses(tmp_path, capsys, graph_args, make):
+    # The certificate carries the graph's digest and no conclusions, a
+    # qa5 one that the checker would call valid on an empty graph.  The
+    # graph is refused with prove's line before the certificate is
+    # opened, so a missing file is refused the same way, with --fuzz or
+    # without.
+    if graph_args is None:
+        graph_path = tmp_path / "g.graph"
+        graph_path.write_text(format_graph_text(make()))
+        graph_args = ["--file", str(graph_path)]
+    g = make() if make else cli.BUILTIN_GRAPHS[graph_args[1]]()
+    cert_path = tmp_path / "g.cert.json"
+    save_certificate(Certificate(graph_digest(g), QA5, (), (), ()), cert_path)
+    code, out, refusal = run_cli(["prove", *graph_args, "--out", str(tmp_path / "p.json")], capsys)
+    assert code == 2 and not out
+    assert refusal.startswith(("ConditionsNotMet: ", "UnsupportedDegree k="))
+    assert len(refusal.splitlines()) == 1
+    for path in (cert_path, tmp_path / "absent.json"):
+        for fuzz in ([], ["--fuzz", "1"]):
+            argv = ["verify", *graph_args, str(path), *fuzz]
+            assert run_cli(argv, capsys) == (2, "", refusal), argv
 
 
 def test_verify_missing_certificate(tmp_path, capsys):
@@ -534,20 +545,6 @@ def test_aut_refuses_a_group_too_large_to_list(tmp_path, capsys):
     code, out, err = run_cli(["aut", "--file", str(graph_path)], capsys)
     assert code == 1 and not out
     assert err == f"automorphism group has more than {MAX_AUT_ORDER} elements\n"
-
-
-def test_verify_fuzz_refuses_a_group_too_large_to_list(tmp_path, capsys, monkeypatch):
-    # No graph within the vertex bound that qsym can certify has such a
-    # group, so the refusal is simulated where sanity_eval meets it.
-    def refuse(g):
-        raise ValueError(f"automorphism group has more than {MAX_AUT_ORDER} elements")
-
-    out_path = str(tmp_path / "c5.cert.json")
-    assert run_cli(["prove", "--graph", "c5", "--out", out_path], capsys)[0] == 0
-    monkeypatch.setattr(sanity, "automorphism_group", refuse)
-    code, out, err = run_cli(["verify", "--graph", "c5", out_path, "--fuzz", "1"], capsys)
-    assert code == 1 and out.startswith("valid:")
-    assert err == f"cannot fuzz: automorphism group has more than {MAX_AUT_ORDER} elements\n"
 
 
 def test_graph_file_round_trip(tmp_path, capsys):

@@ -39,15 +39,13 @@ EXPORTS = {
         "loads_certificate", "save_certificate",
     ],
     "graphs": [
-        "Graph", "GraphFormatError", "MooreReport", "SrgParams",
-        "check_moore_conditions", "complement", "complete", "complete_bipartite",
-        "cycle", "empty", "format_graph_text", "from_edge_list", "is_automorphism",
-        "kneser", "kneser_vertices", "parse_graph_text", "petersen", "srg_params",
+        "ConditionsNotMet", "Graph", "GraphFormatError", "MooreReport", "SrgParams",
+        "UnsupportedDegree", "check_moore_conditions", "complement", "complete",
+        "complete_bipartite", "cycle", "empty", "format_graph_text", "from_edge_list",
+        "is_automorphism", "kneser", "kneser_vertices", "parse_graph_text", "petersen",
+        "srg_params",
     ],
-    "prover": [
-        "ConditionsNotMet", "ProofBuilder", "UnsupportedDegree", "derive_qa5",
-        "prove_no_quantum_symmetry",
-    ],
+    "prover": ["ProofBuilder", "derive_qa5", "prove_no_quantum_symmetry"],
     "relations": ["local_reduce", "swap_pair"],
     "sanity": ["SanityReport", "sanity_eval"],
     "verifier": ["DigestMismatch", "VerificationReport", "verify_certificate"],

@@ -435,20 +435,38 @@ def test_qa5_scope_is_the_edge_pairs(c5_graph):
 
 
 @pytest.mark.parametrize(
-    "g, scope", [(empty(100), FULL), (cycle(100), QA5)], ids=["empty-100-full", "c100-qa5"]
+    "make, n, scope, generators",
+    [
+        (empty, 100, FULL, False),
+        (cycle, 100, QA5, False),
+        (empty, 11, FULL, False),
+        (empty, 1000, FULL, True),
+        (empty, 10, FULL, False),
+    ],
+    ids=["empty-100-full", "c100-qa5", "empty-11-full", "empty-1000-sym", "empty-10-full"],
 )
-def test_a_large_scope_is_counted_not_walked(g, scope):
-    # With no conclusions the certificate falls short of its scope at
-    # conclusion 0, and the reason gives the scope's size: 100^4
-    # quadruples for the full scope, 200^2 pairs of directed edges for
-    # qa5.  Walking 10^8 quadruples one by one would take many seconds.
-    n_quads = {FULL: 100**4, QA5: 200**2}[scope]
+def test_a_large_scope_is_counted_not_walked(make, n, scope, generators):
+    # No graph the prover takes has more than 10 vertices, so a larger
+    # one is refused at the graph, before the digest, the table's pair
+    # orbits or the scope.  At n = 1000 the table holds a transposition
+    # and an n-cycle, whose pair orbits would take seconds to fill.  At
+    # n = 10 the certificate is read, and with no conclusions it falls
+    # short of its 10^4 quadruples at conclusion 0.
+    g = make(n)
+    table = ((2, 1) + tuple(range(3, n + 1)), tuple(range(2, n + 1)) + (1,)) if generators else ()
+    cert = Certificate(graph_digest(g), scope, table, (), ())
     t0 = time.perf_counter()
-    report = verify_certificate(g, Certificate(graph_digest(g), scope, (), (), ()))
-    assert time.perf_counter() - t0 < 5
-    assert not report.valid
-    assert (report.location, report.conclusions_checked) == ("conclusion 0", 0)
-    assert report.reason == f"0 conclusions for the {n_quads} quadruples of the {scope} scope"
+    report = verify_certificate(g, cert)
+    assert time.perf_counter() - t0 < 0.1
+    assert not report.valid and report.conclusions_checked == 0
+    if n <= 10:
+        assert report.location == "conclusion 0"
+        assert report.reason == "0 conclusions for the 10000 quadruples of the full scope"
+    else:
+        assert report.location == "graph"
+        assert report.reason == (
+            f"the graph has {n} vertices; no graph of the class has more than 10"
+        )
 
 
 @pytest.mark.parametrize("scope", [FULL, QA5])
@@ -525,11 +543,11 @@ def test_conclusion_verdicts_match_the_relabel_reference(request, graph, scope):
     # must also be refused there by verify_certificate.
     g = request.getfixturevalue(f"{graph}_graph")
     cert = request.getfixturevalue(f"{graph}_{'full' if scope == FULL else 'qa5'}_cert")
-    holds = verifier._coverage(g, cert)
+    products = verifier._Products(g, cert)
     quads = list(scope_quadruples(g, scope))
 
     def agree(c, quad):
-        got = (c.i, c.j, c.k, c.l) == quad and holds(*c)
+        got = (c.i, c.j, c.k, c.l) == quad and products[products.key(*c)]
         assert got == _reference_verdict(g, cert, c, quad), (c, quad)
         return got
 
@@ -562,14 +580,14 @@ def test_reduced_conclusions_decided_on_words_match_local_reduce(request, graph)
     # u[i,j]u[k,l] and its reverse; local_reduce of the claim's
     # difference is the reference, for every quadruple and both kinds.
     g = request.getfixturevalue(f"{graph}_graph")
-    holds = verifier._coverage(g, _cert((), g=g, automorphisms=[tuple(g.vertices())]))
+    products = verifier._Products(g, _cert((), g=g, automorphisms=[tuple(g.vertices())]))
     verdicts = {True: 0, False: 0}
     for kind in (COMMUTES, ZERO_PRODUCT):
         for quad in itertools.product(g.vertices(), repeat=4):
             c = Conclusion(kind, *quad)
             lhs, rhs = c.claim()
             expected = local_reduce(g, lhs - rhs).is_zero
-            assert holds(*c) == expected, (kind, quad)
+            assert products[products.key(*c)] == expected, (kind, quad)
             verdicts[expected] += 1
     assert sum(verdicts.values()) == 2 * g.n**4 and all(verdicts.values())
 
