@@ -28,14 +28,11 @@ _EXPORTS = {
             "Poly",
             "PolyParseError",
             "Word",
-            "commutator",
-            "evaluate_perm",
             "expand_unity",
             "format_poly",
             "gen",
             "monomial",
             "parse_poly",
-            "relabel",
             "star",
             "u",
             "word",

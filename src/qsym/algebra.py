@@ -15,8 +15,6 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .graphs import _permutation
-
 ROW = "row"
 COL = "col"
 
@@ -186,10 +184,6 @@ def star(p: Poly) -> Poly:
     return Poly._from_dict({w[::-1]: c for w, c in p.terms.items()})
 
 
-def commutator(p: Poly, q: Poly) -> Poly:
-    return p * q - q * p
-
-
 def expand_unity(p: Poly, position: int, index: int, side: str, n: int) -> Poly:
     """Insert a row or column sum of generators into every word of p.
 
@@ -227,59 +221,12 @@ def expand_unity(p: Poly, position: int, index: int, side: str, n: int) -> Poly:
     return Poly._from_dict(data)
 
 
-def relabel(p: Poly, rows, cols) -> Poly:
-    """Rename every generator u[i,j] of p to u[rows[i],cols[j]].
-
-    ``rows`` and ``cols`` are one-line images indexed from 1: entry
-    ``i - 1`` is the image of i.  Coefficients are kept; words that
-    the renaming merges accumulate.  Raises ValueError, never
-    IndexError, for a generator whose row lies beyond ``rows`` or
-    whose column lies beyond ``cols``.
-    """
-    nrows, ncols = len(rows), len(cols)
-    data: dict[Word, Coeff] = {}
-    for w, c in p.terms.items():
-        for f in w:
-            if f.row > nrows or f.col > ncols:
-                raise ValueError(
-                    f"generator u[{f.row},{f.col}] out of range for a"
-                    f" {nrows} x {ncols} renaming"
-                )
-        nw = tuple(gen(rows[f.row - 1], cols[f.col - 1]) for f in w)
-        s = data.get(nw, 0) + c
-        if s:
-            data[nw] = s
-        else:
-            del data[nw]
-    return Poly._from_dict(data)
-
-
 def check_gen_bounds(p: Poly, n: int) -> None:
     """Raise ValueError if p names a generator outside u[1..n,1..n]."""
     for w in p.terms:
         for f in w:
             if f.row > n or f.col > n:
                 raise ValueError(f"generator u[{f.row},{f.col}] out of range for n={n}")
-
-
-def evaluate_perm(g, sigma, p: Poly) -> Fraction:
-    """Evaluate p at the permutation matrix of sigma on the vertices of g.
-
-    The generator u[i,j] becomes 1 when sigma maps j to i and 0
-    otherwise; the empty word evaluates to 1.  ``sigma`` is in one-line
-    notation.  Raises ValueError if sigma does not permute the vertices
-    or p names a generator outside them.
-    """
-    images = _permutation(g, sigma)
-    check_gen_bounds(p, g.n)
-    total = 0
-    for w, c in p.terms.items():
-        for f in w:
-            if images[f.col - 1] != f.row:
-                break
-        else:
-            total += c
-    return Fraction(total)
 
 
 def _term_str(w: Word, c: Coeff) -> tuple[bool, str]:

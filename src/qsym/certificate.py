@@ -22,12 +22,17 @@ A step's justification is one of four rules: expand_unity, swap,
 combine and lemma_com.  The rule table, _RULES, is where a rule's wire
 form is defined.  A swap cites a step and two table entries, and the
 position of the pair it reverses: the commutation that step claims,
-renamed.  A combine cites signed steps.
+renamed.  A combine cites signed steps.  Each rule's class checks its
+own fields when it is built, and the loader passes it the JSON values
+unchecked: every index is an int, not a bool, an expand_unity index is
+positive and every other index nonnegative, a side is "row" or "col",
+and a combine's terms are (step, 1 or -1) pairs.
 
 A Certificate is well formed however it is built: its scope is known,
 its table holds tuples of ints, its steps are ProofSteps with Poly
-sides, ids 0, 1, ... in order and citing only earlier steps, and its
-conclusions are Conclusions.  So the verifier checks only the proof.
+sides, justified by one of the four rules, ids 0, 1, ... in order and
+citing only earlier steps, and its conclusions are Conclusions.  So
+the verifier checks only the proof.
 
 Serialization is JSON with polynomials in their canonical text syntax,
 format version CERT_VERSION, which belongs to the codec alone: the
@@ -88,13 +93,21 @@ class ExpandUnity:
     index: int
     side: str
 
+    def __post_init__(self):
+        _check_index(self.position, "expand_unity position")
+        _check_index(self.index, "expand_unity index", least=1)
+        if self.side not in (ROW, COL):
+            raise MalformedCertificate(
+                f"expand_unity side must be {ROW!r} or {COL!r}, got {self.side!r}"
+            )
+
 
 @dataclass(frozen=True, slots=True)
 class Swap:
     """rhs is lhs with a generator pair reversed at ``position`` in every
     word: the pair whose commutation step ``step`` claims, renamed under
     the automorphisms at table indices ``rows`` and ``cols`` as for a
-    Conclusion.  Building one refuses a negative or non-integer index."""
+    Conclusion."""
 
     step: int
     rows: int
@@ -102,17 +115,32 @@ class Swap:
     position: int
 
     def __post_init__(self):
-        _check_index(self.rows, "swap rows")
-        _check_index(self.cols, "swap cols")
+        for field in self.__match_args__:
+            _check_index(getattr(self, field), f"swap {field}")
 
 
 @dataclass(frozen=True, slots=True)
 class Combine:
     """lhs - rhs, less the sum of c times the difference lhs - rhs of
     step s over the pairs (s, c) of ``terms``, has local_reduce zero.
-    Each c is 1 or -1; with no terms, both sides share a normal form."""
+    Each c is 1 or -1; with no terms, both sides share a normal form.
+    Any sequence of pairs is taken, and stored as a tuple of tuples."""
 
     terms: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        terms = self.terms
+        if not isinstance(terms, (list, tuple)) or not all(
+            isinstance(t, (list, tuple)) and len(t) == 2 for t in terms
+        ):
+            raise MalformedCertificate(
+                "combine terms must be an array of [step, coefficient] pairs"
+            )
+        for s, c in terms:
+            _check_index(s, "combine step")
+            if type(c) is not int or c not in (1, -1):
+                raise MalformedCertificate(f"combine coefficient must be 1 or -1, got {c!r}")
+        object.__setattr__(self, "terms", tuple(map(tuple, terms)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,8 +149,27 @@ class LemmaCom:
 
     step: int
 
+    def __post_init__(self):
+        _check_index(self.step, "lemma_com step")
+
 
 Justification = Union[ExpandUnity, Swap, Combine, LemmaCom]
+
+# The rule table: each justification's rule name and the earlier step
+# ids it cites.  Its wire form is the rule name, then its fields in
+# class order, which the class checks when it is built.
+_RULES = {
+    ExpandUnity: ("expand_unity", lambda j: ()),
+    Swap: ("swap", lambda j: (j.step,)),
+    Combine: ("combine", lambda j: tuple(s for s, _ in j.terms)),
+    LemmaCom: ("lemma_com", lambda j: (j.step,)),
+}
+_RULE_CLASSES = {name: cls for cls, (name, _) in _RULES.items()}
+
+
+def justification_refs(just: Justification) -> tuple[int, ...]:
+    """Earlier step ids a justification depends on."""
+    return _RULES[type(just)][1](just)
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,9 +185,10 @@ class ProofStep:
         _check_index(self.id, "step id")
 
 
-def _check_index(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise MalformedCertificate(f"{what} must be a nonnegative integer, got {value!r}")
+def _check_index(value, what: str, least: int = 0) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise MalformedCertificate(f"{what} must be a {kind} integer, got {value!r}")
 
 
 class _ConclusionFields(NamedTuple):
@@ -256,8 +304,13 @@ class Certificate:
                 raise MalformedCertificate(
                     f"step ids must be sequential from 0: found {step.id} at position {position}"
                 )
-            for ref in justification_refs(step.justification):
-                if not 0 <= ref < position:
+            rule = _RULES.get(type(step.justification))
+            if rule is None:
+                raise MalformedCertificate(
+                    f"step {position} justification must be one of {[c.__name__ for c in _RULES]}"
+                )
+            for ref in rule[1](step.justification):
+                if ref >= position:
                     raise MalformedCertificate(
                         f"step {position} references step {ref}, which is not earlier"
                     )
@@ -290,53 +343,11 @@ def _require_keys(d: dict, expected: set, what: str):
         )
 
 
-def _require_side(value, what: str) -> str:
-    if value not in (ROW, COL):
-        raise MalformedCertificate(f"{what} must be {ROW!r} or {COL!r}, got {value!r}")
-    return value
-
-
-def _require_sign(value, what: str) -> int:
-    if _require_int(value, what) not in (1, -1):
-        raise MalformedCertificate(f"{what} must be 1 or -1, got {value!r}")
-    return value
-
-
-def _require_terms(value, what: str) -> tuple[tuple[int, int], ...]:
-    if not isinstance(value, list) or any(not isinstance(t, list) or len(t) != 2 for t in value):
-        raise MalformedCertificate(f"{what} must be an array of [step, coefficient] pairs")
-    return tuple(
-        (_require_int(s, f"{what} step"), _require_sign(c, f"{what} coefficient")) for s, c in value
-    )
-
-
-# The rule table: each justification's rule name and the earlier step
-# ids it cites.  Its wire form is the rule name, then its fields in
-# class order, each checked on loading by _FIELD_CHECKS or as an integer.
-_RULES = {
-    ExpandUnity: ("expand_unity", lambda j: ()),
-    Swap: ("swap", lambda j: (j.step,)),
-    Combine: ("combine", lambda j: tuple(s for s, _ in j.terms)),
-    LemmaCom: ("lemma_com", lambda j: (j.step,)),
-}
-_RULE_CLASSES = {name: cls for cls, (name, _) in _RULES.items()}
-_FIELD_CHECKS = {"side": _require_side, "terms": _require_terms}
-
-
-def justification_refs(just: Justification) -> tuple[int, ...]:
-    """Earlier step ids a justification depends on."""
-    _, refs = _RULES.get(type(just), (None, lambda j: ()))
-    return refs(just)
-
-
 def _justification_to_dict(just: Justification) -> dict:
-    rule = _RULES.get(type(just))
-    if rule is None:
-        raise MalformedCertificate(f"unknown justification {just!r}")
     fields = {f: getattr(just, f) for f in type(just).__match_args__}
     if "terms" in fields:  # JSON arrays, as the loader reads them
         fields["terms"] = [list(term) for term in fields["terms"]]
-    return {"rule": rule[0], **fields}
+    return {"rule": _RULES[type(just)][0], **fields}
 
 
 def _justification_from_dict(d) -> Justification:
@@ -348,7 +359,7 @@ def _justification_from_dict(d) -> Justification:
         raise MalformedCertificate(f"unknown justification rule {rule!r}")
     fields = cls.__match_args__
     _require_keys(d, {"rule", *fields}, f"{rule} justification")
-    return cls(*(_FIELD_CHECKS.get(f, _require_int)(d[f], f) for f in fields))
+    return cls(*(d[f] for f in fields))
 
 
 def _parse_poly_field(text, what: str, parsed: dict[str, Poly]) -> Poly:

@@ -1,10 +1,10 @@
 """Finite simple graphs with 1-based vertex labels.
 
 Vertices are the integers 1..n.  Graphs are immutable; adjacency is
-stored as a dense boolean matrix plus precomputed neighbor lists so
-that lookups inside algebraic rewriting loops stay cheap.  A
-permutation of the vertices is a tuple in one-line notation: entry
-v - 1 is the image of v.
+stored once, as an int matrix padded for 1-based lookups, beside
+precomputed neighbor lists, so that lookups inside algebraic rewriting
+loops stay cheap.  A permutation of the vertices is a tuple in one-line
+notation: entry v - 1 is the image of v.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class SrgParams(NamedTuple):
     k: int
     lam: int
     mu: int
-
-    def counting_identity_holds(self) -> bool:
-        """Check k*(k - lam - 1) == (n - k - 1)*mu."""
-        return self.k * (self.k - self.lam - 1) == (self.n - self.k - 1) * self.mu
 
 
 class MooreReport(NamedTuple):
@@ -79,12 +75,13 @@ class UnsupportedDegree(ValueError):
 
 class Graph:
     """Undirected simple graph on vertices 1..n: immutable, equal to a
-    Graph with the same ``n`` and ``adj``, and refusing an adjacency
+    Graph with the same ``n`` and adjacency, and refusing an adjacency
     matrix that is not square, symmetric and loop-free."""
 
-    # Row 0 and column 0 of adj1 are padding so 1-based lookups need no
-    # offset; _nbrs[u] lists the neighbors of u, ascending.
-    __slots__ = ("n", "adj", "adj1", "_nbrs")
+    # adj1 is the adjacency matrix as ints, with row 0 and column 0 as
+    # padding so 1-based lookups need no offset; _nbrs[u] lists the
+    # neighbors of u, ascending.
+    __slots__ = ("n", "adj1", "_nbrs")
 
     def __init__(self, n: int, adj: tuple[tuple[bool, ...], ...]):
         if n < 1:
@@ -99,7 +96,7 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric at ({i + 1}, {j + 1})")
         adj1 = ((0,) * (n + 1),) + tuple((0,) + tuple(int(x) for x in row) for row in adj)
         nbrs = ((),) + tuple(tuple(v for v in range(1, n + 1) if row[v]) for row in adj1[1:])
-        for name, value in zip(Graph.__slots__, (n, adj, adj1, nbrs)):
+        for name, value in zip(Graph.__slots__, (n, adj1, nbrs)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
@@ -110,16 +107,17 @@ class Graph:
     def __eq__(self, other):
         if type(other) is not Graph:
             return NotImplemented
-        return (self.n, self.adj) == (other.n, other.adj)
+        return (self.n, self.adj1) == (other.n, other.adj1)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return hash((self.n, self.adj1))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n!r}, adj={self.adj!r})"
+        return "Graph(n={!r}, adj={!r})".format(*self.__reduce__()[1])
 
     def __reduce__(self):
-        return Graph, (self.n, self.adj)
+        # The constructor's arguments: adj1 without its padding.
+        return Graph, (self.n, tuple(row[1:] for row in self.adj1[1:]))
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -165,22 +163,16 @@ class Graph:
             raise ValueError(f"vertex {u!r} out of range 1..{self.n}")
 
 
-def _permutation(g: Graph, images) -> tuple[int, ...]:
-    """The one-line images (entry v - 1 is the image of v) as a tuple,
-    checked to permute the vertices of g; raises ValueError otherwise."""
-    images = tuple(images)
-    n = g.n
-    if len(images) != n:
-        raise ValueError(f"permutation has degree {len(images)}, graph has {n} vertices")
-    if sorted(images) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {images}")
-    return images
-
-
 def is_automorphism(g: Graph, images) -> bool:
-    """Whether the one-line images preserve adjacency of g; raises
-    ValueError when they do not permute the vertices of g."""
-    img = _permutation(g, images)
+    """Whether the one-line images (entry v - 1 is the image of v)
+    preserve adjacency of g; raises ValueError when they do not permute
+    the vertices of g."""
+    img = tuple(images)
+    n = g.n
+    if len(img) != n:
+        raise ValueError(f"permutation has degree {len(img)}, graph has {n} vertices")
+    if sorted(img) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {img}")
     adj1 = g.adj1
     for u in g.vertices():
         row = adj1[u]
@@ -259,7 +251,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 def complement(g: Graph) -> Graph:
     rows = tuple(
-        tuple(u != v and not g.adj[u - 1][v - 1] for v in g.vertices())
+        tuple(u != v and not g.adj1[u][v] for v in g.vertices())
         for u in g.vertices()
     )
     return Graph(g.n, rows)
@@ -309,7 +301,7 @@ def srg_params(g: Graph) -> SrgParams | None:
     lam = mu = None
     for u, v in combinations(g.vertices(), 2):
         c = len(g.common_neighbors(u, v))
-        if g.adj[u - 1][v - 1]:
+        if g.adj1[u][v]:
             if lam is None:
                 lam = c
             elif lam != c:
@@ -342,7 +334,7 @@ def check_moore_conditions(g: Graph) -> MooreReport:
             )
     for u, v in combinations(g.vertices(), 2):
         c = len(g.common_neighbors(u, v))
-        if g.adj[u - 1][v - 1]:
+        if g.adj1[u][v]:
             if c != 0:
                 return MooreReport(
                     holds=False,

@@ -52,7 +52,6 @@ from .certificate import (
     graph_digest,
     scope_quadruples,
 )
-from .graphs import ConditionsNotMet, UnsupportedDegree  # noqa: F401  importable from here
 from .graphs import Graph, pair_orbits, require_hypotheses
 from .relations import local_reduce, swap_pair
 

@@ -7,8 +7,9 @@ rule is a lookup, not a search: a justification names what it cites,
 so each check is an exact recomputation, an equality or one local
 reduction.  The checker reads the table, then the steps in id order,
 then the conclusions in scope order, and an invalid report names the
-first failing table entry, step or conclusion.  That each step cites
-only earlier ones is a Certificate's invariant; the only exception
+first failing table entry, step or conclusion.  That each step has one
+of the four rules, with fields of the right types, and cites only
+earlier steps is a Certificate's invariant; the only exception
 verify_certificate raises is DigestMismatch, for another graph's
 certificate.  A rule's claim holds in the quotient when the claims it
 cites do, so by induction every checked claim holds.
@@ -81,7 +82,6 @@ from .certificate import (
     Certificate,
     Combine,
     ExpandUnity,
-    LemmaCom,
     ProofStep,
     Swap,
     claim_quadruple,
@@ -149,14 +149,13 @@ def _check_step(g: Graph, cert: Certificate, step: ProofStep) -> Optional[str]:
             cited = [s for s, _ in just.terms]
             return f"lhs - rhs less the combination of steps {cited} does not reduce to zero"
         return None
-    if isinstance(just, LemmaCom):
-        ref = steps[just.step]
-        if star(ref.rhs) != ref.rhs:
-            return f"right side of step {just.step} is not star-invariant"
-        if step.lhs != ref.lhs or step.rhs != star(ref.lhs):
-            return f"claim is not the star transport of step {just.step}"
-        return None
-    return f"unknown justification {type(just).__name__}"
+    # A LemmaCom: a Certificate's steps have only the four rules.
+    ref = steps[just.step]
+    if star(ref.rhs) != ref.rhs:
+        return f"right side of step {just.step} is not star-invariant"
+    if step.lhs != ref.lhs or step.rhs != star(ref.lhs):
+        return f"claim is not the star transport of step {just.step}"
+    return None
 
 
 class _Products(dict):

@@ -55,10 +55,10 @@ from qsym import (
     gen,
     is_automorphism,
     local_reduce,
-    relabel,
     star,
     swap_pair,
 )
+from algebra_reference import relabel
 
 
 def hoffman_singleton():

@@ -25,7 +25,6 @@ from qsym import (
     cycle,
     derive_qa5,
     empty,
-    evaluate_perm,
     expand_unity,
     local_reduce,
     monomial,
@@ -37,6 +36,7 @@ from qsym import (
     verify_certificate,
     verify_s5_action,
 )
+from algebra_reference import evaluate_perm
 from helpers import mutate_certificate
 
 

@@ -10,20 +10,18 @@ from qsym import (
     Poly,
     PolyParseError,
     automorphism_group,
-    commutator,
     cycle,
-    evaluate_perm,
     expand_unity,
     format_poly,
     gen,
     monomial,
     parse_poly,
     petersen,
-    relabel,
     star,
     u,
     word,
 )
+from algebra_reference import commutator, evaluate_perm, relabel
 
 coeffs = st.one_of(
     st.integers(min_value=-4, max_value=4).filter(bool),

@@ -33,11 +33,11 @@ from qsym import (
     loads_certificate,
     monomial,
     petersen,
-    relabel,
     save_certificate,
     star,
     u,
 )
+from algebra_reference import relabel
 
 
 # Three automorphisms of C5.
@@ -245,6 +245,24 @@ def test_loads_refuses_a_step_citing_a_later_step():
 # One change of the sample certificate per structural refusal, with the
 # message it gives whichever way the certificate is built.
 _X = monomial(((1, 1), (2, 2)))
+
+
+def _justified(just, **bad):
+    """A change of the sample's steps to one step justified by just with
+    the bad fields, the justification built the way the test builds
+    the certificate."""
+
+    def change(how):
+        if how == "constructor":
+            fields = {f.name: getattr(just, f.name) for f in dataclasses.fields(just)}
+            edited = type(just)(**dict(fields, **bad))
+        else:
+            edited = dataclasses.replace(just, **bad)
+        return dict(steps=(ProofStep(0, _X, _X, edited),))
+
+    return change
+
+
 _STRUCTURE_REFUSALS = [
     pytest.param(
         dict(scope="partial"), "scope must be one of ['full', 'qa5'], got 'partial'", id="scope"
@@ -313,6 +331,59 @@ _STRUCTURE_REFUSALS = [
         "step 0 must be a ProofStep with Poly sides",
         id="step-side-not-a-poly",
     ),
+    pytest.param(
+        dict(steps=(ProofStep(0, _X, _X, ("combine", ())),)),
+        "step 0 justification must be one of ['ExpandUnity', 'Swap', 'Combine', 'LemmaCom']",
+        id="justification-of-no-rule",
+    ),
+    # Justification fields the checker would crash on, would accept
+    # although no file can hold them, or would read as an invalid step:
+    # each justification refuses its own.
+    pytest.param(
+        _justified(LemmaCom(0), step=1.0),
+        "lemma_com step must be a nonnegative integer, got 1.0",
+        id="lemma_com-float-step",
+    ),
+    pytest.param(
+        _justified(Swap(0, 0, 0, 0), step=0.0),
+        "swap step must be a nonnegative integer, got 0.0",
+        id="swap-float-step",
+    ),
+    pytest.param(
+        _justified(Swap(0, 0, 0, 0), position=-1),
+        "swap position must be a nonnegative integer, got -1",
+        id="swap-negative-position",
+    ),
+    pytest.param(
+        _justified(ExpandUnity(0, 3, "row"), position=1.0),
+        "expand_unity position must be a nonnegative integer, got 1.0",
+        id="expand_unity-float-position",
+    ),
+    pytest.param(
+        _justified(ExpandUnity(0, 3, "row"), position=True),
+        "expand_unity position must be a nonnegative integer, got True",
+        id="expand_unity-bool-position",
+    ),
+    pytest.param(
+        _justified(ExpandUnity(0, 3, "row"), index=2.0),
+        "expand_unity index must be a positive integer, got 2.0",
+        id="expand_unity-float-index",
+    ),
+    pytest.param(
+        _justified(ExpandUnity(0, 3, "row"), index=0),
+        "expand_unity index must be a positive integer, got 0",
+        id="expand_unity-zero-index",
+    ),
+    pytest.param(
+        _justified(Combine(()), terms=(("a", 1),)),
+        "combine step must be a nonnegative integer, got 'a'",
+        id="combine-str-step",
+    ),
+    pytest.param(
+        _justified(Combine(()), terms=((0, 2.5),)),
+        "combine coefficient must be 1 or -1, got 2.5",
+        id="combine-fractional-coefficient",
+    ),
 ]
 
 
@@ -323,6 +394,8 @@ def test_every_way_of_building_a_certificate_checks_its_structure(how, change, m
     fields = {f.name: getattr(good, f.name) for f in dataclasses.fields(good)}
     assert Certificate(**fields) == good
     with pytest.raises(MalformedCertificate, match=f"^{re.escape(message)}$"):
+        if callable(change):
+            change = change(how)
         if how == "constructor":
             Certificate(**dict(fields, **change))
         else:

@@ -30,14 +30,12 @@ from qsym import (
     derive_qa5,
     dumps_certificate,
     empty,
-    evaluate_perm,
     from_edge_list,
     gen,
     graph_digest,
     monomial,
     petersen,
     prove_no_quantum_symmetry,
-    relabel,
     sanity_eval,
     star,
     u,
@@ -45,6 +43,7 @@ from qsym import (
 )
 from qsym.certificate import justification_refs
 from qsym.prover import _derive_edge_edge, _derive_family, _derive_nonedge
+from algebra_reference import evaluate_perm, relabel
 from helpers import closure, conclusion_follows, hoffman_singleton
 
 

@@ -8,7 +8,6 @@ from qsym import (
     Poly,
     automorphism_group,
     cycle,
-    evaluate_perm,
     gen,
     local_reduce,
     monomial,
@@ -17,6 +16,7 @@ from qsym import (
     u,
 )
 from qsym.relations import _reduce_word
+from algebra_reference import evaluate_perm
 from relation_reference import (
     KILLED,
     ColOrth,

@@ -32,20 +32,22 @@ from qsym import (
     derive_qa5,
     dumps_certificate,
     empty,
-    evaluate_perm,
     expand_unity,
     graph_digest,
     load_certificate,
+    loads_certificate,
     local_reduce,
     petersen,
     prove_no_quantum_symmetry,
     star,
     u,
+    VerificationReport,
     verify_certificate,
 )
 from qsym import verifier
 from qsym.graphs import pair_orbits
 from qsym.verifier import scope_quadruples, scope_size
+from algebra_reference import evaluate_perm
 
 G5 = cycle(5)
 IDENTITY = (1, 2, 3, 4, 5)
@@ -781,3 +783,48 @@ def test_edited_certificate_bytes_never_escape(tmp_path_factory, start, length, 
     path = tmp_path_factory.mktemp("edited") / "cert.json"
     path.write_bytes(mutated)
     _check_outcome(lambda: load_certificate(path))
+
+
+# Hypothesis: in-memory edits of one field of one justification of the
+# C5 certificate, by dataclasses.replace.  A justification refuses a bad
+# value when it is built, and a Certificate a bad citation; whatever is
+# built ends in a report, and a certificate reported valid is written
+# to text that loads back equal.
+C5_CERT = loads_certificate(C5_TEXT)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 40)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=3)
+)
+_FIELD_VALUES = (
+    _SCALARS
+    | st.lists(
+        _SCALARS
+        | st.tuples(st.integers(-1, 40), st.sampled_from([1, -1]))
+        | st.lists(_SCALARS, max_size=3),
+        max_size=4,
+    )
+    | st.tuples(_SCALARS, _SCALARS)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(C5_CERT.steps))), st.data())
+def test_edited_justification_fields_never_escape(position, data):
+    steps = list(C5_CERT.steps)
+    just = steps[position].justification
+    field = data.draw(st.sampled_from(type(just).__match_args__))
+    value = data.draw(_FIELD_VALUES)
+    try:
+        edited = dataclasses.replace(just, **{field: value})
+        steps[position] = dataclasses.replace(steps[position], justification=edited)
+        cert = dataclasses.replace(C5_CERT, steps=steps)
+    except MalformedCertificate:
+        return
+    report = verify_certificate(G5, cert)
+    assert type(report) is VerificationReport
+    if report.valid:
+        assert loads_certificate(dumps_certificate(cert)) == cert
