@@ -54,7 +54,6 @@ _EXPORTS = {
             "Conclusion",
             "ExpandUnity",
             "LemmaCom",
-            "MalformedCertificate",
             "ProofStep",
             "Swap",
             "certificate_from_dict",
@@ -96,6 +95,7 @@ _EXPORTS = {
         "sanity": ("SanityReport", "sanity_eval"),
         "relations": ("local_reduce", "swap_pair"),
         "verifier": ("DigestMismatch", "VerificationReport", "verify_certificate"),
+        "wire": ("MalformedCertificate",),
     }.items()
     for name in names
 }

@@ -37,6 +37,8 @@ the verifier checks only the proof.
 Serialization is JSON with polynomials in their canonical text syntax,
 format version CERT_VERSION, which belongs to the codec alone: the
 writer stamps it and the loader refuses files of any other version.
+qsym.wire reads and decodes the text, and defines MalformedCertificate;
+certificate_from_dict builds the model from the decoded value.
 The graph is bound by digest: lowercase hex SHA-256 of its canonical
 text rendering.
 """
@@ -52,6 +54,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .algebra import COL, ROW, Poly, PolyParseError, format_poly, gen, parse_poly
 from .graphs import Graph, format_graph_text
+from .wire import MalformedCertificate, decode, read
 
 CERT_VERSION = 8
 
@@ -79,10 +82,6 @@ def scope_size(g: Graph, scope: str) -> int:
     if scope == FULL:
         return g.n**4
     return len(g.directed_edges()) ** 2
-
-
-class MalformedCertificate(ValueError):
-    """Raised when certificate data is structurally invalid."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -489,14 +488,7 @@ def dumps_certificate(cert: Certificate) -> str:
 
 
 def loads_certificate(text: str) -> Certificate:
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and integers over Python's
-        # digit limit; RecursionError covers arrays or objects nested
-        # past the interpreter's recursion limit.
-        raise MalformedCertificate(f"not valid JSON: {exc}") from None
-    return certificate_from_dict(data)
+    return certificate_from_dict(decode(text))
 
 
 def save_certificate(cert: Certificate, path) -> None:
@@ -515,9 +507,4 @@ def save_certificate(cert: Certificate, path) -> None:
 
 
 def load_certificate(path) -> Certificate:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:  # the format is ASCII-only JSON
-            raise MalformedCertificate(f"not ASCII text: {exc}") from None
-    return loads_certificate(text)
+    return certificate_from_dict(read(path))

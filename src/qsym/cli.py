@@ -7,8 +7,9 @@ that graphs.require_hypotheses defines with exit 2 and one line, right
 after loading it: ``verify`` before it opens the certificate.
 
 Each command imports the layers it runs inside its handler, so
-``conditions`` and ``info`` load only the graph code, and ``verify``
-loads the checker only once the certificate has loaded.
+``conditions`` and ``info`` load only the graph code.  ``verify``
+decodes the file before it loads the certificate model, and loads the
+checker only once the certificate has loaded.
 """
 
 from __future__ import annotations
@@ -193,10 +194,13 @@ def cmd_prove(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     _require_hypotheses(g)
-    from .certificate import MalformedCertificate, load_certificate
+    from .wire import MalformedCertificate, read
 
     try:
-        cert = load_certificate(args.certificate)
+        data = read(args.certificate)
+        from .certificate import certificate_from_dict
+
+        cert = certificate_from_dict(data)
     except OSError as exc:
         print(f"cannot read certificate: {exc}", file=sys.stderr)
         return EXIT_USAGE

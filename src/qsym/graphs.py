@@ -76,7 +76,8 @@ class UnsupportedDegree(ValueError):
 class Graph:
     """Undirected simple graph on vertices 1..n: immutable, equal to a
     Graph with the same ``n`` and adjacency, and refusing an adjacency
-    matrix that is not square, symmetric and loop-free."""
+    matrix that is not square, symmetric and loop-free, or that holds an
+    entry other than an int or bool equal to 0 or 1."""
 
     # adj1 is the adjacency matrix as ints, with row 0 and column 0 as
     # padding so 1-based lookups need no offset; _nbrs[u] lists the
@@ -88,13 +89,18 @@ class Graph:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
         if len(adj) != n or any(len(row) != n for row in adj):
             raise ValueError("adjacency matrix must be n x n")
+        for i, row in enumerate(adj):
+            # Two set passes in C per row, not a Python call per entry.
+            if not (set(map(type, row)) <= {int, bool} and set(row) <= {0, 1}):
+                bad = next(x for x in row if type(x) not in (int, bool) or x not in (0, 1))
+                raise ValueError(f"adjacency entry {bad!r} in row {i + 1} is not 0 or 1")
         for i in range(n):
             if adj[i][i]:
                 raise ValueError(f"loop at vertex {i + 1}")
             for j in range(i + 1, n):
                 if adj[i][j] != adj[j][i]:
                     raise ValueError(f"adjacency not symmetric at ({i + 1}, {j + 1})")
-        adj1 = ((0,) * (n + 1),) + tuple((0,) + tuple(int(x) for x in row) for row in adj)
+        adj1 = ((0,) * (n + 1),) + tuple((0,) + tuple(map(int, row)) for row in adj)
         nbrs = ((),) + tuple(tuple(v for v in range(1, n + 1) if row[v]) for row in adj1[1:])
         for name, value in zip(Graph.__slots__, (n, adj1, nbrs)):
             object.__setattr__(self, name, value)
@@ -165,13 +171,13 @@ class Graph:
 
 def is_automorphism(g: Graph, images) -> bool:
     """Whether the one-line images (entry v - 1 is the image of v)
-    preserve adjacency of g; raises ValueError when they do not permute
-    the vertices of g."""
+    preserve adjacency of g; raises ValueError unless they are ints, not
+    bools or floats, that permute the vertices of g."""
     img = tuple(images)
     n = g.n
     if len(img) != n:
         raise ValueError(f"permutation has degree {len(img)}, graph has {n} vertices")
-    if sorted(img) != list(range(1, n + 1)):
+    if set(map(type, img)) != {int} or sorted(img) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {img}")
     adj1 = g.adj1
     for u in g.vertices():

@@ -41,6 +41,13 @@ def test_is_automorphism_oracles():
         is_automorphism(g, tuple(range(1, 10)))
     with pytest.raises(ValueError, match="not a permutation of 1..10"):
         is_automorphism(g, (1, 1) + tuple(range(3, 11)))
+    # Images must be ints: a float equal to a vertex, or True for 1, is
+    # refused as a Certificate refuses it in its table.
+    c5 = cycle(5)
+    with pytest.raises(ValueError, match="not a permutation of 1..5"):
+        is_automorphism(c5, (1, 2, 3, 4, 5.0))
+    with pytest.raises(ValueError, match="not a permutation of 1..5"):
+        is_automorphism(c5, (True, 2, 3, 4, 5))
 
 
 def test_group_orders_frozen():

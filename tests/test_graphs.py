@@ -100,6 +100,13 @@ def test_graph_invariants_rejected():
         Graph(2, ((1, 0), (0, 0)))  # loop
     with pytest.raises(ValueError):
         Graph(2, ((0,), (0, 0)))  # ragged
+    # Entries are ints or bools equal to 0 or 1, so that two Graphs with
+    # the same edges are equal; a symmetric 2, -1, '1' or 1.0 is refused.
+    for entry in (2, -1, "1", 1.0):
+        with pytest.raises(ValueError, match="not 0 or 1"):
+            Graph(2, ((0, entry), (entry, 0)))
+    ones, bools = Graph(2, ((0, 1), (1, 0))), Graph(2, ((False, True), (True, False)))
+    assert bools == ones and hash(bools) == hash(ones) and repr(bools) == repr(ones)
 
 
 def test_graph_is_an_immutable_value():

@@ -31,8 +31,7 @@ EXPORTS = {
     ],
     "certificate": [
         "CERT_VERSION", "COMMUTES", "FULL", "QA5", "ZERO_PRODUCT", "Certificate",
-        "Combine", "Conclusion", "ExpandUnity", "LemmaCom",
-        "MalformedCertificate", "ProofStep", "Swap",
+        "Combine", "Conclusion", "ExpandUnity", "LemmaCom", "ProofStep", "Swap",
         "certificate_from_dict", "certificate_to_dict", "claim_quadruple",
         "dumps_certificate", "graph_digest", "load_certificate",
         "loads_certificate", "save_certificate",
@@ -48,6 +47,7 @@ EXPORTS = {
     "relations": ["local_reduce", "swap_pair"],
     "sanity": ["SanityReport", "sanity_eval"],
     "verifier": ["DigestMismatch", "VerificationReport", "verify_certificate"],
+    "wire": ["MalformedCertificate"],
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
@@ -62,6 +62,7 @@ ALL_MODULES = {
     "qsym.relations",
     "qsym.sanity",
     "qsym.verifier",
+    "qsym.wire",
 }
 GRAPH_ONLY = {"qsym", "qsym.cli", "qsym.graphs"}
 
@@ -194,15 +195,32 @@ def test_graph_commands_import_only_what_they_run(argv, code, modules):
     assert _fresh(_CLI_SCRIPT, *argv) == [code, sorted(modules), False]
 
 
-def test_verify_of_a_truncated_file_stops_at_the_loader(tmp_path, c5_cert_path):
-    truncated = tmp_path / "truncated.json"
-    text = c5_cert_path.read_text()
-    truncated.write_text(text[: len(text) // 2])
-    loaded = GRAPH_ONLY | {"qsym.algebra", "qsym.certificate"}
-    assert _fresh(_CLI_SCRIPT, "verify", "--graph", "c5", str(truncated))[:2] == [
-        1,
-        sorted(loaded),
-    ]
+def test_malformed_certificate_is_one_class():
+    # Defined in qsym.wire, which the table names; the certificate module
+    # raises and re-exports the same class.
+    import qsym.certificate
+
+    assert qsym.certificate.MalformedCertificate is qsym.MalformedCertificate
+
+
+@pytest.mark.parametrize(
+    "make, code",
+    [
+        (lambda text: text[: len(text) // 2].encode("ascii"), 1),  # truncated
+        (lambda text: text.encode("ascii").replace(b"{", b"\xff", 1), 1),  # not ASCII
+        (None, 3),  # missing
+    ],
+    ids=["truncated", "not-ascii", "missing"],
+)
+def test_verify_of_a_truncated_file_stops_at_the_loader(tmp_path, c5_cert_path, make, code):
+    # A file that does not decode as ASCII JSON, or cannot be read, is
+    # refused before the certificate model, or dataclasses, is loaded.
+    path = tmp_path / "cert.json"
+    if make is not None:
+        path.write_bytes(make(c5_cert_path.read_text()))
+    loaded = GRAPH_ONLY | {"qsym.wire"}
+    argv = ["verify", "--graph", "c5", str(path)]
+    assert _fresh(_CLI_SCRIPT, *argv) == [code, sorted(loaded), False]
 
 
 def test_verify_of_a_forward_reference_stops_at_the_loader(tmp_path, c5_cert_path):
@@ -212,7 +230,7 @@ def test_verify_of_a_forward_reference_stops_at_the_loader(tmp_path, c5_cert_pat
     d["steps"][0]["justification"] = {"rule": "lemma_com", "step": 1}
     forward = tmp_path / "forward.json"
     forward.write_text(json.dumps(d))
-    loaded = GRAPH_ONLY | {"qsym.algebra", "qsym.certificate"}
+    loaded = GRAPH_ONLY | {"qsym.algebra", "qsym.certificate", "qsym.wire"}
     assert _fresh(_CLI_SCRIPT, "verify", "--graph", "c5", str(forward))[:2] == [
         1,
         sorted(loaded),
@@ -226,6 +244,7 @@ def test_verify_without_fuzz_skips_the_automorphism_search(c5_cert_path):
         "qsym.certificate",
         "qsym.relations",
         "qsym.verifier",
+        "qsym.wire",
     }
     assert _fresh(_CLI_SCRIPT, *argv)[:2] == [0, sorted(loaded)]
 
