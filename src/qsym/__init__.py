@@ -60,7 +60,6 @@ _EXPORTS = {
             "certificate_to_dict",
             "claim_quadruple",
             "dumps_certificate",
-            "graph_digest",
             "load_certificate",
             "loads_certificate",
             "save_certificate",
@@ -94,7 +93,7 @@ _EXPORTS = {
         ),
         "sanity": ("SanityReport", "sanity_eval"),
         "relations": ("local_reduce", "swap_pair"),
-        "verifier": ("DigestMismatch", "VerificationReport", "verify_certificate"),
+        "verifier": ("GraphMismatch", "VerificationReport", "verify_certificate"),
         "wire": ("MalformedCertificate",),
     }.items()
     for name in names

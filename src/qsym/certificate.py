@@ -39,13 +39,13 @@ format version CERT_VERSION, which belongs to the codec alone: the
 writer stamps it and the loader refuses files of any other version.
 qsym.wire reads and decodes the text, and defines MalformedCertificate;
 certificate_from_dict builds the model from the decoded value.
-The graph is bound by digest: lowercase hex SHA-256 of its canonical
-text rendering.
+A certificate names its graph by the graph's canonical text, the
+string format_graph_text returns, and the checker compares that text
+for exact equality.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -53,10 +53,10 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .algebra import COL, ROW, Poly, PolyParseError, format_poly, gen, parse_poly
-from .graphs import Graph, format_graph_text
+from .graphs import Graph
 from .wire import MalformedCertificate, decode, read
 
-CERT_VERSION = 8
+CERT_VERSION = 9
 
 COMMUTES = "commutes"
 ZERO_PRODUCT = "zero_product"
@@ -273,7 +273,8 @@ def claim_quadruple(lhs: Poly, rhs: Poly) -> Optional[tuple[str, int, int, int, 
 class Certificate:
     """Steps and conclusions for one graph.
 
-    ``automorphisms`` holds the one-line images of the vertex
+    ``graph_text`` is that graph's canonical text, as format_graph_text
+    writes it.  ``automorphisms`` holds the one-line images of the vertex
     permutations that swaps cite by index, and that generate the group
     whose orbits the conclusions are settled on;
     ``scope`` is FULL or QA5 and fixes which quadruples the conclusions
@@ -282,7 +283,7 @@ class Certificate:
     well formed, as the module says.
     """
 
-    graph_digest: str
+    graph_text: str
     scope: str
     automorphisms: tuple[tuple[int, ...], ...]
     steps: tuple[ProofStep, ...]
@@ -320,11 +321,6 @@ class Certificate:
         object.__setattr__(self, "automorphisms", table)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "conclusions", conclusions)
-
-
-def graph_digest(g: Graph) -> str:
-    """Lowercase hex SHA-256 of the canonical graph text."""
-    return hashlib.sha256(format_graph_text(g).encode("ascii")).hexdigest()
 
 
 def _require_int(value, what: str) -> int:
@@ -393,7 +389,7 @@ def _header_to_dict(cert: Certificate) -> dict:
 
     return {
         "version": CERT_VERSION,
-        "graph_digest": cert.graph_digest,
+        "graph_text": cert.graph_text,
         "scope": cert.scope,
         "automorphisms": [list(images) for images in cert.automorphisms],
         "steps": [
@@ -438,12 +434,12 @@ def certificate_from_dict(d) -> Certificate:
         )
     _require_keys(
         d,
-        {"version", "graph_digest", "scope", "automorphisms", "steps", "conclusions"},
+        {"version", "graph_text", "scope", "automorphisms", "steps", "conclusions"},
         "certificate",
     )
-    digest = d["graph_digest"]
-    if not isinstance(digest, str):
-        raise MalformedCertificate("graph_digest must be a string")
+    graph_text = d["graph_text"]
+    if not isinstance(graph_text, str):
+        raise MalformedCertificate("graph_text must be a string")
     if not isinstance(d["automorphisms"], list):
         raise MalformedCertificate("automorphisms must be an array")
     # An entry that is no array of ints is refused by Certificate.
@@ -463,7 +459,7 @@ def certificate_from_dict(d) -> Certificate:
             )
         )
     return Certificate(
-        graph_digest=digest,
+        graph_text=graph_text,
         scope=d["scope"],
         automorphisms=automorphisms,
         steps=steps,

@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 for success, 1 for a failed verification or validation,
-2 for graphs that do not meet the hypotheses, 3 for usage and parse
-errors.  ``prove`` and ``verify`` both refuse a graph outside the class
+including a certificate whose graph text is another graph's, 2 for
+graphs that do not meet the hypotheses, 3 for usage and parse errors.
+``prove`` and ``verify`` both refuse a graph outside the class
 that graphs.require_hypotheses defines with exit 2 and one line, right
 after loading it: ``verify`` before it opens the certificate.
 
@@ -207,12 +208,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except MalformedCertificate as exc:
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    from .verifier import DigestMismatch, verify_certificate
+    from .verifier import GraphMismatch, verify_certificate
 
     try:
         report = verify_certificate(g, cert)
-    except DigestMismatch as exc:
-        print(f"digest mismatch: {exc}", file=sys.stderr)
+    except GraphMismatch as exc:
+        print(f"graph mismatch: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if not report.valid:
         print(f"INVALID at {report.location}: {report.reason}")

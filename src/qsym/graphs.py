@@ -9,7 +9,7 @@ notation: entry v - 1 is the image of v.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 from typing import NamedTuple
 
 
@@ -89,19 +89,29 @@ class Graph:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
         if len(adj) != n or any(len(row) != n for row in adj):
             raise ValueError("adjacency matrix must be n x n")
+        rows = []
         for i, row in enumerate(adj):
-            # Two set passes in C per row, not a Python call per entry.
-            if not (set(map(type, row)) <= {int, bool} and set(row) <= {0, 1}):
+            # Two set passes in C per row, not a Python call per entry;
+            # only a row that holds a bool is converted entry by entry.
+            types = set(map(type, row))
+            if not (types <= {int, bool} and set(row) <= {0, 1}):
                 bad = next(x for x in row if type(x) not in (int, bool) or x not in (0, 1))
                 raise ValueError(f"adjacency entry {bad!r} in row {i + 1} is not 0 or 1")
-        for i in range(n):
-            if adj[i][i]:
-                raise ValueError(f"loop at vertex {i + 1}")
-            for j in range(i + 1, n):
-                if adj[i][j] != adj[j][i]:
-                    raise ValueError(f"adjacency not symmetric at ({i + 1}, {j + 1})")
-        adj1 = ((0,) * (n + 1),) + tuple((0,) + tuple(map(int, row)) for row in adj)
-        nbrs = ((),) + tuple(tuple(v for v in range(1, n + 1) if row[v]) for row in adj1[1:])
+            rows.append(tuple(map(int, row)) if bool in types else tuple(row))
+        rows = tuple(rows)
+        # The loop test, then one comparison in C with the transpose; only
+        # a matrix that fails is walked pair by pair, to name its first
+        # loop or asymmetric pair in the order the walk meets them.
+        if any(rows[i][i] for i in range(n)) or rows != tuple(zip(*rows)):
+            for i in range(n):
+                if rows[i][i]:
+                    raise ValueError(f"loop at vertex {i + 1}")
+                for j in range(i + 1, n):
+                    if rows[i][j] != rows[j][i]:
+                        raise ValueError(f"adjacency not symmetric at ({i + 1}, {j + 1})")
+        adj1 = ((0,) * (n + 1),) + tuple((0,) + row for row in rows)
+        # Column 0 of each row is 0, so compress over 0..n skips it.
+        nbrs = ((),) + tuple(tuple(compress(range(n + 1), row)) for row in adj1[1:])
         for name, value in zip(Graph.__slots__, (n, adj1, nbrs)):
             object.__setattr__(self, name, value)
 
@@ -218,7 +228,7 @@ def pair_orbits(table, n: int) -> dict:
 
 def from_edge_list(n: int, edge_list) -> Graph:
     """Build a graph on 1..n from an iterable of (u, v) pairs."""
-    rows = [[False] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     seen = set()
     for u, v in edge_list:
         if not (1 <= u <= n and 1 <= v <= n):
@@ -229,8 +239,8 @@ def from_edge_list(n: int, edge_list) -> Graph:
         if key in seen:
             raise ValueError(f"duplicate edge ({u}, {v})")
         seen.add(key)
-        rows[u - 1][v - 1] = True
-        rows[v - 1][u - 1] = True
+        rows[u - 1][v - 1] = 1
+        rows[v - 1][u - 1] = 1
     return Graph(n, tuple(tuple(row) for row in rows))
 
 

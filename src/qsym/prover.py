@@ -30,7 +30,8 @@ cites the commutation it uses as its orbit's derivation and two group
 elements that rename the derived quadruple to the one it needs, so a
 renamed commutation is never restated as a step of its own.  The table
 lists Aut's generators first, then each element a swap cites, once, by
-first use.
+first use.  The certificate names its graph by format_graph_text, the
+text the verifier compares with its own graph's.
 """
 
 from __future__ import annotations
@@ -49,10 +50,9 @@ from .certificate import (
     LemmaCom,
     ProofStep,
     Swap,
-    graph_digest,
     scope_quadruples,
 )
-from .graphs import Graph, pair_orbits, require_hypotheses
+from .graphs import Graph, format_graph_text, pair_orbits, require_hypotheses
 from .relations import local_reduce, swap_pair
 
 def _single_word(p: Poly):
@@ -321,7 +321,7 @@ def _prove(g: Graph, scope: str) -> Certificate:
         Conclusion(COMMUTES if classes[i][k] == classes[j][l] else ZERO_PRODUCT, i, j, k, l)
         for i, j, k, l in scope_quadruples(g, scope)
     ]
-    return Certificate(graph_digest(g), scope, tuple(bld.automorphisms), bld.steps, conclusions)
+    return Certificate(format_graph_text(g), scope, tuple(bld.automorphisms), bld.steps, conclusions)
 
 
 def derive_qa5(g: Graph) -> Certificate:

@@ -1,18 +1,20 @@
 """Independent rechecking of commutativity certificates.
 
 The checker shares only the algebra primitives, the certificate's
-scope order, the graph's automorphism test and the pair orbit function
-with the prover; it imports nothing of the automorphism search.  Every
-rule is a lookup, not a search: a justification names what it cites,
-so each check is an exact recomputation, an equality or one local
-reduction.  The checker reads the table, then the steps in id order,
-then the conclusions in scope order, and an invalid report names the
-first failing table entry, step or conclusion.  That each step has one
-of the four rules, with fields of the right types, and cites only
-earlier steps is a Certificate's invariant; the only exception
-verify_certificate raises is DigestMismatch, for another graph's
-certificate.  A rule's claim holds in the quotient when the claims it
-cites do, so by induction every checked claim holds.
+scope order, the graph's text writer, automorphism test and pair orbit
+function with the prover; it imports nothing of the automorphism
+search.  Every rule is a lookup, not a search: a justification names
+what it cites, so each check is an exact recomputation, an equality or
+one local reduction.  The checker reads the table, then the steps in
+id order, then the conclusions in scope order, and an invalid report
+names the first failing table entry, step or conclusion.  That each
+step has one of the four rules, with fields of the right types, and
+cites only earlier steps is a Certificate's invariant; the only
+exception verify_certificate raises is GraphMismatch, for another
+graph's certificate: one whose graph_text is not format_graph_text of
+the graph, compared as strings for exact equality.  A rule's claim
+holds in the quotient when the claims it cites do, so by induction
+every checked claim holds.
 
 Every table entry is checked, before any step, to be a permutation of
 1..n that is an automorphism of the graph.  Renaming every u[i,j] to
@@ -85,15 +87,14 @@ from .certificate import (
     ProofStep,
     Swap,
     claim_quadruple,
-    graph_digest,
     scope_quadruples,
     scope_size,
 )
-from .graphs import MAX_DEGREE, Graph, is_automorphism, pair_orbits
+from .graphs import MAX_DEGREE, Graph, format_graph_text, is_automorphism, pair_orbits
 from .relations import _reduce_word, local_reduce, swap_pair
 
 
-class DigestMismatch(ValueError):
+class GraphMismatch(ValueError):
     """The certificate was produced for a different graph."""
 
 
@@ -203,8 +204,8 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
     if g.n > MAX_DEGREE**2 + 1:
         reason = f"the graph has {g.n} vertices; no graph of the class has more than 10"
         return VerificationReport(False, 0, 0, location="graph", reason=reason)
-    if cert.graph_digest != graph_digest(g):
-        raise DigestMismatch("certificate digest does not match the graph")
+    if cert.graph_text != format_graph_text(g):
+        raise GraphMismatch("certificate is for another graph")
 
     for idx, images in enumerate(cert.automorphisms):
         try:

@@ -28,7 +28,6 @@ from qsym import (
     cycle,
     dumps_certificate,
     format_graph_text,
-    graph_digest,
     load_certificate,
     loads_certificate,
     monomial,
@@ -68,15 +67,22 @@ def _sample_cert():
         Conclusion(COMMUTES, 2, 5, 3, 4),
     )
     return Certificate(
-        graph_digest(g), FULL, (ROTATION, REFLECTION, IDENTITY), steps, conclusions
+        format_graph_text(g), FULL, (ROTATION, REFLECTION, IDENTITY), steps, conclusions
     )
 
 
-def test_graph_digest_is_sha256_of_text():
-    g = petersen()
-    want = hashlib.sha256(format_graph_text(g).encode("ascii")).hexdigest()
-    assert graph_digest(g) == want
-    assert graph_digest(g) != graph_digest(cycle(5))
+@pytest.mark.parametrize("graph, cert_fixture", [("petersen_graph", "petersen_full_cert"), ("c5_graph", "c5_full_cert")])
+def test_proved_certificate_carries_the_graph_text(graph, cert_fixture, request):
+    g, cert = request.getfixturevalue(graph), request.getfixturevalue(cert_fixture)
+    assert cert.graph_text == format_graph_text(g)
+    assert certificate_to_dict(cert)["graph_text"] == format_graph_text(g)
+
+
+@pytest.mark.parametrize("value", [None, 5, ["5 5\n"], {"text": "5 5\n"}])
+def test_graph_text_must_be_a_string(c5_full_cert, value):
+    d = dict(certificate_to_dict(c5_full_cert), graph_text=value)
+    with pytest.raises(MalformedCertificate, match="^graph_text must be a string$"):
+        certificate_from_dict(d)
 
 
 def test_round_trip_all_justification_kinds():
@@ -409,23 +415,23 @@ def test_every_way_of_building_a_certificate_checks_its_structure(how, change, m
     [
         (
             "petersen_full_cert",
-            "810ce7c2b4c8833e173d9d413a1274de5f8716bdeba328fbccfb568bc6ca947e",
-            469_615,
+            "8b4e685a1b52c7d7520715de6559adc90af915b1b3beef33339b391bc3c118d4",
+            469_634,
         ),
         (
             "c5_full_cert",
-            "d5553ff4fcdafe3577697423db5a4c83a49c2daad5c461edb50ef921646777e3",
-            31_227,
+            "304693f7bc4e17a99f6782ce95334c3c1b873998583420cd2c87d8aa88a2fb62",
+            31_191,
         ),
         (
             "petersen_qa5_cert",
-            "2d77ab4ce9f5adfe4d65a306fab9a908bdb956d648bfe21b390e2fe1d5e2a0a6",
-            41_394,
+            "1c7afa696e18a94dc71efc9c61e6be8239f4f36d391e3e8f8a521392282b04a1",
+            41_413,
         ),
         (
             "c5_qa5_cert",
-            "2a9deb754a80c2d2f80eca462dedcc0f8174416f9bb23d1bab76454474d85ed8",
-            5_224,
+            "f3a8b6643fa9eb494fae35c4489423680e1a00eca7c136ddccf21f08eaa48dce",
+            5_188,
         ),
     ],
     ids=["petersen-full", "c5-full", "petersen-qa5", "c5-qa5"],

@@ -12,7 +12,6 @@ from qsym import (
     cycle,
     empty,
     format_graph_text,
-    graph_digest,
     load_certificate,
     prove_no_quantum_symmetry,
     save_certificate,
@@ -96,7 +95,7 @@ def test_verify_wrong_graph(tmp_path, capsys):
     run_cli(["prove", "--graph", "c5", "--out", out_path], capsys)
     code, _, err = run_cli(["verify", "--graph", "petersen", out_path], capsys)
     assert code == 1
-    assert "digest mismatch" in err
+    assert err == "graph mismatch: certificate is for another graph\n"
 
 
 def test_verify_tampered_certificate(tmp_path, capsys, c5_graph):
@@ -154,6 +153,8 @@ def test_verify_malformed_certificate(tmp_path, capsys):
 # the same group.
 C5_PROOF = certificate_to_dict(prove_no_quantum_symmetry(cycle(5)))
 N = len(C5_PROOF["steps"])
+# Versions 1 to 8 named the graph by the SHA-256 of its text; C5's.
+C5_DIGEST = "7cd9fae597e579c6fc42f873ea91aaefa1007cc017d95e64c8b09c4df0679493"
 ROT = len(C5_PROOF["automorphisms"])
 TABLE = C5_PROOF["automorphisms"] + [[2, 3, 4, 5, 1], [1, 2, 3, 4, 5]]
 
@@ -251,12 +252,12 @@ def test_verify_accepts_a_swap_of_a_renamed_commutation(tmp_path, capsys):
     assert code == 0 and f"valid: {N + 3} steps" in out
 
 
-def test_verify_refuses_version_1(tmp_path, capsys, c5_graph):
+def test_verify_refuses_version_1(tmp_path, capsys):
     # Format version 1 had a star_of rule and unsigned substitutions;
     # there is no loader for it.
     v1 = {
         "version": 1,
-        "graph_digest": graph_digest(c5_graph),
+        "graph_digest": C5_DIGEST,
         "steps": [
             {"id": i, "lhs": "u[1,1]", "rhs": "u[1,1]", "justification": just}
             for i, just in enumerate(
@@ -277,7 +278,7 @@ def test_verify_refuses_version_2(tmp_path, capsys):
     # scope; there is no loader for it.
     v2 = {
         "version": 2,
-        "graph_digest": C5_PROOF["graph_digest"],
+        "graph_digest": C5_DIGEST,
         "steps": [
             {"id": 0, "lhs": "u[1,1]u[1,1]", "rhs": "u[1,1]u[1,1]", "justification": {"rule": "local_reduce"}}
         ],
@@ -287,7 +288,7 @@ def test_verify_refuses_version_2(tmp_path, capsys):
     path.write_text(json.dumps(v2))
     code, _, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1
-    assert "unsupported certificate version 2, expected 8" in err
+    assert "unsupported certificate version 2, expected 9" in err
 
 
 def test_verify_refuses_version_3(tmp_path, capsys):
@@ -317,7 +318,7 @@ def test_verify_refuses_version_3(tmp_path, capsys):
     path.write_text(json.dumps(v3))
     code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1 and not out
-    assert err == "malformed certificate: unsupported certificate version 3, expected 8\n"
+    assert err == "malformed certificate: unsupported certificate version 3, expected 9\n"
 
 
 def test_verify_refuses_version_4(tmp_path, capsys):
@@ -341,7 +342,7 @@ def test_verify_refuses_version_4(tmp_path, capsys):
     path.write_text(json.dumps(v4))
     code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1 and not out
-    assert err == "malformed certificate: unsupported certificate version 4, expected 8\n"
+    assert err == "malformed certificate: unsupported certificate version 4, expected 9\n"
 
 
 def test_verify_refuses_version_5(tmp_path, capsys):
@@ -373,7 +374,7 @@ def test_verify_refuses_version_5(tmp_path, capsys):
     path.write_text(json.dumps(v5))
     code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1 and not out
-    assert err == "malformed certificate: unsupported certificate version 5, expected 8\n"
+    assert err == "malformed certificate: unsupported certificate version 5, expected 9\n"
 
 
 def test_verify_refuses_version_6(tmp_path, capsys):
@@ -395,7 +396,7 @@ def test_verify_refuses_version_6(tmp_path, capsys):
     path.write_text(json.dumps(v6))
     code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1 and not out
-    assert err == "malformed certificate: unsupported certificate version 6, expected 8\n"
+    assert err == "malformed certificate: unsupported certificate version 6, expected 9\n"
 
 
 def test_verify_refuses_version_7(tmp_path, capsys):
@@ -411,7 +412,19 @@ def test_verify_refuses_version_7(tmp_path, capsys):
     path.write_text(json.dumps(v7))
     code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
     assert code == 1 and not out
-    assert err == "malformed certificate: unsupported certificate version 7, expected 8\n"
+    assert err == "malformed certificate: unsupported certificate version 7, expected 9\n"
+
+
+def test_verify_refuses_version_8(tmp_path, capsys):
+    # Format version 8 named the graph by the SHA-256 of its text, which
+    # the text itself replaced; there is no loader for it.
+    v8 = {k: v for k, v in C5_PROOF.items() if k != "graph_text"}
+    v8.update(version=8, graph_digest=C5_DIGEST)
+    path = tmp_path / "v8.json"
+    path.write_text(json.dumps(v8))
+    code, out, err = run_cli(["verify", "--graph", "c5", str(path)], capsys)
+    assert code == 1 and not out
+    assert err == "malformed certificate: unsupported certificate version 8, expected 9\n"
 
 
 @pytest.mark.parametrize(
@@ -446,7 +459,7 @@ _OUTSIDE_THE_CLASS = [
 
 @pytest.mark.parametrize("graph_args, make", _OUTSIDE_THE_CLASS)
 def test_verify_refuses_every_graph_prove_refuses(tmp_path, capsys, graph_args, make):
-    # The certificate carries the graph's digest and no conclusions, a
+    # The certificate carries the graph's text and no conclusions, a
     # qa5 one that the checker would call valid on an empty graph.  The
     # graph is refused with prove's line before the certificate is
     # opened, so a missing file is refused the same way, with --fuzz or
@@ -457,7 +470,7 @@ def test_verify_refuses_every_graph_prove_refuses(tmp_path, capsys, graph_args, 
         graph_args = ["--file", str(graph_path)]
     g = make() if make else cli.BUILTIN_GRAPHS[graph_args[1]]()
     cert_path = tmp_path / "g.cert.json"
-    save_certificate(Certificate(graph_digest(g), QA5, (), (), ()), cert_path)
+    save_certificate(Certificate(format_graph_text(g), QA5, (), (), ()), cert_path)
     code, out, refusal = run_cli(["prove", *graph_args, "--out", str(tmp_path / "p.json")], capsys)
     assert code == 2 and not out
     assert refusal.startswith(("ConditionsNotMet: ", "UnsupportedDegree k="))
@@ -662,7 +675,7 @@ def test_certificate_json_shape(tmp_path, capsys):
     out_path = tmp_path / "c5.cert.json"
     run_cli(["prove", "--graph", "c5", "--out", str(out_path)], capsys)
     data = json.loads(out_path.read_text())
-    assert set(data) == {"version", "graph_digest", "scope", "automorphisms", "steps", "conclusions"}
-    assert data["version"] == 8 and data["scope"] == "full"
+    assert set(data) == {"version", "graph_text", "scope", "automorphisms", "steps", "conclusions"}
+    assert data["version"] == 9 and data["scope"] == "full"
     assert all(list(c) == ["kind", "i", "j", "k", "l"] for c in data["conclusions"])
     assert len(data["conclusions"]) == 625

@@ -109,6 +109,22 @@ def test_graph_invariants_rejected():
     assert bools == ones and hash(bools) == hash(ones) and repr(bools) == repr(ones)
 
 
+def test_first_invalid_pair_is_named():
+    # Asymmetric at (1, 3) and (2, 3): the first pair in row order is
+    # named, and a loop is named where a row-by-row walk meets it.
+    two = ((0, 0, 1, 0), (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0))
+    with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(1, 3\)$"):
+        Graph(4, two)
+    with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(1, 3\)$"):
+        Graph(4, two[:3] + ((0, 0, 0, 1),))
+    with pytest.raises(ValueError, match=r"^loop at vertex 1$"):
+        Graph(4, ((1,) + two[0][1:],) + two[1:])
+    # Rows given as lists, mixing bools and ints, build the path 1-2-3.
+    rows = [[False, 1, 0], [True, 0, 1], [0, 1, False]]
+    assert Graph(3, rows) == from_edge_list(3, [(1, 2), (2, 3)])
+    assert Graph(3, rows).neighbors(2) == (1, 3)
+
+
 def test_graph_is_an_immutable_value():
     g = cycle(5)
     for name in ("n", "adj", "adj1", "_nbrs", "other"):

@@ -33,7 +33,7 @@ EXPORTS = {
         "CERT_VERSION", "COMMUTES", "FULL", "QA5", "ZERO_PRODUCT", "Certificate",
         "Combine", "Conclusion", "ExpandUnity", "LemmaCom", "ProofStep", "Swap",
         "certificate_from_dict", "certificate_to_dict", "claim_quadruple",
-        "dumps_certificate", "graph_digest", "load_certificate",
+        "dumps_certificate", "load_certificate",
         "loads_certificate", "save_certificate",
     ],
     "graphs": [
@@ -46,7 +46,7 @@ EXPORTS = {
     "prover": ["ProofBuilder", "derive_qa5", "prove_no_quantum_symmetry"],
     "relations": ["local_reduce", "swap_pair"],
     "sanity": ["SanityReport", "sanity_eval"],
-    "verifier": ["DigestMismatch", "VerificationReport", "verify_certificate"],
+    "verifier": ["GraphMismatch", "VerificationReport", "verify_certificate"],
     "wire": ["MalformedCertificate"],
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)
@@ -67,8 +67,9 @@ ALL_MODULES = {
 GRAPH_ONLY = {"qsym", "qsym.cli", "qsym.graphs"}
 
 # Runs its arguments as a qsym command line, then prints the exit code,
-# the qsym modules loaded and whether dataclasses was loaded as the last
-# line of output.
+# the qsym modules loaded, whether dataclasses was loaded, and which of
+# hashlib and _hashlib, which loads OpenSSL's libcrypto, were loaded, as
+# the last line of output.
 _CLI_SCRIPT = """
 import sys
 import qsym.cli
@@ -78,7 +79,8 @@ except SystemExit as exc:
     code = exc.code
 import json
 qsym_modules = sorted(m for m in sys.modules if m.split(".")[0] == "qsym")
-print(json.dumps([code, qsym_modules, "dataclasses" in sys.modules]))
+crypto = [m for m in ("hashlib", "_hashlib") if m in sys.modules]
+print(json.dumps([code, qsym_modules, "dataclasses" in sys.modules, crypto]))
 """
 
 
@@ -101,7 +103,7 @@ def _fresh(script: str, *args: str):
 
 def test_public_names_are_todays():
     assert sorted(qsym.__all__) == NAMES
-    assert len(NAMES) == 69
+    assert len(NAMES) == 68
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))
@@ -192,7 +194,7 @@ def test_graph_commands_import_only_what_they_run(argv, code, modules):
     # The graph records are NamedTuples or a slotted class, so these
     # commands do not load dataclasses, nor the inspect and ast modules
     # that it imports.
-    assert _fresh(_CLI_SCRIPT, *argv) == [code, sorted(modules), False]
+    assert _fresh(_CLI_SCRIPT, *argv) == [code, sorted(modules), False, []]
 
 
 def test_malformed_certificate_is_one_class():
@@ -220,7 +222,7 @@ def test_verify_of_a_truncated_file_stops_at_the_loader(tmp_path, c5_cert_path, 
         path.write_bytes(make(c5_cert_path.read_text()))
     loaded = GRAPH_ONLY | {"qsym.wire"}
     argv = ["verify", "--graph", "c5", str(path)]
-    assert _fresh(_CLI_SCRIPT, *argv) == [code, sorted(loaded), False]
+    assert _fresh(_CLI_SCRIPT, *argv) == [code, sorted(loaded), False, []]
 
 
 def test_verify_of_a_forward_reference_stops_at_the_loader(tmp_path, c5_cert_path):
@@ -257,3 +259,29 @@ def test_verify_with_fuzz_skips_the_prover(c5_cert_path):
 def test_prove_skips_the_spot_check(tmp_path):
     argv = ["prove", "--graph", "c5", "--out", str(tmp_path / "c5.cert.json")]
     assert _fresh(_CLI_SCRIPT, *argv)[:2] == [0, sorted(ALL_MODULES - {"qsym.sanity"})]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prove", "--graph", "c5", "--out", "{tmp}/c5.cert.json"],
+        ["verify", "--graph", "c5", "{cert}"],
+        ["verify", "--graph", "c5", "{cert}", "--fuzz", "1"],
+    ],
+    ids=["prove", "verify", "verify-fuzz"],
+)
+def test_prove_and_verify_load_no_hash_library(tmp_path, c5_cert_path, argv):
+    # A certificate names its graph by the graph's text, compared as a
+    # string, so neither command loads hashlib or OpenSSL's libcrypto.
+    argv = [a.format(tmp=tmp_path, cert=c5_cert_path) for a in argv]
+    code, _, _, crypto = _fresh(_CLI_SCRIPT, *argv)
+    assert (code, crypto) == (0, [])
+
+
+def test_import_verifier_loads_no_hash_library():
+    script = """
+import json, sys
+import qsym.verifier
+print(json.dumps([m for m in ("hashlib", "_hashlib") if m in sys.modules]))
+"""
+    assert _fresh(script) == []

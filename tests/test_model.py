@@ -22,9 +22,9 @@ from qsym import (
     ProofStep,
     cycle,
     expand_unity,
+    format_graph_text,
     from_edge_list,
     gen,
-    graph_digest,
     is_automorphism,
     verifier,
 )
@@ -110,7 +110,7 @@ def test_coverage_refuses_a_table_entry_the_model_refutes():
     assert renamed[1, 1] == model.U[1, 1] and renamed[2, 2] == model.U[3, 3]
     orbits = pair_orbits((rho,), 4)
     assert orbits[1, 2][0] == orbits[1, 3][0]
-    cert = Certificate(graph_digest(TWO_K2), FULL, (rho,), (), ())
+    cert = Certificate(format_graph_text(TWO_K2), FULL, (rho,), (), ())
     report = verifier.verify_certificate(TWO_K2, cert)
     assert not report.valid and report.location == "automorphism 0"
     assert report.reason == "not an automorphism of the graph"
@@ -212,11 +212,11 @@ def test_combine_is_sound_in_the_model():
         normal = _reduce_word(TWO_K2.adj1, 4, w)
         if normal != w:
             vanishing.append(Poly({w: 1}) - (Poly.zero() if normal is None else Poly({normal: 1})))
-    digest = graph_digest(TWO_K2)
+    text = format_graph_text(TWO_K2)
 
     def check(lhs, rhs, terms):
         step = ProofStep(len(steps), lhs, rhs, Combine(terms))
-        cert = Certificate(digest, FULL, (), (*steps, step), ())
+        cert = Certificate(text, FULL, (), (*steps, step), ())
         return verifier._check_step(TWO_K2, cert, step) is None
 
     refused_false = 0

@@ -16,8 +16,8 @@ from qsym import (
     Certificate,
     Combine,
     Conclusion,
-    DigestMismatch,
     ExpandUnity,
+    GraphMismatch,
     LemmaCom,
     MalformedCertificate,
     Poly,
@@ -33,7 +33,8 @@ from qsym import (
     dumps_certificate,
     empty,
     expand_unity,
-    graph_digest,
+    format_graph_text,
+    from_edge_list,
     load_certificate,
     loads_certificate,
     local_reduce,
@@ -58,7 +59,7 @@ TABLE = (IDENTITY, ROTATION)
 
 
 def _cert(steps, conclusions=(), g=G5, automorphisms=TABLE):
-    return Certificate(graph_digest(g), FULL, tuple(automorphisms), tuple(steps), tuple(conclusions))
+    return Certificate(format_graph_text(g), FULL, tuple(automorphisms), tuple(steps), tuple(conclusions))
 
 
 def _steps_pass(steps, automorphisms=TABLE):
@@ -82,9 +83,18 @@ def test_valid_certificates_pass(petersen_graph, petersen_qa5_cert, c5_full_cert
     assert verify_certificate(G5, c5_full_cert).valid
 
 
-def test_digest_mismatch_raises(c5_full_cert):
-    with pytest.raises(DigestMismatch):
+def test_graph_mismatch_raises(c5_full_cert):
+    with pytest.raises(GraphMismatch, match="^certificate is for another graph$"):
         verify_certificate(petersen(), c5_full_cert)
+
+
+def test_a_moved_edge_is_another_graph(c5_full_cert):
+    # C5 with edge {4, 5} moved to {3, 5}: the same vertex and edge
+    # counts, so only the edge lines of the text differ.
+    moved = from_edge_list(5, [(1, 2), (2, 3), (3, 4), (3, 5), (1, 5)])
+    assert format_graph_text(moved)[:4] == format_graph_text(G5)[:4]
+    with pytest.raises(GraphMismatch):
+        verify_certificate(moved, c5_full_cert)
 
 
 def test_conclusion_vertex_out_of_range_rejected():
@@ -449,14 +459,14 @@ def test_qa5_scope_is_the_edge_pairs(c5_graph):
 )
 def test_a_large_scope_is_counted_not_walked(make, n, scope, generators):
     # No graph the prover takes has more than 10 vertices, so a larger
-    # one is refused at the graph, before the digest, the table's pair
+    # one is refused at the graph, before its text, the table's pair
     # orbits or the scope.  At n = 1000 the table holds a transposition
     # and an n-cycle, whose pair orbits would take seconds to fill.  At
     # n = 10 the certificate is read, and with no conclusions it falls
     # short of its 10^4 quadruples at conclusion 0.
     g = make(n)
     table = ((2, 1) + tuple(range(3, n + 1)), tuple(range(2, n + 1)) + (1,)) if generators else ()
-    cert = Certificate(graph_digest(g), scope, table, (), ())
+    cert = Certificate(format_graph_text(g), scope, table, (), ())
     t0 = time.perf_counter()
     report = verify_certificate(g, cert)
     assert time.perf_counter() - t0 < 0.1
@@ -727,7 +737,7 @@ def _check_outcome(load):
     try:
         cert = load()
         report = verify_certificate(G5, cert)
-    except (MalformedCertificate, DigestMismatch):
+    except (MalformedCertificate, GraphMismatch):
         return
     if report.valid:
         # Every quadruple once, and a zero product only where it holds;
