@@ -13,10 +13,12 @@ the producer.
 
 A conclusion is held as a Conclusion, a validated NamedTuple of its
 kind and its quadruple.  The loader builds it straight from the JSON
-object, the writer fills one text template with its fields, and the
-verifier and the spot check read its integers without building a
-polynomial; only Conclusion.claim does, for callers that want the
-equation.
+object through the validating constructor; the prover alone builds its
+own records directly, from the kind constants and the scope's integers,
+which need no check.  The writer fills one text template with its
+fields, and the verifier and the spot check read its integers without
+building a polynomial; only Conclusion.claim does, for callers that
+want the equation.
 
 A step's justification is one of four rules: expand_unity, swap,
 combine and lemma_com.  The rule table, _RULES, is where a rule's wire
@@ -166,11 +168,6 @@ _RULES = {
 _RULE_CLASSES = {name: cls for cls, (name, _) in _RULES.items()}
 
 
-def justification_refs(just: Justification) -> tuple[int, ...]:
-    """Earlier step ids a justification depends on."""
-    return _RULES[type(just)][1](just)
-
-
 @dataclass(frozen=True, slots=True)
 class ProofStep:
     """One checked equation: claim (lhs, rhs) with its justification."""
@@ -206,9 +203,12 @@ class Conclusion(_ConclusionFields):
     table generates.
 
     A validated record: a tuple of the five fields, so the verifier
-    unpacks it in one step.  Every way of building one, the constructor,
-    ``_make`` and so ``_replace``, checks the fields, and refuses a bad
-    one with MalformedCertificate.
+    unpacks it in one step.  The constructor, ``_make`` and so
+    ``_replace`` check the fields, and refuse a bad one with
+    MalformedCertificate; the loader builds every record through them.
+    The prover builds its own with ``tuple.__new__``, skipping the
+    checks, since it takes each kind from COMMUTES and ZERO_PRODUCT and
+    each index from the ints that scope_quadruples yields.
     """
 
     __slots__ = ()

@@ -317,8 +317,13 @@ def _prove(g: Graph, scope: str) -> Certificate:
             bld, nonedges, lambda bld, *quad: _derive_nonedge(bld, *quad, edge_edge)
         )
     classes = _pair_classes(g)
+    # Each record is built directly, without the constructor's checks:
+    # its kind is one of the two constants and its indices are the ints
+    # that the scope yields, so there is nothing to refuse.
     conclusions = [
-        Conclusion(COMMUTES if classes[i][k] == classes[j][l] else ZERO_PRODUCT, i, j, k, l)
+        tuple.__new__(
+            Conclusion, (COMMUTES if classes[i][k] == classes[j][l] else ZERO_PRODUCT, i, j, k, l)
+        )
         for i, j, k, l in scope_quadruples(g, scope)
     ]
     return Certificate(format_graph_text(g), scope, tuple(bld.automorphisms), bld.steps, conclusions)

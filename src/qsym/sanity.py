@@ -11,15 +11,14 @@ this module, the checker and what they import.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .autgroup import automorphism_group
 from .certificate import ZERO_PRODUCT, Certificate
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class SanityReport:
+class SanityReport(NamedTuple):
     """Counts from evaluating certificate conclusions at automorphisms."""
 
     trials: int

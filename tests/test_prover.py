@@ -33,6 +33,7 @@ from qsym import (
     format_graph_text,
     from_edge_list,
     gen,
+    loads_certificate,
     monomial,
     petersen,
     prove_no_quantum_symmetry,
@@ -41,7 +42,6 @@ from qsym import (
     u,
     verify_certificate,
 )
-from qsym.certificate import justification_refs
 from qsym.prover import _derive_edge_edge, _derive_family, _derive_nonedge
 from algebra_reference import evaluate_perm, relabel
 from helpers import closure, conclusion_follows, hoffman_singleton
@@ -208,7 +208,11 @@ def test_every_step_is_cited(cert_fixture, request):
     concluded = set(cert.conclusions)
     cited = {s.id for s in cert.steps if claim_quadruple(s.lhs, s.rhs) in concluded}
     for step in cert.steps:
-        cited.update(justification_refs(step.justification))
+        just = step.justification
+        if isinstance(just, Combine):
+            cited.update(s for s, _ in just.terms)
+        elif isinstance(just, (Swap, LemmaCom)):
+            cited.add(just.step)
     unreferenced = [s.id for s in cert.steps if s.id not in cited]
     assert len(unreferenced) == 0, f"{len(unreferenced)} unreferenced steps"
 
@@ -448,6 +452,29 @@ def test_relabelled_graphs_prove_and_verify(request, graph, images, steps, order
     assert len(cert.steps) == steps
     assert len(closure(cert.automorphisms, g.n)) == order
     assert verify_certificate(relabelled, cert).valid
+
+
+_GRAPHS = {
+    "k1": lambda: complete(1),
+    "k2": lambda: complete(2),
+    "c5": lambda: cycle(5),
+    "petersen": petersen,
+    "petersen-relabelled": lambda: _relabelled(petersen(), RELABELLINGS[0][1]),
+}
+
+
+@pytest.mark.parametrize("prove", [prove_no_quantum_symmetry, derive_qa5], ids=["full", "qa5"])
+@pytest.mark.parametrize("graph", list(_GRAPHS))
+def test_the_provers_conclusions_are_validated_records(graph, prove):
+    # The prover builds its conclusions without the constructor's
+    # checks, so each must be the record the constructor would build
+    # from the same fields, with exact ints for indices, and the writer
+    # and the loader must carry the certificate through unchanged.
+    cert = prove(_GRAPHS[graph]())
+    for c in cert.conclusions:
+        assert type(c) is Conclusion and Conclusion(*c) == c
+        assert all(type(x) is int for x in c[1:])
+    assert loads_certificate(dumps_certificate(cert)) == cert
 
 
 def _adjacency_kind(g, i, j, k, l):
