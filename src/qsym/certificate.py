@@ -11,14 +11,13 @@ the group the table generates, where a step claims it or its words
 reduce to it.  The verifier module rechecks all of it without trusting
 the producer.
 
-A conclusion is held as a Conclusion, a validated NamedTuple of its
-kind and its quadruple.  The loader builds it straight from the JSON
-object through the validating constructor; the prover alone builds its
-own records directly, from the kind constants and the scope's integers,
-which need no check.  The writer fills one text template with its
-fields, and the verifier and the spot check read its integers without
-building a polynomial; only Conclusion.claim does, for callers that
-want the equation.
+Conclusions are held as columns, a kind column and one for each of i, j,
+k and l, in a Conclusions view that builds its Conclusion records only
+when read; only this module knows that layout.  A view checks its
+columns in whole passes, taking records one at a time only to name the
+first bad one.  The prover gives a kind column on scope_columns, the
+loader the JSON objects' columns; the writer, the verifier and the spot
+check read whole columns, and only Conclusion.claim builds a polynomial.
 
 A step's justification is one of four rules: expand_unity, swap,
 combine and lemma_com.  The rule table, _RULES, is where a rule's wire
@@ -48,11 +47,13 @@ for exact equality.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Union
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import NamedTuple, Optional, Union
 
 from .algebra import COL, ROW, Poly, PolyParseError, format_poly, gen, parse_poly
 from .graphs import Graph
@@ -62,24 +63,28 @@ CERT_VERSION = 9
 
 COMMUTES = "commutes"
 ZERO_PRODUCT = "zero_product"
+_KINDS = {COMMUTES: COMMUTES, ZERO_PRODUCT: ZERO_PRODUCT}
 
 FULL = "full"
 QA5 = "qa5"
 SCOPES = (FULL, QA5)
 
 
-def scope_quadruples(g: Graph, scope: str) -> Iterable[tuple[int, int, int, int]]:
+def scope_columns(g: Graph, scope: str) -> tuple[tuple[int, ...], ...]:
     """The quadruples (i, j, k, l) a certificate of this scope concludes
-    on, in lexicographic order: all of them, made one at a time, or for
-    QA5 those with i adjacent to k and j adjacent to l."""
+    on, in lexicographic order, as the four tuples of their i, j, k and
+    l: all of them, or for QA5 those with i adjacent to k and j adjacent
+    to l.  In the full scope column d holds each vertex n**(3 - d) times
+    running, and that run n**d times over."""
     if scope == FULL:
-        return itertools.product(g.vertices(), repeat=4)
+        n, vs = g.n, g.vertices()
+        return tuple(tuple(chain(*(repeat(v, n ** (3 - d)) for v in vs))) * n**d for d in range(4))
     edges = g.directed_edges()
-    return sorted((i, j, k, l) for i, k in edges for j, l in edges)
+    return tuple(zip(*sorted((i, j, k, l) for i, k in edges for j, l in edges))) or ((),) * 4
 
 
 def scope_size(g: Graph, scope: str) -> int:
-    """How many quadruples scope_quadruples(g, scope) gives, counted
+    """How many quadruples scope_columns(g, scope) holds, counted
     without making them."""
     if scope == FULL:
         return g.n**4
@@ -202,33 +207,20 @@ class Conclusion(_ConclusionFields):
     its quadruple under the group that the certificate's automorphism
     table generates.
 
-    A validated record: a tuple of the five fields, so the verifier
-    unpacks it in one step.  The constructor, ``_make`` and so
-    ``_replace`` check the fields, and refuse a bad one with
-    MalformedCertificate; the loader builds every record through them.
-    The prover builds its own with ``tuple.__new__``, skipping the
-    checks, since it takes each kind from COMMUTES and ZERO_PRODUCT and
-    each index from the ints that scope_quadruples yields.
+    A validated record: a tuple of the five fields.  The constructor,
+    ``_make`` and so ``_replace`` check the fields, and refuse a bad one
+    with MalformedCertificate.  A Conclusions view builds its records
+    with ``tuple.__new__``, skipping the checks, since its columns were
+    checked when the view was built.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind, i, j, k, l):
-        # Fast path for exact ints, the only indices a JSON decoder
-        # gives; anything else gets the field-by-field checks, which
-        # name the first bad field.
-        if not (
-            (kind == COMMUTES or kind == ZERO_PRODUCT)
-            and type(i) is type(j) is type(k) is type(l) is int
-            and i >= 1 and j >= 1 and k >= 1 and l >= 1
-        ):
-            if kind not in (COMMUTES, ZERO_PRODUCT):
-                raise MalformedCertificate(f"unknown conclusion kind {kind!r}")
-            for v in (i, j, k, l):
-                if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                    raise MalformedCertificate(
-                        f"conclusion index must be a positive integer, got {v!r}"
-                    )
+        if kind not in (COMMUTES, ZERO_PRODUCT):
+            raise MalformedCertificate(f"unknown conclusion kind {kind!r}")
+        for v in (i, j, k, l):
+            _check_index(v, "conclusion index", least=1)
         return tuple.__new__(cls, (kind, i, j, k, l))
 
     @classmethod
@@ -243,6 +235,70 @@ class Conclusion(_ConclusionFields):
         if self.kind == COMMUTES:
             return lhs, Poly._from_dict({(b, a): 1})
         return lhs, Poly.zero()
+
+
+def _checked_columns(kinds, quad, ints_ok: bool) -> tuple:
+    """(kinds, *quad) as tuples, each kind the constant it equals, checked as
+    Conclusion checks each record, in a few passes in C (the indices only
+    unless ints_ok); records are walked only to name the first bad one."""
+    columns = tuple(map(tuple, (kinds, *quad)))
+    if len(set(map(len, columns))) > 1:
+        raise MalformedCertificate("conclusion columns must be of one length")
+    kinds, *quad = columns
+    try:
+        kinds = tuple(map(_KINDS.__getitem__, kinds))
+        ok = ints_ok or set(map(type, chain(*quad))) <= {int} and min(chain(*quad), default=1) >= 1
+    except (KeyError, TypeError):  # an unknown or unhashable kind
+        ok = False
+    if not ok:  # Conclusion also takes int subclasses
+        for idx, record in enumerate(zip(*columns)):
+            try:
+                Conclusion(*record)
+            except MalformedCertificate as exc:
+                raise MalformedCertificate(f"conclusion {idx}: {exc}") from None
+    return (kinds, *quad)
+
+
+class Conclusions(Sequence):
+    """A read-only sequence of Conclusion records held as five tuples, ``columns``:
+    the kinds, then i, j, k and l.  len, indexing, slicing (to a tuple), iteration,
+    == and hash behave as on the tuple of the records.  Building one refuses
+    columns of different lengths, and what Conclusion refuses, naming the record."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, kinds, i, j, k, l):
+        self.columns = _checked_columns(kinds, (i, j, k, l), False)
+
+    @classmethod
+    def on_scope(cls, g: Graph, scope: str, kinds) -> Conclusions:
+        """The view of kinds on scope_columns(g, scope), whose ints need no check."""
+        view = cls.__new__(cls)
+        view.columns = _checked_columns(kinds, scope_columns(g, scope), True)
+        return view
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, idx):
+        fields = [c[idx] for c in self.columns]
+        if isinstance(idx, slice):
+            return tuple(map(tuple.__new__, repeat(Conclusion), zip(*fields)))
+        return tuple.__new__(Conclusion, fields)
+
+    def __iter__(self):  # records of checked columns, built without Conclusion's checks
+        return map(tuple.__new__, repeat(Conclusion), zip(*self.columns))
+
+    def __eq__(self, other):
+        if type(other) is Conclusions:
+            return self.columns == other.columns
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Conclusions({tuple(self)!r})"
 
 
 def claim_quadruple(lhs: Poly, rhs: Poly) -> Optional[tuple[str, int, int, int, int]]:
@@ -278,16 +334,16 @@ class Certificate:
     permutations that swaps cite by index, and that generate the group
     whose orbits the conclusions are settled on;
     ``scope`` is FULL or QA5 and fixes which quadruples the conclusions
-    must cover.  Building one, also by dataclasses.replace, makes all
-    three sequences tuples, and raises MalformedCertificate unless it is
-    well formed, as the module says.
+    must cover.  Building one, also by dataclasses.replace, makes the
+    table and steps tuples and Conclusion records a Conclusions view,
+    and raises MalformedCertificate unless it is well formed.
     """
 
     graph_text: str
     scope: str
     automorphisms: tuple[tuple[int, ...], ...]
     steps: tuple[ProofStep, ...]
-    conclusions: tuple[Conclusion, ...]
+    conclusions: Conclusions
 
     def __post_init__(self):
         if self.scope not in SCOPES:
@@ -314,10 +370,13 @@ class Certificate:
                     raise MalformedCertificate(
                         f"step {position} references step {ref}, which is not earlier"
                     )
-        conclusions = tuple(self.conclusions)
-        if not set(map(type, conclusions)) <= {Conclusion}:  # one pass in C over 10^4
-            idx = next(i for i, c in enumerate(conclusions) if type(c) is not Conclusion)
-            raise MalformedCertificate(f"conclusion {idx} must be a Conclusion")
+        conclusions = self.conclusions
+        if type(conclusions) is not Conclusions:
+            records = tuple(conclusions)
+            if not set(map(type, records)) <= {Conclusion}:  # one pass in C
+                idx = next(i for i, c in enumerate(records) if type(c) is not Conclusion)
+                raise MalformedCertificate(f"conclusion {idx} must be a Conclusion")
+            conclusions = Conclusions(*(tuple(zip(*records)) or ((),) * 5))
         object.__setattr__(self, "automorphisms", table)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "conclusions", conclusions)
@@ -422,6 +481,17 @@ def _conclusion_from_dict(cd, idx: int) -> Conclusion:
         raise MalformedCertificate(f"conclusion {idx}: {exc}") from None
 
 
+def _conclusions_from_list(objs: list):
+    """The objects' conclusions: a view of their columns, which Conclusions checks, if
+    each has exactly the five fields; else _conclusion_from_dict names the first bad."""
+    if set(map(type, objs)) <= {dict} and set(map(len, objs)) <= {5}:
+        try:
+            return Conclusions(*(tuple(map(itemgetter(f), objs)) for f in Conclusion._fields))
+        except KeyError:  # five fields, one of them misnamed
+            pass
+    return [_conclusion_from_dict(cd, idx) for idx, cd in enumerate(objs)]
+
+
 def certificate_from_dict(d) -> Certificate:
     # The version comes first, so that a file of another version is
     # refused by name rather than for its fields.
@@ -463,23 +533,31 @@ def certificate_from_dict(d) -> Certificate:
         scope=d["scope"],
         automorphisms=automorphisms,
         steps=steps,
-        conclusions=[_conclusion_from_dict(cd, idx) for idx, cd in enumerate(d["conclusions"])],
+        conclusions=_conclusions_from_list(d["conclusions"]),
     )
 
 
-# One conclusion's compact JSON text, fields in Conclusion order.  Its
-# kind is one of two plain names and its indices are ints, not bools,
-# so %s and %d write what json.dumps would.
-_CONCLUSION_JSON = '{"kind":"%s","i":%d,"j":%d,"k":%d,"l":%d}'
+# A conclusion's JSON text up to its i, by kind.  A kind is a plain name and an
+# index an int, not a bool, so these texts and %d write what json.dumps would.
+_KIND_JSON = {kind: '{"kind":"%s","i":' % kind for kind in _KINDS}
+
+
+class _IntText(dict):
+    def __missing__(self, v: int) -> str:  # v's decimal text, made once per v
+        return self.setdefault(v, "%d" % v)
 
 
 def dumps_certificate(cert: Certificate) -> str:
     """Deterministic compact JSON text for a certificate: the text of
     json.dumps(certificate_to_dict(cert), separators=(",", ":")), with
-    each conclusion written from one template rather than encoded from
-    a dict."""
+    the conclusions written from their columns in one join rather than
+    encoded from dicts."""
     header = json.dumps(_header_to_dict(cert), separators=(",", ":"))
-    conclusions = ",".join([_CONCLUSION_JSON % c for c in cert.conclusions])
+    kinds, *quad = cert.conclusions.columns
+    i, j, k, l = (map(_IntText().__getitem__, c) for c in quad)
+    pieces = (i, repeat(',"j":'), j, repeat(',"k":'), k, repeat(',"l":'), l, repeat("},"))
+    parts = zip(map(_KIND_JSON.__getitem__, kinds), *pieces)
+    conclusions = "".join(chain.from_iterable(parts))[:-1]  # no comma after the last
     return f'{header[:-1]},"conclusions":[{conclusions}]}}'
 
 

@@ -24,14 +24,15 @@ The first two layers derive one quadruple per orbit of Aut x Aut,
 acting by automorphisms on rows and columns separately: the orbit of
 (i,j,k,l) is the product of the orbits of the pairs (i,k) and (j,l),
 which graphs.pair_orbits computes from Aut's generators, as the
-verifier does from the certificate's table.  A conclusion is its kind
-and quadruple alone, and the verifier settles it on its orbit.  A swap
-cites the commutation it uses as its orbit's derivation and two group
-elements that rename the derived quadruple to the one it needs, so a
-renamed commutation is never restated as a step of its own.  The table
-lists Aut's generators first, then each element a swap cites, once, by
-first use.  The certificate names its graph by format_graph_text, the
-text the verifier compares with its own graph's.
+verifier does from the certificate's table.  A conclusion is its kind,
+kept in a column of kinds, and its quadruple alone, and the verifier
+settles it on its orbit.  A swap cites the commutation it uses as its
+orbit's derivation and two group elements that rename the derived
+quadruple to the one it needs, so a renamed commutation is never
+restated as a step of its own.  The table lists Aut's generators
+first, then each element a swap cites, once, by first use.  The
+certificate names its graph by format_graph_text, the text the
+verifier compares with its own graph's.
 """
 
 from __future__ import annotations
@@ -45,12 +46,12 @@ from .certificate import (
     ZERO_PRODUCT,
     Certificate,
     Combine,
-    Conclusion,
+    Conclusions,
     ExpandUnity,
     LemmaCom,
     ProofStep,
     Swap,
-    scope_quadruples,
+    scope_columns,
 )
 from .graphs import Graph, format_graph_text, pair_orbits, require_hypotheses
 from .relations import local_reduce, swap_pair
@@ -317,15 +318,10 @@ def _prove(g: Graph, scope: str) -> Certificate:
             bld, nonedges, lambda bld, *quad: _derive_nonedge(bld, *quad, edge_edge)
         )
     classes = _pair_classes(g)
-    # Each record is built directly, without the constructor's checks:
-    # its kind is one of the two constants and its indices are the ints
-    # that the scope yields, so there is nothing to refuse.
-    conclusions = [
-        tuple.__new__(
-            Conclusion, (COMMUTES if classes[i][k] == classes[j][l] else ZERO_PRODUCT, i, j, k, l)
-        )
-        for i, j, k, l in scope_quadruples(g, scope)
-    ]
+    quads = zip(*scope_columns(g, scope))
+    kinds = [COMMUTES if classes[i][k] == classes[j][l] else ZERO_PRODUCT for i, j, k, l in quads]
+    del quads  # free its columns before on_scope makes its own
+    conclusions = Conclusions.on_scope(g, scope, kinds)
     return Certificate(format_graph_text(g), scope, tuple(bld.automorphisms), bld.steps, conclusions)
 
 

@@ -11,6 +11,7 @@ this module, the checker and what they import.
 from __future__ import annotations
 
 import random
+from itertools import compress
 from typing import NamedTuple
 
 from .autgroup import automorphism_group
@@ -50,24 +51,25 @@ def sanity_eval(g: Graph, cert: Certificate, trials: int, seed: int = 0) -> Sani
     At sigma only the n generators u[sigma(j),j] are 1.  A zero-product
     claim is the word u[i,j]u[k,l] with coefficient 1 against zero, and
     its word is fixed by its quadruple, so the index files each
-    zero-product conclusion under its integer quadruple (i, j, k, l),
-    with no generator or polynomial built.  A trial takes sigma's ones
-    as integer pairs (sigma(j), j) and looks up the n^2 quadruples that
-    two of them make, a pair with itself included: every conclusion
-    filed there evaluates to 1 and fails, and every other one evaluates
-    to 0.
+    zero-product conclusion under its quadruple, read from the columns
+    with no record, generator or polynomial built.  A trial takes
+    sigma's ones as integer pairs (sigma(j), j) and looks up the n^2
+    quadruples that two of them make, a pair with itself included: every
+    conclusion filed there evaluates to 1 and fails, and every other one
+    evaluates to 0.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     group = automorphism_group(g)
     n = g.n
+    kinds, *quad = cert.conclusions.columns
+    if max(set().union(*quad), default=0) > n:
+        i, j, k, l = next(q for q in zip(*quad) if max(q) > n)
+        r, c = (i, j) if max(i, j) > n else (k, l)
+        raise ValueError(f"generator u[{r},{c}] out of range for n={n}")
     by_quad: dict[tuple[int, int, int, int], list[int]] = {}
-    for idx, (kind, i, j, k, l) in enumerate(cert.conclusions):
-        if i > n or j > n or k > n or l > n:
-            r, c = (i, j) if max(i, j) > n else (k, l)
-            raise ValueError(f"generator u[{r},{c}] out of range for n={n}")
-        if kind == ZERO_PRODUCT:
-            by_quad.setdefault((i, j, k, l), []).append(idx)
+    for idx, q in compress(enumerate(zip(*quad)), map(ZERO_PRODUCT.__eq__, kinds)):
+        by_quad.setdefault(q, []).append(idx)
     rng = random.Random(seed)
     failures = []
     for _ in range(trials):

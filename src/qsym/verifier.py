@@ -1,7 +1,7 @@
 """Independent rechecking of commutativity certificates.
 
 The checker shares only the algebra primitives, the certificate's
-scope order, the graph's text writer, automorphism test and pair orbit
+scope columns, the graph's text writer, automorphism test and pair orbit
 function with the prover; it imports nothing of the automorphism
 search.  Every rule is a lookup, not a search: a justification names
 what it cites, so each check is an exact recomputation, an equality or
@@ -55,31 +55,35 @@ conclusion cites nothing.  G x G renames rows and columns separately,
 so the orbit of (i,j,k,l) is orbit(i,k) x orbit(j,l), a product of two
 orbits of G on ordered vertex pairs, and a claim that holds at one
 quadruple of a product holds at all of it.  The conclusions are read
-in one pass: each is compared with its scope quadruple, and its
-product is found by indexing rows of least pairs, built once from the
-pair orbits, and looked up among the verdicts.  Each (kind, product)
-is decided once: by a checked step whose claim_quadruple is of that
-kind and lies in the product, or else on words at the product's first
-quadruple.  There the claim is u[i,j]u[k,l] against its reverse (a
-commutation) or against zero (a zero product), and local_reduce of its
-difference is zero exactly when the word rewrites to zero, or when the
-word and its reverse have the same normal form or both rewrite to zero.
-_reduce_word gives a word's normal form, or None for zero, so comparing
-two results, or testing one for None, is that check without building a
-polynomial.  A table that generates only part of Aut gives finer
-orbits, which need more steps and never settle a false claim.  A graph
-of more than MAX_DEGREE**2 + 1 = 10 vertices, which the prover never
-takes, is refused at "graph" first, so the orbits and the scope stay
-small whatever the file holds.
+as columns: their quadruple columns must equal the scope's, and the
+(kind, product) pairs that occur are collected, each product found by
+indexing rows of least pairs built once from the pair orbits.  Only
+when a check fails are they walked one at a time, to name the first
+that fails.  Each (kind, product) is decided once: by a checked step
+whose claim_quadruple is of that kind and lies in the product, or else
+on words at the product's first quadruple.  There the claim is
+u[i,j]u[k,l] against its reverse (a commutation) or against zero (a
+zero product), and local_reduce of its difference is zero exactly when
+the word rewrites to zero, or when the word and its reverse have the
+same normal form or both rewrite to zero.  _reduce_word gives a word's
+normal form, or None for zero, so comparing two results, or testing
+one for None, is that check without building a polynomial.  A table
+that generates only part of Aut gives finer orbits, which need more
+steps and never settle a false claim.  A graph of more than
+MAX_DEGREE**2 + 1 = 10 vertices, which the prover never takes, is
+refused at "graph" first, so the orbits and the scope stay small
+whatever the file holds.
 """
 
 from __future__ import annotations
 
+from operator import getitem
 from typing import NamedTuple, Optional
 
 from .algebra import Poly, check_gen_bounds, expand_unity, gen, star
 from .certificate import (
     COMMUTES,
+    FULL,
     ZERO_PRODUCT,
     Certificate,
     Combine,
@@ -87,7 +91,7 @@ from .certificate import (
     ProofStep,
     Swap,
     claim_quadruple,
-    scope_quadruples,
+    scope_columns,
     scope_size,
 )
 from .graphs import MAX_DEGREE, Graph, format_graph_text, is_automorphism, pair_orbits
@@ -239,14 +243,28 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
 
     products = _Products(g, cert)
     rows = products.rows
-    quads = scope_quadruples(g, cert.scope)
-    conclusions = cert.conclusions
-    # The product key is _Products.key's, written out so that a
-    # conclusion costs no Python call.
-    for idx, (concl, quad) in enumerate(zip(conclusions, quads)):
-        kind, i, j, k, l = concl
-        if (i, j, k, l) != quad:
-            reason = "is out of place: quadruple {},{},{},{} belongs here".format(*quad)
+    scope = scope_columns(g, cert.scope)
+    kinds, ci, cj, ck, cl = cert.conclusions.columns
+    if (ci, cj, ck, cl) == scope:
+        # All in place: decide each (kind, product) that occurs, once.
+        if cert.scope == FULL:
+            # The kinds fall in runs over l = 1..n, one per (i, j, k); runs alike
+            # in kinds, orbit of (i, k) and j give the same keys, expanded once.
+            n = g.n
+            iks = map(getitem, map(rows.__getitem__, ci[::n]), ck[::n])
+            runs = set(zip(zip(*[iter(kinds)] * n), iks, cj[::n]))
+            occurring = {
+                (kind, ik, rows[j][l]) for run, ik, j in runs for l, kind in enumerate(run, 1)
+            }
+        else:
+            iks = map(getitem, map(rows.__getitem__, ci), ck)
+            occurring = set(zip(kinds, iks, map(getitem, map(rows.__getitem__, cj), cl)))
+        if all(map(products.__getitem__, occurring)):
+            return VerificationReport(True, len(steps), len(kinds))
+    # Some conclusion fails: walk them in scope order to name the first.
+    for idx, (kind, i, j, k, l, place) in enumerate(zip(kinds, ci, cj, ck, cl, zip(*scope))):
+        if (i, j, k, l) != place:
+            reason = "is out of place: quadruple {},{},{},{} belongs here".format(*place)
         elif not products[kind, rows[i][k], rows[j][l]]:
             reason = "holds neither by a step nor by reduction on its orbit product"
         else:
@@ -258,22 +276,8 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
             location=f"conclusion {idx}",
             reason=f"conclusion {idx} ({kind} {i},{j},{k},{l}) {reason}",
         )
+    # Each conclusion there is holds in its place: the list is too short or long.
     n_quads = scope_size(g, cert.scope)
-    if len(conclusions) != n_quads:
-        idx = min(len(conclusions), n_quads)
-        return VerificationReport(
-            valid=False,
-            steps_checked=len(steps),
-            conclusions_checked=idx,
-            location=f"conclusion {idx}",
-            reason=(
-                f"{len(conclusions)} conclusions for the {n_quads}"
-                f" quadruples of the {cert.scope} scope"
-            ),
-        )
-
-    return VerificationReport(
-        valid=True,
-        steps_checked=len(steps),
-        conclusions_checked=len(conclusions),
-    )
+    idx = min(len(kinds), n_quads)
+    reason = f"{len(kinds)} conclusions for the {n_quads} quadruples of the {cert.scope} scope"
+    return VerificationReport(False, len(steps), idx, location=f"conclusion {idx}", reason=reason)

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -32,10 +34,12 @@ from qsym import (
     loads_certificate,
     monomial,
     petersen,
+    prove_no_quantum_symmetry,
     save_certificate,
     star,
     u,
 )
+from qsym.certificate import Conclusions
 from algebra_reference import relabel
 
 
@@ -457,18 +461,111 @@ def test_dumps_is_the_json_of_the_dict_form(cert_fixture, request):
 
 
 _INDICES = st.one_of(st.integers(1, 10), st.integers(1, 10**40))
+_DRAWN_FIELDS = st.lists(
+    st.tuples(st.sampled_from([COMMUTES, ZERO_PRODUCT]), *[_INDICES] * 4),
+    max_size=8,
+)
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.sampled_from([COMMUTES, ZERO_PRODUCT]), *[_INDICES] * 4),
-        max_size=8,
-    )
-)
+@given(_DRAWN_FIELDS)
 def test_dumps_of_drawn_conclusions_is_the_json_of_the_dict_form(fields):
     cert = dataclasses.replace(_sample_cert(), conclusions=[Conclusion(*f) for f in fields])
     assert dumps_certificate(cert) == _json_of_the_dict(cert)
+
+
+_SLICES = [slice(*s) for s in itertools.product((None, -9, -2, 0, 1, 3, 9), repeat=2)]
+_STEPS = (None, 1, 2, 3, -1, -2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DRAWN_FIELDS)
+def test_conclusions_view_reads_as_the_tuple_of_its_records(fields):
+    # Built by the constructor from records and by the loader from JSON,
+    # the view answers len, indexing, slicing, iteration, == and hash as
+    # the tuple of the drawn records does.
+    records = tuple(Conclusion(*f) for f in fields)
+    cert = dataclasses.replace(_sample_cert(), conclusions=records)
+    for view in (cert.conclusions, loads_certificate(dumps_certificate(cert)).conclusions):
+        assert len(view) == len(records)
+        for idx in range(-len(records), len(records)):
+            assert type(view[idx]) is Conclusion and view[idx] == records[idx]
+        for idx in (len(records), -len(records) - 1):
+            with pytest.raises(IndexError):
+                view[idx]
+        for s in _SLICES:
+            for step in _STEPS:
+                cut = slice(s.start, s.stop, step)
+                assert type(view[cut]) is tuple and view[cut] == records[cut], cut
+                assert all(type(c) is Conclusion for c in view[cut])
+        assert tuple(iter(view)) == records and list(view) == list(records)
+        assert view == records and records == view and view != list(records)
+        assert view == cert.conclusions and hash(view) == hash(records)
+        assert view != records + (Conclusion(COMMUTES, 1, 1, 1, 1),)
+
+
+def test_rebuilding_a_certificate_keeps_its_conclusions_view():
+    # dataclasses.replace of other fields passes the view through, so a
+    # rebuild does not walk the records; records are transposed, and an
+    # item that is no Conclusion is refused by its place.
+    cert = _sample_cert()
+    rebuilt = dataclasses.replace(cert, steps=cert.steps)
+    assert rebuilt.conclusions is cert.conclusions and rebuilt == cert
+    assert dataclasses.replace(cert, conclusions=list(cert.conclusions)) == cert
+    for bad in [tuple(cert.conclusions[0]), cert.conclusions[0]._asdict(), None]:
+        with pytest.raises(MalformedCertificate, match="^conclusion 2 must be a Conclusion$"):
+            dataclasses.replace(cert, conclusions=[*cert.conclusions[:2], bad])
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        (0, "bogus", "^conclusion 1: unknown conclusion kind 'bogus'$"),
+        (0, ["commutes"], r"^conclusion 1: unknown conclusion kind \['commutes'\]$"),
+        (1, 0, "^conclusion 1: conclusion index must be a positive integer, got 0$"),
+        (4, True, "^conclusion 1: conclusion index must be a positive integer, got True$"),
+        (3, 2.0, "^conclusion 1: conclusion index must be a positive integer, got 2.0$"),
+    ],
+)
+def test_a_conclusions_view_checks_its_columns(field, value, message):
+    # A view built in memory is checked as its records would be, and the
+    # first bad record is named; the kinds kept are the two constants.
+    columns = [list(c) for c in zip(*[Conclusion(COMMUTES, 1, 2, 3, 4)] * 3)]
+    columns[0][2] = "".join(ZERO_PRODUCT)
+    assert Conclusions(*columns).columns[0][2] is ZERO_PRODUCT
+    columns[field][1] = value
+    with pytest.raises(MalformedCertificate, match=message):
+        Conclusions(*columns)
+    with pytest.raises(MalformedCertificate, match="^conclusion columns must be of one length$"):
+        Conclusions([COMMUTES] * 2, [1], [1], [1], [1])
+
+
+def test_a_proof_holds_its_conclusions_in_a_few_objects():
+    # The Petersen conclusions are five columns, not 10,000 records: after
+    # a collection only the view and its column tuple hang off them for
+    # the collector, and a proof retains at most 560 KiB (954 KiB as
+    # records).  A first proof fills the caches that the second reuses.
+    g = petersen()
+    prove_no_quantum_symmetry(g)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cert = prove_no_quantum_symmetry(g)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cert.conclusions) == 10**4
+    assert retained <= 560 * 1024, retained
+    seen, todo = set(), [cert.conclusions]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            refs = gc.get_referents(obj)
+            todo += [r for r in refs if gc.is_tracked(r) and not isinstance(r, type)]
+    assert len(seen) <= 5, len(seen)
 
 
 def test_repeated_malformed_poly_names_its_first_field():

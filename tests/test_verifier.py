@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -45,10 +46,11 @@ from qsym import (
     VerificationReport,
     verify_certificate,
 )
-from qsym import verifier
+from qsym import prover, verifier
 from qsym.graphs import pair_orbits
-from qsym.verifier import scope_quadruples, scope_size
+from qsym.certificate import scope_columns, scope_size
 from algebra_reference import evaluate_perm
+from verifier_reference import verify_by_records
 
 G5 = cycle(5)
 IDENTITY = (1, 2, 3, 4, 5)
@@ -423,8 +425,9 @@ C5_QUADS = list(itertools.product(range(1, 6), repeat=4))
 )
 def test_conclusions_must_cover_the_scope(c5_graph, c5_full_cert, edit, where):
     # Every remaining conclusion still follows from its justification;
-    # only the coverage of the 625 quadruples is wrong.
-    c = c5_full_cert.conclusions
+    # only the coverage of the 625 quadruples is wrong.  A slice of the
+    # view is a tuple of the records, which concatenates.
+    c = c5_full_cert.conclusions[:]
     conclusions = {
         "empty": (),
         "dropped-last": c[:-1],
@@ -486,7 +489,7 @@ def test_a_large_scope_is_counted_not_walked(make, n, scope, generators):
     "g", [cycle(5), petersen(), empty(3), cycle(6)], ids=["c5", "petersen", "empty3", "c6"]
 )
 def test_scope_size_counts_the_scope_quadruples(g, scope):
-    assert scope_size(g, scope) == len(list(scope_quadruples(g, scope)))
+    assert scope_size(g, scope) == len(list(zip(*scope_columns(g, scope))))
 
 
 @pytest.mark.parametrize(
@@ -537,6 +540,105 @@ def test_every_conclusion_and_table_mutation_rejected(c5_graph, c5_full_cert):
     assert set(made) == {op.__name__ for op in helpers.CONCLUSION_OPS} | {"table"}
 
 
+def _column_edits(g, cert, rng):
+    """(label, conclusions) edits of cert's conclusions: every
+    CONCLUSION_OPS operator at the ends and at random places, lists cut
+    short and padded, two quadruples swapped, indices of n + 1 and
+    10**40, and, in the full scope, the run of n kinds over l for
+    (1, 1, 1) given the kinds of the run for (1, 2, 1) or (1, 1, 2),
+    which makes u[1,1]u[1,1] a zero product."""
+    c = cert.conclusions
+    last = len(c) - 1
+    n = g.n
+    for label, at in (("run of j=2", n * n), ("run of k=2", n)) if len(c) == n**4 else ():
+        other = c[at : at + n]
+        yield label, tuple(x._replace(kind=y.kind) for x, y in zip(c, other)) + c[n:]
+    for op in helpers.CONCLUSION_OPS:
+        for idx in [0, last] + [rng.randrange(len(c)) for _ in range(6)]:
+            found = op(g, cert, idx, rng)
+            if found is not None:
+                yield f"{op.__name__} {idx}", found[0]
+    yield "empty", ()
+    yield "cut", c[:-7]
+    yield "padded", c[:] + c[:1]
+    yield "padded-in-place", c[:] + (Conclusion(COMMUTES, g.n, g.n, g.n, 1),)
+    for idx in (0, rng.randrange(len(c)), last):
+        other = max(idx - 1, 0) if idx else 1
+        swapped = list(c)
+        swapped[idx], swapped[other] = swapped[other], swapped[idx]
+        yield f"swapped {idx}", swapped
+        for field, value in (("i", g.n + 1), ("l", g.n + 1), ("k", 10**40)):
+            edited = c[idx]._replace(**{field: value})
+            yield f"{field}={value} at {idx}", c[:idx] + (edited,) + c[idx + 1 :]
+
+
+@pytest.mark.parametrize(
+    "cert_fixture", ["petersen_full_cert", "c5_full_cert", "petersen_qa5_cert", "c5_qa5_cert"]
+)
+def test_column_checks_report_as_the_record_reference(request, cert_fixture):
+    # verify_certificate checks the conclusions as columns and walks them
+    # only to name a failure; the reference walks them one record at a
+    # time.  Both must give the same report, field for field.
+    g = request.getfixturevalue(f"{cert_fixture.split('_')[0]}_graph")
+    cert = request.getfixturevalue(cert_fixture)
+    valid = VerificationReport(True, len(cert.steps), len(cert.conclusions))
+    assert verify_certificate(g, cert) == verify_by_records(g, cert) == valid
+    edits = 0
+    for label, conclusions in _column_edits(g, cert, random.Random(17)):
+        mutant = dataclasses.replace(cert, conclusions=conclusions)
+        report = verify_certificate(g, mutant)
+        assert not report.valid, label
+        assert report == verify_by_records(g, mutant), label
+        edits += 1
+    assert edits >= 30
+
+
+REFLECTION = (1, 5, 4, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "table, prove",
+    [((IDENTITY,), derive_qa5), ((REFLECTION,), derive_qa5), ((REFLECTION,), prove_no_quantum_symmetry)],
+    ids=["identity-qa5", "reflection-qa5", "reflection-full"],
+)
+def test_column_checks_keep_apart_the_arcs_of_a_split_table(monkeypatch, table, prove):
+    # A table that generates only part of Aut can put the arcs (j, l) at
+    # one j in different orbits.  A proof of C5 over such a group, with
+    # the one step that claims a conclusion's product replaced by a copy of
+    # step 0, must be refused at the product's first conclusion, as the
+    # reference refuses it, even where the conclusion after it, at the same
+    # i, j and k and a larger l, holds.
+    monkeypatch.setattr(prover, "automorphism_group", lambda g: SimpleNamespace(generators=table))
+    cert = prove(G5)
+    valid = VerificationReport(True, len(cert.steps), len(cert.conclusions))
+    assert cert.automorphisms[0] == table[0]
+    assert verify_certificate(G5, cert) == verify_by_records(G5, cert) == valid
+    products = verifier._Products(G5, cert)
+    claimed, cited = {}, set()
+    for s in cert.steps:
+        claim = claim_quadruple(s.lhs, s.rhs)
+        if claim is not None:
+            claimed.setdefault(products.key(*claim), []).append(s.id)
+        just = s.justification
+        cited.update([t for t, _ in just.terms] if isinstance(just, Combine) else [])
+        cited.add(getattr(just, "step", None))
+    c = cert.conclusions
+    edits = 0
+    for idx in range(len(c) - 1):
+        ids = claimed.get(products.key(*c[idx]), ())
+        if c[idx][1:4] != c[idx + 1][1:4] or len(ids) != 1 or ids[0] in cited:
+            continue
+        steps = list(cert.steps)
+        steps[ids[0]] = dataclasses.replace(steps[0], id=ids[0])
+        mutant = dataclasses.replace(cert, steps=steps)
+        report = verify_by_records(G5, mutant)
+        first = next(t for t in range(idx + 1) if products.key(*c[t]) == products.key(*c[idx]))
+        assert report.location == f"conclusion {first}"
+        assert verify_certificate(G5, mutant) == report
+        edits += 1
+    assert edits >= 5
+
+
 def _reference_verdict(g, cert, c, quad):
     """Whether c holds at the place of quad, by the Poly and relabel
     reference: in place, and its claim following."""
@@ -556,7 +658,7 @@ def test_conclusion_verdicts_match_the_relabel_reference(request, graph, scope):
     g = request.getfixturevalue(f"{graph}_graph")
     cert = request.getfixturevalue(f"{graph}_{'full' if scope == FULL else 'qa5'}_cert")
     products = verifier._Products(g, cert)
-    quads = list(scope_quadruples(g, scope))
+    quads = list(zip(*scope_columns(g, scope)))
 
     def agree(c, quad):
         got = (c.i, c.j, c.k, c.l) == quad and products[products.key(*c)]
