@@ -3,7 +3,8 @@
 The free *-algebra is generated by symbols u[i,j] with integer indices
 from 1.  A word is a tuple of generators; a polynomial maps words to
 nonzero rational coefficients.  No relations are applied here; rewriting
-belongs to the relations module.
+belongs to the relations module.  parse_poly reads format_poly's text in
+one pass over its tokens and refuses the first fault at its position.
 
 Coefficients are ``int`` where possible and ``fractions.Fraction``
 otherwise.  The two mix freely: equal values compare and hash equal.
@@ -105,12 +106,12 @@ class Poly:
 
     __hash__ = None
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def __add__(self, other: "Poly", sign: int = 1) -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         data = dict(self.terms)
         for w, c in other.terms.items():
-            s = data.get(w, 0) + c
+            s = data.get(w, 0) + sign * c
             if s:
                 data[w] = s
             else:
@@ -118,16 +119,7 @@ class Poly:
         return Poly._from_dict(data)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        data = dict(self.terms)
-        for w, c in other.terms.items():
-            s = data.get(w, 0) - c
-            if s:
-                data[w] = s
-            else:
-                del data[w]
-        return Poly._from_dict(data)
+        return self.__add__(other, -1)
 
     def __neg__(self) -> "Poly":
         return Poly._from_dict({w: -c for w, c in self.terms.items()})
@@ -149,11 +141,7 @@ class Poly:
             return Poly.zero()
         return Poly._from_dict({w: c0 * c for w, c0 in self.terms.items()})
 
-    def __rmul__(self, other) -> "Poly":
-        c = _check_coeff(other)
-        if not c:
-            return Poly.zero()
-        return Poly._from_dict({w: c * c0 for w, c0 in self.terms.items()})
+    __rmul__ = __mul__  # a scalar times a Poly
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -266,12 +254,12 @@ class PolyParseError(ValueError):
 
 
 _TOKEN = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<gen>u\[(?P<row>\d+),(?P<col>\d+)\])
-      | (?P<num>\d+(?:/\d+)?)
-      | (?P<plus>\+)
-      | (?P<minus>-)
-      | (?P<times>\*)
+    r"""(?: (?P<gen>u\[(?P<row>\d+),(?P<col>\d+)\])
+          | (?P<num>\d+(?:/\d+)?)
+          | (?P<plus>\+)
+          | (?P<minus>-)
+          | (?P<times>\*)
+        ) \s*  # a token takes the whitespace after it
     """,
     re.VERBOSE,
 )
@@ -284,35 +272,14 @@ def _parse_int(digits: str, pos: int) -> int:
         raise PolyParseError(str(exc), pos) from None
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind == "gen":
-            r, c = _parse_int(m.group("row"), pos), _parse_int(m.group("col"), pos)
-            if r < 1 or c < 1:
-                raise PolyParseError("generator indices start at 1", pos)
-            tokens.append(("gen", gen(r, c), pos))
-        elif kind == "num":
-            text_num = m.group("num")
-            if "/" in text_num:
-                a, b = (_parse_int(t, pos) for t in text_num.split("/"))
-                if b == 0:
-                    raise PolyParseError("zero denominator", pos)
-                value: Coeff = Fraction(a, b)
-                if value.denominator == 1:
-                    value = int(value)
-            else:
-                value = _parse_int(text_num, pos)
-            tokens.append(("num", value, pos))
-        elif kind in ("plus", "minus", "times"):
-            tokens.append((kind, None, pos))
-        pos = m.end()
-    return tokens
+# parse_poly's transitions: in each state (the start of the text, after a
+# sign or "*", after a factor), the state that each token it takes leads to.
+_START, _OPERAND, _FACTOR = range(3)
+_NEXT = (
+    {"plus": _OPERAND, "minus": _OPERAND, "num": _FACTOR, "gen": _FACTOR},
+    {"num": _FACTOR, "gen": _FACTOR},
+    {"plus": _OPERAND, "minus": _OPERAND, "gen": _FACTOR, "times": _OPERAND},
+)
 
 
 def parse_poly(text: str) -> Poly:
@@ -324,47 +291,45 @@ def parse_poly(text: str) -> Poly:
     stands for a multiple of the empty word.  Repeated words
     accumulate.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise PolyParseError("empty input", 0)
-    data: dict[Word, Coeff] = {}
-    i = 0
-
-    def expect_factor():
-        if i >= len(tokens):
-            raise PolyParseError("unexpected end of input", len(text))
-        if tokens[i][0] not in ("num", "gen"):
-            raise PolyParseError(f"unexpected {tokens[i][0]!r} token", tokens[i][2])
-
-    while i < len(tokens):
-        sign = 1
-        if tokens[i][0] in ("plus", "minus"):
-            if tokens[i][0] == "minus":
-                sign = -1
-            i += 1
-        coeff: Coeff = 1
-        gens: list[Gen] = []
-        expect_factor()
-        while True:
-            kind, value, _ = tokens[i]
-            if kind == "num":
-                coeff = coeff * value
-            else:
-                gens.append(value)
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "times":
-                i += 1
-                expect_factor()
-                continue
-            if i < len(tokens) and tokens[i][0] == "gen":
-                continue
+    terms: list[list] = []  # each term's coefficient, then its generators
+    state, pos = _START, len(text) - len(text.lstrip())
+    for m in _TOKEN.finditer(text, pos):
+        if m.start() != pos:
             break
+        at, pos, kind = pos, m.end(), m.lastgroup
+        after = _NEXT[state].get(kind)
+        if after is None:
+            refusal = "expected '+' or '-'" if state == _FACTOR else f"unexpected {kind!r} token"
+            raise PolyParseError(refusal, at)
+        if state == _START or kind in ("plus", "minus"):  # a term opens
+            terms.append([-1 if kind == "minus" else 1])
+        if kind == "gen":
+            r, c = _parse_int(m["row"], at), _parse_int(m["col"], at)
+            if r < 1 or c < 1:
+                raise PolyParseError("generator indices start at 1", at)
+            terms[-1].append(gen(r, c))
+        elif kind == "num":
+            num, _, den = m["num"].partition("/")
+            value: Coeff = _parse_int(num, at)
+            if den:
+                den = _parse_int(den, at)
+                if den == 0:
+                    raise PolyParseError("zero denominator", at)
+                value = Fraction(value, den)
+            terms[-1][0] *= int(value) if value.denominator == 1 else value
+        state = after
+    if pos < len(text):
+        raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
+    if state == _START:
+        raise PolyParseError("empty input", 0)
+    if state == _OPERAND:
+        raise PolyParseError("unexpected end of input", len(text))
+    data: dict[Word, Coeff] = {}
+    for c, *gens in terms:
         w = tuple(gens)
-        c = data.get(w, 0) + sign * coeff
+        c = data.get(w, 0) + c
         if c:
             data[w] = c
         else:
             data.pop(w, None)
-        if i < len(tokens) and tokens[i][0] not in ("plus", "minus"):
-            raise PolyParseError("expected '+' or '-'", tokens[i][2])
     return Poly._from_dict(data)

@@ -17,7 +17,7 @@ when read; only this module knows that layout.  A view checks its
 columns in whole passes, taking records one at a time only to name the
 first bad one.  The prover gives a kind column on scope_columns, the
 loader the JSON objects' columns; the writer, the verifier and the spot
-check read whole columns, and only Conclusion.claim builds a polynomial.
+check read whole columns, and none of them builds a polynomial.
 
 A step's justification is one of four rules: expand_unity, swap,
 combine and lemma_com.  The rule table, _RULES, is where a rule's wire
@@ -55,7 +55,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple, Optional, Union
 
-from .algebra import COL, ROW, Poly, PolyParseError, format_poly, gen, parse_poly
+from .algebra import COL, ROW, Poly, PolyParseError, format_poly, parse_poly
 from .graphs import Graph
 from .wire import MalformedCertificate, decode, read
 
@@ -227,15 +227,6 @@ class Conclusion(_ConclusionFields):
     def _make(cls, iterable) -> "Conclusion":
         return cls(*iterable)
 
-    def claim(self) -> tuple[Poly, Poly]:
-        """The equation this conclusion asserts: u[i,j]u[k,l] equals
-        u[k,l]u[i,j], or zero.  :func:`claim_quadruple` inverts it."""
-        a, b = gen(self.i, self.j), gen(self.k, self.l)
-        lhs = Poly._from_dict({(a, b): 1})
-        if self.kind == COMMUTES:
-            return lhs, Poly._from_dict({(b, a): 1})
-        return lhs, Poly.zero()
-
 
 def _checked_columns(kinds, quad, ints_ok: bool) -> tuple:
     """(kinds, *quad) as tuples, each kind the constant it equals, checked as
@@ -308,7 +299,7 @@ def claim_quadruple(lhs: Poly, rhs: Poly) -> Optional[tuple[str, int, int, int, 
     lhs must be the word u[i,j]u[k,l] alone, with coefficient 1, and rhs
     either zero (a zero product) or the reversed word alone, with
     coefficient 1 (a commutation).  Distinct (kind, quadruple) give
-    distinct claims, so this inverts :meth:`Conclusion.claim` exactly.
+    distinct claims, so this inverts the claim of a conclusion exactly.
     """
     if len(lhs.terms) != 1:
         return None
@@ -380,12 +371,6 @@ class Certificate:
         object.__setattr__(self, "automorphisms", table)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "conclusions", conclusions)
-
-
-def _require_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedCertificate(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _require_keys(d: dict, expected: set, what: str):
@@ -470,26 +455,26 @@ def certificate_to_dict(cert: Certificate) -> dict:
 _CONCLUSION_FIELDS = frozenset(Conclusion._fields)
 
 
-def _conclusion_from_dict(cd, idx: int) -> Conclusion:
-    if not isinstance(cd, dict) or cd.keys() != _CONCLUSION_FIELDS:
-        raise MalformedCertificate(
-            f"conclusion {idx} must be an object with exactly the fields kind, i, j, k, l"
-        )
-    try:
-        return Conclusion(cd["kind"], cd["i"], cd["j"], cd["k"], cd["l"])
-    except MalformedCertificate as exc:
-        raise MalformedCertificate(f"conclusion {idx}: {exc}") from None
-
-
-def _conclusions_from_list(objs: list):
-    """The objects' conclusions: a view of their columns, which Conclusions checks, if
-    each has exactly the five fields; else _conclusion_from_dict names the first bad."""
-    if set(map(type, objs)) <= {dict} and set(map(len, objs)) <= {5}:
+def _conclusions_from_list(objs: list) -> Conclusions:
+    """A view of the objects' columns, which Conclusions checks.  Each object must be
+    a dict of exactly the five fields; the first that is not is refused after the
+    view of the objects before it, so that an earlier bad kind or index is named first."""
+    if set(map(type, objs)) <= {dict} and set(map(len, objs)) <= {5}:  # passes in C
         try:
             return Conclusions(*(tuple(map(itemgetter(f), objs)) for f in Conclusion._fields))
         except KeyError:  # five fields, one of them misnamed
             pass
-    return [_conclusion_from_dict(cd, idx) for idx, cd in enumerate(objs)]
+    end = next(
+        (idx for idx, cd in enumerate(objs)
+         if not isinstance(cd, dict) or cd.keys() != _CONCLUSION_FIELDS),
+        len(objs),
+    )
+    view = Conclusions(*(tuple(map(itemgetter(f), objs[:end])) for f in Conclusion._fields))
+    if end < len(objs):
+        raise MalformedCertificate(
+            f"conclusion {end} must be an object with exactly the fields kind, i, j, k, l"
+        )
+    return view
 
 
 def certificate_from_dict(d) -> Certificate:
@@ -497,7 +482,9 @@ def certificate_from_dict(d) -> Certificate:
     # refused by name rather than for its fields.
     if not isinstance(d, dict) or "version" not in d:
         raise MalformedCertificate("certificate must be an object with a 'version'")
-    version = _require_int(d["version"], "version")
+    version = d["version"]
+    if isinstance(version, bool) or not isinstance(version, int):
+        raise MalformedCertificate(f"version must be an integer, got {version!r}")
     if version != CERT_VERSION:
         raise MalformedCertificate(
             f"unsupported certificate version {version}, expected {CERT_VERSION}"

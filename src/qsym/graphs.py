@@ -138,11 +138,6 @@ class Graph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def adjacent(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.adj1[u][v])
-
     def degree(self, u: int) -> int:
         self._check_vertex(u)
         return len(self._nbrs[u])
@@ -302,6 +297,14 @@ def petersen() -> Graph:
     return kneser(5, 2)
 
 
+def _pair_counts(g: Graph):
+    """(u, v, adjacent, common) for each pair u < v, in lexicographic order:
+    adjacent is 1 or 0, and common counts the common neighbors of u and v."""
+    for u, v in combinations(g.vertices(), 2):
+        row = g.adj1[v]
+        yield u, v, row[u], sum(map(row.__getitem__, g._nbrs[u]))
+
+
 def srg_params(g: Graph) -> SrgParams | None:
     """Strong regularity parameters of g, or None.
 
@@ -309,26 +312,15 @@ def srg_params(g: Graph) -> SrgParams | None:
     pairs and another over non-adjacent pairs.  Complete and empty
     graphs lack one of the two pair classes and yield None.
     """
-    if g.n < 2:
-        return None
     k = g.degree(1)
     if any(g.degree(u) != k for u in g.vertices()):
         return None
-    lam = mu = None
-    for u, v in combinations(g.vertices(), 2):
-        c = len(g.common_neighbors(u, v))
-        if g.adj1[u][v]:
-            if lam is None:
-                lam = c
-            elif lam != c:
-                return None
-        else:
-            if mu is None:
-                mu = c
-            elif mu != c:
-                return None
-    if lam is None or mu is None:
+    counts = (set(), set())  # over non-adjacent, then adjacent pairs
+    for _, _, adjacent, c in _pair_counts(g):
+        counts[adjacent].add(c)
+    if list(map(len, counts)) != [1, 1]:
         return None
+    (mu,), (lam,) = counts
     return SrgParams(g.n, k, lam, mu)
 
 
@@ -348,22 +340,14 @@ def check_moore_conditions(g: Graph) -> MooreReport:
                 witness=(1, u),
                 reason=f"vertex 1 has degree {k} but vertex {u} has degree {d}",
             )
-    for u, v in combinations(g.vertices(), 2):
-        c = len(g.common_neighbors(u, v))
-        if g.adj1[u][v]:
-            if c != 0:
-                return MooreReport(
-                    holds=False,
-                    witness=(u, v),
-                    reason=f"adjacent pair ({u}, {v}) has {c} common neighbors, expected 0",
-                )
-        else:
-            if c != 1:
-                return MooreReport(
-                    holds=False,
-                    witness=(u, v),
-                    reason=f"non-adjacent pair ({u}, {v}) has {c} common neighbors, expected 1",
-                )
+    for u, v, adjacent, c in _pair_counts(g):
+        if c != 1 - adjacent:
+            pair = "adjacent" if adjacent else "non-adjacent"
+            return MooreReport(
+                holds=False,
+                witness=(u, v),
+                reason=f"{pair} pair ({u}, {v}) has {c} common neighbors, expected {1 - adjacent}",
+            )
     return MooreReport(holds=True, k=k)
 
 

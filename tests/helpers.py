@@ -23,8 +23,10 @@ A conclusion is its kind and quadruple alone, checked for its place in
 the scope's quadruple order and for its claim: moving, dropping or
 duplicating one puts a wrong quadruple at a known position, and a
 flipped kind is guarded so that the claim no longer holds by the
-reference, conclusion_follows.  A table entry that is not an
-automorphism is refused whatever cites it.
+reference, conclusion_follows.  The conclusion operators edit copies of
+the certificate's five conclusion columns and give a Conclusions view
+of them, so that no mutant builds a record per conclusion.  A table
+entry that is not an automorphism is refused whatever cites it.
 
 A step operator takes the graph, the step, the certificate whose steps
 and table it may cite, and a random source, as the verifier's
@@ -58,7 +60,8 @@ from qsym import (
     star,
     swap_pair,
 )
-from algebra_reference import relabel
+from qsym.certificate import Conclusions
+from algebra_reference import claim, relabel
 
 
 def hoffman_singleton():
@@ -410,16 +413,15 @@ def conclusion_follows(g, cert, c) -> bool:
     """Whether c's claim holds by the reference, its place aside: some
     step's claim renamed under two elements of the table's closure is
     c's claim, or the claim's difference has local_reduce zero."""
-    lhs, rhs = c.claim()
+    lhs, rhs = claim(c)
     if _key(lhs, rhs) in renamed_step_claims(cert, g.n):
         return True
     return local_reduce(g, lhs - rhs).is_zero
 
 
 def _replaced(cert, idx, c):
-    conclusions = list(cert.conclusions)
-    conclusions[idx] = c
-    return tuple(conclusions), idx
+    columns = cert.conclusions.columns
+    return Conclusions(*(col[:idx] + (v,) + col[idx + 1 :] for col, v in zip(columns, c))), idx
 
 
 def _if_false(g, cert, idx, c):
@@ -446,12 +448,12 @@ def _move_quadruple(g, cert, idx, rng):
 def _drop_conclusion(g, cert, idx, rng):
     # The next quadruple moves into place idx, or the list falls short
     # there.
-    return cert.conclusions[:idx] + cert.conclusions[idx + 1 :], idx
+    return Conclusions(*(col[:idx] + col[idx + 1 :] for col in cert.conclusions.columns)), idx
 
 
 def _duplicate_conclusion(g, cert, idx, rng):
-    conclusions = cert.conclusions
-    return conclusions[: idx + 1] + conclusions[idx:], idx + 1
+    columns = cert.conclusions.columns
+    return Conclusions(*(col[: idx + 1] + col[idx:] for col in columns)), idx + 1
 
 
 CONCLUSION_OPS = [_flip_kind, _move_quadruple, _drop_conclusion, _duplicate_conclusion]

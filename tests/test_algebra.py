@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from qsym import (
     u,
     word,
 )
-from algebra_reference import commutator, evaluate_perm, relabel
+from algebra_reference import commutator, evaluate_perm, parse_poly_reference, relabel
 
 coeffs = st.one_of(
     st.integers(min_value=-4, max_value=4).filter(bool),
@@ -224,3 +225,108 @@ def test_parse_poly_refuses_integers_over_the_digit_limit():
 @given(polys)
 def test_format_parse_round_trip(p):
     assert parse_poly(format_poly(p)) == p
+
+
+def _parsed(parse, text):
+    """parse(text) as ("poly", the Poly, each word's coefficient type), or
+    as ("refused", message, position)."""
+    try:
+        p = parse(text)
+    except PolyParseError as exc:
+        return "refused", str(exc).split(": ", 1)[1], exc.position
+    return "poly", p, {w: type(c) for w, c in p.terms.items()}
+
+
+_GRAMMAR_FAULTS = ("empty input", "unexpected end of input", "expected '+' or '-'")
+
+
+def _is_grammar_fault(message):
+    return message in _GRAMMAR_FAULTS or re.fullmatch(r"unexpected '\w+' token", message)
+
+
+_HUGE = "7" * 5000
+# Tokens, parts of tokens, whitespace (Unicode too), a Unicode digit, and
+# faults of every kind, for drawing texts of a few pieces.
+_PIECES = [
+    "u[1,2]", "u[10,3]", "u[٣,1]", "u[0,1]", "u[1,0]", "u[", "]", ",", "x", "/", " ", "\t",
+    "\u2003", "٣", "7", "0", "12", "1/0", "4/2", "3/2", "0/5", _HUGE, "2/" + _HUGE,
+    "u[" + _HUGE + ",1]", "*", "+", "-",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=8).map("".join))
+def test_parse_poly_agrees_with_the_token_list_reference(text):
+    # Both accept the same texts, with equal Polys and coefficient types.
+    # The reference tokenizes the whole text before it reads the grammar,
+    # so where it names a bad character or number the one pass may name a
+    # grammar fault met before it; where it names a grammar fault, the
+    # text has no other kind, and both name the same.
+    got, ref = _parsed(parse_poly, text), _parsed(parse_poly_reference, text)
+    assert got[0] == ref[0]
+    if ref[0] == "poly" or _is_grammar_fault(ref[1]):
+        assert got == ref
+    else:
+        assert got == ref or (_is_grammar_fault(got[1]) and got[2] <= ref[2])
+
+
+_GEN_FACTORS = ["u[1,2]", "u[3,4]", "u[٣,1]", "u[10,10]"]
+_NUM_FACTORS = ["2", "3/2", "4/2", "0", "٣", "12"]
+
+
+@st.composite
+def _valid_pieces(draw):
+    """A valid text as a list of pieces: signed terms, each of factors
+    joined by "*" or, before a generator, juxtaposed."""
+    pieces = []
+    for t in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(["", "-", "+ "] if t == 0 else [" + ", " - ", "+", "-"]))
+        pieces += [sign] if sign else []
+        factor_pieces = st.sampled_from(_GEN_FACTORS + _NUM_FACTORS)
+        factors = draw(st.lists(factor_pieces, min_size=1, max_size=3))
+        for f_idx, factor in enumerate(factors):
+            if f_idx:
+                joints = ["*", " * "] + ([] if factor in _NUM_FACTORS else ["", " "])
+                pieces.append(draw(st.sampled_from(joints)))
+            pieces.append(factor)
+    return pieces
+
+
+@settings(max_examples=200, deadline=None)
+@given(_valid_pieces(), st.data())
+def test_parse_poly_names_a_single_fault_as_the_reference(pieces, data):
+    # A valid text, and the same text with one fault put in: a bad
+    # character anywhere, a bad generator or number in a factor's place, a
+    # sign or "*" with nothing after it, a sign after a sign, a "*" first,
+    # or a number after a factor with no "*" between.
+    text = "".join(pieces)
+    assert _parsed(parse_poly, text) == _parsed(parse_poly_reference, text)
+    assert _parsed(parse_poly, text)[0] == "poly"
+    factors = [i for i, p in enumerate(pieces) if p in _GEN_FACTORS + _NUM_FACTORS]
+    nums = [i for i, p in enumerate(pieces) if p in _NUM_FACTORS]
+    signs = [i for i, p in enumerate(pieces) if p.strip() in ("+", "-")]
+    faults = ["char", "gen", "end", "times", "juxtaposed"]
+    draw = data.draw
+    fault = draw(st.sampled_from(faults + ["num"] * bool(nums) + ["sign"] * bool(signs)))
+    if fault == "char":
+        offset = draw(st.integers(0, len(text)))
+        text = text[:offset] + draw(st.sampled_from(["x", "]", ",", "!"])) + text[offset:]
+    elif fault == "gen":
+        bad = ["u[0,1]", "u[2,0]", "u[" + _HUGE + ",1]", "u[1," + _HUGE + "]"]
+        pieces[draw(st.sampled_from(factors))] = draw(st.sampled_from(bad))
+    elif fault == "num":
+        bad = ["1/0", "٣/0", _HUGE, "2/" + _HUGE, _HUGE + "/2"]
+        pieces[draw(st.sampled_from(nums))] = draw(st.sampled_from(bad))
+    elif fault == "end":
+        pieces.append(draw(st.sampled_from(["+", " - ", "*", " * "])))
+    elif fault == "sign":
+        pieces.insert(draw(st.sampled_from(signs)) + 1, draw(st.sampled_from(["+", " - "])))
+    elif fault == "times":
+        pieces.insert(0, "*")
+    else:
+        number = draw(st.sampled_from([" 2", " 3/2", " ٣"]))
+        pieces.insert(draw(st.sampled_from(factors)) + 1, number)
+    if fault != "char":
+        text = "".join(pieces)
+    got = _parsed(parse_poly, text)
+    assert got[0] == "refused" and got == _parsed(parse_poly_reference, text), fault

@@ -40,7 +40,8 @@ from qsym import (
     u,
 )
 from qsym.certificate import Conclusions
-from algebra_reference import relabel
+from algebra_reference import claim, relabel
+from verifier_reference import conclusions_by_objects
 
 
 # Three automorphisms of C5.
@@ -243,6 +244,65 @@ def test_from_dict_rejects_bad_shapes():
         corrupt(lambda d: d["conclusions"][2].update(k=bad_index))
     corrupt(lambda d: d["conclusions"][0].update(extra=1))
     corrupt(lambda d: d["conclusions"].append([1, 1, 1, 1]))
+
+
+class _DictSubclass(dict):
+    pass
+
+
+# Edits of one decoded conclusion object: each gives what stands in its place.
+_OBJECT_EDITS = {
+    "array": lambda cd: list(cd.values()),
+    "string": lambda cd: "commutes",
+    "null": lambda cd: None,
+    "missing key": lambda cd: {f: v for f, v in cd.items() if f != "j"},
+    "extra key": lambda cd: {**cd, "step": 0},
+    "misnamed key": lambda cd: {("m" if f == "l" else f): v for f, v in cd.items()},
+    "unknown kind": lambda cd: {**cd, "kind": "maybe"},
+    "unhashable kind": lambda cd: {**cd, "kind": ["commutes"]},
+    "index 0": lambda cd: {**cd, "i": 0},
+    "index True": lambda cd: {**cd, "k": True},
+    "index 2.0": lambda cd: {**cd, "l": 2.0},
+    "index 10**40": lambda cd: {**cd, "j": 10**40},
+    "dict subclass": _DictSubclass,
+}
+_PLACES = st.one_of(st.sampled_from([0, 1, 623, 624]), st.integers(0, 624))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_PLACES, st.sampled_from(sorted(_OBJECT_EDITS))),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda edit: edit[0],
+    )
+)
+def test_loader_reads_conclusion_objects_as_the_per_object_reference(c5_full_cert, edits):
+    # The loader checks the objects as columns; the reference reads them
+    # one at a time into records.  Edited objects of a C5 certificate, each
+    # fault before and after others, must load to an equal certificate or
+    # be refused with the same message by both.
+    d = json.loads(dumps_certificate(c5_full_cert))
+    for idx, label in edits:
+        d["conclusions"][idx] = _OBJECT_EDITS[label](d["conclusions"][idx])
+    try:
+        expected = dataclasses.replace(
+            c5_full_cert, conclusions=conclusions_by_objects(d["conclusions"])
+        )
+    except MalformedCertificate as exc:
+        expected = str(exc)
+    try:
+        got = certificate_from_dict(d)
+    except MalformedCertificate as exc:
+        got = str(exc)
+    assert got == expected
+
+
+def test_loader_takes_conclusions_that_are_all_dict_subclasses(c5_full_cert):
+    d = json.loads(dumps_certificate(c5_full_cert))
+    d["conclusions"] = list(map(_DictSubclass, d["conclusions"]))
+    assert certificate_from_dict(d) == c5_full_cert
 
 
 def test_loads_refuses_a_step_citing_a_later_step():
@@ -609,12 +669,12 @@ def test_step_and_conclusion_validation():
     for cited in ((0,), (0, 0, 0)):
         with pytest.raises(TypeError):
             Conclusion(COMMUTES, 1, 1, 2, 2, *cited)
-    claim = Conclusion(COMMUTES, 1, 2, 3, 4).claim()
-    assert claim == (
+    commutation = claim(Conclusion(COMMUTES, 1, 2, 3, 4))
+    assert commutation == (
         monomial(((1, 2), (3, 4))),
         monomial(((3, 4), (1, 2))),
     )
-    zero = Conclusion(ZERO_PRODUCT, 1, 2, 3, 4).claim()
+    zero = claim(Conclusion(ZERO_PRODUCT, 1, 2, 3, 4))
     assert zero == (monomial(((1, 2), (3, 4))), monomial((), 1) - monomial((), 1))
 
 
@@ -666,7 +726,7 @@ def test_swap_refuses_a_negative_table_index(field):
 def test_claim_quadruple_inverts_claim():
     quads = itertools.product(range(1, 4), repeat=4)
     for kind, quad in itertools.product((COMMUTES, ZERO_PRODUCT), quads):
-        assert claim_quadruple(*Conclusion(kind, *quad).claim()) == (kind, *quad)
+        assert claim_quadruple(*claim(Conclusion(kind, *quad))) == (kind, *quad)
     # Coefficients compare by value, as Poly equality does.
     one = Fraction(1)
     x = Poly({((1, 2), (2, 3)): one})

@@ -65,7 +65,7 @@ def test_kneser_disjointness_defines_edges():
             if a == b:
                 continue
             disjoint = not (set(subsets[a - 1]) & set(subsets[b - 1]))
-            assert g.adjacent(a, b) == disjoint
+            assert bool(g.adj1[a][b]) == disjoint
 
 
 def test_basic_constructors():

@@ -49,7 +49,7 @@ from qsym import (
 from qsym import prover, verifier
 from qsym.graphs import pair_orbits
 from qsym.certificate import scope_columns, scope_size
-from algebra_reference import evaluate_perm
+from algebra_reference import claim, evaluate_perm
 from verifier_reference import verify_by_records
 
 G5 = cycle(5)
@@ -325,7 +325,7 @@ def test_swap_and_conclusion_need_automorphisms():
     # under SWAP_2_3 the two claims lie in one orbit product.
     table = (IDENTITY, SWAP_2_3)
     concl = Conclusion(ZERO_PRODUCT, 1, 1, 3, 3)
-    lhs, rhs = concl.claim()
+    lhs, rhs = claim(concl)
     assert evaluate_perm(G5, IDENTITY, lhs - rhs) == 1
     orbits = pair_orbits(table, 5)
     assert orbits[1, 2][0] == orbits[1, 3][0] == (1, 2)
@@ -699,7 +699,7 @@ def test_reduced_conclusions_decided_on_words_match_local_reduce(request, graph)
     for kind in (COMMUTES, ZERO_PRODUCT):
         for quad in itertools.product(g.vertices(), repeat=4):
             c = Conclusion(kind, *quad)
-            lhs, rhs = c.claim()
+            lhs, rhs = claim(c)
             expected = local_reduce(g, lhs - rhs).is_zero
             assert products[products.key(*c)] == expected, (kind, quad)
             verdicts[expected] += 1
@@ -745,7 +745,7 @@ def test_coverage_needs_the_non_edge_steps(request, graph):
     assert full.steps[: len(qa5.steps)] == qa5.steps
     idx, c = _first(
         full,
-        lambda c: c.kind == COMMUTES and c.i != c.k and c.j != c.l and not g.adjacent(c.i, c.k),
+        lambda c: c.kind == COMMUTES and c.i != c.k and c.j != c.l and not bool(g.adj1[c.i][c.k]),
     )
     _refused_at(g, dataclasses.replace(full, steps=qa5.steps), idx, c)
 
@@ -832,7 +832,7 @@ def _truly_zero(c) -> bool:
     """Whether u[i,j]u[k,l] = 0 holds on C5, from adjacency alone."""
     if (c.i, c.j) == (c.k, c.l):
         return False
-    return c.i == c.k or c.j == c.l or G5.adjacent(c.i, c.k) != G5.adjacent(c.j, c.l)
+    return c.i == c.k or c.j == c.l or bool(G5.adj1[c.i][c.k]) != bool(G5.adj1[c.j][c.l])
 
 
 def _check_outcome(load):

@@ -1,4 +1,4 @@
-"""Reference verdicts for the checker's column checks, used only by the tests.
+"""References for the column checks of the checker and the loader, used only by the tests.
 
 verify_by_records is verify_certificate with its conclusions checked
 one Conclusion record at a time, each against its scope quadruple and
@@ -7,11 +7,18 @@ whole columns.  The column checks must give the same VerificationReport
 for every certificate: the same validity, counts, location and reason.
 The table, step and product checks are the checker's own, so this
 differs from it only where the column checks do.
+
+conclusions_by_objects reads decoded conclusion objects one at a time
+into Conclusion records, as the loader did for any list that was not
+all dicts of exactly the five fields, naming the first bad object.  A
+certificate given its records must equal the one certificate_from_dict
+loads, or both must be refused with the same MalformedCertificate
+message.
 """
 
 from __future__ import annotations
 
-from qsym import GraphMismatch, VerificationReport
+from qsym import Conclusion, GraphMismatch, MalformedCertificate, VerificationReport
 from qsym.certificate import scope_columns, scope_size
 from qsym.graphs import MAX_DEGREE, format_graph_text, is_automorphism
 from qsym.verifier import _check_step, _Products
@@ -72,3 +79,18 @@ def verify_by_records(g, cert) -> VerificationReport:
             ),
         )
     return VerificationReport(True, len(steps), len(conclusions))
+
+
+def conclusions_by_objects(objs) -> list[Conclusion]:
+    fields = frozenset(Conclusion._fields)
+    records = []
+    for idx, cd in enumerate(objs):
+        if not isinstance(cd, dict) or cd.keys() != fields:
+            raise MalformedCertificate(
+                f"conclusion {idx} must be an object with exactly the fields kind, i, j, k, l"
+            )
+        try:
+            records.append(Conclusion(cd["kind"], cd["i"], cd["j"], cd["k"], cd["l"]))
+        except MalformedCertificate as exc:
+            raise MalformedCertificate(f"conclusion {idx}: {exc}") from None
+    return records
