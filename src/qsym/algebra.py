@@ -61,8 +61,8 @@ class Poly:
 
     A Poly is never mutated after construction: every operation returns
     a new object, and nothing writes to ``terms`` in place.  Callers
-    rely on this to share one Poly between many places, as the
-    certificate loader and dumper do.
+    rely on this to share one Poly between many places, as the prover
+    does between the sides of its steps.
     """
 
     __slots__ = ("terms",)

@@ -13,11 +13,12 @@ the producer.
 
 Conclusions are held as columns, a kind column and one for each of i, j,
 k and l, in a Conclusions view that builds its Conclusion records only
-when read; only this module knows that layout.  A view checks its
-columns in whole passes, taking records one at a time only to name the
-first bad one.  The prover gives a kind column on scope_columns, the
-loader the JSON objects' columns; the writer, the verifier and the spot
-check read whole columns, and none of them builds a polynomial.
+when read; only this module knows that layout.  A record is plain data;
+a view checks its columns in whole passes, taking records one at a time
+only to name the first bad one.  The prover gives a kind column on
+scope_columns, the loader the JSON objects' columns; the writer, the
+verifier and the spot check read whole columns, and none of them builds
+a polynomial.
 
 A step's justification is one of four rules: expand_unity, swap,
 combine and lemma_com.  The rule table, _RULES, is where a rule's wire
@@ -192,7 +193,17 @@ def _check_index(value, what: str, least: int = 0) -> None:
         raise MalformedCertificate(f"{what} must be a {kind} integer, got {value!r}")
 
 
-class _ConclusionFields(NamedTuple):
+class Conclusion(NamedTuple):
+    """Classification of one ordered generator pair (u[i,j], u[k,l]).
+
+    A conclusion cites nothing: the verifier settles it by the orbit of
+    its quadruple under the group that the certificate's automorphism
+    table generates.
+
+    A plain record of the five fields, checked only where it enters a
+    certificate, by a Conclusions view.
+    """
+
     kind: str
     i: int
     j: int
@@ -200,38 +211,10 @@ class _ConclusionFields(NamedTuple):
     l: int
 
 
-class Conclusion(_ConclusionFields):
-    """Classification of one ordered generator pair (u[i,j], u[k,l]).
-
-    A conclusion cites nothing: the verifier settles it by the orbit of
-    its quadruple under the group that the certificate's automorphism
-    table generates.
-
-    A validated record: a tuple of the five fields.  The constructor,
-    ``_make`` and so ``_replace`` check the fields, and refuse a bad one
-    with MalformedCertificate.  A Conclusions view builds its records
-    with ``tuple.__new__``, skipping the checks, since its columns were
-    checked when the view was built.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, kind, i, j, k, l):
-        if kind not in (COMMUTES, ZERO_PRODUCT):
-            raise MalformedCertificate(f"unknown conclusion kind {kind!r}")
-        for v in (i, j, k, l):
-            _check_index(v, "conclusion index", least=1)
-        return tuple.__new__(cls, (kind, i, j, k, l))
-
-    @classmethod
-    def _make(cls, iterable) -> "Conclusion":
-        return cls(*iterable)
-
-
 def _checked_columns(kinds, quad, ints_ok: bool) -> tuple:
-    """(kinds, *quad) as tuples, each kind the constant it equals, checked as
-    Conclusion checks each record, in a few passes in C (the indices only
-    unless ints_ok); records are walked only to name the first bad one."""
+    """(kinds, *quad) as tuples, each kind the constant it equals, checked to
+    hold known kinds and positive int indices in a few passes in C (the kinds
+    only if ints_ok); records are walked only to name the first bad one."""
     columns = tuple(map(tuple, (kinds, *quad)))
     if len(set(map(len, columns))) > 1:
         raise MalformedCertificate("conclusion columns must be of one length")
@@ -241,12 +224,12 @@ def _checked_columns(kinds, quad, ints_ok: bool) -> tuple:
         ok = ints_ok or set(map(type, chain(*quad))) <= {int} and min(chain(*quad), default=1) >= 1
     except (KeyError, TypeError):  # an unknown or unhashable kind
         ok = False
-    if not ok:  # Conclusion also takes int subclasses
-        for idx, record in enumerate(zip(*columns)):
-            try:
-                Conclusion(*record)
-            except MalformedCertificate as exc:
-                raise MalformedCertificate(f"conclusion {idx}: {exc}") from None
+    if not ok:  # the walk also takes int subclasses
+        for idx, (kind, *indices) in enumerate(zip(*columns)):
+            if kind not in (COMMUTES, ZERO_PRODUCT):
+                raise MalformedCertificate(f"conclusion {idx}: unknown conclusion kind {kind!r}")
+            for v in indices:
+                _check_index(v, f"conclusion {idx}: conclusion index", least=1)
     return (kinds, *quad)
 
 
@@ -254,7 +237,7 @@ class Conclusions(Sequence):
     """A read-only sequence of Conclusion records held as five tuples, ``columns``:
     the kinds, then i, j, k and l.  len, indexing, slicing (to a tuple), iteration,
     == and hash behave as on the tuple of the records.  Building one refuses
-    columns of different lengths, and what Conclusion refuses, naming the record."""
+    columns of different lengths, and a bad kind or index, naming the record."""
 
     __slots__ = ("columns",)
 
@@ -262,10 +245,10 @@ class Conclusions(Sequence):
         self.columns = _checked_columns(kinds, (i, j, k, l), False)
 
     @classmethod
-    def on_scope(cls, g: Graph, scope: str, kinds) -> Conclusions:
-        """The view of kinds on scope_columns(g, scope), whose ints need no check."""
+    def on_scope(cls, kinds, quad) -> Conclusions:
+        """The view of kinds on quad, columns from scope_columns, whose ints need no check."""
         view = cls.__new__(cls)
-        view.columns = _checked_columns(kinds, scope_columns(g, scope), True)
+        view.columns = _checked_columns(kinds, quad, True)
         return view
 
     def __len__(self) -> int:
@@ -277,7 +260,7 @@ class Conclusions(Sequence):
             return tuple(map(tuple.__new__, repeat(Conclusion), zip(*fields)))
         return tuple.__new__(Conclusion, fields)
 
-    def __iter__(self):  # records of checked columns, built without Conclusion's checks
+    def __iter__(self):
         return map(tuple.__new__, repeat(Conclusion), zip(*self.columns))
 
     def __eq__(self, other):
@@ -401,36 +384,17 @@ def _justification_from_dict(d) -> Justification:
     return cls(*(d[f] for f in fields))
 
 
-def _parse_poly_field(text, what: str, parsed: dict[str, Poly]) -> Poly:
-    """Parse one polynomial field, once per distinct text.
-
-    ``parsed`` maps each text already parsed in this certificate to its
-    Poly, which is shared by every field with that text.
-    """
+def _parse_poly_field(text, what: str) -> Poly:
     if not isinstance(text, str):
         raise MalformedCertificate(f"{what} must be a string")
-    p = parsed.get(text)
-    if p is None:
-        try:
-            p = parse_poly(text)
-        except PolyParseError as exc:
-            raise MalformedCertificate(f"{what}: {exc}") from None
-        parsed[text] = p
-    return p
+    try:
+        return parse_poly(text)
+    except PolyParseError as exc:
+        raise MalformedCertificate(f"{what}: {exc}") from None
 
 
 def _header_to_dict(cert: Certificate) -> dict:
     """Every field of cert's JSON object but the conclusions, in order."""
-    # The prover shares Poly objects between steps; format each object
-    # once.  Keys stay valid because cert keeps every object alive.
-    texts: dict[int, str] = {}
-
-    def text(p: Poly) -> str:
-        t = texts.get(id(p))
-        if t is None:
-            t = texts[id(p)] = format_poly(p)
-        return t
-
     return {
         "version": CERT_VERSION,
         "graph_text": cert.graph_text,
@@ -439,8 +403,8 @@ def _header_to_dict(cert: Certificate) -> dict:
         "steps": [
             {
                 "id": s.id,
-                "lhs": text(s.lhs),
-                "rhs": text(s.rhs),
+                "lhs": format_poly(s.lhs),
+                "rhs": format_poly(s.rhs),
                 "justification": _justification_to_dict(s.justification),
             }
             for s in cert.steps
@@ -504,14 +468,13 @@ def certificate_from_dict(d) -> Certificate:
     if not isinstance(d["steps"], list) or not isinstance(d["conclusions"], list):
         raise MalformedCertificate("steps and conclusions must be arrays")
     steps = []
-    parsed: dict[str, Poly] = {}
     for position, sd in enumerate(d["steps"]):
         _require_keys(sd, {"id", "lhs", "rhs", "justification"}, "step")
         steps.append(
             ProofStep(
                 id=sd["id"],
-                lhs=_parse_poly_field(sd["lhs"], f"step {position} lhs", parsed),
-                rhs=_parse_poly_field(sd["rhs"], f"step {position} rhs", parsed),
+                lhs=_parse_poly_field(sd["lhs"], f"step {position} lhs"),
+                rhs=_parse_poly_field(sd["rhs"], f"step {position} rhs"),
                 justification=_justification_from_dict(sd["justification"]),
             )
         )

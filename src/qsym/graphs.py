@@ -410,16 +410,14 @@ def parse_graph_text(text: str) -> Graph:
         raise GraphFormatError(
             f"header declares {m} edges but {len(edge_list)} were given", header_line
         )
+    edge_line = header_line
+
+    def edges():  # each edge, noting its line as from_edge_list takes it
+        nonlocal edge_line
+        for u, v, edge_line in edge_list:
+            yield u, v
+
     try:
-        return from_edge_list(n, [(u, v) for u, v, _ in edge_list])
-    except ValueError as exc:
-        # Re-scan to attribute the error to the offending line.
-        seen = set()
-        for u, v, lineno in edge_list:
-            if not (1 <= u <= n and 1 <= v <= n) or u == v:
-                raise GraphFormatError(str(exc), lineno) from None
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphFormatError(str(exc), lineno) from None
-            seen.add(key)
-        raise
+        return from_edge_list(n, edges())
+    except ValueError as exc:  # n is valid, so the edge last taken was refused
+        raise GraphFormatError(str(exc), edge_line) from None

@@ -318,10 +318,9 @@ def _prove(g: Graph, scope: str) -> Certificate:
             bld, nonedges, lambda bld, *quad: _derive_nonedge(bld, *quad, edge_edge)
         )
     classes = _pair_classes(g)
-    quads = zip(*scope_columns(g, scope))
-    kinds = [COMMUTES if classes[i][k] == classes[j][l] else ZERO_PRODUCT for i, j, k, l in quads]
-    del quads  # free its columns before on_scope makes its own
-    conclusions = Conclusions.on_scope(g, scope, kinds)
+    quad = scope_columns(g, scope)
+    kinds = [COMMUTES if classes[i][k] == classes[j][l] else ZERO_PRODUCT for i, j, k, l in zip(*quad)]
+    conclusions = Conclusions.on_scope(kinds, quad)
     return Certificate(format_graph_text(g), scope, tuple(bld.automorphisms), bld.steps, conclusions)
 
 

@@ -121,6 +121,14 @@ def test_verify_s5_action():
         verify_s5_action(cycle(5))
 
 
+def test_verify_s5_action_refuses_a_relabelled_petersen():
+    # The base permutations act on the 2-subsets in lexicographic order,
+    # so Petersen under another labelling fails the check.
+    images = (7, 9, 10, 8, 6, 4, 1, 5, 2, 3)
+    edges = [(images[a - 1], images[b - 1]) for a, b in petersen().edges()]
+    assert verify_s5_action(from_edge_list(10, edges)) is False
+
+
 def _reference_generating_subset(elements):
     """The greedy generating set as first written: the closure is
     rebuilt from the identity, through compose, each time a generator is

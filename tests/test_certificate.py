@@ -114,13 +114,6 @@ def test_text_round_trip_is_byte_identical(cert_fixture, request):
     assert dumps_certificate(loads_certificate(text)) == text
 
 
-def test_loads_shares_one_poly_per_distinct_text():
-    d = certificate_to_dict(_sample_cert())
-    cert = certificate_from_dict(d)
-    assert d["steps"][0]["lhs"] == d["steps"][1]["rhs"]
-    assert cert.steps[0].lhs is cert.steps[1].rhs
-
-
 def test_load_rejects_non_ascii_bytes(tmp_path, c5_full_cert):
     path = tmp_path / "cert.json"
     save_certificate(c5_full_cert, path)
@@ -303,6 +296,14 @@ def test_loader_takes_conclusions_that_are_all_dict_subclasses(c5_full_cert):
     d = json.loads(dumps_certificate(c5_full_cert))
     d["conclusions"] = list(map(_DictSubclass, d["conclusions"]))
     assert certificate_from_dict(d) == c5_full_cert
+
+
+@pytest.mark.parametrize("justification", [[], {}, {"step": 0}])
+def test_loader_refuses_a_justification_without_a_rule(justification):
+    d = certificate_to_dict(_sample_cert())
+    d["steps"][0]["justification"] = justification
+    with pytest.raises(MalformedCertificate, match="^justification must be an object with a 'rule'$"):
+        certificate_from_dict(d)
 
 
 def test_loads_refuses_a_step_citing_a_later_step():
@@ -679,7 +680,8 @@ def test_step_and_conclusion_validation():
 
 
 # A valid conclusion, and one change of it per refusal, with the
-# message each refusal gives whichever way the record is built.
+# message each refusal gives whichever way the record enters a
+# certificate.
 _GOOD = Conclusion(COMMUTES, 1, 2, 3, 4)
 _REFUSALS = [
     pytest.param(dict(kind="maybe"), "unknown conclusion kind 'maybe'", id="kind"),
@@ -693,22 +695,30 @@ _REFUSALS = [
 ]
 
 
-def _build(how, fields):
-    if how == "constructor":
-        return Conclusion(*fields.values())
-    if how == "_make":
-        return Conclusion._make(fields.values())
-    return _GOOD._replace(**fields)
+def _enter(how, record):
+    """The conclusions of a certificate, or a view, holding record alone."""
+    cert = _sample_cert()
+    if how == "Certificate":
+        args = (cert.graph_text, cert.scope, cert.automorphisms, cert.steps, (record,))
+        return Certificate(*args).conclusions
+    if how == "replace":
+        return dataclasses.replace(cert, conclusions=[record]).conclusions
+    if how == "Conclusions":
+        return Conclusions(*zip(record))
+    d = certificate_to_dict(cert)
+    d["conclusions"] = [record._asdict()]
+    return certificate_from_dict(d).conclusions
 
 
-@pytest.mark.parametrize("how", ["constructor", "_make", "_replace"])
+@pytest.mark.parametrize("how", ["Certificate", "replace", "Conclusions", "loader"])
 @pytest.mark.parametrize("change, message", _REFUSALS)
-def test_every_way_of_building_a_conclusion_checks_it(how, change, message):
-    fields = _GOOD._asdict()
-    assert type(_build(how, fields)) is Conclusion and _build(how, fields) == _GOOD
-    fields.update(change)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        _build(how, fields)
+def test_every_way_into_a_certificate_checks_a_conclusion(how, change, message):
+    # A record is plain data, built as given; it is checked where it
+    # enters a certificate, and refused by its place.
+    bad = _GOOD._replace(**change)
+    assert list(_enter(how, _GOOD)) == [_GOOD]
+    with pytest.raises(MalformedCertificate, match=f"^conclusion 0: {re.escape(message)}$"):
+        _enter(how, bad)
 
 
 @pytest.mark.parametrize("field", ["rows", "cols"])

@@ -570,6 +570,13 @@ def test_graph_file_round_trip(tmp_path, capsys):
     assert "conditions: λ=0,μ=1 hold with k=7" in out
 
 
+def test_info_names_no_srg_for_a_path(tmp_path, capsys):
+    graph_path = tmp_path / "p4.graph"
+    graph_path.write_text("4 3\n1 2\n2 3\n3 4\n")
+    code, out, _ = run_cli(["info", "--file", str(graph_path)], capsys)
+    assert code == 0 and "\nsrg: none\n" in out
+
+
 def test_missing_graph_file(capsys):
     code, _, err = run_cli(["info", "--file", "/nonexistent/g.graph"], capsys)
     assert code == 3
@@ -603,6 +610,12 @@ def test_graph_file_vertex_count_over_the_limit(tmp_path, capsys):
     code, _, err = run_cli(["conditions", "--file", str(graph_path)], capsys)
     assert code == 3
     assert _one_line_refusal(err) and "line 1" in err and "limit" in err
+
+
+def test_reduce_refuses_a_generator_out_of_range(capsys):
+    code, out, err = run_cli(["reduce", "--graph", "c5", "u[1,9]"], capsys)
+    assert code == 1 and not out
+    assert err == "generator u[1,9] out of range for n=5\n"
 
 
 def test_reduce_outputs(capsys):

@@ -222,6 +222,23 @@ def test_parse_graph_text_errors_carry_line_numbers():
         parse_graph_text("2 1\n1 2\n2 1\n")
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("5 5\n1 2\n2 3\n3 4\n4 5\n2 1\n", 6, "duplicate edge (2, 1)"),
+        ("5 5\n1 2\n2 3\n3 3\n4 5\n1 5\n", 4, "loop at vertex 3"),
+        ("5 5\n1 2\n2 3\n3 4\n4 5\n5 9\n", 6, "edge (5, 9) out of range 1..5"),
+        ("5 5\n1 2\n2 3\n3 x\n4 5\n1 5\n", 4, "expected two integers, got '3 x'"),
+        ("0 0\n", 1, "vertex count must be positive, got 0"),
+    ],
+)
+def test_parse_graph_text_names_the_refused_line(text, line, message):
+    # An edge that from_edge_list refuses is named by its own line.
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph_text(text)
+    assert exc.value.line == line and str(exc.value) == f"line {line}: {message}"
+
+
 def test_parse_graph_text_refuses_too_many_vertices():
     for n in (MAX_FILE_VERTICES + 1, 10**8):
         with pytest.raises(GraphFormatError, match="limit") as exc:

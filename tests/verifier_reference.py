@@ -10,15 +10,22 @@ differs from it only where the column checks do.
 
 conclusions_by_objects reads decoded conclusion objects one at a time
 into Conclusion records, as the loader did for any list that was not
-all dicts of exactly the five fields, naming the first bad object.  A
-certificate given its records must equal the one certificate_from_dict
-loads, or both must be refused with the same MalformedCertificate
-message.
+all dicts of exactly the five fields, checking each object's kind and
+indices itself and naming the first bad object.  A certificate given
+its records must equal the one certificate_from_dict loads, or both
+must be refused with the same MalformedCertificate message.
 """
 
 from __future__ import annotations
 
-from qsym import Conclusion, GraphMismatch, MalformedCertificate, VerificationReport
+from qsym import (
+    COMMUTES,
+    ZERO_PRODUCT,
+    Conclusion,
+    GraphMismatch,
+    MalformedCertificate,
+    VerificationReport,
+)
 from qsym.certificate import scope_columns, scope_size
 from qsym.graphs import MAX_DEGREE, format_graph_text, is_automorphism
 from qsym.verifier import _check_step, _Products
@@ -89,8 +96,13 @@ def conclusions_by_objects(objs) -> list[Conclusion]:
             raise MalformedCertificate(
                 f"conclusion {idx} must be an object with exactly the fields kind, i, j, k, l"
             )
-        try:
-            records.append(Conclusion(cd["kind"], cd["i"], cd["j"], cd["k"], cd["l"]))
-        except MalformedCertificate as exc:
-            raise MalformedCertificate(f"conclusion {idx}: {exc}") from None
+        record = Conclusion(cd["kind"], cd["i"], cd["j"], cd["k"], cd["l"])
+        if record.kind not in (COMMUTES, ZERO_PRODUCT):
+            raise MalformedCertificate(f"conclusion {idx}: unknown conclusion kind {record.kind!r}")
+        for v in record[1:]:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+                raise MalformedCertificate(
+                    f"conclusion {idx}: conclusion index must be a positive integer, got {v!r}"
+                )
+        records.append(record)
     return records
